@@ -17,12 +17,19 @@ from typing import List, Union
 from repro.arch.base import MeasurementOutput, encode_timestamp
 
 _HEADER = struct.Struct(">QHH")  # timestamp_us, digest_len, tag_len
+_TIMESTAMP_SIZE = 8  # the big-endian timestamp_us that opens the header
+# In a record list each record carries a length prefix; the prefix and
+# the header are read or written together in one call.
+_LENGTH = struct.Struct(">H")
+_PREFIXED_HEADER = struct.Struct(">HQHH")
 
-#: Anything the codec accepts as an encoded record: decoded fields are
-#: read-only :class:`memoryview` slices over the input buffer by
-#: default (zero-copy), which hash and compare equal to the ``bytes``
-#: they view, so digests stay usable as set members and MAC inputs.
+#: Anything the codec accepts as an encoded record.  Decoders copy a
+#: view or bytearray into ``bytes`` once, so decoded ``digest`` and
+#: ``tag`` fields are always plain ``bytes``.
 Buffer = Union[bytes, bytearray, memoryview]
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class MeasurementDecodeError(Exception):
@@ -37,12 +44,24 @@ class Measurement:
     ``digest`` is ``H(mem_t)`` and ``tag`` is ``MAC_K(t, H(mem_t))``.
     ``duration`` (not transmitted) records the modelled run-time of the
     measurement on the prover, used by availability experiments.
+
+    A record decoded from the wire also remembers its MAC input as
+    received (see :meth:`mac_input`).  That is not a dataclass field:
+    it is never encoded, compared, hashed or shown, and every other way
+    of building a record — direct construction, :meth:`with_timestamp`,
+    ``dataclasses.replace`` — leaves it unset, so a record whose
+    timestamp or digest changed after decode is MAC-checked against a
+    fresh encoding of its fields and fails.
     """
 
     timestamp: float
     digest: bytes
     tag: bytes
     duration: float = 0.0
+
+    # Class-level default; only :func:`_received_record` sets it per
+    # instance.
+    _received = None
 
     @classmethod
     def from_output(cls, output: MeasurementOutput) -> "Measurement":
@@ -52,45 +71,46 @@ class Measurement:
 
     def authenticated_payload(self) -> bytes:
         """The bytes the MAC covers: canonical timestamp followed by digest."""
-        # join() accepts buffer views, so a zero-copy digest works here too.
         return b"".join((encode_timestamp(self.timestamp), self.digest))
 
-    def encode_parts(self) -> List[bytes]:
-        """The wire encoding as a writev-style list of buffers.
+    def mac_input(self) -> bytes:
+        """The bytes this record's tag is checked against.
 
-        Callers assembling larger messages extend one flat parts list and
-        join once at the end instead of concatenating per record.
+        For a decoded record, the eight timestamp bytes and the digest
+        exactly as received, so the verifier MACs the bytes it was sent
+        and the judged timestamp and digest are the ones those bytes
+        encode.  For any other record, :meth:`authenticated_payload`.
         """
-        header = _HEADER.pack(int(round(self.timestamp * 1_000_000)),
-                              len(self.digest), len(self.tag))
-        return [header, self.digest, self.tag]
+        received = self._received
+        return self.authenticated_payload() if received is None \
+            else received
 
     def encode(self) -> bytes:
         """Serialize to the canonical wire format."""
-        return b"".join(self.encode_parts())
+        header = _HEADER.pack(round(self.timestamp * 1_000_000),
+                              len(self.digest), len(self.tag))
+        return b"".join((header, self.digest, self.tag))
 
-    @classmethod
-    def decode(cls, payload: Buffer, *, copy: bool = False) -> "Measurement":
+    @staticmethod
+    def decode(payload: Buffer) -> "Measurement":
         """Parse the canonical wire format back into a record.
 
-        With ``copy=False`` (the default) ``digest`` and ``tag`` are
-        read-only views into ``payload`` — no per-record copies.  Pass
-        ``copy=True`` when the record outlives the buffer it came from.
+        ``digest`` and ``tag`` are ``bytes``; the record's
+        :meth:`mac_input` is the received timestamp bytes and digest.
         """
-        if len(payload) < _HEADER.size:
+        data = _as_bytes(payload)
+        if len(data) < _HEADER.size:
             raise MeasurementDecodeError("measurement record truncated")
-        timestamp_us, digest_len, tag_len = _HEADER.unpack_from(payload)
+        timestamp_us, digest_len, tag_len = _HEADER.unpack_from(data)
         expected = _HEADER.size + digest_len + tag_len
-        if len(payload) != expected:
+        if len(data) != expected:
             raise MeasurementDecodeError(
-                f"measurement record has {len(payload)} bytes, "
+                f"measurement record has {len(data)} bytes, "
                 f"expected {expected}")
-        view = memoryview(payload).toreadonly()
-        digest = view[_HEADER.size:_HEADER.size + digest_len]
-        tag = view[_HEADER.size + digest_len:]
-        if copy:
-            digest, tag = bytes(digest), bytes(tag)
-        return cls(timestamp=timestamp_us / 1_000_000, digest=digest, tag=tag)
+        digest_end = _HEADER.size + digest_len
+        digest = data[_HEADER.size:digest_end]
+        return _received_record(timestamp_us, digest, data[digest_end:],
+                                data[:_TIMESTAMP_SIZE] + digest)
 
     @property
     def size_bytes(self) -> int:
@@ -105,3 +125,99 @@ class Measurement:
         """
         return Measurement(timestamp=timestamp, digest=self.digest,
                            tag=self.tag, duration=self.duration)
+
+
+def _as_bytes(payload: Buffer) -> bytes:
+    """``payload`` as ``bytes``, copying a view or bytearray once."""
+    return payload if type(payload) is bytes else bytes(payload)
+
+
+def _received_record(timestamp_us: int, digest: bytes, tag: bytes,
+                     received: bytes) -> Measurement:
+    """A decoded record whose MAC input is ``received``.
+
+    Sets the fields in the generated ``__init__``'s order without its
+    call overhead (the class has no ``__post_init__``), so the result is
+    frozen, equal and hashes like ``Measurement(...)``.  Going through
+    ``object.__setattr__`` rather than ``__dict__`` keeps the attributes
+    inline: one garbage-collected allocation per record, not two.
+    """
+    record = _new(Measurement)
+    _set(record, "timestamp", timestamp_us / 1_000_000)
+    _set(record, "digest", digest)
+    _set(record, "tag", tag)
+    _set(record, "duration", 0.0)
+    _set(record, "_received", received)
+    return record
+
+
+def encode_records(measurements: List[Measurement],
+                   parts: List[bytes]) -> List[bytes]:
+    """Append length-prefixed records to a flat writev-style list.
+
+    One ``struct`` pack per record writes its length prefix and header;
+    digest and tag are appended as they are.  Callers assembling larger
+    messages join ``parts`` once at the end.
+    """
+    pack = _PREFIXED_HEADER.pack
+    for measurement in measurements:
+        digest, tag = measurement.digest, measurement.tag
+        parts += (pack(_HEADER.size + len(digest) + len(tag),
+                       round(measurement.timestamp * 1_000_000),
+                       len(digest), len(tag)),
+                  digest, tag)
+    return parts
+
+
+def _record_list_error(data: bytes, offset: int) -> MeasurementDecodeError:
+    """Why the record at ``offset`` is malformed, checked field by field.
+
+    :func:`decode_records` only comes here once its combined check
+    failed, so one of these checks (or :meth:`Measurement.decode`'s
+    own) fails.
+    """
+    if offset + _LENGTH.size > len(data):
+        return MeasurementDecodeError("truncated measurement list")
+    (length,) = _LENGTH.unpack_from(data, offset)
+    start = offset + _LENGTH.size
+    if start + length > len(data):
+        return MeasurementDecodeError("truncated measurement record")
+    try:
+        Measurement.decode(data[start:start + length])
+    except MeasurementDecodeError as exc:
+        return exc
+    return MeasurementDecodeError("malformed measurement record")
+
+
+def decode_records(payload: Buffer, offset: int,
+                   count: int) -> List[Measurement]:
+    """Decode ``count`` length-prefixed records filling ``payload[offset:]``.
+
+    ``payload`` is copied to ``bytes`` once if it is not already; each
+    record then costs one ``struct`` unpack (length prefix and header
+    together) and ``bytes`` slices for its digest, tag and MAC input
+    (the received timestamp bytes followed by the digest).
+    """
+    data = _as_bytes(payload)
+    end = len(data)
+    unpack = _PREFIXED_HEADER.unpack_from
+    measurements: List[Measurement] = []
+    append = measurements.append
+    for _ in range(count):
+        if offset + _PREFIXED_HEADER.size > end:
+            raise _record_list_error(data, offset)
+        length, timestamp_us, digest_len, tag_len = unpack(data, offset)
+        start = offset + _LENGTH.size
+        stop = start + length
+        if length != _HEADER.size + digest_len + tag_len or stop > end:
+            raise _record_list_error(data, offset)
+        digest_start = start + _HEADER.size
+        digest_end = digest_start + digest_len
+        digest = data[digest_start:digest_end]
+        append(_received_record(
+            timestamp_us, digest, data[digest_end:stop],
+            data[start:start + _TIMESTAMP_SIZE] + digest))
+        offset = stop
+    if offset != end:
+        raise MeasurementDecodeError("trailing bytes after measurement list")
+    return measurements

@@ -109,7 +109,7 @@ class OnDemandVerifier:
             return report
         measurement = response.fresh
         authentic = self.mac_algorithm.verify(
-            key, measurement.authenticated_payload(), measurement.tag)
+            key, measurement.mac_input(), measurement.tag)
         # Public whitelist membership; the MAC check above is the
         # authentication decision.
         # statics: ok(constant-time)

@@ -23,12 +23,17 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.arch.base import encode_timestamp
-from repro.core.measurement import Buffer, Measurement, MeasurementDecodeError
+from repro.core.measurement import (
+    Buffer,
+    Measurement,
+    MeasurementDecodeError,
+    decode_records,
+    encode_records,
+)
 
 _COLLECT_HEADER = struct.Struct(">BI")          # message type, k
 _ONDEMAND_HEADER = struct.Struct(">BIQH")       # type, k, t_req_us, tag length
 _RESPONSE_HEADER = struct.Struct(">BH")         # message type, record count
-_RECORD_LENGTH = struct.Struct(">H")
 
 _TYPE_COLLECT_REQUEST = 1
 _TYPE_COLLECT_RESPONSE = 2
@@ -78,37 +83,13 @@ class CollectRequest:
         return cls(k=k)
 
 
-def _measurement_parts(measurements: List[Measurement],
-                       parts: List[bytes]) -> List[bytes]:
-    """Append length-prefixed record buffers to a flat writev-style list."""
-    for measurement in measurements:
-        record = measurement.encode_parts()
-        parts.append(_RECORD_LENGTH.pack(sum(len(p) for p in record)))
-        parts.extend(record)
-    return parts
-
-
-def _decode_measurements(payload: Buffer, count: int, *,
-                         copy: bool = False) -> List[Measurement]:
-    measurements: List[Measurement] = []
-    view = memoryview(payload).toreadonly()
-    offset = 0
-    for _ in range(count):
-        if offset + _RECORD_LENGTH.size > len(view):
-            raise ProtocolDecodeError("truncated measurement list")
-        (length,) = _RECORD_LENGTH.unpack_from(view, offset)
-        offset += _RECORD_LENGTH.size
-        if offset + length > len(view):
-            raise ProtocolDecodeError("truncated measurement record")
-        record = view[offset:offset + length]
-        offset += length
-        try:
-            measurements.append(Measurement.decode(record, copy=copy))
-        except MeasurementDecodeError as exc:
-            raise ProtocolDecodeError(str(exc)) from exc
-    if offset != len(view):
-        raise ProtocolDecodeError("trailing bytes after measurement list")
-    return measurements
+def _decode_measurements(payload: Buffer, offset: int,
+                         count: int) -> List[Measurement]:
+    """:func:`decode_records`, its errors raised as protocol errors."""
+    try:
+        return decode_records(payload, offset, count)
+    except MeasurementDecodeError as exc:
+        raise ProtocolDecodeError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -121,29 +102,22 @@ class CollectResponse:
         """The wire encoding as a writev-style list of buffers."""
         header = _RESPONSE_HEADER.pack(_TYPE_COLLECT_RESPONSE,
                                        len(self.measurements))
-        return _measurement_parts(self.measurements, [header])
+        return encode_records(self.measurements, [header])
 
     def encode(self) -> bytes:
         """Serialize to the wire format."""
         return b"".join(self.encode_parts())
 
     @classmethod
-    def decode(cls, payload: Buffer, *,
-               copy: bool = False) -> "CollectResponse":
-        """Parse the wire format.
-
-        Decoded records view ``payload`` directly by default; pass
-        ``copy=True`` to materialize independent ``bytes`` fields when
-        the records must outlive the receive buffer.
-        """
+    def decode(cls, payload: Buffer) -> "CollectResponse":
+        """Parse the wire format (records hold ``bytes`` fields)."""
         if len(payload) < _RESPONSE_HEADER.size:
             raise ProtocolDecodeError("malformed collect response")
         message_type, count = _RESPONSE_HEADER.unpack_from(payload)
         if message_type != _TYPE_COLLECT_RESPONSE:
             raise ProtocolDecodeError("not a collect response")
-        measurements = _decode_measurements(
-            memoryview(payload)[_RESPONSE_HEADER.size:], count, copy=copy)
-        return cls(measurements=measurements)
+        return cls(measurements=_decode_measurements(
+            payload, _RESPONSE_HEADER.size, count))
 
     @property
     def size_bytes(self) -> int:
@@ -207,16 +181,15 @@ class OnDemandResponse:
             list(self.measurements)
         header = _RESPONSE_HEADER.pack(_TYPE_ONDEMAND_RESPONSE, len(records))
         flag = b"\x01" if self.fresh is not None else b"\x00"
-        return _measurement_parts(records, [header, flag])
+        return encode_records(records, [header, flag])
 
     def encode(self) -> bytes:
         """Serialize to the wire format."""
         return b"".join(self.encode_parts())
 
     @classmethod
-    def decode(cls, payload: Buffer, *,
-               copy: bool = False) -> "OnDemandResponse":
-        """Parse the wire format (records view ``payload`` unless ``copy``)."""
+    def decode(cls, payload: Buffer) -> "OnDemandResponse":
+        """Parse the wire format (records hold ``bytes`` fields)."""
         minimum = _RESPONSE_HEADER.size + 1
         if len(payload) < minimum:
             raise ProtocolDecodeError("malformed on-demand response")
@@ -224,8 +197,7 @@ class OnDemandResponse:
         if message_type != _TYPE_ONDEMAND_RESPONSE:
             raise ProtocolDecodeError("not an on-demand response")
         has_fresh = payload[_RESPONSE_HEADER.size] == 1
-        records = _decode_measurements(
-            memoryview(payload)[minimum:], count, copy=copy)
+        records = _decode_measurements(payload, minimum, count)
         if has_fresh:
             if not records:
                 raise ProtocolDecodeError("fresh measurement flagged but absent")
@@ -262,12 +234,11 @@ def decode_request(payload: Buffer) -> AnyRequest:
     return decoder(payload)
 
 
-def decode_response(payload: Buffer, *, copy: bool = False) -> AnyResponse:
+def decode_response(payload: Buffer) -> AnyResponse:
     """Decode a prover-to-verifier message by its type tag.
 
-    Decoded measurement fields are zero-copy views over ``payload`` by
-    default; ``copy=True`` materializes independent ``bytes`` for callers
-    that retain records after the buffer is recycled.
+    Decoded measurement fields are ``bytes`` (a view or bytearray
+    payload is copied once), so records never pin the receive buffer.
     """
     if not len(payload):
         raise ProtocolDecodeError("empty response")
@@ -276,4 +247,4 @@ def decode_response(payload: Buffer, *, copy: bool = False) -> AnyResponse:
     except KeyError as exc:
         raise ProtocolDecodeError(
             f"unknown response type {payload[0]}") from exc
-    return decoder(payload, copy=copy)
+    return decoder(payload)

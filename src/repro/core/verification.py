@@ -72,6 +72,27 @@ class MeasurementVerdict:
         return self.authentic and self.healthy and not self.from_future
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _verdict(measurement: Measurement, authentic: bool, healthy: bool,
+             from_future: bool) -> MeasurementVerdict:
+    """``MeasurementVerdict(...)`` for the judge's per-record loop.
+
+    Sets the fields in the generated ``__init__``'s order without its
+    call overhead (there is no ``__post_init__``): frozen, equal and
+    hashing like the generated constructor's result, and one
+    garbage-collected allocation per verdict.
+    """
+    verdict = _new(MeasurementVerdict)
+    _set(verdict, "measurement", measurement)
+    _set(verdict, "authentic", authentic)
+    _set(verdict, "healthy", healthy)
+    _set(verdict, "from_future", from_future)
+    return verdict
+
+
 @dataclass
 class VerificationReport:
     """Outcome of verifying one collection from one prover.
@@ -290,8 +311,8 @@ class VerificationCore:
                 collection_time: float) -> MeasurementVerdict:
         """Judge one measurement: MAC, known-good digest, plausibility."""
         authentic = self.mac_algorithm.verify(
-            enrollment.key, measurement.authenticated_payload(),
-            measurement.tag, backend=self.crypto_backend)
+            enrollment.key, measurement.mac_input(), measurement.tag,
+            backend=self.crypto_backend)
         # Whitelist membership over public known-good software states;
         # authenticity is decided by the MAC check above, not by this.
         # statics: ok(constant-time)
@@ -518,13 +539,12 @@ class DeviceJudge:
         horizon = collection_time + 1e-6
         append = report.verdicts.append
         for measurement in measurements:
-            append(MeasurementVerdict(
-                measurement=measurement,
-                authentic=compare(mac(measurement.authenticated_payload()),
-                                  measurement.tag),
+            append(_verdict(
+                measurement,
+                compare(mac(measurement.mac_input()), measurement.tag),
                 # statics: ok(constant-time) — public whitelist membership
-                healthy=measurement.digest in digests,
-                from_future=measurement.timestamp > horizon))
+                measurement.digest in digests,
+                measurement.timestamp > horizon))
         return self.core._assess(report, enrollment, collection_time)
 
 
