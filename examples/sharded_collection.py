@@ -5,20 +5,18 @@ ERASMUS decouples measurement from collection, so nothing forces a
 verifier to drain its fleet in lock-step batches.  This example runs
 the same 10,000-device round twice:
 
-1. **synchronous baseline** — one ``FleetVerifier``, the strictly
-   sequential reference round (``pipeline=False``): exchange a batch,
-   verify it, exchange the next;
-2. **async sharded** — a ``ShardedFleetVerifier`` with 4 shard
-   workers, each draining its shard through the awaitable collection
-   pipeline (pre-compiled per-device verification, exchange overlapping
-   verification), with the per-shard ``FleetHealth`` aggregates merged
-   into one fleet-wide view.
+1. **single verifier** — one ``FleetVerifier`` draining the whole
+   fleet through the pipelined collection round (shards of devices in
+   flight at once, each verified as soon as its exchange settles);
+2. **sharded** — a ``ShardedFleetVerifier`` with 4 shard workers, each
+   running that same pipeline over its own shard, with the per-shard
+   ``FleetHealth`` aggregates merged into one fleet-wide view.
 
 Provisioning is deterministic (same profile, same master secret), so
 the two fleets carry identical devices with identical measurement
-histories — the printed wall-clock difference is purely the collection
-path, and the merged sharded health is *byte-identical* to the single
-verifier's.
+histories — the printed wall-clock difference is purely the verifier
+topology, and the merged sharded health is *byte-identical* to the
+single verifier's.
 
 Run with:  python examples/sharded_collection.py
 """
@@ -60,30 +58,30 @@ def health_fingerprint(fleet: Fleet) -> bytes:
 
 def main() -> None:
     print(f"provisioning two deterministic twins of {FLEET_SIZE} devices...")
-    baseline_fleet = provision()
+    single_fleet = provision()
     sharded_fleet = provision(shards=SHARDS)
 
     # Sweep provisioning garbage out of the way so neither timed round
     # absorbs a multi-ten-ms gen-2 GC pause the other one skipped.
     gc.collect()
     started = time.perf_counter()
-    baseline_reports = baseline_fleet.collect_all(pipeline=False)
-    baseline_wall = time.perf_counter() - started
+    single_reports = single_fleet.collect_all()
+    single_wall = time.perf_counter() - started
 
     gc.collect()
     started = time.perf_counter()
     sharded_reports = sharded_fleet.collect_all()
     sharded_wall = time.perf_counter() - started
 
-    print(f"\nsync baseline : {len(baseline_reports)} reports in "
-          f"{baseline_wall:.2f}s "
-          f"({len(baseline_reports) / baseline_wall:,.0f} devices/second)")
+    print(f"\nsingle verifier : {len(single_reports)} reports in "
+          f"{single_wall:.2f}s "
+          f"({len(single_reports) / single_wall:,.0f} devices/second)")
     stats = sharded_reports.stats
-    print(f"async sharded : {len(sharded_reports)} reports in "
+    print(f"sharded         : {len(sharded_reports)} reports in "
           f"{sharded_wall:.2f}s "
           f"({len(sharded_reports) / sharded_wall:,.0f} devices/second, "
           f"{stats.shards} pipeline shard(s) over {SHARDS} workers)")
-    print(f"speedup       : {baseline_wall / sharded_wall:.2f}x")
+    print(f"ratio           : {single_wall / sharded_wall:.2f}x")
 
     flagged = sorted(report.device_id for report in sharded_reports
                      if report.detected_infection())
@@ -92,12 +90,13 @@ def main() -> None:
     print()
     print(sharded_fleet.health.summary())
 
-    identical = health_fingerprint(baseline_fleet) == \
+    identical = health_fingerprint(single_fleet) == \
         health_fingerprint(sharded_fleet)
     print(f"\nmerged sharded health byte-identical to single verifier: "
           f"{identical}")
     if not identical or set(flagged) != set(INFECTED):
-        raise SystemExit("sharded collection diverged from the baseline")
+        raise SystemExit("sharded collection diverged from the single "
+                         "verifier")
 
 
 if __name__ == "__main__":

@@ -18,9 +18,8 @@ legacy single-device :class:`repro.core.ErasmusVerifier`.
 from __future__ import annotations
 
 import asyncio
-import threading
+import functools
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
@@ -49,7 +48,6 @@ from repro.core.verification import (
 from repro.fleet.profiles import DeviceProfile, ProvisionedDevice
 from repro.fleet.sinks import FleetHealth, ReportSink, RoundStats, SinkFanout
 from repro.fleet.transport import (
-    AsyncTransport,
     InProcessTransport,
     SimulatedNetworkTransport,
     SocketTransport,
@@ -287,22 +285,6 @@ class FleetVerifier(BaseVerifier):
                            "collection"]), None
         return None, list(response.measurements)
 
-    def _verify_payload(self, device_id: str, payload: Optional[bytes],
-                        collection_time: float) -> VerificationReport:
-        """Judge one raw transport response (``None`` = never answered).
-
-        This is the reference path (per-call MAC dispatch); the
-        pipelined round uses :meth:`_verify_payload_fast`, which
-        produces identical reports through the precompiled judge.
-        """
-        enrollment = self._enrollment_for(device_id)
-        report, measurements = self._decode_collection(
-            device_id, payload, collection_time)
-        if report is not None:
-            return report
-        return self.core.verify_measurements(
-            enrollment, measurements, collection_time, expect_nonempty=True)
-
     def _judge_for(self, device_id: str, enrollment) -> DeviceJudge:
         """The device's cached fast path, rebuilt on key change."""
         judge = self._judges.get(device_id)
@@ -312,9 +294,14 @@ class FleetVerifier(BaseVerifier):
             self._judges[device_id] = judge
         return judge
 
-    def _verify_payload_fast(self, device_id: str, payload: Optional[bytes],
-                             collection_time: float) -> VerificationReport:
-        """Fast-path twin of :meth:`_verify_payload` (same reports)."""
+    def _verify_payload(self, device_id: str, payload: Optional[bytes],
+                        collection_time: float) -> VerificationReport:
+        """Judge one raw transport response (``None`` = never answered).
+
+        The history goes through the device's precompiled
+        :class:`DeviceJudge`, whose reports equal the reference
+        :meth:`VerificationCore.verify_measurements` verdicts.
+        """
         enrollment = self._enrollment_for(device_id)
         report, measurements = self._decode_collection(
             device_id, payload, collection_time)
@@ -324,50 +311,56 @@ class FleetVerifier(BaseVerifier):
             enrollment, measurements, collection_time, expect_nonempty=True)
 
     def _commit(self, report: VerificationReport) -> VerificationReport:
-        """Advance per-device bookkeeping and stream the report to sinks.
+        """Commit one finished report (see :meth:`_commit_batch`)."""
+        self._commit_batch([report])
+        return report
 
-        The report is journaled *before* the enrollment advance so the
+    def _commit_batch(self, reports: List[VerificationReport],
+                      part: Optional[FleetHealth] = None
+                      ) -> List[VerificationReport]:
+        """Journal, advance, aggregate, observe and emit, report by report.
+
+        Each report is journaled *before* its enrollment advance so the
         store's write-ahead invariant holds: a crash between the two
         writes replays the report (which re-derives the advance) rather
         than leaving an advanced ``last_seen`` with no report behind it.
+        Reports judged here are recorded into :attr:`health` one by one;
+        a process worker's batch instead brings its own exact
+        :class:`FleetHealth` ``part``, merged once after the batch.
         """
-        if self.store is not None:
-            self.store.append_report(report)
-        self._advance_bookkeeping(report)
-        self.health.record(report)
-        if self.obs.enabled:
-            self.obs.report_committed(report)
-        for sink in self.sinks:
-            sink.emit(report)
-        return report
+        store = self.store
+        record = self.health.record if part is None else None
+        obs = self.obs
+        obs_enabled = obs.enabled
+        sinks = self.sinks
+        for report in reports:
+            if store is not None:
+                store.append_report(report)
+            self._advance_bookkeeping(report)
+            if record is not None:
+                record(report)
+            if obs_enabled:
+                obs.report_committed(report)
+            for sink in sinks:
+                sink.emit(report)
+        if part is not None:
+            self.health.merge(part)
+        return reports
 
     def apply_worker_batch(self, report_rows: Iterable[Mapping[str, object]],
                            health_row: Mapping[str, object]
                            ) -> List[VerificationReport]:
         """Commit one process-worker task's results, in row order.
 
-        The twin of :meth:`_commit` for verification that happened in a
-        worker process: each shipped report row is journaled, advances
-        the device's bookkeeping and streams to the sinks exactly as a
-        locally-verified report would, and the task's
-        :class:`FleetHealth` part folds in through
-        :meth:`FleetHealth.merge` — the exact-Fraction accumulator, so
-        the merged aggregate is byte-identical to recording every
-        report here.
+        Each shipped report row is journaled, advances the device's
+        bookkeeping and streams to the sinks exactly as a locally
+        verified report would; the task's :class:`FleetHealth` part
+        folds in through :meth:`FleetHealth.merge` — the exact-Fraction
+        accumulator, so the merged aggregate is byte-identical to
+        recording every report here.
         """
-        reports: List[VerificationReport] = []
-        obs_enabled = self.obs.enabled
-        for row in report_rows:
-            report = VerificationReport.from_row(row)
-            if self.store is not None:
-                self.store.append_report(report)
-            self._advance_bookkeeping(report)
-            if obs_enabled:
-                self.obs.report_committed(report)
-            for sink in self.sinks:
-                sink.emit(report)
-            reports.append(report)
-        self.health.merge(FleetHealth.from_row(health_row))
+        reports = [VerificationReport.from_row(row) for row in report_rows]
+        self._commit_batch(reports, FleetHealth.from_row(health_row))
         return reports
 
     def checkpoint(self) -> None:
@@ -401,7 +394,7 @@ class FleetVerifier(BaseVerifier):
     # ------------------------------------------------------------------
     def _round_prologue(self, transport, collection_time, device_ids,
                         batch_size, k):
-        """Validation and setup shared by every round flavour."""
+        """Validate a round and build its device list and request."""
         if batch_size <= 0:
             raise ValueError("batch size must be positive")
         engine = getattr(transport, "engine", None)
@@ -440,27 +433,17 @@ class FleetVerifier(BaseVerifier):
                     k: Optional[int] = None,
                     device_ids: Optional[Iterable[str]] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE,
-                    max_workers: Optional[int] = None,
                     checkpoint: bool = True,
-                    pipeline: bool = True,
                     max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
                     ) -> RoundReports:
         """Run one collection round over (a subset of) the fleet.
 
-        A thin synchronous shim: by default it drives the awaitable
+        A thin synchronous shim: it drives the awaitable
         :meth:`collect_all_async` pipeline to completion on a private
         event loop, so wire exchange, verification and sink fan-out
         overlap per shard.  Reports come back as a plain list (with the
         round's :class:`~repro.fleet.sinks.RoundStats` on ``.stats``),
-        committed in deterministic device order exactly as the
-        historical synchronous implementation did.
-
-        ``pipeline=False`` selects the reference implementation
-        instead: strictly sequential batches through the per-call MAC
-        dispatch path, each batch barriering on its exchange before any
-        verification starts.  It exists as the behavioural yardstick
-        (the PR 2 devices/second ceiling) and as the fallback for
-        callers that cannot enter an event loop.
+        committed in deterministic device order.
 
         With ``collection_time=None`` (the default) each batch is
         verified at the transport engine's clock *after* its exchange,
@@ -475,66 +458,11 @@ class FleetVerifier(BaseVerifier):
         False``, a finished round also folds the verifier state into a
         store snapshot (see :meth:`checkpoint`).
         """
-        if pipeline:
-            _ensure_no_running_loop("await collect_all_async(...) instead")
-            return asyncio.run(self.collect_all_async(
-                transport, collection_time, k=k, device_ids=device_ids,
-                batch_size=batch_size, max_workers=max_workers,
-                checkpoint=checkpoint,
-                max_inflight_shards=max_inflight_shards))
-
-        engine, ids, request_bytes = self._round_prologue(
-            transport, collection_time, device_ids, batch_size, k)
-        stale_before = getattr(transport, "stale_responses_rejected", 0)
-        started = _time.perf_counter()
-        reports = RoundReports()
-        stats = RoundStats()
-        try:
-            self._run_round_sequential(transport, ids, request_bytes,
-                                       collection_time, engine, batch_size,
-                                       max_workers, reports, stats)
-        except BaseException:
-            # The fanout closed the sinks so nothing buffered was lost;
-            # drop the closed ones so a retry round on this verifier
-            # streams to the survivors instead of raising on dead sinks.
-            self.sinks = [sink for sink in self.sinks if not sink.closed]
-            raise
-        return self._finish_round(reports, stats, transport, stale_before,
-                                  started, checkpoint)
-
-    def _run_round_sequential(self, transport: Transport, ids: List[str],
-                              request_bytes: bytes,
-                              collection_time: Optional[float],
-                              engine, batch_size: int,
-                              max_workers: Optional[int],
-                              reports: List[VerificationReport],
-                              stats: RoundStats) -> None:
-        """The reference round: sequential batches, inside the fan-out."""
-        with SinkFanout(self.sinks):
-            for start in range(0, len(ids), batch_size):
-                batch = ids[start:start + batch_size]
-                stats.shards += 1
-                responses = transport.exchange_many(
-                    {device_id: request_bytes for device_id in batch})
-                self._count_batch(stats, batch, responses)
-                batch_time = collection_time if collection_time is not None \
-                    else engine.now
-
-                def _verify(device_id: str, batch_time: float = batch_time
-                            ) -> VerificationReport:
-                    return self._verify_payload(device_id,
-                                                responses.get(device_id),
-                                                batch_time)
-
-                if max_workers is not None and max_workers > 1 \
-                        and len(batch) > 1:
-                    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                        batch_reports = list(pool.map(_verify, batch))
-                else:
-                    batch_reports = [_verify(device_id)
-                                     for device_id in batch]
-                for report in batch_reports:
-                    reports.append(self._commit(report))
+        _ensure_no_running_loop("await collect_all_async(...) instead")
+        return asyncio.run(self.collect_all_async(
+            transport, collection_time, k=k, device_ids=device_ids,
+            batch_size=batch_size, checkpoint=checkpoint,
+            max_inflight_shards=max_inflight_shards))
 
     @staticmethod
     def _count_batch(stats: RoundStats, batch: List[str],
@@ -551,7 +479,6 @@ class FleetVerifier(BaseVerifier):
                                 k: Optional[int] = None,
                                 device_ids: Optional[Iterable[str]] = None,
                                 batch_size: int = DEFAULT_BATCH_SIZE,
-                                max_workers: Optional[int] = None,
                                 checkpoint: bool = True,
                                 max_inflight_shards: int =
                                 DEFAULT_MAX_INFLIGHT_SHARDS) -> RoundReports:
@@ -562,27 +489,48 @@ class FleetVerifier(BaseVerifier):
         exchanging over the awaitable transport seam
         (:func:`~repro.fleet.transport.as_async_transport`) and
         verifying its payloads — through the precompiled per-device
-        fast path — as soon as *its* exchange settles, while later
-        shards' packets are still on the wire.  Commits (store journal,
-        health aggregate, sink fan-out) happen in shard order, so the
-        report list is deterministic, in the same device order as the
-        sequential reference path.
+        judges, inline between awaits — as soon as *its* exchange
+        settles, while later shards' packets are still on the wire.
+        Commits (store journal, health aggregate, sink fan-out) happen
+        in shard order, so the report list is deterministic and in
+        device order.
 
-        On an engine-clock transport the overlap is visible in the
-        stamps: shards launch together instead of barriering, so a
-        shard's ``collection_time`` (engine clock at *its* settlement)
-        is generally earlier than the sequential path would have
-        stamped it — fresher, never staler.  On engineless or
-        in-process transports the reports are identical to
-        ``pipeline=False``.
+        On an engine-clock transport each shard's ``collection_time``
+        is the engine clock at *its* settlement, so overlapping shards
+        are stamped as fresh as their own exchange.
 
         ``transport`` may be a synchronous :class:`Transport` (adapted
         automatically), an :class:`AsyncTransport`, or anything exposing
         a native ``exchange_many_async`` such as the simulated network —
         whose rounds then genuinely overlap in virtual time.
-        ``max_workers`` offloads verification to one shared thread pool
-        of that size (useful on multi-core verifiers); by default
-        verification runs inline between awaits.
+        """
+        return await self._run_round(transport, collection_time, k,
+                                     device_ids, batch_size, checkpoint,
+                                     max_inflight_shards)
+
+    async def _run_round(self, transport,
+                         collection_time: Optional[float],
+                         k: Optional[int],
+                         device_ids: Optional[Iterable[str]],
+                         batch_size: int, checkpoint: bool,
+                         max_inflight_shards: int,
+                         reports: Optional[RoundReports] = None,
+                         pool: Optional[WorkerPool] = None,
+                         worker_index: int = 0) -> RoundReports:
+        """The windowed round every collection path runs.
+
+        Shards of ``batch_size`` devices exchange concurrently, at most
+        ``max_inflight_shards`` at a time, and commit in shard order.
+        Only the verify step varies: without ``pool`` each shard is
+        judged inline (:meth:`_verify_inline`); with one it is shipped
+        to slot ``worker_index`` (:meth:`_verify_in_worker`), whose
+        caller has spawned the slot and synced its enrollments.
+
+        Reports are committed into ``reports`` as they settle, so a
+        caller that passes its own list still holds every committed
+        report when the round fails.  On failure or cancellation the
+        in-flight shard tasks are cancelled and awaited before the
+        error propagates, and the sinks the fan-out closed are pruned.
         """
         if max_inflight_shards <= 0:
             raise ValueError("max_inflight_shards must be positive")
@@ -593,15 +541,11 @@ class FleetVerifier(BaseVerifier):
                   for start in range(0, len(ids), batch_size)]
         stale_before = getattr(atransport, "stale_responses_rejected", 0)
         started = _time.perf_counter()
-        reports = RoundReports()
+        if reports is None:
+            reports = RoundReports()
         stats = RoundStats(shards=len(shards))
-
-        # One pool for the whole round: per-shard pools would multiply
-        # the caller's thread cap by the number of in-flight shards and
-        # re-pay pool construction per shard.
-        pool = ThreadPoolExecutor(max_workers=max_workers) \
-            if max_workers is not None and max_workers > 1 else None
-
+        verify = self._verify_inline if pool is None else \
+            functools.partial(self._verify_in_worker, pool, worker_index)
         obs = self.obs
         obs_enabled = obs.enabled
         round_span = None
@@ -615,52 +559,14 @@ class FleetVerifier(BaseVerifier):
                     {device_id: request_bytes for device_id in shard})
                 shard_time = collection_time \
                     if collection_time is not None else engine.now
-                verify = self._verify_payload_fast
-                if obs_enabled:
-                    # Wall time goes only to the histogram — spans carry
-                    # virtual time, keeping traces byte-reproducible.
-                    observe = obs.verify_observer(self.obs_shard).observe
-                    perf = _time.perf_counter
-
-                    def _verify_observed(device_id: str
-                                         ) -> VerificationReport:
-                        verify_started = perf()
-                        report = verify(device_id,
-                                        responses.get(device_id),
-                                        shard_time)
-                        observe(perf() - verify_started)
-                        obs.record_device_verify(shard_span, device_id,
-                                                 report.status.value)
-                        return report
-
-                    if pool is not None and len(shard) > 1:
-                        loop = asyncio.get_running_loop()
-                        shard_reports = list(await asyncio.gather(*[
-                            loop.run_in_executor(pool, _verify_observed,
-                                                 device_id)
-                            for device_id in shard]))
-                    else:
-                        shard_reports = [_verify_observed(device_id)
-                                         for device_id in shard]
-                    if shard_span is not None:
-                        received = sum(
-                            1 for device_id in shard
-                            if responses.get(device_id) is not None)
-                        shard_span.attrs["received"] = received
-                        shard_span.attrs["lost"] = len(shard) - received
-                elif pool is not None and len(shard) > 1:
-                    loop = asyncio.get_running_loop()
-                    shard_reports = list(await asyncio.gather(*[
-                        loop.run_in_executor(pool, verify, device_id,
-                                             responses.get(device_id),
-                                             shard_time)
-                        for device_id in shard]))
-                else:
-                    shard_reports = [
-                        verify(device_id, responses.get(device_id),
-                               shard_time)
-                        for device_id in shard]
-            return responses, shard_reports
+                received, commit = await verify(shard, responses,
+                                                shard_time, shard_span)
+                if shard_span is not None:
+                    count = sum(1 for device_id in shard
+                                if received.get(device_id) is not None)
+                    shard_span.attrs["received"] = count
+                    shard_span.attrs["lost"] = len(shard) - count
+            return received, commit
 
         in_flight: List[asyncio.Task] = []
         next_shard = 0
@@ -688,14 +594,13 @@ class FleetVerifier(BaseVerifier):
                     shard_index = 0
                     while in_flight:
                         current = in_flight.pop(0)
-                        responses, shard_reports = await current
+                        received, commit = await current
                         current = None
                         _keep_window_full()
                         self._count_batch(stats, shards[shard_index],
-                                          responses)
+                                          received)
                         shard_index += 1
-                        for report in shard_reports:
-                            reports.append(self._commit(report))
+                        reports.extend(commit())
                 if round_span is not None:
                     round_span.attrs["reports"] = len(reports)
         except BaseException:
@@ -711,144 +616,90 @@ class FleetVerifier(BaseVerifier):
                     await task
                 except BaseException:
                     pass  # the primary failure is what propagates
+            # The fanout closed the sinks so nothing buffered was lost;
+            # drop the closed ones so a retry round on this verifier
+            # streams to the survivors instead of raising on dead sinks.
             self.sinks = [sink for sink in self.sinks if not sink.closed]
             raise
         finally:
             if obs_enabled:
                 obs.rounds_inflight.dec()
-            if pool is not None:
-                pool.shutdown(wait=True)
         return self._finish_round(reports, stats, atransport, stale_before,
                                   started, checkpoint)
 
-    async def collect_all_process_async(self, transport, pool: WorkerPool,
-                                        worker_index: int,
-                                        collection_time: Optional[float]
-                                        = None,
-                                        k: Optional[int] = None,
-                                        device_ids: Optional[Iterable[str]]
-                                        = None,
-                                        batch_size: int = DEFAULT_BATCH_SIZE,
-                                        checkpoint: bool = True,
-                                        max_inflight_shards: int =
-                                        DEFAULT_MAX_INFLIGHT_SHARDS
-                                        ) -> RoundReports:
-        """One collection round with verification in a worker process.
+    async def _verify_inline(self, shard: List[str],
+                             responses: Mapping[str, Optional[bytes]],
+                             shard_time: float, shard_span):
+        """Verify step: judge a settled shard here, between awaits.
 
-        The pipeline shape of :meth:`collect_all_async` — batches of
-        ``batch_size`` devices, up to ``max_inflight_shards`` in flight
-        — but each settled batch is shipped to ``pool`` worker
-        ``worker_index`` as a binary task (payloads plus current
-        ``last_seen`` snapshots) instead of being verified inline.  The
-        worker returns report rows and one :class:`FleetHealth` part
-        per task; :meth:`apply_worker_batch` commits them here in batch
-        order, so stores, sinks and bookkeeping see exactly what local
-        verification would have produced.
-
-        The caller must have spawned the worker and synced enrollments
-        (see :meth:`WorkerPool.ensure_worker` /
-        :meth:`WorkerPool.sync_enrollments`).  If the worker crashes
-        mid-round, every batch still outstanding on it completes with
-        its devices reported ``NO_DATA`` and counted as lost; the
-        worker is *not* respawned mid-round — the next round's
-        ``ensure_worker`` brings it back.  Per-device span traces are
-        not recorded in process mode (the verify happens in another
-        process); verify latency still feeds the shard histogram from
-        worker-measured timings.
+        Returns the responses the shard counts as received and the
+        commit to run in shard order.
         """
-        if max_inflight_shards <= 0:
-            raise ValueError("max_inflight_shards must be positive")
-        atransport = as_async_transport(transport)
-        engine, ids, request_bytes = self._round_prologue(
-            atransport, collection_time, device_ids, batch_size, k)
-        shards = [ids[start:start + batch_size]
-                  for start in range(0, len(ids), batch_size)]
-        stale_before = getattr(atransport, "stale_responses_rejected", 0)
-        started = _time.perf_counter()
-        reports = RoundReports()
-        stats = RoundStats(shards=len(shards))
+        verify = self._verify_payload
         obs = self.obs
-        obs_enabled = obs.enabled
-        observe = obs.verify_observer(self.obs_shard).observe \
-            if obs_enabled else None
+        if obs.enabled:
+            # Wall time goes only to the histogram — spans carry
+            # virtual time, keeping traces byte-reproducible.
+            observe = obs.verify_observer(self.obs_shard).observe
+            perf = _time.perf_counter
+            shard_reports = []
+            for device_id in shard:
+                verify_started = perf()
+                report = verify(device_id, responses.get(device_id),
+                                shard_time)
+                observe(perf() - verify_started)
+                obs.record_device_verify(shard_span, device_id,
+                                         report.status.value)
+                shard_reports.append(report)
+        else:
+            shard_reports = [verify(device_id, responses.get(device_id),
+                                    shard_time)
+                             for device_id in shard]
+        return responses, functools.partial(self._commit_batch,
+                                            shard_reports)
 
-        async def _collect_shard(shard: List[str]):
-            responses = await atransport.exchange_many(
-                {device_id: request_bytes for device_id in shard})
-            shard_time = collection_time \
-                if collection_time is not None else engine.now
-            entries = [(device_id, responses.get(device_id),
-                        self._enrollments[device_id].last_seen)
-                       for device_id in shard]
-            try:
-                body = await asyncio.wrap_future(pool.submit_task(
-                    worker_index, shard_time, entries,
-                    want_timings=obs_enabled))
-            except WorkerCrashed:
-                return responses, shard_time, None, None
-            rows, health_row, timings = decode_result(body)
-            return responses, shard_time, (rows, health_row), timings
+    async def _verify_in_worker(self, pool: WorkerPool, worker_index: int,
+                                shard: List[str],
+                                responses: Mapping[str, Optional[bytes]],
+                                shard_time: float, _shard_span):
+        """Verify step: ship a settled shard to a worker process.
 
-        in_flight: List[asyncio.Task] = []
-        next_shard = 0
-
-        def _keep_window_full() -> None:
-            nonlocal next_shard
-            while next_shard < len(shards) and \
-                    len(in_flight) < max_inflight_shards:
-                in_flight.append(asyncio.ensure_future(
-                    _collect_shard(shards[next_shard])))
-                next_shard += 1
-
-        if obs_enabled:
-            obs.rounds_inflight.inc()
-        current: Optional[asyncio.Task] = None
+        The task carries the payloads plus each device's current
+        ``last_seen``; the worker answers with report rows and one
+        :class:`FleetHealth` part, committed by
+        :meth:`apply_worker_batch`.  If the worker dies holding the
+        batch, its responses are unverifiable: the devices are
+        committed ``NO_DATA`` and counted as lost, never guessed
+        healthy.  The slot is not respawned mid-round.  Per-device
+        spans stay in the worker; its measured verify timings feed
+        this shard's histogram.
+        """
+        obs = self.obs
+        entries = [(device_id, responses.get(device_id),
+                    self._enrollments[device_id].last_seen)
+                   for device_id in shard]
         try:
-            with SinkFanout(self.sinks):
-                _keep_window_full()
-                shard_index = 0
-                while in_flight:
-                    current = in_flight.pop(0)
-                    responses, shard_time, outcome, timings = await current
-                    current = None
-                    _keep_window_full()
-                    shard = shards[shard_index]
-                    shard_index += 1
-                    if outcome is None:
-                        # The worker died holding this batch: the
-                        # responses are unverifiable, so the devices
-                        # are reported lost — never guessed healthy.
-                        self._count_batch(stats, shard, {})
-                        for device_id in shard:
-                            reports.append(self._commit(VerificationReport(
-                                device_id=device_id,
-                                collection_time=shard_time,
-                                status=DeviceStatus.NO_DATA,
-                                anomalies=["shard worker crashed; response "
-                                           "discarded"])))
-                        continue
-                    self._count_batch(stats, shard, responses)
-                    rows, health_row = outcome
-                    reports.extend(self.apply_worker_batch(rows, health_row))
-                    if observe is not None and timings is not None:
-                        for timing in timings:
-                            observe(timing)
-        except BaseException:
-            leftovers = ([current] if current is not None else []) + in_flight
-            for task in leftovers:
-                task.cancel()
-            for task in leftovers:
-                try:
-                    await task
-                except BaseException:
-                    pass  # the primary failure is what propagates
-            self.sinks = [sink for sink in self.sinks if not sink.closed]
-            raise
-        finally:
-            if obs_enabled:
-                obs.rounds_inflight.dec()
-        return self._finish_round(reports, stats, atransport, stale_before,
-                                  started, checkpoint)
+            body = await asyncio.wrap_future(pool.submit_task(
+                worker_index, shard_time, entries,
+                want_timings=obs.enabled))
+        except WorkerCrashed:
+            lost = [VerificationReport(
+                device_id=device_id, collection_time=shard_time,
+                status=DeviceStatus.NO_DATA,
+                anomalies=["shard worker crashed; response discarded"])
+                for device_id in shard]
+            return {}, functools.partial(self._commit_batch, lost)
+        rows, health_row, timings = decode_result(body)
+
+        def _commit() -> List[VerificationReport]:
+            committed = self.apply_worker_batch(rows, health_row)
+            if timings is not None:
+                observe = obs.verify_observer(self.obs_shard).observe
+                for timing in timings:
+                    observe(timing)
+            return committed
+
+        return responses, _commit
 
 
 # ----------------------------------------------------------------------
@@ -859,9 +710,8 @@ class _LockedStore(StateStore):
     """Serialize concurrent access to one shared :class:`StateStore`.
 
     Shard workers write enrollment advances and report journal entries
-    from their own threads; the backends (JSONL stream, SQLite
-    connection) are single-writer, so every call takes one re-entrant
-    lock.  Contention is negligible — writes are tiny compared to
+    into one store; the backends (JSONL stream, SQLite connection) are
+    single-writer, so every call takes one re-entrant lock.  Contention is negligible — writes are tiny compared to
     verification work — and the payoff is that a sharded verifier's
     durable state is the *same single store* a plain verifier would
     produce.
@@ -915,16 +765,9 @@ class ShardedFleetVerifier:
 
     The fleet's devices are assigned round-robin to ``shards`` inner
     :class:`FleetVerifier` workers.  A collection round runs every
-    worker's :meth:`FleetVerifier.collect_all_async` pipeline over its
-    own shard:
-
-    * on a transport that allows concurrent exchanges (in-process), the
-      workers run on a thread pool — on a multi-core verifier host the
-      shards' crypto genuinely overlaps;
-    * on a single-threaded engine transport (the simulated network),
-      the workers share one event loop instead, their rounds
-      overlapping in virtual time through the network's per-round
-      settlement tracking.
+    worker's windowed round pipeline over its own shard, all on one
+    event loop: on the simulated network the workers' rounds overlap in
+    virtual time through the network's per-round settlement tracking.
 
     Workers share one :class:`~repro.store.StateStore` (behind a lock),
     so enrollments and the report journal land in a single durable
@@ -936,22 +779,17 @@ class ShardedFleetVerifier:
     ordering requirement means sinks are fed *after* the workers have
     committed: if a sink fails mid-emit, this round's reports are
     already journaled and folded into health (durability first) and
-    only the sink stream is short — whereas a single verifier, which
-    interleaves commit and emit per report, stops both at the failure
-    point.
+    only the sink stream is short.  If the round itself fails, every
+    report the workers committed still reaches the sinks, in enrollment
+    order, before the failure propagates.
 
-    ``worker_mode`` selects how shard rounds execute:
+    ``worker_mode`` selects where shard batches are verified:
 
-    * ``"loop"`` (the default) — all workers' async pipelines overlap
-      cooperatively on one event loop.  On CPython this is the fast
-      choice for ERASMUS verification, whose hot path is pure Python
-      plus small-buffer C crypto that never releases the GIL: a thread
-      pool would buy lock contention, not parallelism.
-    * ``"thread"`` — one OS thread (and event loop) per worker,
-      requiring a transport that allows concurrent exchanges.  The
-      seam for workloads that do drop the GIL (large measured regions,
-      native crypto offload) or free-threaded builds.
-    * ``"process"`` — one spawned worker *process* per shard (see
+    * ``"loop"`` (the default) — inline, between awaits.  On CPython
+      this is the fast choice for ERASMUS verification, whose hot path
+      is pure Python plus small-buffer C crypto that never releases the
+      GIL.
+    * ``"process"`` — in one spawned worker *process* per shard (see
       :mod:`repro.fleet.workers`): the HMAC-heavy verify loop runs
       outside this process's GIL entirely, fed over binary pipes with
       zero-copy payload views on the worker side.  The parent keeps
@@ -972,9 +810,9 @@ class ShardedFleetVerifier:
                  obs: Optional["Observability"] = None) -> None:
         if shards < 1:
             raise ValueError("a sharded verifier needs at least one shard")
-        if worker_mode not in ("loop", "thread", "process"):
+        if worker_mode not in ("loop", "process"):
             raise ValueError(f"unknown worker mode {worker_mode!r}; "
-                             f"expected 'loop', 'thread' or 'process'")
+                             f"expected 'loop' or 'process'")
         self.worker_mode = worker_mode
         self.config = config
         self.shards = shards
@@ -1031,7 +869,7 @@ class ShardedFleetVerifier:
         enrollment mirror — lazily inside the first ``collect_all``.
         Call this first to take that cold start out of the first
         round's latency (benchmarks measure steady-state rounds this
-        way).  No-op for the in-process worker modes.
+        way).  No-op in ``"loop"`` mode.
         """
         if self.worker_mode != "process":
             return
@@ -1146,19 +984,19 @@ class ShardedFleetVerifier:
                     collection_time: Optional[float] = None,
                     k: Optional[int] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE,
-                    max_workers: Optional[int] = None,
                     checkpoint: bool = True,
-                    pipeline: bool = True,
                     max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
                     ) -> RoundReports:
         """One fleet-wide round: all shard workers drain concurrently.
 
-        ``max_workers`` and ``pipeline`` are accepted for facade
-        compatibility with :meth:`FleetVerifier.collect_all`; shard
-        workers are themselves the concurrency mechanism, and every
-        worker always runs its async pipeline.
+        Every worker runs its round pipeline over its shard on one
+        event loop; in ``"process"`` mode each worker's verify step
+        ships batches to its pool slot.  Workers commit as their shards
+        settle; the fleet sinks then receive every committed report in
+        enrollment order — on a failed round too, before the failure
+        propagates (the fan-out then closes the sinks, as a single
+        verifier's failed round does).
         """
-        del max_workers, pipeline  # shard workers are the parallelism
         _ensure_no_running_loop(
             "drive sharded rounds from synchronous code — the shard "
             "workers run their own event loops")
@@ -1173,66 +1011,38 @@ class ShardedFleetVerifier:
 
         stale_before = getattr(transport, "stale_responses_rejected", 0)
         started = _time.perf_counter()
+        worker_reports = [RoundReports() for _ in range(self.shards)]
 
-        def _worker_args(index: int) -> Dict[str, object]:
-            return dict(collection_time=collection_time, k=k,
-                        device_ids=shard_ids[index], batch_size=batch_size,
-                        checkpoint=False,
-                        max_inflight_shards=max_inflight_shards)
+        async def _gather() -> None:
+            pool = None
+            if self.worker_mode == "process":
+                pool = self._ensure_pool()
+                await self._sync_worker_processes(pool)
+            await asyncio.gather(*[
+                worker._run_round(transport, collection_time, k,
+                                  shard_ids[index], batch_size, False,
+                                  max_inflight_shards, worker_reports[index],
+                                  pool, index)
+                for index, worker in enumerate(self.workers)])
 
-        threaded = self.worker_mode == "thread" and self.shards > 1
-        if threaded and not getattr(transport, "concurrent_collections",
-                                    False):
-            raise ValueError(
-                f"transport {getattr(transport, 'name', transport)!r} does "
-                f"not support concurrent exchanges from thread workers; "
-                f"use worker_mode='loop' (the shards then overlap on one "
-                f"event loop) or an in-process transport")
-        if threaded:
-            def _run_worker(index: int) -> RoundReports:
-                return asyncio.run(self.workers[index].collect_all_async(
-                    transport, **_worker_args(index)))
-
-            with ThreadPoolExecutor(max_workers=self.shards) as pool:
-                futures = [pool.submit(_run_worker, index)
-                           for index in range(self.shards)]
-                worker_reports = [future.result() for future in futures]
-        elif self.worker_mode == "process":
-            # Verification runs in the pool's worker processes; this
-            # process only drives exchanges and applies commit batches,
-            # all shards overlapping on one event loop.
-            async def _gather_process() -> List[RoundReports]:
-                worker_pool = self._ensure_pool()
-                await self._sync_worker_processes(worker_pool)
-                return list(await asyncio.gather(*[
-                    self.workers[index].collect_all_process_async(
-                        transport, worker_pool, index, **_worker_args(index))
-                    for index in range(self.shards)]))
-
-            worker_reports = asyncio.run(_gather_process())
-        else:
-            # Cooperative mode: every worker's pipeline shares one
-            # event loop, overlapping through the same awaitable
-            # transport seam (and in virtual time on the simulated
-            # network).
-            async def _gather() -> List[RoundReports]:
-                return list(await asyncio.gather(*[
-                    self.workers[index].collect_all_async(
-                        transport, **_worker_args(index))
-                    for index in range(self.shards)]))
-
-            worker_reports = asyncio.run(_gather())
-
-        by_device = {report.device_id: report
+        failure: Optional[BaseException] = None
+        try:
+            asyncio.run(_gather())
+        except BaseException as exc:
+            failure = exc
+        committed = {report.device_id: report
                      for shard_reports in worker_reports
                      for report in shard_reports}
-        reports = RoundReports(by_device[device_id]
-                               for device_id in self._order)
+        reports = RoundReports(committed[device_id]
+                               for device_id in self._order
+                               if device_id in committed)
         try:
             with SinkFanout(self.sinks):
                 for report in reports:
                     for sink in self.sinks:
                         sink.emit(report)
+                if failure is not None:
+                    raise failure
         except BaseException:
             # The fanout closed the sinks; drop the dead ones so a
             # retry round streams to the survivors (mirrors
@@ -1344,9 +1154,9 @@ class Fleet:
         :meth:`FleetVerifier.restore`).  ``shards`` provisions the
         fleet onto a :class:`ShardedFleetVerifier` with that many
         concurrent shard workers instead of a single
-        :class:`FleetVerifier`; ``worker_mode`` then selects how the
-        shard rounds execute (``"loop"``, ``"thread"`` or
-        ``"process"`` — see :class:`ShardedFleetVerifier`).
+        :class:`FleetVerifier`; ``worker_mode`` then selects where the
+        shard batches are verified (``"loop"`` or ``"process"`` — see
+        :class:`ShardedFleetVerifier`).
 
         ``obs`` threads one :class:`repro.obs.Observability` through
         the whole stack: its clock binds to the fleet engine, the
@@ -1473,9 +1283,7 @@ class Fleet:
     def collect_all(self, k: Optional[int] = None,
                     collection_time: Optional[float] = None,
                     batch_size: int = DEFAULT_BATCH_SIZE,
-                    max_workers: Optional[int] = None,
                     checkpoint: bool = True,
-                    pipeline: bool = True,
                     max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
                     ) -> RoundReports:
         """Run one collection round over the whole fleet.
@@ -1484,32 +1292,27 @@ class Fleet:
         after its exchange (see :meth:`FleetVerifier.collect_all`).
         """
         return self.verifier.collect_all(
-            self.transport, collection_time, k=k,
-            batch_size=batch_size, max_workers=max_workers,
-            checkpoint=checkpoint, pipeline=pipeline,
-            max_inflight_shards=max_inflight_shards)
+            self.transport, collection_time, k=k, batch_size=batch_size,
+            checkpoint=checkpoint, max_inflight_shards=max_inflight_shards)
 
     async def collect_all_async(self, k: Optional[int] = None,
                                 collection_time: Optional[float] = None,
                                 batch_size: int = DEFAULT_BATCH_SIZE,
-                                max_workers: Optional[int] = None,
                                 checkpoint: bool = True,
                                 max_inflight_shards: int =
                                 DEFAULT_MAX_INFLIGHT_SHARDS) -> RoundReports:
         """Awaitable :meth:`collect_all` — the fleet's async pipeline.
 
         Only available on single-verifier fleets;
-        :class:`ShardedFleetVerifier` rounds already run their own
-        loops (or threads) and are driven through the synchronous
-        :meth:`collect_all`.
+        :class:`ShardedFleetVerifier` rounds run their own event loop
+        and are driven through the synchronous :meth:`collect_all`.
         """
         if not isinstance(self.verifier, FleetVerifier):
             raise TypeError("collect_all_async requires a single "
                             "FleetVerifier; sharded fleets drive their own "
                             "event loops through collect_all")
         return await self.verifier.collect_all_async(
-            self.transport, collection_time, k=k,
-            batch_size=batch_size, max_workers=max_workers,
+            self.transport, collection_time, k=k, batch_size=batch_size,
             checkpoint=checkpoint, max_inflight_shards=max_inflight_shards)
 
     def close(self) -> None:

@@ -80,12 +80,6 @@ class Transport(abc.ABC):
     #: Short name used in experiment tables and traces.
     name = "abstract"
 
-    #: True when concurrent ``exchange_many`` calls from multiple
-    #: threads are safe (sharded verifiers fan shards out to thread
-    #: workers).  Transports built on a shared single-threaded engine
-    #: must leave this False.
-    concurrent_collections = False
-
     @abc.abstractmethod
     def register(self, device: ProvisionedDevice) -> None:
         """Attach one provisioned device to this transport."""
@@ -123,9 +117,6 @@ class AsyncTransport(abc.ABC):
     #: Engine whose clock stamps collection times (``None`` when the
     #: transport has no virtual clock).
     engine: Optional[SimulationEngine] = None
-
-    #: See :attr:`Transport.concurrent_collections`.
-    concurrent_collections = False
 
     @abc.abstractmethod
     def register(self, device: ProvisionedDevice) -> None:
@@ -169,10 +160,6 @@ class SyncTransportAdapter(AsyncTransport):
     @property
     def engine(self):  # type: ignore[override]
         return getattr(self.inner, "engine", None)
-
-    @property
-    def concurrent_collections(self) -> bool:  # type: ignore[override]
-        return getattr(self.inner, "concurrent_collections", False)
 
     @property
     def stale_responses_rejected(self) -> int:
@@ -219,11 +206,6 @@ class InProcessTransport(Transport):
     """
 
     name = "in-process"
-
-    #: Direct calls on per-device provers: concurrent batches from
-    #: sharded verifier workers touch disjoint devices and never step
-    #: the engine, so parallel exchange is safe.
-    concurrent_collections = True
 
     def __init__(self, engine: Optional[SimulationEngine] = None) -> None:
         self.engine = engine
@@ -807,10 +789,6 @@ class SocketTransport(Transport):
     """
 
     name = "socket"
-
-    #: Every exchange is marshalled onto the one background loop, so
-    #: any number of threads/shards may collect concurrently.
-    concurrent_collections = True
 
     def __init__(self, engine: Optional[SimulationEngine] = None,
                  host: str = "127.0.0.1", max_datagram: int = 1400,

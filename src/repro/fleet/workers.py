@@ -242,7 +242,7 @@ def _worker_main(conn, config: Optional[ErasmusConfig],
                             last_seen=last_seen)
                         verifier._enrollments[device_id] = enrollment
                     started = perf() if want_timings else 0.0
-                    report = verifier._verify_payload_fast(
+                    report = verifier._verify_payload(
                         device_id, payload, collection_time)
                     if timings is not None:
                         timings.append(perf() - started)
@@ -532,6 +532,10 @@ class WorkerPool:
                 f"worker {index} is not running (call ensure_worker first)")
         rid = next(self._rids)
         future: Future = Future()
+        # Already dispatched, so no longer cancellable: a caller that
+        # stops waiting (a cancelled round) must not leave the reader
+        # thread resolving a cancelled future, which would kill it.
+        future.set_running_or_notify_cancel()
         with handle.lock:
             handle.pending[rid] = future
             depth = len(handle.pending)

@@ -60,8 +60,6 @@ class TestPartitionInjector:
         wrapped = PartitionInjector(inner, windows=[(0.0, 1.0)])
         assert wrapped.engine is engine
         assert "in-process" in wrapped.name
-        assert wrapped.concurrent_collections == \
-            inner.concurrent_collections
 
     def test_invalid_parameters_rejected(self):
         inner = InProcessTransport(SimulationEngine())

@@ -1,21 +1,26 @@
 """Tests for the async-first collection pipeline and transport seam."""
 
 import asyncio
+import contextlib
 import json
 
 import pytest
 
 from repro.core import DeviceStatus
+from repro.core.protocol import OnDemandResponse
 from repro.fleet import (
     AsyncTransport,
     Fleet,
     InProcessTransport,
+    JsonlSink,
     SimulatedNetworkTransport,
     SyncTransportAdapter,
+    WorkerPool,
     as_async_transport,
 )
+from repro.fleet.service import DEFAULT_MAX_INFLIGHT_SHARDS
 from repro.sim import SimulationEngine
-from tests.fleet.helpers import report_key
+from tests.fleet.helpers import oracle_report, oracle_round, report_key
 from tests.fleet.helpers import small_profile as _small_profile
 
 FIRMWARE = b"async-test-firmware!"
@@ -43,7 +48,6 @@ def test_sync_adapter_wraps_in_process_transport():
     assert isinstance(adapted, SyncTransportAdapter)
     assert adapted.name == fleet.transport.name
     assert adapted.engine is fleet.engine
-    assert adapted.concurrent_collections
     request = fleet.verifier.create_collect_request().encode()
     responses = asyncio.run(adapted.exchange_many(
         {device_id: request for device_id in fleet.device_ids()}))
@@ -85,10 +89,11 @@ def test_async_single_exchange_helper():
 # ----------------------------------------------------------------------
 
 def test_pipeline_matches_sequential_reference_exactly():
-    reference = provision_fleet(20).collect_all(pipeline=False)
+    reference = oracle_round(provision_fleet(20))
     pipelined = provision_fleet(20).collect_all()
     assert [report_key(r) for r in reference] == \
         [report_key(r) for r in pipelined]
+    assert [r.verdicts for r in reference] == [r.verdicts for r in pipelined]
 
 
 def test_fast_path_reports_equal_reference_reports():
@@ -101,9 +106,8 @@ def test_fast_path_reports_equal_reference_reports():
         {device_id: request for device_id in fleet.device_ids()})
     now = fleet.now
     for device_id in fleet.device_ids():
-        slow = verifier._verify_payload(device_id, responses[device_id], now)
-        fast = verifier._verify_payload_fast(device_id, responses[device_id],
-                                             now)
+        slow = oracle_report(verifier, device_id, responses[device_id], now)
+        fast = verifier._verify_payload(device_id, responses[device_id], now)
         assert report_key(slow) == report_key(fast)
         assert slow.verdicts == fast.verdicts
 
@@ -111,9 +115,10 @@ def test_fast_path_reports_equal_reference_reports():
 def test_fast_path_judges_garbage_and_silence_like_reference():
     fleet = provision_fleet(2)
     verifier = fleet.verifier
-    for payload in (None, b"\xff\xff\xff"):
-        slow = verifier._verify_payload("dev-0000", payload, 60.0)
-        fast = verifier._verify_payload_fast("dev-0000", payload, 60.0)
+    for payload in (None, b"\xff\xff\xff",
+                    OnDemandResponse(fresh=None).encode()):
+        slow = oracle_report(verifier, "dev-0000", payload, 60.0)
+        fast = verifier._verify_payload("dev-0000", payload, 60.0)
         assert report_key(slow) == report_key(fast)
 
 
@@ -225,8 +230,11 @@ def test_round_stats_count_lost_responses():
 
 
 def test_sequential_reference_path_also_reports_stats():
+    reference = oracle_round(provision_fleet(5))
     fleet = provision_fleet(5)
-    reports = fleet.collect_all(pipeline=False, batch_size=2)
+    reports = fleet.collect_all(batch_size=2)
+    assert [report_key(r) for r in reports] == \
+        [report_key(r) for r in reference]
     assert reports.stats.requests_sent == 5
     assert reports.stats.shards == 3
     assert fleet.health.round_stats == [reports.stats]
@@ -349,19 +357,121 @@ def test_collection_overlaps_engine_drain():
     assert 62.0 <= fleet.now < 63.0
 
 
+# ----------------------------------------------------------------------
+# The round loop under both verify steps
+# ----------------------------------------------------------------------
+
+VERIFY_STEPS = ("inline", "process")
+
+
+@contextlib.contextmanager
+def verify_pool(verifier, step):
+    """No pool for the inline step; a synced one-slot pool for process."""
+    if step == "inline":
+        yield None
+        return
+    pool = WorkerPool(1, config=verifier.config)
+    try:
+        pool.ensure_worker(0)
+        rows = [verifier._enrollments[device_id].to_row()
+                for device_id in verifier.enrolled_ids()]
+        pool.sync_enrollments(0, rows).result(timeout=30)
+        yield pool
+    finally:
+        pool.close()
+
+
+def start_round(verifier, transport, pool, batch_size):
+    """One round of the verifier's pipeline through the given step."""
+    return verifier._run_round(transport, None, None, None, batch_size,
+                               True, DEFAULT_MAX_INFLIGHT_SHARDS, pool=pool)
+
+
+def other_tasks():
+    return [task for task in asyncio.all_tasks()
+            if task is not asyncio.current_task()]
+
+
+def cancel_mid_round(step):
+    fleet = provision_fleet(9, transport="simulated-network")
+
+    async def scenario(pool):
+        round_task = asyncio.ensure_future(
+            start_round(fleet.verifier, fleet.transport, pool, 3))
+        while not fleet.transport._pending:
+            await asyncio.sleep(0)  # until shard exchanges are in flight
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(round_task, timeout=0)
+        assert other_tasks() == []  # no orphaned shard task keeps running
+        assert fleet.transport._pending == {}  # rounds deregistered
+
+    with verify_pool(fleet.verifier, step) as pool:
+        asyncio.run(scenario(pool))
+
+
 def test_external_cancellation_does_not_orphan_shard_tasks():
     """A wait_for timeout mid-round must cancel the in-flight shard
     tasks (including the one being awaited) and deregister their
     transport rounds, instead of leaving them driving the engine."""
-    fleet = provision_fleet(9, transport="simulated-network")
+    cancel_mid_round("inline")
 
-    async def scenario():
-        with pytest.raises(asyncio.TimeoutError):
-            await asyncio.wait_for(fleet.collect_all_async(batch_size=3),
-                                   timeout=0)
-        others = [task for task in asyncio.all_tasks()
-                  if task is not asyncio.current_task()]
-        assert others == []  # no orphaned shard task keeps running
-        assert fleet.transport._pending == {}  # rounds deregistered
 
-    asyncio.run(scenario())
+def test_external_cancellation_does_not_orphan_worker_shard_tasks():
+    """The same, with every shard verified in a worker process."""
+    cancel_mid_round("process")
+
+
+class _FailingTransport:
+    """Delegates to a transport; its ``fail_on``-th exchange raises."""
+
+    name = "failing"
+
+    def __init__(self, inner, fail_on):
+        self.inner = inner
+        self.fail_on = fail_on
+        self.calls = 0
+
+    @property
+    def engine(self):
+        return self.inner.engine
+
+    def register(self, device):
+        self.inner.register(device)
+
+    def exchange_many(self, requests):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise ConnectionError("link dropped mid-round")
+        return self.inner.exchange_many(requests)
+
+
+@pytest.mark.parametrize("step", VERIFY_STEPS)
+def test_mid_round_transport_failure_keeps_committed_reports(step,
+                                                             tmp_path):
+    """The second of three shards fails: the first shard's committed
+    reports reach disk, the sinks are closed, no shard task survives
+    the round, and the same verify step serves the next round."""
+    path = tmp_path / "reports.jsonl"
+    sink = JsonlSink(str(path))
+    fleet = provision_fleet(9, sinks=(sink,))
+    verifier = fleet.verifier
+    failing = _FailingTransport(fleet.transport, fail_on=2)
+
+    async def scenario(pool):
+        with pytest.raises(ConnectionError, match="link dropped"):
+            await start_round(verifier, failing, pool, 3)
+        assert other_tasks() == []
+        fleet.run_until(120.0)
+        return await asyncio.wait_for(
+            start_round(verifier, fleet.transport, pool, 3), timeout=30)
+
+    with verify_pool(verifier, step) as pool:
+        retry = asyncio.run(scenario(pool))
+    assert sink.closed
+    assert sink not in verifier.sinks
+    written = [json.loads(line)["device_id"]
+               for line in path.read_text().splitlines()]
+    assert written == fleet.device_ids()[:3]
+    assert [report.device_id for report in retry] == fleet.device_ids()
+    assert {report.status for report in retry} == {DeviceStatus.HEALTHY}
+    assert verifier.health.reports_total == 3 + 9

@@ -54,7 +54,7 @@ def test_staggered_schedules_spread_measurements(fleet):
 def test_batched_and_threaded_round_matches_serial(fleet):
     fleet.run_until(60.0)
     serial = fleet.collect_all()
-    batched = fleet.collect_all(batch_size=7, max_workers=4)
+    batched = fleet.collect_all(batch_size=7)
     assert [r.device_id for r in serial] == [r.device_id for r in batched]
     assert all(report.status is DeviceStatus.HEALTHY for report in batched)
 

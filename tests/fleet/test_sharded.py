@@ -8,6 +8,7 @@ from repro.core import DeviceStatus
 from repro.fleet import (
     Fleet,
     FleetVerifier,
+    InProcessTransport,
     MemorySink,
     ShardedFleetVerifier,
 )
@@ -83,6 +84,8 @@ def test_sharded_requires_at_least_one_shard_and_known_mode():
         ShardedFleetVerifier(config, shards=0)
     with pytest.raises(ValueError):
         ShardedFleetVerifier(config, worker_mode="fork")
+    with pytest.raises(ValueError, match="'loop' or 'process'"):
+        ShardedFleetVerifier(config, worker_mode="thread")
 
 
 @settings(max_examples=12, deadline=None)
@@ -123,28 +126,6 @@ def test_sharded_shared_store_checkpoint_identical_to_single():
     assert single_store.state_bytes() == sharded_store.state_bytes()
     assert single_store.state_bytes()  # a checkpoint was actually written
     assert sharded.health.flagged_devices == {"dev-0002"}
-
-
-def test_sharded_thread_mode_matches_loop_mode():
-    (loop_fleet, loop_rounds), _ = provision_pair(12, shards=3)
-    thread_fleet = Fleet.provision(small_profile(), 12,
-                                   master_secret=b"master", shards=3)
-    thread_fleet.verifier.worker_mode = "thread"
-    thread_fleet.run_until(80.0)
-    thread_reports = thread_fleet.collect_all()
-    assert [report_key(r) for r in loop_rounds[0]] == \
-        [report_key(r) for r in thread_reports]
-    assert health_bytes(loop_fleet.verifier) == \
-        health_bytes(thread_fleet.verifier)
-
-
-def test_sharded_thread_mode_rejects_engine_bound_transport():
-    fleet = Fleet.provision(small_profile(), 6, master_secret=b"master",
-                            shards=2, transport="simulated-network")
-    fleet.verifier.worker_mode = "thread"
-    fleet.run_until(60.0)
-    with pytest.raises(ValueError, match="worker_mode='loop'"):
-        fleet.collect_all()
 
 
 def test_sharded_loop_mode_overlaps_simulated_network_rounds():
@@ -275,18 +256,65 @@ def test_more_workers_than_devices_counts_real_shards_only():
     assert reports.stats.requests_sent == 2
 
 
-def test_sharded_thread_mode_shares_one_sqlite_store(tmp_path):
-    """Worker threads must be able to write the shared SQLite store."""
+@pytest.mark.parametrize("worker_mode", ["loop", "process"])
+def test_sharded_workers_share_one_sqlite_store(tmp_path, worker_mode):
+    """Every shard worker commits into the one shared SQLite store."""
     from repro.store import SqliteStore
 
     fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
-                            shards=2, store=SqliteStore(tmp_path / "s.db"))
-    fleet.verifier.worker_mode = "thread"
-    fleet.run_until(60.0)
-    reports = fleet.collect_all()
-    assert len(reports) == 8
-    assert fleet.verifier.store.state_bytes()  # checkpoint written
-    fleet.close()
+                            shards=2, store=SqliteStore(tmp_path / "s.db"),
+                            worker_mode=worker_mode)
+    try:
+        fleet.run_until(60.0)
+        reports = fleet.collect_all()
+        assert len(reports) == 8
+        assert fleet.verifier.store.state_bytes()  # checkpoint written
+        for device_id in fleet.device_ids():
+            assert len(fleet.verifier.store.device_history(device_id)) == 1
+    finally:
+        fleet.close()
+
+
+class _FailOnNthExchange(InProcessTransport):
+    """An in-process transport whose ``fail_on``-th exchange raises."""
+
+    def __init__(self, engine, fail_on):
+        super().__init__(engine)
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def exchange_many(self, requests):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise ConnectionError("link dropped mid-round")
+        return super().exchange_many(requests)
+
+
+@pytest.mark.parametrize("worker_mode", ["loop", "process"])
+def test_failed_sharded_round_emits_every_committed_report(worker_mode):
+    """Reports the shard workers committed before a round failed are
+    journaled and counted in health; they must reach the fleet sinks
+    too, in enrollment order, before the failure propagates."""
+    sink = MemorySink()
+    store = MemoryStore()
+    fleet = Fleet.provision(
+        small_profile(), 40, master_secret=b"master", shards=4,
+        worker_mode=worker_mode, sinks=(sink,), store=store,
+        transport=lambda engine: _FailOnNthExchange(engine, fail_on=6))
+    try:
+        fleet.run_until(60.0)
+        with pytest.raises(ConnectionError, match="link dropped"):
+            fleet.collect_all(batch_size=3)
+        journaled = [device_id for device_id in fleet.device_ids()
+                     if store.device_history(device_id)]
+        committed = fleet.health.reports_total
+        assert committed == len(journaled) > 0
+        if worker_mode == "loop":
+            # Shards 0, 2 and 3 finish; shard 1 commits its first batch.
+            assert committed == 33
+        assert [report.device_id for report in sink.reports] == journaled
+    finally:
+        fleet.close()
 
 
 class _LockProbeStore(MemoryStore):

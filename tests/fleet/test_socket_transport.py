@@ -85,7 +85,6 @@ def test_exchange_many_async_overlaps_on_callers_loop(transport):
     # exchange, so shard coroutines overlap rounds on one socket pair.
     seam = as_async_transport(transport)
     assert seam.inner is transport
-    assert seam.concurrent_collections
 
     async def run():
         shards = [{f"s-{index}": request for index in range(start, start + 2)}

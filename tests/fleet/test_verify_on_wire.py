@@ -12,7 +12,7 @@ import pytest
 from repro.core import DeviceStatus, Measurement
 from repro.core.protocol import ProtocolDecodeError, decode_response
 from repro.fleet import Fleet
-from tests.fleet.helpers import small_profile
+from tests.fleet.helpers import oracle_report, small_profile
 
 FIRMWARE = b"wire-test-firmware!!"
 MALWARE = b"wire-test-implant!!!"
@@ -63,8 +63,8 @@ def test_fast_path_judges_views_like_bytes():
     verifier = fleet.verifier
     now = fleet.now
     for device_id, payload in round_payloads(fleet).items():
-        from_bytes = verifier._verify_payload_fast(device_id, payload, now)
-        from_view = verifier._verify_payload_fast(
+        from_bytes = verifier._verify_payload(device_id, payload, now)
+        from_view = verifier._verify_payload(
             device_id, memoryview(payload).toreadonly(), now)
         assert from_view.to_row() == from_bytes.to_row()
         assert from_view.verdicts == from_bytes.verdicts
@@ -89,9 +89,9 @@ def test_undecodable_response_reports_keep_their_anomaly_text():
             decode_response(corrupted)
         raised = str(caught.value)
         assert raised.startswith(message)
-        for verify in (verifier._verify_payload,
-                       verifier._verify_payload_fast):
-            report = verify("dev-0000", corrupted, fleet.now)
+        for report in (
+                oracle_report(verifier, "dev-0000", corrupted, fleet.now),
+                verifier._verify_payload("dev-0000", corrupted, fleet.now)):
             assert report.status is DeviceStatus.TAMPERED
             assert report.anomalies == [
                 f"response could not be decoded: {raised}"]
