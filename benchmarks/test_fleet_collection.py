@@ -10,7 +10,7 @@ Two collection paths are compared on identical fleets:
 * ``async`` — the pipelined single-verifier ``collect_all`` (awaitable
   transport seam plus the precompiled per-device verification path);
 * ``sharded`` — :class:`repro.fleet.ShardedFleetVerifier` draining the
-  fleet across four shard workers.
+  fleet as four concurrent partitions.
 
 Both must collect, verify and report every device of the same
 1,000-device fleet.

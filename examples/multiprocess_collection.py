@@ -8,9 +8,9 @@ The single-process ceiling falls in two places at once:
   TCP fallback for responses too large for one datagram, instead of an
   in-process function call;
 * **verification** — a ``ShardedFleetVerifier`` with
-  ``worker_mode="process"`` ships each shard's response batches to
-  spawned worker processes over a compact binary pipe codec and merges
-  the per-shard ``FleetHealth`` parts that come home.
+  ``worker_mode="process"`` ships each partition's response batches to
+  its spawned worker process over a compact binary pipe codec and
+  merges the ``FleetHealth`` parts that come home.
 
 The parent keeps all authoritative state (enrollments, store, sinks);
 workers are stateless verification engines.  Provisioning is

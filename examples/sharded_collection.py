@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sharded collection: 10,000 devices drained across 4 shard verifiers.
+"""Sharded collection: 10,000 devices drained as 4 concurrent partitions.
 
 ERASMUS decouples measurement from collection, so nothing forces a
 verifier to drain its fleet in lock-step batches.  This example runs
@@ -8,15 +8,15 @@ the same 10,000-device round twice:
 1. **single verifier** — one ``FleetVerifier`` draining the whole
    fleet through the pipelined collection round (shards of devices in
    flight at once, each verified as soon as its exchange settles);
-2. **sharded** — a ``ShardedFleetVerifier`` with 4 shard workers, each
-   running that same pipeline over its own shard, with the per-shard
-   ``FleetHealth`` aggregates merged into one fleet-wide view.
+2. **sharded** — a ``ShardedFleetVerifier`` with 4 shards: the same
+   round, cut round-robin into 4 partitions that each run their own
+   in-flight window, committing into one ``FleetHealth``.
 
 Provisioning is deterministic (same profile, same master secret), so
 the two fleets carry identical devices with identical measurement
 histories — the printed wall-clock difference is purely the verifier
-topology, and the merged sharded health is *byte-identical* to the
-single verifier's.
+topology, and the sharded health is *byte-identical* to the single
+verifier's.
 
 Run with:  python examples/sharded_collection.py
 """
@@ -80,7 +80,7 @@ def main() -> None:
     print(f"sharded         : {len(sharded_reports)} reports in "
           f"{sharded_wall:.2f}s "
           f"({len(sharded_reports) / sharded_wall:,.0f} devices/second, "
-          f"{stats.shards} pipeline shard(s) over {SHARDS} workers)")
+          f"{stats.shards} pipeline shard(s) over {SHARDS} partitions)")
     print(f"ratio           : {single_wall / sharded_wall:.2f}x")
 
     flagged = sorted(report.device_id for report in sharded_reports
@@ -92,7 +92,7 @@ def main() -> None:
 
     identical = health_fingerprint(single_fleet) == \
         health_fingerprint(sharded_fleet)
-    print(f"\nmerged sharded health byte-identical to single verifier: "
+    print(f"\nsharded health byte-identical to single verifier: "
           f"{identical}")
     if not identical or set(flagged) != set(INFECTED):
         raise SystemExit("sharded collection diverged from the single "

@@ -15,8 +15,8 @@ attestation as a many-device service rather than a pairwise exchange:
 * :mod:`repro.fleet.service` — :class:`FleetVerifier` (an async-first
   ``collect_all`` pipeline over the stateless verification core, with
   the synchronous call kept as a thin shim), the
-  :class:`ShardedFleetVerifier` (N shard workers, merged
-  :class:`FleetHealth`) and the :class:`Fleet` facade;
+  :class:`ShardedFleetVerifier` (the same rounds, run as N concurrent
+  partitions) and the :class:`Fleet` facade;
 * :mod:`repro.fleet.sinks` — pluggable report sinks (in-memory, JSONL,
   :class:`FleetHealth` aggregation) and per-round :class:`RoundStats`.
 

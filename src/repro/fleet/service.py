@@ -57,7 +57,6 @@ from repro.fleet.transport import (
 )
 from repro.fleet.workers import WorkerCrashed, WorkerPool, decode_result
 from repro.sim.engine import SimulationEngine
-from repro.statics.runtime import named_lock
 from repro.store import MemoryStore, StateStore
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle broken at runtime
@@ -105,39 +104,13 @@ def _ensure_no_running_loop(hint: str) -> None:
         f"collect_all would block the running event loop; {hint}")
 
 
-def _close_released(sinks: Iterable[ReportSink],
-                    store: Optional[StateStore]) -> None:
-    """Close every sink, then the store; first failure raised at the end.
-
-    One sink failing to close never prevents the remaining sinks or
-    the store from being released.  Already-closed sinks close
-    themselves idempotently, so calling this after a failed round (or
-    twice) is harmless.  Sink release delegates to
-    :meth:`SinkFanout.close` so the close-all/keep-first-error policy
-    lives in exactly one place.
-    """
-    first_error: Optional[BaseException] = None
-    try:
-        SinkFanout(sinks).close()
-    except Exception as exc:
-        first_error = exc
-    if store is not None:
-        try:
-            store.close()
-        except Exception as exc:
-            if first_error is None:
-                first_error = exc
-    if first_error is not None:
-        raise first_error
-
-
 class FleetVerifier(BaseVerifier):
     """A verifier service managing an enrolled fleet of provers.
 
     Parameters mirror the legacy :class:`repro.core.ErasmusVerifier`
     (same ``schedule_tolerance`` / ``allowed_missing`` policy knobs);
     ``sinks`` is any iterable of :class:`ReportSink` that each finished
-    report is streamed to, in enrollment-independent arrival order.
+    report is streamed to, in each round's device order.
 
     ``store`` selects the :class:`repro.store.StateStore` backend the
     verifier's state is committed through — every enrollment change is
@@ -155,6 +128,10 @@ class FleetVerifier(BaseVerifier):
     path at historical cost behind a single ``enabled`` test.
     """
 
+    #: Partitions each collection round is cut into (see
+    #: :class:`ShardedFleetVerifier`); a plain verifier runs one.
+    shards = 1
+
     def __init__(self, config: ErasmusConfig,
                  schedule_tolerance: float = 0.25,
                  allowed_missing: int = 0,
@@ -168,13 +145,6 @@ class FleetVerifier(BaseVerifier):
         self.health = FleetHealth()
         self.rounds_completed = 0
         self.obs = obs if obs is not None else _default_obs()
-        #: Label for this verifier's per-shard metrics and span paths;
-        #: a ShardedFleetVerifier renames its workers "0".."N-1".
-        self.obs_shard = "0"
-        # A sharded verifier's workers flip this off: their rounds are
-        # fractions of one fleet round, which the sharded collect_all
-        # records once, merged, instead.
-        self._obs_record_rounds = True
         # Per-device precompiled fast verification paths (see
         # DeviceJudge); rebuilt transparently if a re-enrollment
         # replaces a device's key.
@@ -311,14 +281,16 @@ class FleetVerifier(BaseVerifier):
             enrollment, measurements, collection_time, expect_nonempty=True)
 
     def _commit(self, report: VerificationReport) -> VerificationReport:
-        """Commit one finished report (see :meth:`_commit_batch`)."""
+        """Commit one finished report and stream it to the sinks."""
         self._commit_batch([report])
+        for sink in self.sinks:
+            sink.emit(report)
         return report
 
     def _commit_batch(self, reports: List[VerificationReport],
                       part: Optional[FleetHealth] = None
                       ) -> List[VerificationReport]:
-        """Journal, advance, aggregate, observe and emit, report by report.
+        """Journal, advance, aggregate and observe, report by report.
 
         Each report is journaled *before* its enrollment advance so the
         store's write-ahead invariant holds: a crash between the two
@@ -327,12 +299,12 @@ class FleetVerifier(BaseVerifier):
         Reports judged here are recorded into :attr:`health` one by one;
         a process worker's batch instead brings its own exact
         :class:`FleetHealth` ``part``, merged once after the batch.
+        Sinks are fed by the caller: a round emits in device order.
         """
         store = self.store
         record = self.health.record if part is None else None
         obs = self.obs
         obs_enabled = obs.enabled
-        sinks = self.sinks
         for report in reports:
             if store is not None:
                 store.append_report(report)
@@ -341,8 +313,6 @@ class FleetVerifier(BaseVerifier):
                 record(report)
             if obs_enabled:
                 obs.report_committed(report)
-            for sink in sinks:
-                sink.emit(report)
         if part is not None:
             self.health.merge(part)
         return reports
@@ -352,9 +322,9 @@ class FleetVerifier(BaseVerifier):
                            ) -> List[VerificationReport]:
         """Commit one process-worker task's results, in row order.
 
-        Each shipped report row is journaled, advances the device's
-        bookkeeping and streams to the sinks exactly as a locally
-        verified report would; the task's :class:`FleetHealth` part
+        Each shipped report row is journaled and advances the device's
+        bookkeeping exactly as a locally verified report would; the
+        task's :class:`FleetHealth` part
         folds in through :meth:`FleetHealth.merge` — the exact-Fraction
         accumulator, so the merged aggregate is byte-identical to
         recording every report here.
@@ -387,7 +357,19 @@ class FleetVerifier(BaseVerifier):
         if self._closed:
             return
         self._closed = True
-        _close_released(self.sinks, self.store)
+        first_error: Optional[BaseException] = None
+        try:
+            SinkFanout(self.sinks).close()
+        except Exception as exc:
+            first_error = exc
+        if self.store is not None:
+            try:
+                self.store.close()
+            except Exception as exc:
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error
 
     # ------------------------------------------------------------------
     # Batched collection rounds
@@ -422,7 +404,7 @@ class FleetVerifier(BaseVerifier):
         reports.stats = stats
         self.rounds_completed += 1
         self.health.record_round(stats)
-        if self.obs.enabled and self._obs_record_rounds:
+        if self.obs.enabled:
             self.obs.round_finished(stats)
         if checkpoint:
             self.checkpoint()
@@ -508,50 +490,78 @@ class FleetVerifier(BaseVerifier):
                                      device_ids, batch_size, checkpoint,
                                      max_inflight_shards)
 
+    async def _round_pool(self) -> Optional[WorkerPool]:
+        """The synced worker pool a round verifies in; ``None`` = inline."""
+        return None
+
     async def _run_round(self, transport,
                          collection_time: Optional[float],
                          k: Optional[int],
                          device_ids: Optional[Iterable[str]],
                          batch_size: int, checkpoint: bool,
-                         max_inflight_shards: int,
-                         reports: Optional[RoundReports] = None,
-                         pool: Optional[WorkerPool] = None,
-                         worker_index: int = 0) -> RoundReports:
+                         max_inflight_shards: int) -> RoundReports:
         """The windowed round every collection path runs.
 
-        Shards of ``batch_size`` devices exchange concurrently, at most
-        ``max_inflight_shards`` at a time, and commit in shard order.
-        Only the verify step varies: without ``pool`` each shard is
-        judged inline (:meth:`_verify_inline`); with one it is shipped
-        to slot ``worker_index`` (:meth:`_verify_in_worker`), whose
-        caller has spawned the slot and synced its enrollments.
+        The round's device list is cut into :attr:`shards` partitions,
+        ``ids[s::shards]``, and each partition into shards of
+        ``batch_size`` devices.  Every partition runs its own window:
+        at most ``max_inflight_shards`` shards exchange concurrently and
+        commit in shard order.  All windows share one
+        :class:`RoundStats`, one sink fan-out and one checkpoint.  Only
+        the verify step varies: without a worker pool
+        (:meth:`_round_pool`) each shard is judged inline
+        (:meth:`_verify_inline`); with one, partition ``s`` is shipped
+        to slot ``s`` (:meth:`_verify_in_worker`).
 
-        Reports are committed into ``reports`` as they settle, so a
-        caller that passes its own list still holds every committed
-        report when the round fails.  On failure or cancellation the
-        in-flight shard tasks are cancelled and awaited before the
-        error propagates, and the sinks the fan-out closed are pruned.
+        Sinks receive reports in the round's device order: a report is
+        emitted once every report ahead of it has committed.  On
+        failure or cancellation the in-flight shard tasks are cancelled
+        and awaited, the committed reports not yet emitted reach the
+        sinks in order, and the error propagates; the sinks the fan-out
+        closed are pruned.
         """
         if max_inflight_shards <= 0:
             raise ValueError("max_inflight_shards must be positive")
         atransport = as_async_transport(transport)
         engine, ids, request_bytes = self._round_prologue(
             atransport, collection_time, device_ids, batch_size, k)
-        shards = [ids[start:start + batch_size]
-                  for start in range(0, len(ids), batch_size)]
         stale_before = getattr(atransport, "stale_responses_rejected", 0)
         started = _time.perf_counter()
-        if reports is None:
-            reports = RoundReports()
-        stats = RoundStats(shards=len(shards))
+        pool = await self._round_pool()
         verify = self._verify_inline if pool is None else \
-            functools.partial(self._verify_in_worker, pool, worker_index)
+            functools.partial(self._verify_in_worker, pool)
+        # Every partition's shards, each as (round positions, device ids).
+        layout = []
+        for partition in range(self.shards):
+            positions = range(partition, len(ids), self.shards)
+            members = ids[partition::self.shards]
+            layout.append([(positions[start:start + batch_size],
+                            members[start:start + batch_size])
+                           for start in range(0, len(members), batch_size)])
+        stats = RoundStats(shards=sum(map(len, layout)))
+        reports = RoundReports()
+        committed: List[Optional[VerificationReport]] = [None] * len(ids)
+        emitted = 0
         obs = self.obs
         obs_enabled = obs.enabled
-        round_span = None
+        round_index = self.rounds_completed + 1
 
-        async def _collect_shard(shard: List[str], batch_index: int):
-            shard_cm = obs.trace_shard(round_span, batch_index,
+        def _emit_committed(skip_gaps: bool = False) -> None:
+            """Emit, in device order, the committed reports not yet sent."""
+            nonlocal emitted
+            while emitted < len(committed):
+                report = committed[emitted]
+                if report is None and not skip_gaps:
+                    return
+                emitted += 1
+                if report is not None:
+                    reports.append(report)
+                    for sink in self.sinks:
+                        sink.emit(report)
+
+        async def _collect_shard(partition: int, shard: List[str],
+                                 shard_index: int, round_span):
+            shard_cm = obs.trace_shard(round_span, shard_index,
                                        devices=len(shard)) \
                 if obs_enabled else nullcontext()
             with shard_cm as shard_span:
@@ -559,7 +569,7 @@ class FleetVerifier(BaseVerifier):
                     {device_id: request_bytes for device_id in shard})
                 shard_time = collection_time \
                     if collection_time is not None else engine.now
-                received, commit = await verify(shard, responses,
+                received, commit = await verify(partition, shard, responses,
                                                 shard_time, shard_span)
                 if shard_span is not None:
                     count = sum(1 for device_id in shard
@@ -568,54 +578,65 @@ class FleetVerifier(BaseVerifier):
                     shard_span.attrs["lost"] = len(shard) - count
             return received, commit
 
-        in_flight: List[asyncio.Task] = []
-        next_shard = 0
+        async def _run_partition(partition: int) -> None:
+            shards = layout[partition]
+            in_flight: List[asyncio.Task] = []
+            next_shard = 0
 
-        def _keep_window_full() -> None:
-            nonlocal next_shard
-            while next_shard < len(shards) and \
-                    len(in_flight) < max_inflight_shards:
-                in_flight.append(asyncio.ensure_future(
-                    _collect_shard(shards[next_shard], next_shard)))
-                next_shard += 1
+            def _keep_window_full() -> None:
+                nonlocal next_shard
+                while next_shard < len(shards) and \
+                        len(in_flight) < max_inflight_shards:
+                    in_flight.append(asyncio.ensure_future(_collect_shard(
+                        partition, shards[next_shard][1], next_shard,
+                        round_span)))
+                    next_shard += 1
 
-        if obs_enabled:
-            obs.rounds_inflight.inc()
-        round_cm = obs.trace_round(self.rounds_completed + 1,
-                                   worker=self.obs_shard,
-                                   devices=len(ids),
-                                   shards=len(shards)) \
-            if obs_enabled else nullcontext()
-        current: Optional[asyncio.Task] = None
-        try:
-            with round_cm as round_span:
-                with SinkFanout(self.sinks):
+            devices = sum(len(shard) for _, shard in shards)
+            round_cm = obs.trace_round(round_index, worker=str(partition),
+                                       devices=devices, shards=len(shards)) \
+                if obs_enabled else nullcontext()
+            current: Optional[asyncio.Task] = None
+            try:
+                with round_cm as round_span:
                     _keep_window_full()
-                    shard_index = 0
-                    while in_flight:
+                    for positions, shard in shards:
                         current = in_flight.pop(0)
                         received, commit = await current
                         current = None
                         _keep_window_full()
-                        self._count_batch(stats, shards[shard_index],
-                                          received)
-                        shard_index += 1
-                        reports.extend(commit())
-                if round_span is not None:
-                    round_span.attrs["reports"] = len(reports)
-        except BaseException:
-            # Include the task being awaited when the failure struck —
-            # e.g. an external cancellation (asyncio.wait_for timeout)
-            # lands mid-await, and the popped task would otherwise keep
-            # driving the shared transport/engine as an orphan.
-            leftovers = ([current] if current is not None else []) + in_flight
-            for task in leftovers:
-                task.cancel()
-            for task in leftovers:
+                        self._count_batch(stats, shard, received)
+                        for position, report in zip(positions, commit()):
+                            committed[position] = report
+                        _emit_committed()
+                    if round_span is not None:
+                        round_span.attrs["reports"] = devices
+            except BaseException:
+                # Include the task being awaited when the failure struck —
+                # e.g. an external cancellation (asyncio.wait_for timeout)
+                # lands mid-await, and the popped task would otherwise keep
+                # driving the shared transport/engine as an orphan.
+                await _cancel_all(([current] if current is not None else [])
+                                  + in_flight)
+                raise
+
+        if obs_enabled:
+            obs.rounds_inflight.inc()
+        partitions: List[asyncio.Task] = []
+        try:
+            with SinkFanout(self.sinks):
                 try:
-                    await task
+                    partitions = [asyncio.ensure_future(_run_partition(index))
+                                  for index in range(self.shards)]
+                    await asyncio.gather(*partitions)
                 except BaseException:
-                    pass  # the primary failure is what propagates
+                    await _cancel_all(partitions)
+                    try:
+                        _emit_committed(skip_gaps=True)
+                    except Exception:
+                        pass  # the round's own failure is what propagates
+                    raise
+        except BaseException:
             # The fanout closed the sinks so nothing buffered was lost;
             # drop the closed ones so a retry round on this verifier
             # streams to the survivors instead of raising on dead sinks.
@@ -627,7 +648,7 @@ class FleetVerifier(BaseVerifier):
         return self._finish_round(reports, stats, atransport, stale_before,
                                   started, checkpoint)
 
-    async def _verify_inline(self, shard: List[str],
+    async def _verify_inline(self, partition: int, shard: List[str],
                              responses: Mapping[str, Optional[bytes]],
                              shard_time: float, shard_span):
         """Verify step: judge a settled shard here, between awaits.
@@ -640,7 +661,7 @@ class FleetVerifier(BaseVerifier):
         if obs.enabled:
             # Wall time goes only to the histogram — spans carry
             # virtual time, keeping traces byte-reproducible.
-            observe = obs.verify_observer(self.obs_shard).observe
+            observe = obs.verify_observer(str(partition)).observe
             perf = _time.perf_counter
             shard_reports = []
             for device_id in shard:
@@ -658,11 +679,11 @@ class FleetVerifier(BaseVerifier):
         return responses, functools.partial(self._commit_batch,
                                             shard_reports)
 
-    async def _verify_in_worker(self, pool: WorkerPool, worker_index: int,
+    async def _verify_in_worker(self, pool: WorkerPool, partition: int,
                                 shard: List[str],
                                 responses: Mapping[str, Optional[bytes]],
                                 shard_time: float, _shard_span):
-        """Verify step: ship a settled shard to a worker process.
+        """Verify step: ship a settled shard to worker slot ``partition``.
 
         The task carries the payloads plus each device's current
         ``last_seen``; the worker answers with report rows and one
@@ -672,7 +693,7 @@ class FleetVerifier(BaseVerifier):
         committed ``NO_DATA`` and counted as lost, never guessed
         healthy.  The slot is not respawned mid-round.  Per-device
         spans stay in the worker; its measured verify timings feed
-        this shard's histogram.
+        this partition's histogram.
         """
         obs = self.obs
         entries = [(device_id, responses.get(device_id),
@@ -680,8 +701,7 @@ class FleetVerifier(BaseVerifier):
                    for device_id in shard]
         try:
             body = await asyncio.wrap_future(pool.submit_task(
-                worker_index, shard_time, entries,
-                want_timings=obs.enabled))
+                partition, shard_time, entries, want_timings=obs.enabled))
         except WorkerCrashed:
             lost = [VerificationReport(
                 device_id=device_id, collection_time=shard_time,
@@ -694,7 +714,7 @@ class FleetVerifier(BaseVerifier):
         def _commit() -> List[VerificationReport]:
             committed = self.apply_worker_batch(rows, health_row)
             if timings is not None:
-                observe = obs.verify_observer(self.obs_shard).observe
+                observe = obs.verify_observer(str(partition)).observe
                 for timing in timings:
                     observe(timing)
             return committed
@@ -702,103 +722,51 @@ class FleetVerifier(BaseVerifier):
         return responses, _commit
 
 
+async def _cancel_all(tasks: List[asyncio.Task]) -> None:
+    """Cancel tasks and wait them out, swallowing what they raise."""
+    for task in tasks:
+        task.cancel()
+    for task in tasks:
+        try:
+            await task
+        except BaseException:
+            pass  # the primary failure is what propagates
+
+
 # ----------------------------------------------------------------------
 # Sharded verification
 # ----------------------------------------------------------------------
 
-class _LockedStore(StateStore):
-    """Serialize concurrent access to one shared :class:`StateStore`.
+class ShardedFleetVerifier(FleetVerifier):
+    """A :class:`FleetVerifier` whose rounds run as ``shards`` partitions.
 
-    Shard workers write enrollment advances and report journal entries
-    into one store; the backends (JSONL stream, SQLite connection) are
-    single-writer, so every call takes one re-entrant lock.  Contention is negligible — writes are tiny compared to
-    verification work — and the payoff is that a sharded verifier's
-    durable state is the *same single store* a plain verifier would
-    produce.
-    """
+    Sharding decides only where a round's verification runs.  Device
+    ``i`` of a round's device list goes to partition ``i % shards``
+    (round-robin in enrollment order for a whole-fleet round), and
+    every partition drains its own in-flight window on the round's one
+    event loop; on the simulated network the partitions overlap in
+    virtual time.  Everything else is the one verifier's: one store,
+    one :class:`FleetHealth`, one :class:`RoundStats` per round, one
+    sink fan-out fed in device order and one checkpoint, so reports,
+    health and store state are byte-identical to a plain verifier's.
 
-    def __init__(self, inner: StateStore) -> None:
-        self.inner = inner
-        self._lock = named_lock("fleet.store", kind="rlock")
-
-    def save_enrollment(self, enrollment) -> None:
-        with self._lock:
-            self.inner.save_enrollment(enrollment)
-
-    def append_report(self, report) -> None:
-        with self._lock:
-            self.inner.append_report(report)
-
-    def checkpoint(self, health, last_collection_times,
-                   rounds_completed: int = 0) -> None:
-        with self._lock:
-            self.inner.checkpoint(health, last_collection_times,
-                                  rounds_completed=rounds_completed)
-
-    def has_enrollment(self, device_id: str) -> bool:
-        with self._lock:
-            return self.inner.has_enrollment(device_id)
-
-    def restore_state(self):
-        with self._lock:
-            return self.inner.restore_state()
-
-    def device_history(self, device_id: str, limit: Optional[int] = None):
-        with self._lock:
-            return self.inner.device_history(device_id, limit=limit)
-
-    def state_rows(self):
-        with self._lock:
-            return self.inner.state_rows()
-
-    def flush(self) -> None:
-        with self._lock:
-            self.inner.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            self.inner.close()
-
-
-class ShardedFleetVerifier:
-    """N shard workers draining one fleet concurrently, one merged view.
-
-    The fleet's devices are assigned round-robin to ``shards`` inner
-    :class:`FleetVerifier` workers.  A collection round runs every
-    worker's windowed round pipeline over its own shard, all on one
-    event loop: on the simulated network the workers' rounds overlap in
-    virtual time through the network's per-round settlement tracking.
-
-    Workers share one :class:`~repro.store.StateStore` (behind a lock),
-    so enrollments and the report journal land in a single durable
-    state, and their per-shard :class:`FleetHealth` aggregates merge —
-    exactly, see :meth:`FleetHealth.merged` — into the fleet-wide
-    :attr:`health`.  Reports are re-ordered into enrollment order
-    before hitting the sinks, so on a clean round the sink output is
-    deterministic and byte-identical to a single verifier's.  The
-    ordering requirement means sinks are fed *after* the workers have
-    committed: if a sink fails mid-emit, this round's reports are
-    already journaled and folded into health (durability first) and
-    only the sink stream is short.  If the round itself fails, every
-    report the workers committed still reaches the sinks, in enrollment
-    order, before the failure propagates.
-
-    ``worker_mode`` selects where shard batches are verified:
+    ``worker_mode`` selects where partition batches are verified:
 
     * ``"loop"`` (the default) — inline, between awaits.  On CPython
       this is the fast choice for ERASMUS verification, whose hot path
       is pure Python plus small-buffer C crypto that never releases the
       GIL.
-    * ``"process"`` — in one spawned worker *process* per shard (see
-      :mod:`repro.fleet.workers`): the HMAC-heavy verify loop runs
-      outside this process's GIL entirely, fed over binary pipes with
-      zero-copy payload views on the worker side.  The parent keeps
-      the shared store, sinks and enrollments; workers ship report
-      rows and exact :class:`FleetHealth` parts home, so the merged
+    * ``"process"`` — partition ``s`` in slot ``s`` of a pool of
+      spawned worker *processes* (see :mod:`repro.fleet.workers`): the
+      HMAC-heavy verify loop runs outside this process's GIL entirely,
+      fed over binary pipes with zero-copy payload views on the worker
+      side.  The parent keeps the store, sinks and enrollments; workers
+      ship report rows and exact :class:`FleetHealth` parts home, so
       health stays byte-identical to ``"loop"`` mode.  Workers spawn
-      lazily on the first round, re-sync enrollments only when keys or
-      whitelists change, and a crashed worker's outstanding batches
-      finish as lost devices before it rejoins the next round.
+      lazily on the first round (or :meth:`warm_up`); every slot
+      mirrors every enrollment, re-shipped only when keys or whitelists
+      change, and a crashed worker's outstanding batches finish as
+      lost devices before it rejoins the next round.
     """
 
     def __init__(self, config: ErasmusConfig, shards: int = 4,
@@ -813,273 +781,77 @@ class ShardedFleetVerifier:
         if worker_mode not in ("loop", "process"):
             raise ValueError(f"unknown worker mode {worker_mode!r}; "
                              f"expected 'loop' or 'process'")
-        self.worker_mode = worker_mode
-        self.config = config
+        super().__init__(config, schedule_tolerance=schedule_tolerance,
+                         allowed_missing=allowed_missing, sinks=sinks,
+                         store=store, obs=obs)
         self.shards = shards
-        self.schedule_tolerance = schedule_tolerance
-        self.allowed_missing = allowed_missing
-        self.sinks: List[ReportSink] = list(sinks)
-        self.store = store
-        self.obs = obs if obs is not None else _default_obs()
-        # The lock wraps *around* an ObservedStore (when Fleet.provision
-        # wrapped one in), so recorded store latency stays the
-        # backend's own rather than lock-wait time.
-        shared = _LockedStore(store) if store is not None else None
-        self._shared_store = shared
-        self.workers: List[FleetVerifier] = [
-            FleetVerifier(config, schedule_tolerance=schedule_tolerance,
-                          allowed_missing=allowed_missing, sinks=(),
-                          store=shared, obs=self.obs)
-            for _ in range(shards)]
-        for index, worker in enumerate(self.workers):
-            # Distinct span/metric shard labels per worker; the fleet
-            # round is recorded once, merged, by collect_all below.
-            worker.obs_shard = str(index)
-            worker._obs_record_rounds = False
-        self._order: List[str] = []
-        self._shard_of: Dict[str, int] = {}
-        self.rounds_completed = 0
-        self._round_stats: List[RoundStats] = []
+        self.worker_mode = worker_mode
         # Process-mode machinery: the pool spawns lazily on the first
         # round; _worker_sync caches (generation, enrollment epoch) per
         # slot so enrollment mirrors re-ship only when material changed
         # or the slot respawned.
         self._pool: Optional[WorkerPool] = None
         self._worker_sync: List[Optional[tuple]] = [None] * shards
-        self._closed = False
 
     @property
     def worker_pool(self) -> Optional[WorkerPool]:
         """The process pool, once the first process-mode round spawned it."""
         return self._pool
 
-    def _ensure_pool(self) -> WorkerPool:
+    def warm_up(self) -> None:
+        """Spawn worker processes and ship enrollments ahead of a round.
+
+        Process mode pays its one-time costs — spawning the workers
+        (interpreter + import per process) and shipping the enrollment
+        mirrors — lazily inside the first ``collect_all``.  Call this
+        first to take that cold start out of the first round's latency
+        (benchmarks measure steady-state rounds this way).  No-op in
+        ``"loop"`` mode.
+        """
+        if self.worker_mode == "process":
+            asyncio.run(self._round_pool())
+
+    async def _round_pool(self) -> Optional[WorkerPool]:
+        """Spawn/respawn slots and re-ship changed enrollment mirrors."""
+        if self.worker_mode != "process":
+            return None
         if self._pool is None:
             self._pool = WorkerPool(self.shards, config=self.config,
                                     schedule_tolerance=self.schedule_tolerance,
                                     allowed_missing=self.allowed_missing,
                                     obs=self.obs)
-        return self._pool
-
-    def warm_up(self) -> None:
-        """Spawn worker processes and ship enrollments ahead of a round.
-
-        Process mode pays its one-time costs — spawning the workers
-        (interpreter + import per process) and shipping each shard's
-        enrollment mirror — lazily inside the first ``collect_all``.
-        Call this first to take that cold start out of the first
-        round's latency (benchmarks measure steady-state rounds this
-        way).  No-op in ``"loop"`` mode.
-        """
-        if self.worker_mode != "process":
-            return
-
-        async def _warm() -> None:
-            await self._sync_worker_processes(self._ensure_pool())
-
-        asyncio.run(_warm())
-
-    async def _sync_worker_processes(self, pool: WorkerPool) -> None:
-        """Spawn/respawn slots and re-ship changed enrollment mirrors."""
+        pool = self._pool
+        # Spawn every slot before shipping: a mirror larger than the
+        # pipe buffer blocks its send until that worker has started.
+        generations = [pool.ensure_worker(slot)
+                       for slot in range(self.shards)]
+        rows = None
         waits = []
-        indices = []
-        for index, worker in enumerate(self.workers):
-            generation = pool.ensure_worker(index)
-            key = (generation, worker._enrollment_epoch)
-            if self._worker_sync[index] != key:
-                rows = [worker._enrollments[device_id].to_row()
-                        for device_id in worker.enrolled_ids()]
+        slots = []
+        for slot, generation in enumerate(generations):
+            key = (generation, self._enrollment_epoch)
+            if self._worker_sync[slot] != key:
+                if rows is None:
+                    rows = [enrollment.to_row()
+                            for enrollment in self._enrollments.values()]
                 waits.append(asyncio.wrap_future(
-                    pool.sync_enrollments(index, rows)))
-                indices.append(index)
-                self._worker_sync[index] = key
-        if not waits:
-            return
+                    pool.sync_enrollments(slot, rows)))
+                slots.append(slot)
+                self._worker_sync[slot] = key
         results = await asyncio.gather(*waits, return_exceptions=True)
-        for index, result in zip(indices, results):
+        for slot, result in zip(slots, results):
             if isinstance(result, BaseException):
                 # The slot died before acking; forget the sync so the
                 # next round re-ships after the respawn.  This round's
                 # tasks to it fail fast as WorkerCrashed (lost devices).
-                self._worker_sync[index] = None
+                self._worker_sync[slot] = None
+        return pool
 
-    # ------------------------------------------------------------------
-    # Enrollment
-    # ------------------------------------------------------------------
-    def enroll_device(self, device: ProvisionedDevice, *,
-                      re_enroll: bool = False) -> None:
-        """Enroll one device on its (stable, round-robin) shard worker."""
-        existing = self._shard_of.get(device.device_id)
-        shard = existing if existing is not None \
-            else len(self._order) % self.shards
-        self.workers[shard].enroll_device(device, re_enroll=re_enroll)
-        if existing is None:
-            self._shard_of[device.device_id] = shard
-            self._order.append(device.device_id)
-
-    def enrolled_ids(self) -> List[str]:
-        """All enrolled device ids, in fleet-wide enrollment order."""
-        return list(self._order)
-
-    @property
-    def device_count(self) -> int:
-        """Number of enrolled devices across all shards."""
-        return len(self._order)
-
-    def is_enrolled(self, device_id: str) -> bool:
-        """True when the device is enrolled on any shard."""
-        return device_id in self._shard_of
-
-    def shard_of(self, device_id: str) -> int:
-        """Index of the shard worker owning one device."""
-        try:
-            return self._shard_of[device_id]
-        except KeyError as exc:
-            raise KeyError(f"device {device_id!r} is not enrolled") from exc
-
-    def worker_for(self, device_id: str) -> FleetVerifier:
-        """The shard worker owning one device."""
-        return self.workers[self.shard_of(device_id)]
-
-    def last_collection_time(self, device_id: str) -> Optional[float]:
-        """Time of the device's most recent data-bearing collection."""
-        if device_id not in self._shard_of:
-            return None
-        return self.worker_for(device_id).last_collection_time(device_id)
-
-    def add_sink(self, sink: ReportSink) -> None:
-        """Attach one more fleet-level report sink."""
-        self.sinks.append(sink)
-
-    # ------------------------------------------------------------------
-    # Merged views
-    # ------------------------------------------------------------------
-    @property
-    def health(self) -> FleetHealth:
-        """Fleet-wide aggregate merged from the per-shard aggregates."""
-        merged = FleetHealth.merged(worker.health for worker in self.workers)
-        merged.round_stats = list(self._round_stats)
-        return merged
-
-    def checkpoint(self) -> None:
-        """Snapshot the merged state into the shared store.
-
-        Goes through the :class:`_LockedStore` wrapper, never the raw
-        backend: a straggling shard worker may still be appending report
-        rows when a pipelined round checkpoints, and the JSONL/SQLite
-        backends are single-writer.
-        """
-        if self._shared_store is None:
-            return
-        times: Dict[str, float] = {}
-        for worker in self.workers:
-            times.update(worker._last_collection_time)
-        self._shared_store.checkpoint(
-            self.health, times, rounds_completed=self.rounds_completed)
-
-    # ------------------------------------------------------------------
-    # Collection
-    # ------------------------------------------------------------------
-    def collect_all(self, transport,
-                    collection_time: Optional[float] = None,
-                    k: Optional[int] = None,
-                    batch_size: int = DEFAULT_BATCH_SIZE,
-                    checkpoint: bool = True,
-                    max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
-                    ) -> RoundReports:
-        """One fleet-wide round: all shard workers drain concurrently.
-
-        Every worker runs its round pipeline over its shard on one
-        event loop; in ``"process"`` mode each worker's verify step
-        ships batches to its pool slot.  Workers commit as their shards
-        settle; the fleet sinks then receive every committed report in
-        enrollment order — on a failed round too, before the failure
-        propagates (the fan-out then closes the sinks, as a single
-        verifier's failed round does).
-        """
-        _ensure_no_running_loop(
-            "drive sharded rounds from synchronous code — the shard "
-            "workers run their own event loops")
-        if collection_time is None and \
-                getattr(transport, "engine", None) is None:
-            raise ValueError(
-                "collection_time is required for transports without an "
-                "engine clock")
-        shard_ids: List[List[str]] = [[] for _ in range(self.shards)]
-        for device_id in self._order:
-            shard_ids[self._shard_of[device_id]].append(device_id)
-
-        stale_before = getattr(transport, "stale_responses_rejected", 0)
-        started = _time.perf_counter()
-        worker_reports = [RoundReports() for _ in range(self.shards)]
-
-        async def _gather() -> None:
-            pool = None
-            if self.worker_mode == "process":
-                pool = self._ensure_pool()
-                await self._sync_worker_processes(pool)
-            await asyncio.gather(*[
-                worker._run_round(transport, collection_time, k,
-                                  shard_ids[index], batch_size, False,
-                                  max_inflight_shards, worker_reports[index],
-                                  pool, index)
-                for index, worker in enumerate(self.workers)])
-
-        failure: Optional[BaseException] = None
-        try:
-            asyncio.run(_gather())
-        except BaseException as exc:
-            failure = exc
-        committed = {report.device_id: report
-                     for shard_reports in worker_reports
-                     for report in shard_reports}
-        reports = RoundReports(committed[device_id]
-                               for device_id in self._order
-                               if device_id in committed)
-        try:
-            with SinkFanout(self.sinks):
-                for report in reports:
-                    for sink in self.sinks:
-                        sink.emit(report)
-                if failure is not None:
-                    raise failure
-        except BaseException:
-            # The fanout closed the sinks; drop the dead ones so a
-            # retry round streams to the survivors (mirrors
-            # FleetVerifier.collect_all).
-            self.sinks = [sink for sink in self.sinks if not sink.closed]
-            raise
-
-        stats = RoundStats.merged([r.stats for r in worker_reports])
-        # Fleet-level figures: the workers' wall clocks overlap, and
-        # their stale-counter samples race, so both are re-measured here.
-        ended = _time.perf_counter()
-        stats.wall_start = started
-        stats.wall_end = ended
-        stats.wall_seconds = ended - started
-        stats.stale_responses_rejected = \
-            getattr(transport, "stale_responses_rejected", 0) - stale_before
-        reports.stats = stats
-        self._round_stats.append(stats)
-        self.rounds_completed += 1
-        if self.obs.enabled:
-            self.obs.round_finished(stats)
-        if checkpoint:
-            self.checkpoint()
-        return reports
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close fleet-level sinks, the shared store and any worker pool
-        (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Close the worker pool, every sink and the store (idempotent)."""
         if self._pool is not None:
             self._pool.close()
-        _close_released(self.sinks, self.store)
+        super().close()
 
 
 # ----------------------------------------------------------------------
@@ -1093,9 +865,6 @@ TRANSPORT_FACTORIES: Dict[str, Callable[..., Transport]] = {
     "swarm-relay": SwarmRelayTransport,
 }
 TRANSPORT_FACTORIES["socket"] = SocketTransport
-#: Convenience aliases.
-TRANSPORT_FACTORIES["network"] = SimulatedNetworkTransport
-TRANSPORT_FACTORIES["swarm"] = SwarmRelayTransport
 
 
 class Fleet:
@@ -1108,7 +877,7 @@ class Fleet:
     """
 
     def __init__(self, profile: DeviceProfile,
-                 verifier: Union[FleetVerifier, ShardedFleetVerifier],
+                 verifier: FleetVerifier,
                  transport: Transport, engine: SimulationEngine,
                  devices: Dict[str, ProvisionedDevice],
                  obs: Optional["Observability"] = None) -> None:
@@ -1152,10 +921,10 @@ class Fleet:
         the verifier with a :class:`repro.store.StateStore` so the
         deployment can be resumed after a verifier restart (see
         :meth:`FleetVerifier.restore`).  ``shards`` provisions the
-        fleet onto a :class:`ShardedFleetVerifier` with that many
-        concurrent shard workers instead of a single
+        fleet onto a :class:`ShardedFleetVerifier`, whose rounds run as
+        that many concurrent partitions, instead of a plain
         :class:`FleetVerifier`; ``worker_mode`` then selects where the
-        shard batches are verified (``"loop"`` or ``"process"`` — see
+        partitions are verified (``"loop"`` or ``"process"`` — see
         :class:`ShardedFleetVerifier`).
 
         ``obs`` threads one :class:`repro.obs.Observability` through
@@ -1208,12 +977,11 @@ class Fleet:
             if slo_sink is not None and slo_sink not in round_sinks:
                 round_sinks.append(slo_sink)
         if shards is not None:
-            verifier: Union[FleetVerifier, ShardedFleetVerifier] = \
-                ShardedFleetVerifier(profile.config, shards=shards,
-                                     schedule_tolerance=schedule_tolerance,
-                                     allowed_missing=allowed_missing,
-                                     sinks=round_sinks, store=store,
-                                     worker_mode=worker_mode, obs=obs)
+            verifier: FleetVerifier = ShardedFleetVerifier(
+                profile.config, shards=shards,
+                schedule_tolerance=schedule_tolerance,
+                allowed_missing=allowed_missing, sinks=round_sinks,
+                store=store, worker_mode=worker_mode, obs=obs)
         else:
             verifier = FleetVerifier(profile.config,
                                      schedule_tolerance=schedule_tolerance,
@@ -1303,14 +1071,9 @@ class Fleet:
                                 DEFAULT_MAX_INFLIGHT_SHARDS) -> RoundReports:
         """Awaitable :meth:`collect_all` — the fleet's async pipeline.
 
-        Only available on single-verifier fleets;
-        :class:`ShardedFleetVerifier` rounds run their own event loop
-        and are driven through the synchronous :meth:`collect_all`.
+        Sharded fleets run the same round: their partitions drain
+        concurrently on the caller's event loop.
         """
-        if not isinstance(self.verifier, FleetVerifier):
-            raise TypeError("collect_all_async requires a single "
-                            "FleetVerifier; sharded fleets drive their own "
-                            "event loops through collect_all")
         return await self.verifier.collect_all_async(
             self.transport, collection_time, k=k, batch_size=batch_size,
             checkpoint=checkpoint, max_inflight_shards=max_inflight_shards)

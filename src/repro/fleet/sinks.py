@@ -40,13 +40,10 @@ class RoundStats:
 
     ``wall_start`` / ``wall_end`` are one *monotonic* clock pair
     (``time.perf_counter``) bracketing the round, stamped by the
-    verifier that ran it, so overlapping rounds (the async pipelined
-    collector, sharded workers) can be ordered and intersected after
-    the fact.  Monotonic stamps are only comparable within one
-    process — they order and measure, they do not date.  For a single
-    verifier's round ``wall_seconds == wall_end - wall_start``; a
-    *merged* stat keeps the historical "slowest shard" wall_seconds
-    while its pair brackets the union of the shards' pairs.
+    verifier that ran it, so overlapping rounds can be ordered and
+    intersected after the fact.  Monotonic stamps are only comparable
+    within one process — they order and measure, they do not date.
+    ``wall_seconds == wall_end - wall_start``.
     """
 
     requests_sent: int = 0
@@ -64,32 +61,6 @@ class RoundStats:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.requests_sent / self.wall_seconds
-
-    @classmethod
-    def merged(cls, parts: Iterable["RoundStats"]) -> "RoundStats":
-        """Combine per-shard stats into one fleet-wide round.
-
-        Counters add; wall-clock is the slowest shard, since shards run
-        concurrently.  The monotonic pair brackets every part that
-        stamped one (``wall_start`` the earliest start, ``wall_end``
-        the latest end; parts that never stamped — all-zero pair —
-        don't contribute).
-        """
-        total = cls()
-        starts = []
-        for part in parts:
-            total.requests_sent += part.requests_sent
-            total.responses_received += part.responses_received
-            total.responses_lost += part.responses_lost
-            total.stale_responses_rejected += part.stale_responses_rejected
-            total.shards += part.shards
-            total.wall_seconds = max(total.wall_seconds, part.wall_seconds)
-            if part.wall_start or part.wall_end:
-                starts.append(part.wall_start)
-                total.wall_end = max(total.wall_end, part.wall_end)
-        if starts:
-            total.wall_start = min(starts)
-        return total
 
     def summary(self) -> str:
         """One-line human-readable account of the round."""
@@ -250,8 +221,10 @@ class JsonlSink(ReportSink):
             raise ValueError(
                 "JsonlSink is closed (a failed collection round closes "
                 "its sinks); attach a fresh sink before collecting again")
-        json.dump(report_to_row(report), self._stream, sort_keys=True)
-        self._stream.write("\n")
+        # json.dumps takes the C encoder; json.dump's pure-Python
+        # iterencode left cyclic garbage behind on every report.
+        self._stream.write(json.dumps(report_to_row(report),
+                                      sort_keys=True) + "\n")
         self.lines_written += 1
         if self.flush_every is not None and \
                 self.lines_written % self.flush_every == 0:
@@ -282,11 +255,11 @@ class FleetHealth:
     flagged_devices: Set[str] = field(default_factory=set)
     missing_intervals_total: int = 0
     # Freshness accumulates as an exact rational so that summation is
-    # associative: merging per-shard aggregates then reads back the
-    # *same* value (bit for bit) as recording every report into one
-    # aggregate, which the sharded-verifier merge tests rely on.  Plain
-    # float addition would make the merged checkpoint differ in the
-    # last ulp depending on shard layout.
+    # associative: merging a process worker's aggregate part then reads
+    # back the *same* value (bit for bit) as recording every report
+    # into one aggregate, which the worker byte-identity tests rely on.
+    # Plain float addition would make the checkpoint differ in the last
+    # ulp depending on how reports were split across workers.
     _freshness_sum: Fraction = Fraction(0)
     _freshness_count: int = 0
     #: Per-round collection mechanics (see :class:`RoundStats`).  Kept
@@ -313,7 +286,7 @@ class FleetHealth:
         self.round_stats.append(stats)
 
     def merge(self, other: "FleetHealth") -> None:
-        """Fold another aggregate into this one (sharded verifiers)."""
+        """Fold another aggregate into this one (process worker parts)."""
         self.reports_total += other.reports_total
         self.measurements_verified += other.measurements_verified
         for status, count in other.status_counts.items():
@@ -324,19 +297,6 @@ class FleetHealth:
         self.missing_intervals_total += other.missing_intervals_total
         self._freshness_sum += other._freshness_sum
         self._freshness_count += other._freshness_count
-
-    @classmethod
-    def merged(cls, parts: Iterable["FleetHealth"]) -> "FleetHealth":
-        """One fleet-wide aggregate from per-shard aggregates.
-
-        Exact: thanks to the rational freshness accumulator the merged
-        aggregate serializes to the same bytes as a single aggregate
-        fed every report directly, whatever the shard layout.
-        """
-        total = cls()
-        for part in parts:
-            total.merge(part)
-        return total
 
     # ------------------------------------------------------------------
     # Derived metrics

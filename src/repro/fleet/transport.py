@@ -42,7 +42,7 @@ import itertools
 import socket
 import struct
 import threading
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.core.protocol import (
     CollectRequest,
@@ -807,6 +807,11 @@ class SocketTransport(Transport):
         #: oversized payloads awaiting their TCP fetch.
         self._pending: Dict[int, asyncio.Future] = {}
         self._oversized: Dict[int, bytes] = {}
+        # In-flight TCP fetches.  The loop holds tasks only weakly, and
+        # a client stream's reader is referenced only by its task, so a
+        # cyclic GC pass mid-fetch would destroy an unreferenced one and
+        # lose its response.
+        self._fetches: Set[asyncio.Task] = set()
         self._rids = itertools.count(1)
         #: Responses whose round already finished (or that carried an
         #: unknown request id); rejected rather than misattributed.
@@ -925,6 +930,8 @@ class SocketTransport(Transport):
         elif flag == _OVERSIZED:
             self.tcp_fallbacks += 1
             task = self._loop.create_task(self._fetch_oversized(rid))
+            self._fetches.add(task)
+            task.add_done_callback(self._fetches.discard)
             task.add_done_callback(
                 lambda t, f=future: self._finish_fetch(t, f))
         else:  # _NO_RESPONSE (or unknown flag): the prover kept silence

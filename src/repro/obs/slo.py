@@ -17,10 +17,11 @@ Rules have two evaluation paths that must agree:
 * **post-hoc** — :meth:`SloRule.violated_by` over a finished
   :class:`~repro.fleet.sinks.FleetHealth` aggregate.
 
-The agreement is load-bearing: a sharded verifier merges per-shard
-aggregates after the fact, and the hypothesis suite asserts that the
-streaming verdict at end-of-round equals the verdict recomputed from
-the merged post-hoc health — whatever the report stream looked like.
+The agreement is load-bearing: process workers' health parts are
+merged into the verifier's aggregate after the fact, and the
+hypothesis suite asserts that the streaming verdict at end-of-round
+equals the verdict recomputed from the merged post-hoc health —
+whatever the report stream looked like.
 """
 
 from __future__ import annotations

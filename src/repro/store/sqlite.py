@@ -63,10 +63,10 @@ class SqliteStore(StateStore):
         self._conn: Optional[sqlite3.Connection] = None
         try:
             # check_same_thread=False: the store itself is single-writer
-            # (callers must serialize, e.g. the sharded verifier's
-            # lock-guarded wrapper), but the serialized calls may come
-            # from different threads — sqlite3's same-thread affinity
-            # check would reject those even though they never overlap.
+            # (callers must serialize their calls), but the serialized
+            # calls may come from different threads — sqlite3's
+            # same-thread affinity check would reject those even though
+            # they never overlap.
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open SQLite store {self.path}") from exc

@@ -15,10 +15,8 @@ from repro.fleet import (
     JsonlSink,
     SimulatedNetworkTransport,
     SyncTransportAdapter,
-    WorkerPool,
     as_async_transport,
 )
-from repro.fleet.service import DEFAULT_MAX_INFLIGHT_SHARDS
 from repro.sim import SimulationEngine
 from tests.fleet.helpers import oracle_report, oracle_round, report_key
 from tests.fleet.helpers import small_profile as _small_profile
@@ -365,26 +363,22 @@ VERIFY_STEPS = ("inline", "process")
 
 
 @contextlib.contextmanager
-def verify_pool(verifier, step):
-    """No pool for the inline step; a synced one-slot pool for process."""
-    if step == "inline":
-        yield None
-        return
-    pool = WorkerPool(1, config=verifier.config)
+def step_fleet(step, count, **kwargs):
+    """A fleet verifying inline, or in a warmed one-slot worker pool."""
+    if step == "process":
+        kwargs.update(shards=1, worker_mode="process")
+    fleet = provision_fleet(count, **kwargs)
     try:
-        pool.ensure_worker(0)
-        rows = [verifier._enrollments[device_id].to_row()
-                for device_id in verifier.enrolled_ids()]
-        pool.sync_enrollments(0, rows).result(timeout=30)
-        yield pool
+        if step == "process":
+            fleet.verifier.warm_up()
+        yield fleet
     finally:
-        pool.close()
+        fleet.close()
 
 
-def start_round(verifier, transport, pool, batch_size):
-    """One round of the verifier's pipeline through the given step."""
-    return verifier._run_round(transport, None, None, None, batch_size,
-                               True, DEFAULT_MAX_INFLIGHT_SHARDS, pool=pool)
+def start_round(verifier, transport, batch_size):
+    """One round of the verifier's pipeline through its verify step."""
+    return verifier.collect_all_async(transport, batch_size=batch_size)
 
 
 def other_tasks():
@@ -393,11 +387,9 @@ def other_tasks():
 
 
 def cancel_mid_round(step):
-    fleet = provision_fleet(9, transport="simulated-network")
-
-    async def scenario(pool):
+    async def scenario(fleet):
         round_task = asyncio.ensure_future(
-            start_round(fleet.verifier, fleet.transport, pool, 3))
+            start_round(fleet.verifier, fleet.transport, 3))
         while not fleet.transport._pending:
             await asyncio.sleep(0)  # until shard exchanges are in flight
         with pytest.raises(asyncio.TimeoutError):
@@ -405,8 +397,8 @@ def cancel_mid_round(step):
         assert other_tasks() == []  # no orphaned shard task keeps running
         assert fleet.transport._pending == {}  # rounds deregistered
 
-    with verify_pool(fleet.verifier, step) as pool:
-        asyncio.run(scenario(pool))
+    with step_fleet(step, 9, transport="simulated-network") as fleet:
+        asyncio.run(scenario(fleet))
 
 
 def test_external_cancellation_does_not_orphan_shard_tasks():
@@ -453,20 +445,19 @@ def test_mid_round_transport_failure_keeps_committed_reports(step,
     the round, and the same verify step serves the next round."""
     path = tmp_path / "reports.jsonl"
     sink = JsonlSink(str(path))
-    fleet = provision_fleet(9, sinks=(sink,))
-    verifier = fleet.verifier
-    failing = _FailingTransport(fleet.transport, fail_on=2)
 
-    async def scenario(pool):
+    async def scenario():
         with pytest.raises(ConnectionError, match="link dropped"):
-            await start_round(verifier, failing, pool, 3)
+            await start_round(verifier, failing, 3)
         assert other_tasks() == []
         fleet.run_until(120.0)
         return await asyncio.wait_for(
-            start_round(verifier, fleet.transport, pool, 3), timeout=30)
+            start_round(verifier, fleet.transport, 3), timeout=30)
 
-    with verify_pool(verifier, step) as pool:
-        retry = asyncio.run(scenario(pool))
+    with step_fleet(step, 9, sinks=(sink,)) as fleet:
+        verifier = fleet.verifier
+        failing = _FailingTransport(fleet.transport, fail_on=2)
+        retry = asyncio.run(scenario())
     assert sink.closed
     assert sink not in verifier.sinks
     written = [json.loads(line)["device_id"]

@@ -320,6 +320,28 @@ def test_jsonl_sink_flush_every_bounds_data_loss(tmp_path):
         JsonlSink(io.StringIO(), flush_every=0)
 
 
+def test_jsonl_sink_emit_leaves_no_cyclic_garbage(fleet):
+    """Each line is json.dumps of the report row, and emitting it leaves
+    nothing behind that only the cyclic collector could free."""
+    import gc
+
+    fleet.run_until(60.0)
+    reports = list(fleet.collect_all()) * 5
+    stream = io.StringIO()
+    sink = JsonlSink(stream)
+    gc.collect()
+    gc.disable()
+    try:
+        for report in reports:
+            sink.emit(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(reports) == 100
+    assert stream.getvalue().splitlines() == [
+        json.dumps(report.to_row(), sort_keys=True) for report in reports]
+
+
 def test_retry_round_works_after_mid_round_failure(tmp_path, fleet):
     """A transient transport error must not poison later rounds."""
     path = tmp_path / "partial.jsonl"
@@ -480,22 +502,3 @@ def test_consecutive_rounds_have_ordered_wall_pairs(fleet):
     # One process-wide monotonic clock: round two started after round
     # one ended, and the pairs order the rounds without wall dates.
     assert second.wall_start >= first.wall_end
-
-
-def test_merged_round_stats_bracket_their_parts():
-    from repro.fleet import RoundStats
-
-    parts = [
-        RoundStats(requests_sent=4, wall_seconds=2.0, wall_start=10.0,
-                   wall_end=12.0),
-        RoundStats(requests_sent=6, wall_seconds=3.0, wall_start=11.0,
-                   wall_end=14.0),
-        RoundStats(requests_sent=1),  # never stamped: must not shrink
-    ]
-    merged = RoundStats.merged(parts)
-    assert merged.requests_sent == 11
-    assert merged.wall_seconds == 3.0  # slowest shard, as before
-    assert merged.wall_start == 10.0
-    assert merged.wall_end == 14.0
-    unstamped = RoundStats.merged([RoundStats(requests_sent=2)])
-    assert (unstamped.wall_start, unstamped.wall_end) == (0.0, 0.0)

@@ -1,4 +1,7 @@
-"""Tests for ShardedFleetVerifier: shard assignment, merge exactness."""
+"""Tests for ShardedFleetVerifier: partition assignment, output identity."""
+
+import asyncio
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,10 @@ from repro.fleet import (
     MemorySink,
     ShardedFleetVerifier,
 )
+from repro.obs import Observability
+from repro.sim.engine import SimulationEngine
 from repro.store import MemoryStore
-from tests.fleet.helpers import health_bytes, report_key
+from tests.fleet.helpers import health_bytes, oracle_report, report_key
 from tests.fleet.helpers import small_profile as _small_profile
 
 FIRMWARE = b"sharded-test-firmware"
@@ -64,18 +69,32 @@ def test_sharded_round_matches_single_verifier():
 
 
 def test_shard_assignment_is_stable_round_robin():
-    verifier = ShardedFleetVerifier(small_profile().config, shards=3)
+    """Device i of the round is verified by partition i % shards, as the
+    round:1/worker:S/.../device:D trace paths record."""
+    obs = Observability(seed=3)
+    engine = SimulationEngine()
+    obs.bind_engine(engine)
+    transport = InProcessTransport(engine)
+    verifier = ShardedFleetVerifier(small_profile().config, shards=3,
+                                    obs=obs)
     profile = small_profile()
     for index in range(7):
-        verifier.enroll_device(
-            profile.provision(f"s-{index}", master_secret=b"master"))
-    assert [verifier.shard_of(f"s-{index}") for index in range(7)] == \
-        [0, 1, 2, 0, 1, 2, 0]
+        device = profile.provision(f"s-{index}", master_secret=b"master")
+        device.prover.attach(engine, start_time=0.0)
+        transport.register(device)
+        verifier.enroll_device(device)
     assert verifier.device_count == 7
     assert verifier.enrolled_ids() == [f"s-{index}" for index in range(7)]
-    assert [worker.device_count for worker in verifier.workers] == [3, 2, 2]
-    with pytest.raises(KeyError):
-        verifier.shard_of("ghost")
+    engine.run(until=60.0)
+    verifier.collect_all(transport, batch_size=2)
+    partition_of = {}
+    for row in obs.tracer.export_rows():
+        match = re.fullmatch(r"round:1/worker:(\d+)/shard:\d+/device:(.+)",
+                             row["path"])
+        if match:
+            partition_of[match.group(2)] = int(match.group(1))
+    assert [partition_of[f"s-{index}"] for index in range(7)] == \
+        [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_sharded_requires_at_least_one_shard_and_known_mode():
@@ -175,7 +194,6 @@ def test_sharded_last_collection_time_and_enrollment_lookups():
     assert not verifier.is_enrolled("ghost")
     assert verifier.last_collection_time("dev-0003") == pytest.approx(60.0)
     assert verifier.last_collection_time("ghost") is None
-    assert verifier.worker_for("dev-0004").is_enrolled("dev-0004")
 
 
 def test_sharded_close_is_idempotent():
@@ -222,8 +240,6 @@ def test_sharded_retry_round_survives_sink_failure():
 
 
 def test_sharded_collect_refuses_to_block_running_loop():
-    import asyncio
-
     fleet = Fleet.provision(small_profile(), 4, master_secret=b"master",
                             shards=2)
     fleet.run_until(60.0)
@@ -231,7 +247,7 @@ def test_sharded_collect_refuses_to_block_running_loop():
     async def scenario():
         fleet.collect_all()
 
-    with pytest.raises(RuntimeError, match="synchronous code"):
+    with pytest.raises(RuntimeError, match="await collect_all_async"):
         asyncio.run(scenario())
 
 
@@ -317,35 +333,104 @@ def test_failed_sharded_round_emits_every_committed_report(worker_mode):
         fleet.close()
 
 
-class _LockProbeStore(MemoryStore):
-    """Records whether the shared-store lock was held at checkpoint."""
+class _CallOrderStore(MemoryStore):
+    """Records the order of the round's store writes."""
 
     def __init__(self):
         super().__init__()
-        self.shared_lock = None
-        self.checkpoint_lock_held = []
+        self.calls = []
+
+    def append_report(self, report):
+        self.calls.append("append_report")
+        super().append_report(report)
 
     def checkpoint(self, health, last_collection_times,
                    rounds_completed=0):
-        if self.shared_lock is not None:
-            self.checkpoint_lock_held.append(
-                self.shared_lock._is_owned())
+        self.calls.append("checkpoint")
         super().checkpoint(health, last_collection_times,
                            rounds_completed=rounds_completed)
 
 
-def test_sharded_checkpoint_goes_through_the_locked_store():
-    """The merged checkpoint must hold the same lock shard writes take.
+@pytest.mark.parametrize("worker_mode", ["loop", "process"])
+def test_sharded_round_checkpoints_after_every_append(worker_mode):
+    """The round's checkpoint is its last store call: no partition is
+    still journaling when the state is folded into the snapshot."""
+    store = _CallOrderStore()
+    fleet = Fleet.provision(small_profile(), 12, master_secret=b"master",
+                            shards=3, store=store, worker_mode=worker_mode)
+    try:
+        fleet.run_until(30.0)
+        store.calls.clear()
+        fleet.collect_all(batch_size=2)
+        assert store.calls == ["append_report"] * 12 + ["checkpoint"]
+    finally:
+        fleet.close()
 
-    A pipelined round can still have a straggler shard appending report
-    rows when the parent checkpoints; writing around the lock would
-    interleave with it on the single-writer backends.
-    """
-    probe = _LockProbeStore()
+
+@pytest.mark.parametrize("worker_mode", ["loop", "process"])
+def test_sharded_collect_all_async_equals_sync_twin(worker_mode):
+    """A sharded fleet's awaitable round is the synchronous round."""
+    twins = [Fleet.provision(small_profile(), 10, master_secret=b"master",
+                             shards=3, worker_mode=worker_mode)
+             for _ in range(2)]
+    try:
+        for fleet in twins:
+            fleet.run_until(60.0)
+            fleet.device("dev-0005").load_application(MALWARE)
+            fleet.run_until(80.0)
+        awaited = asyncio.run(twins[0].collect_all_async(batch_size=2))
+        synchronous = twins[1].collect_all(batch_size=2)
+        assert [report_key(r) for r in awaited] == \
+            [report_key(r) for r in synchronous]
+        assert health_bytes(twins[0].verifier) == \
+            health_bytes(twins[1].verifier)
+        assert twins[0].health.flagged_devices == {"dev-0005"}
+    finally:
+        for fleet in twins:
+            fleet.close()
+
+
+def test_process_round_over_a_device_subset_matches_the_oracle():
+    """Partitions follow positions in the requested list, so any device
+    may reach any slot; every slot mirrors every enrollment."""
+    fleet = Fleet.provision(small_profile(), 9, master_secret=b"master",
+                            shards=3, worker_mode="process")
+    try:
+        fleet.run_until(60.0)
+        subset = ["dev-0007", "dev-0001", "dev-0004", "dev-0005"]
+        request = fleet.verifier.create_collect_request().encode()
+        payloads = InProcessTransport(fleet.engine)
+        for device_id in subset:
+            payloads.register(fleet.device(device_id))
+        expected = [oracle_report(fleet.verifier, device_id, payload,
+                                  fleet.now)
+                    for device_id, payload in payloads.exchange_many(
+                        {device_id: request for device_id in subset}).items()]
+        reports = fleet.verifier.collect_all(fleet.transport,
+                                             device_ids=subset)
+        assert [report_key(r) for r in reports] == \
+            [report_key(r) for r in expected]
+        assert {r.status for r in reports} == {DeviceStatus.HEALTHY}
+        for device_id in fleet.device_ids():
+            history = fleet.verifier.store.device_history(device_id)
+            assert len(history) == (1 if device_id in subset else 0)
+    finally:
+        fleet.close()
+
+
+def test_sharded_round_is_one_round_in_flight():
+    """The gauge counts fleet rounds, not partitions."""
+    obs = Observability()
+    seen = []
+
+    class _GaugeProbe(InProcessTransport):
+        def exchange_many(self, requests):
+            seen.append(obs.rounds_inflight.value())
+            return super().exchange_many(requests)
+
     fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
-                            shards=2, store=probe)
-    probe.shared_lock = fleet.verifier._shared_store._lock
-    fleet.run_until(30.0)
-    fleet.collect_all()
-    assert probe.checkpoint_lock_held
-    assert all(probe.checkpoint_lock_held)
+                            shards=4, obs=obs, transport=_GaugeProbe)
+    fleet.run_until(60.0)
+    fleet.collect_all(batch_size=1)
+    assert seen == [1] * 8
+    assert obs.rounds_inflight.value() == 0

@@ -75,6 +75,35 @@ def test_oversized_response_takes_tcp_fallback():
         transport.close()
 
 
+def test_tcp_fallback_fetch_survives_a_gc_pass(monkeypatch):
+    """A fetch waiting on its TCP read is referenced by the transport,
+    so a cyclic GC pass mid-fetch cannot destroy it and lose the
+    response."""
+    import gc
+
+    serve_fetch = SocketTransport._serve_fetch
+
+    async def serve_after_gc(self, reader, writer):
+        await asyncio.sleep(0.05)  # every client fetch is now waiting
+        gc.collect()
+        await serve_fetch(self, reader, writer)
+
+    monkeypatch.setattr(SocketTransport, "_serve_fetch", serve_after_gc)
+    profile = small_profile()
+    engine = SimulationEngine()
+    transport = SocketTransport(max_datagram=64, round_timeout=2.0)
+    try:
+        provision_into(transport, profile, engine, 3)
+        engine.run(until=60.0)
+        request = collect_request(profile)
+        responses = transport.exchange_many(
+            {f"s-{index}": request for index in range(3)})
+        assert transport.tcp_fallbacks == 3
+        assert all(payload is not None for payload in responses.values())
+    finally:
+        transport.close()
+
+
 def test_exchange_many_async_overlaps_on_callers_loop(transport):
     profile = small_profile()
     engine = SimulationEngine()

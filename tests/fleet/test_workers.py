@@ -148,10 +148,8 @@ def test_worker_crash_loses_round_then_rejoins():
                             allowed_missing=8)
     try:
         verifier = fleet.verifier
-        shard0 = [device_id for device_id in verifier.enrolled_ids()
-                  if verifier.shard_of(device_id) == 0]
-        others = [device_id for device_id in verifier.enrolled_ids()
-                  if verifier.shard_of(device_id) != 0]
+        shard0 = verifier.enrolled_ids()[0::2]
+        others = verifier.enrolled_ids()[1::2]
         assert shard0 and others
 
         fleet.run_until(60.0)
@@ -195,8 +193,7 @@ def test_crash_round_health_counts_shard_devices_unseen():
         pool = fleet.verifier.worker_pool
         pool.inject_crash(1)
         reports = fleet.collect_all()
-        shard1 = {device_id for device_id in fleet.verifier.enrolled_ids()
-                  if fleet.verifier.shard_of(device_id) == 1}
+        shard1 = set(fleet.verifier.enrolled_ids()[1::2])
         assert {r.device_id for r in reports
                 if r.status is DeviceStatus.NO_DATA} == shard1
         stats = reports.stats

@@ -3,8 +3,8 @@
 The streaming path folds reports in one at a time and settles at the
 round boundary; the post-hoc path recomputes the same objective from a
 finished :class:`FleetHealth` — possibly *merged* from per-shard
-aggregates, the way a :class:`ShardedFleetVerifier` builds its
-fleet-wide view.  Both sides accumulate freshness as exact rationals,
+aggregates, the way process workers' health parts fold into the
+verifier's.  Both sides accumulate freshness as exact rationals,
 so the verdicts must agree bit-for-bit for any report stream and any
 shard layout (:class:`AttestationWindowRule` is excluded by design:
 report timing does not survive into a post-hoc aggregate).
@@ -73,11 +73,13 @@ def test_streaming_verdict_equals_merged_post_hoc_verdict(
                 for violation in sink.violations_for_round(1)}
 
     # Post-hoc: the same reports dealt round-robin onto shard
-    # aggregates, merged the way the sharded verifier merges them.
+    # aggregates, merged the way worker health parts are folded in.
     shards = [FleetHealth() for _ in range(shard_count)]
     for index, report in enumerate(reports):
         shards[index % shard_count].record(report)
-    merged = FleetHealth.merged(shards)
+    merged = FleetHealth()
+    for shard in shards:
+        merged.merge(shard)
     post_hoc = {rule.name for rule in rules if rule.violated_by(merged)}
 
     assert streamed == post_hoc

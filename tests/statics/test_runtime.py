@@ -107,13 +107,13 @@ def test_witnesses_do_not_nest():
                 pass
 
 
-def test_locked_store_and_worker_locks_are_witnessed_in_fleet_tests():
+def test_worker_pool_lock_is_witnessed_in_fleet_tests():
     """End to end: the product's named locks register with the witness."""
-    from repro.fleet.service import _LockedStore
-    from repro.store import MemoryStore
+    from repro.fleet.workers import WorkerPool
+    from tests.fleet.helpers import small_profile
 
     with witness() as active:
-        shared = _LockedStore(MemoryStore())
-        shared.has_enrollment("dev")
-        assert "fleet.store" in active._locks_created
+        pool = WorkerPool(1, config=small_profile(b"fw").config)
+        pool.close()
+        assert "fleet.worker_pool" in active._locks_created
         assert active.violations == []

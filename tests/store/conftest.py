@@ -1,8 +1,7 @@
 """Store tests run under the runtime lock-order witness.
 
-The shared-store path (``_LockedStore`` wrapping a JSONL/SQLite
-backend) is where a lock-order inversion would deadlock a sharded
-round; witnessing every store test keeps the discipline honest.
+Any product lock a store path takes is checked for order inversions
+and blocking calls while held, which would deadlock or convoy a round.
 """
 
 import pytest
