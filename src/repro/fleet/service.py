@@ -288,7 +288,8 @@ class FleetVerifier(BaseVerifier):
         return report
 
     def _commit_batch(self, reports: List[VerificationReport],
-                      part: Optional[FleetHealth] = None
+                      part: Optional[FleetHealth] = None,
+                      done: Optional[List[VerificationReport]] = None
                       ) -> List[VerificationReport]:
         """Journal, advance, aggregate and observe, report by report.
 
@@ -296,29 +297,45 @@ class FleetVerifier(BaseVerifier):
         store's write-ahead invariant holds: a crash between the two
         writes replays the report (which re-derives the advance) rather
         than leaving an advanced ``last_seen`` with no report behind it.
-        Reports judged here are recorded into :attr:`health` one by one;
-        a process worker's batch instead brings its own exact
+        Without a ``part`` each report is recorded into :attr:`health`;
+        a round's verify step instead brings the batch's exact
         :class:`FleetHealth` ``part``, merged once after the batch.
-        Sinks are fed by the caller: a round emits in device order.
+        Each committed report is appended to ``done`` as it commits, so
+        a store failure mid-batch still leaves the caller (and
+        :attr:`health`) exactly the reports already journaled.  Sinks are fed by the caller: a round emits
+        in device order.
         """
         store = self.store
         record = self.health.record if part is None else None
         obs = self.obs
         obs_enabled = obs.enabled
-        for report in reports:
-            if store is not None:
-                store.append_report(report)
-            self._advance_bookkeeping(report)
-            if record is not None:
-                record(report)
-            if obs_enabled:
-                obs.report_committed(report)
+        count = 0
+        try:
+            for report in reports:
+                if store is not None:
+                    store.append_report(report)
+                self._advance_bookkeeping(report)
+                if record is not None:
+                    record(report)
+                if obs_enabled:
+                    obs.report_committed(report)
+                if done is not None:
+                    done.append(report)
+                count += 1
+        except BaseException:
+            # Keep health in step with the journal: the part covers the
+            # whole batch, so fold in only the reports committed.
+            if part is not None:
+                for report in reports[:count]:
+                    self.health.record(report)
+            raise
         if part is not None:
             self.health.merge(part)
         return reports
 
     def apply_worker_batch(self, report_rows: Iterable[Mapping[str, object]],
-                           health_row: Mapping[str, object]
+                           health_row: Mapping[str, object],
+                           done: Optional[List[VerificationReport]] = None
                            ) -> List[VerificationReport]:
         """Commit one process-worker task's results, in row order.
 
@@ -327,10 +344,11 @@ class FleetVerifier(BaseVerifier):
         task's :class:`FleetHealth` part
         folds in through :meth:`FleetHealth.merge` — the exact-Fraction
         accumulator, so the merged aggregate is byte-identical to
-        recording every report here.
+        recording every report here.  ``done`` is as for
+        :meth:`_commit_batch`.
         """
         reports = [VerificationReport.from_row(row) for row in report_rows]
-        self._commit_batch(reports, FleetHealth.from_row(health_row))
+        self._commit_batch(reports, FleetHealth.from_row(health_row), done)
         return reports
 
     def checkpoint(self) -> None:
@@ -606,8 +624,12 @@ class FleetVerifier(BaseVerifier):
                         current = None
                         _keep_window_full()
                         self._count_batch(stats, shard, received)
-                        for position, report in zip(positions, commit()):
-                            committed[position] = report
+                        done: List[VerificationReport] = []
+                        try:
+                            commit(done)
+                        finally:
+                            for position, report in zip(positions, done):
+                                committed[position] = report
                         _emit_committed()
                     if round_span is not None:
                         round_span.attrs["reports"] = devices
@@ -654,7 +676,10 @@ class FleetVerifier(BaseVerifier):
         """Verify step: judge a settled shard here, between awaits.
 
         Returns the responses the shard counts as received and the
-        commit to run in shard order.
+        commit to run in shard order, called with the list its
+        committed reports are appended to.  Like a worker task, the shard
+        aggregates into its own :class:`FleetHealth` part, which the
+        commit merges.
         """
         verify = self._verify_payload
         obs = self.obs
@@ -676,8 +701,11 @@ class FleetVerifier(BaseVerifier):
             shard_reports = [verify(device_id, responses.get(device_id),
                                     shard_time)
                              for device_id in shard]
+        part = FleetHealth()
+        for report in shard_reports:
+            part.record(report)
         return responses, functools.partial(self._commit_batch,
-                                            shard_reports)
+                                            shard_reports, part)
 
     async def _verify_in_worker(self, pool: WorkerPool, partition: int,
                                 shard: List[str],
@@ -708,11 +736,12 @@ class FleetVerifier(BaseVerifier):
                 status=DeviceStatus.NO_DATA,
                 anomalies=["shard worker crashed; response discarded"])
                 for device_id in shard]
-            return {}, functools.partial(self._commit_batch, lost)
+            return {}, functools.partial(self._commit_batch, lost, None)
         rows, health_row, timings = decode_result(body)
 
-        def _commit() -> List[VerificationReport]:
-            committed = self.apply_worker_batch(rows, health_row)
+        def _commit(done: List[VerificationReport]
+                    ) -> List[VerificationReport]:
+            committed = self.apply_worker_batch(rows, health_row, done)
             if timings is not None:
                 observe = obs.verify_observer(str(partition)).observe
                 for timing in timings:

@@ -18,6 +18,7 @@ from repro.fleet import (
 from repro.obs import Observability
 from repro.sim.engine import SimulationEngine
 from repro.store import MemoryStore
+from repro.store.base import StoreError
 from tests.fleet.helpers import health_bytes, oracle_report, report_key
 from tests.fleet.helpers import small_profile as _small_profile
 
@@ -329,6 +330,46 @@ def test_failed_sharded_round_emits_every_committed_report(worker_mode):
             # Shards 0, 2 and 3 finish; shard 1 commits its first batch.
             assert committed == 33
         assert [report.device_id for report in sink.reports] == journaled
+    finally:
+        fleet.close()
+
+
+class _FailOnNthAppendStore(MemoryStore):
+    """A store whose ``fail_on``-th ``append_report`` raises."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+        self.appends = 0
+
+    def append_report(self, report):
+        self.appends += 1
+        if self.appends == self.fail_on:
+            raise StoreError("disk full")
+        super().append_report(report)
+
+
+@pytest.mark.parametrize("shards,worker_mode", [
+    (None, "loop"), (3, "loop"), (3, "process")])
+def test_store_failure_mid_batch_emits_the_reports_it_journaled(
+        shards, worker_mode):
+    """A store that fails partway through a batch must not strand the
+    batch's reports already journaled: they reach the sinks, in device
+    order, before the failure propagates, and health counts them."""
+    sink = MemorySink()
+    store = _FailOnNthAppendStore(fail_on=7)
+    fleet = Fleet.provision(small_profile(), 12, master_secret=b"master",
+                            shards=shards, worker_mode=worker_mode,
+                            sinks=(sink,), store=store)
+    try:
+        fleet.run_until(60.0)
+        with pytest.raises(StoreError, match="disk full"):
+            fleet.collect_all(batch_size=4)
+        journaled = [device_id for device_id in fleet.device_ids()
+                     if store.device_history(device_id)]
+        assert len(journaled) >= 6  # the 7th append fails mid-batch
+        assert [report.device_id for report in sink.reports] == journaled
+        assert fleet.health.reports_total == len(journaled)
     finally:
         fleet.close()
 
