@@ -63,18 +63,18 @@ class PartitionInjector(Transport):
         self.dropped_exchanges = 0
         self._cut_cache: Dict[str, bool] = {}
 
-    # -- passthrough attributes the collection stack introspects -------
+    # -- passthrough attributes the collection stack reads -------------
     @property
     def name(self) -> str:  # type: ignore[override]
-        return f"partitioned({getattr(self.inner, 'name', 'transport')})"
+        return f"partitioned({self.inner.name})"
 
     @property
-    def engine(self):
-        return getattr(self.inner, "engine", None)
+    def engine(self):  # type: ignore[override]
+        return self.inner.engine
 
     @property
-    def stale_responses_rejected(self) -> int:
-        return getattr(self.inner, "stale_responses_rejected", 0)
+    def stale_responses_rejected(self) -> int:  # type: ignore[override]
+        return self.inner.stale_responses_rejected
 
     # -- the fault ------------------------------------------------------
     def is_cut(self, device_id: str) -> bool:
@@ -93,31 +93,42 @@ class PartitionInjector(Transport):
             time = engine.now if engine is not None else 0.0
         return any(start <= time < end for start, end in self.windows)
 
-    def _drops(self, device_id: str) -> bool:
-        return self.partition_active() and self.is_cut(device_id)
-
     # -- Transport contract --------------------------------------------
     def register(self, device: ProvisionedDevice) -> None:
         self.inner.register(device)
 
     def exchange(self, device_id: str, payload: bytes) -> Optional[bytes]:
-        if self._drops(device_id):
-            self.dropped_exchanges += 1
-            return None
-        return self.inner.exchange(device_id, payload)
+        return self.exchange_many({device_id: payload})[device_id]
+
+    def _cut(self, requests: Mapping[str, bytes]) -> Dict[str, bytes]:
+        """The requests the partition lets through; counts the rest."""
+        active = self.partition_active()
+        passed = {device_id: payload
+                  for device_id, payload in requests.items()
+                  if not (active and self.is_cut(device_id))}
+        self.dropped_exchanges += len(requests) - len(passed)
+        return passed
+
+    @staticmethod
+    def _merge(requests, responses) -> Dict[str, Optional[bytes]]:
+        """One answer per request: a cut device's is ``None``."""
+        return {device_id: responses.get(device_id)
+                for device_id in requests}
 
     def exchange_many(self, requests: Mapping[str, bytes]
                       ) -> Dict[str, Optional[bytes]]:
-        passed = {device_id: payload
-                  for device_id, payload in requests.items()
-                  if not self._drops(device_id)}
-        dropped = [device_id for device_id in requests
-                   if device_id not in passed]
-        self.dropped_exchanges += len(dropped)
-        responses: Dict[str, Optional[bytes]] = \
-            self.inner.exchange_many(passed) if passed else {}
-        return {device_id: responses.get(device_id)
-                for device_id in requests}
+        passed = self._cut(requests)
+        return self._merge(
+            requests, self.inner.exchange_many(passed) if passed else {})
+
+    async def exchange_many_async(self, requests: Mapping[str, bytes]
+                                  ) -> Dict[str, Optional[bytes]]:
+        # Forward to the inner transport's own awaitable exchange, so a
+        # network whose rounds overlap keeps overlapping when wrapped.
+        passed = self._cut(requests)
+        return self._merge(
+            requests,
+            await self.inner.exchange_many_async(passed) if passed else {})
 
 
 class CrashOnceStore(StateStore):

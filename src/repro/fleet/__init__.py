@@ -7,11 +7,11 @@ attestation as a many-device service rather than a pairwise exchange:
 * :mod:`repro.fleet.profiles` — :class:`DeviceProfile`: one-call
   provisioning of SMART+ / HYDRA devices (key, firmware, schedule,
   MAC, crypto backend);
-* :mod:`repro.fleet.transport` — :class:`Transport` implementations
-  (in-process, simulated packet network, swarm relay tree) that all
-  speak the canonical wire encoding, plus the awaitable
-  :class:`AsyncTransport` seam (:func:`as_async_transport`) the
-  collection pipeline drives;
+* :mod:`repro.fleet.transport` — :class:`Transport`, the one seam the
+  collection pipeline drives (its awaitable ``exchange_many_async``),
+  and its implementations (in-process, simulated packet network, swarm
+  relay tree, loopback sockets), which all speak the canonical wire
+  encoding;
 * :mod:`repro.fleet.service` — :class:`FleetVerifier` (an async-first
   ``collect_all`` pipeline over the stateless verification core, with
   the synchronous call kept as a thin shim), the
@@ -71,20 +71,16 @@ from repro.fleet.sinks import (
     report_to_row,
 )
 from repro.fleet.transport import (
-    AsyncTransport,
     InProcessTransport,
     SimulatedNetworkTransport,
     SocketTransport,
     SwarmRelayTransport,
-    SyncTransportAdapter,
     Transport,
-    as_async_transport,
     serve_request,
 )
 from repro.fleet.workers import WorkerCrashed, WorkerError, WorkerPool
 
 __all__ = [
-    "AsyncTransport",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_MAX_INFLIGHT_SHARDS",
     "DeviceProfile",
@@ -107,13 +103,11 @@ __all__ = [
     "SinkFanout",
     "SocketTransport",
     "SwarmRelayTransport",
-    "SyncTransportAdapter",
     "TRANSPORT_FACTORIES",
     "Transport",
     "WorkerCrashed",
     "WorkerError",
     "WorkerPool",
-    "as_async_transport",
     "derive_device_key",
     "report_to_row",
     "serve_request",

@@ -53,7 +53,6 @@ from repro.fleet.transport import (
     SocketTransport,
     SwarmRelayTransport,
     Transport,
-    as_async_transport,
 )
 from repro.fleet.workers import WorkerCrashed, WorkerPool, decode_result
 from repro.sim.engine import SimulationEngine
@@ -392,12 +391,12 @@ class FleetVerifier(BaseVerifier):
     # ------------------------------------------------------------------
     # Batched collection rounds
     # ------------------------------------------------------------------
-    def _round_prologue(self, transport, collection_time, device_ids,
-                        batch_size, k):
+    def _round_prologue(self, transport: Transport, collection_time,
+                        device_ids, batch_size, k):
         """Validate a round and build its device list and request."""
         if batch_size <= 0:
             raise ValueError("batch size must be positive")
-        engine = getattr(transport, "engine", None)
+        engine = transport.engine
         if collection_time is None and engine is None:
             raise ValueError(
                 "collection_time is required for transports without an "
@@ -410,15 +409,14 @@ class FleetVerifier(BaseVerifier):
         return engine, ids, request_bytes
 
     def _finish_round(self, reports: RoundReports, stats: RoundStats,
-                      transport, stale_before: int, started: float,
-                      checkpoint: bool) -> RoundReports:
+                      transport: Transport, stale_before: int,
+                      started: float, checkpoint: bool) -> RoundReports:
         """Stamp the round's stats and fold state into a checkpoint."""
         ended = _time.perf_counter()
         stats.wall_start = started
         stats.wall_end = ended
-        stats.wall_seconds = ended - started
         stats.stale_responses_rejected = \
-            getattr(transport, "stale_responses_rejected", 0) - stale_before
+            transport.stale_responses_rejected - stale_before
         reports.stats = stats
         self.rounds_completed += 1
         self.health.record_round(stats)
@@ -474,7 +472,7 @@ class FleetVerifier(BaseVerifier):
         stats.responses_received += received
         stats.responses_lost += len(batch) - received
 
-    async def collect_all_async(self, transport,
+    async def collect_all_async(self, transport: Transport,
                                 collection_time: Optional[float] = None,
                                 k: Optional[int] = None,
                                 device_ids: Optional[Iterable[str]] = None,
@@ -486,8 +484,7 @@ class FleetVerifier(BaseVerifier):
 
         The round is cut into shards of ``batch_size`` devices; up to
         ``max_inflight_shards`` shards are in flight at once, each
-        exchanging over the awaitable transport seam
-        (:func:`~repro.fleet.transport.as_async_transport`) and
+        exchanging through :meth:`Transport.exchange_many_async` and
         verifying its payloads — through the precompiled per-device
         judges, inline between awaits — as soon as *its* exchange
         settles, while later shards' packets are still on the wire.
@@ -497,12 +494,9 @@ class FleetVerifier(BaseVerifier):
 
         On an engine-clock transport each shard's ``collection_time``
         is the engine clock at *its* settlement, so overlapping shards
-        are stamped as fresh as their own exchange.
-
-        ``transport`` may be a synchronous :class:`Transport` (adapted
-        automatically), an :class:`AsyncTransport`, or anything exposing
-        a native ``exchange_many_async`` such as the simulated network —
-        whose rounds then genuinely overlap in virtual time.
+        are stamped as fresh as their own exchange.  On a transport
+        whose exchange is natively awaitable, such as the simulated
+        network, the shards genuinely overlap in virtual time.
         """
         return await self._run_round(transport, collection_time, k,
                                      device_ids, batch_size, checkpoint,
@@ -512,7 +506,7 @@ class FleetVerifier(BaseVerifier):
         """The synced worker pool a round verifies in; ``None`` = inline."""
         return None
 
-    async def _run_round(self, transport,
+    async def _run_round(self, transport: Transport,
                          collection_time: Optional[float],
                          k: Optional[int],
                          device_ids: Optional[Iterable[str]],
@@ -540,10 +534,9 @@ class FleetVerifier(BaseVerifier):
         """
         if max_inflight_shards <= 0:
             raise ValueError("max_inflight_shards must be positive")
-        atransport = as_async_transport(transport)
         engine, ids, request_bytes = self._round_prologue(
-            atransport, collection_time, device_ids, batch_size, k)
-        stale_before = getattr(atransport, "stale_responses_rejected", 0)
+            transport, collection_time, device_ids, batch_size, k)
+        stale_before = transport.stale_responses_rejected
         started = _time.perf_counter()
         pool = await self._round_pool()
         verify = self._verify_inline if pool is None else \
@@ -583,7 +576,7 @@ class FleetVerifier(BaseVerifier):
                                        devices=len(shard)) \
                 if obs_enabled else nullcontext()
             with shard_cm as shard_span:
-                responses = await atransport.exchange_many(
+                responses = await transport.exchange_many_async(
                     {device_id: request_bytes for device_id in shard})
                 shard_time = collection_time \
                     if collection_time is not None else engine.now
@@ -667,7 +660,7 @@ class FleetVerifier(BaseVerifier):
         finally:
             if obs_enabled:
                 obs.rounds_inflight.dec()
-        return self._finish_round(reports, stats, atransport, stale_before,
+        return self._finish_round(reports, stats, transport, stale_before,
                                   started, checkpoint)
 
     async def _verify_inline(self, partition: int, shard: List[str],

@@ -42,8 +42,8 @@ class RoundStats:
     (``time.perf_counter``) bracketing the round, stamped by the
     verifier that ran it, so overlapping rounds can be ordered and
     intersected after the fact.  Monotonic stamps are only comparable
-    within one process — they order and measure, they do not date.
-    ``wall_seconds == wall_end - wall_start``.
+    within one process — they order and measure, they do not date;
+    :attr:`wall_seconds` is derived from them.
     """
 
     requests_sent: int = 0
@@ -51,9 +51,13 @@ class RoundStats:
     responses_lost: int = 0
     stale_responses_rejected: int = 0
     shards: int = 0
-    wall_seconds: float = 0.0
     wall_start: float = 0.0
     wall_end: float = 0.0
+
+    @property
+    def wall_seconds(self) -> float:
+        """Wall-clock duration of the round."""
+        return self.wall_end - self.wall_start
 
     @property
     def devices_per_second(self) -> float:

@@ -18,20 +18,16 @@ Every transport speaks the canonical wire encoding from
   exercises genuine kernel I/O rather than an in-process call.
 
 The contract is deliberately tiny: ``register`` a provisioned device,
-then ``exchange_many`` a batch of encoded requests for encoded
-responses (``None`` marks a device that never answered — lost packets,
+then exchange a batch of encoded requests for encoded responses
+(``None`` marks a device that never answered — lost packets,
 partitions, or a dead device).
 
-Collection is async-first: the awaitable :class:`AsyncTransport`
-contract is what :meth:`repro.fleet.FleetVerifier.collect_all_async`
-drives, so wire exchange for one shard can overlap verification of
-another.  Synchronous transports keep working unchanged behind
-:class:`SyncTransportAdapter`; the simulated network additionally
-offers a *native* awaitable exchange whose delivery is event-driven
-(per-round packet-settlement accounting), so any number of collection
-rounds can be in flight over one simulated network at once, each
-overlapping simulation progress.  :func:`as_async_transport` picks the
-best available view automatically.
+:class:`Transport` is the only seam.  Collection rounds await its
+:meth:`~Transport.exchange_many_async`, whose default runs the
+synchronous ``exchange_many`` inline; the simulated network and the
+socket transport override it with a native awaitable exchange, so any
+number of collection rounds can be in flight over one transport at
+once, each overlapping simulation progress or socket I/O.
 """
 
 from __future__ import annotations
@@ -80,6 +76,14 @@ class Transport(abc.ABC):
     #: Short name used in experiment tables and traces.
     name = "abstract"
 
+    #: Engine whose clock stamps collection times (``None`` when the
+    #: transport has no virtual clock).
+    engine: Optional[SimulationEngine] = None
+
+    #: Responses that arrived after their round had finished, rejected
+    #: rather than misattributed (stays 0 where none can straggle in).
+    stale_responses_rejected = 0
+
     @abc.abstractmethod
     def register(self, device: ProvisionedDevice) -> None:
         """Attach one provisioned device to this transport."""
@@ -99,102 +103,18 @@ class Transport(abc.ABC):
         return {device_id: self.exchange(device_id, payload)
                 for device_id, payload in requests.items()}
 
+    async def exchange_many_async(self, requests: Mapping[str, bytes]
+                                  ) -> Dict[str, Optional[bytes]]:
+        """Awaitable exchange: the seam every collection round awaits.
 
-class AsyncTransport(abc.ABC):
-    """Awaitable request/response channel: the collection pipeline seam.
-
-    The contract mirrors :class:`Transport` with an ``async``
-    ``exchange_many``: awaiting it yields control while responses are
-    outstanding, so a collection pipeline can verify one shard while
-    another shard's packets are still on the wire.  Synchronous
-    transports are adapted with :class:`SyncTransportAdapter`; use
-    :func:`as_async_transport` rather than wrapping by hand.
-    """
-
-    #: Short name used in experiment tables and traces.
-    name = "abstract-async"
-
-    #: Engine whose clock stamps collection times (``None`` when the
-    #: transport has no virtual clock).
-    engine: Optional[SimulationEngine] = None
-
-    @abc.abstractmethod
-    def register(self, device: ProvisionedDevice) -> None:
-        """Attach one provisioned device to this transport."""
-
-    @abc.abstractmethod
-    async def exchange_many(self, requests: Mapping[str, bytes]
-                            ) -> Dict[str, Optional[bytes]]:
-        """Exchange a batch of requests; resolve when the round settles."""
-
-    async def exchange(self, device_id: str, payload: bytes
-                       ) -> Optional[bytes]:
-        """Send one encoded request; return the encoded response or ``None``."""
-        responses = await self.exchange_many({device_id: payload})
-        return responses[device_id]
-
-
-class SyncTransportAdapter(AsyncTransport):
-    """Awaitable view over a synchronous transport.
-
-    The wrapped exchange runs inline on the event loop: synchronous
-    transports either answer immediately (in-process) or drive a
-    single-threaded engine that must not be stepped from two places at
-    once, so handing them to a worker thread would be unsound, not
-    faster.  Overlap across shards comes from transports with native
-    awaitable exchanges (see
-    :meth:`SimulatedNetworkTransport.exchange_many_async`).
-
-    Duck-typed on purpose: anything with ``register`` / ``exchange_many``
-    (e.g. test doubles) adapts, matching what the synchronous
-    ``collect_all`` accepted historically.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return getattr(self.inner, "name", "sync")
-
-    @property
-    def engine(self):  # type: ignore[override]
-        return getattr(self.inner, "engine", None)
-
-    @property
-    def stale_responses_rejected(self) -> int:
-        """Stale-response counter of the wrapped transport (0 if none)."""
-        return getattr(self.inner, "stale_responses_rejected", 0)
-
-    def register(self, device: ProvisionedDevice) -> None:
-        self.inner.register(device)
-
-    async def exchange_many(self, requests: Mapping[str, bytes]
-                            ) -> Dict[str, Optional[bytes]]:
-        return self.inner.exchange_many(requests)
-
-
-class _NativeAsyncAdapter(SyncTransportAdapter):
-    """Awaitable view bound to a transport's native async exchange."""
-
-    async def exchange_many(self, requests: Mapping[str, bytes]
-                            ) -> Dict[str, Optional[bytes]]:
-        return await self.inner.exchange_many_async(requests)
-
-
-def as_async_transport(transport) -> AsyncTransport:
-    """The awaitable view of any transport.
-
-    Already-async transports pass through; transports exposing a native
-    ``exchange_many_async`` (the simulated network) get an adapter bound
-    to it; plain synchronous transports get the inline
-    :class:`SyncTransportAdapter`.
-    """
-    if isinstance(transport, AsyncTransport):
-        return transport
-    if callable(getattr(transport, "exchange_many_async", None)):
-        return _NativeAsyncAdapter(transport)
-    return SyncTransportAdapter(transport)
+        The default runs :meth:`exchange_many` inline on the event loop:
+        a synchronous transport either answers at once (in-process) or
+        drives a single-threaded engine that must not be stepped from
+        two places at once, so a worker thread would be unsound, not
+        faster.  Transports with real in-flight concurrency override
+        this to yield while their responses are outstanding.
+        """
+        return self.exchange_many(requests)
 
 
 class InProcessTransport(Transport):
@@ -779,9 +699,9 @@ class SocketTransport(Transport):
     how constrained deployments page large attestation histories.
 
     All sockets live on one background event loop in a daemon thread:
-    ``exchange_many`` calls from any thread (or shard coroutine, via
-    :func:`as_async_transport` binding to :meth:`exchange_many_async`)
-    are marshalled onto that loop, so concurrent collection rounds
+    ``exchange_many`` calls from any thread (and
+    :meth:`exchange_many_async` calls from any shard coroutine) are
+    marshalled onto that loop, so concurrent collection rounds
     interleave their datagrams on the same endpoints without locking.
     Responses are correlated by a per-request id; an answer arriving
     after its round timed out is counted in

@@ -4,7 +4,12 @@ import pytest
 
 from repro.campaign import CrashOnceStore, PartitionInjector
 from repro.core.verification import DeviceStatus
-from repro.fleet import Fleet, FleetVerifier, InProcessTransport
+from repro.fleet import (
+    Fleet,
+    FleetVerifier,
+    InProcessTransport,
+    SimulatedNetworkTransport,
+)
 from repro.sim import SimulationEngine
 from repro.store import MemoryStore, StoreError
 from tests.fleet.helpers import small_profile
@@ -60,6 +65,51 @@ class TestPartitionInjector:
         wrapped = PartitionInjector(inner, windows=[(0.0, 1.0)])
         assert wrapped.engine is engine
         assert "in-process" in wrapped.name
+
+    @staticmethod
+    def round_over_network(wrap):
+        """A 64-device round over a simulated network, maybe wrapped."""
+        engine = SimulationEngine()
+        inner = SimulatedNetworkTransport(engine, latency=0.05)
+        transport = wrap(inner)
+        fleet = provision(count=64, engine=engine, transport=transport)
+        fleet.run_until(600.0)
+        reports = fleet.collect_all(batch_size=8, max_inflight_shards=4)
+        rows = [(r.device_id, r.status, r.collection_time, r.verdicts)
+                for r in reports]
+        return fleet, transport, reports, rows, engine.now
+
+    def test_inactive_window_leaves_the_round_unchanged(self):
+        """Wrapped, the network keeps its overlapping async rounds."""
+        _, _, _, twin_rows, twin_now = self.round_over_network(
+            lambda inner: inner)
+        _, transport, _, rows, now = self.round_over_network(
+            lambda inner: PartitionInjector(inner, [(1e9, 2e9)]))
+        assert rows == twin_rows
+        assert now == twin_now
+        assert transport.dropped_exchanges == 0
+
+    def test_active_window_cuts_devices_before_the_network(self):
+        seen = set()
+
+        def wrap(inner):
+            exchange = inner.exchange_many_async
+
+            async def recording(requests):
+                seen.update(requests)
+                return await exchange(requests)
+
+            inner.exchange_many_async = recording
+            return PartitionInjector(inner, [(0.0, 1e9)], fraction=0.5)
+
+        fleet, transport, reports, _, _ = self.round_over_network(wrap)
+        cut = {d for d in fleet.device_ids() if transport.is_cut(d)}
+        assert cut and cut < set(fleet.device_ids())
+        assert {r.device_id for r in reports
+                if r.status is DeviceStatus.NO_DATA} == cut
+        assert transport.dropped_exchanges == \
+            reports.stats.responses_lost == len(cut)
+        assert seen == set(fleet.device_ids()) - cut
 
     def test_invalid_parameters_rejected(self):
         inner = InProcessTransport(SimulationEngine())

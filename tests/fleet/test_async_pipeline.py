@@ -9,13 +9,10 @@ import pytest
 from repro.core import DeviceStatus
 from repro.core.protocol import OnDemandResponse
 from repro.fleet import (
-    AsyncTransport,
     Fleet,
-    InProcessTransport,
     JsonlSink,
     SimulatedNetworkTransport,
-    SyncTransportAdapter,
-    as_async_transport,
+    Transport,
 )
 from repro.sim import SimulationEngine
 from tests.fleet.helpers import oracle_report, oracle_round, report_key
@@ -37,49 +34,50 @@ def provision_fleet(count=12, **kwargs) -> Fleet:
 
 
 # ----------------------------------------------------------------------
-# Transport adaptation
+# The transport seam
 # ----------------------------------------------------------------------
 
-def test_sync_adapter_wraps_in_process_transport():
-    fleet = provision_fleet(3)
-    adapted = as_async_transport(fleet.transport)
-    assert isinstance(adapted, SyncTransportAdapter)
-    assert adapted.name == fleet.transport.name
-    assert adapted.engine is fleet.engine
-    request = fleet.verifier.create_collect_request().encode()
-    responses = asyncio.run(adapted.exchange_many(
-        {device_id: request for device_id in fleet.device_ids()}))
-    assert all(payload is not None for payload in responses.values())
+@pytest.mark.parametrize("name", ["in-process", "simulated-network",
+                                  "swarm-relay", "socket"])
+def test_rounds_exchange_through_the_async_seam(name, monkeypatch):
+    """Every round matches the oracle on every transport; the network
+    transports answer through ``exchange_many_async`` alone."""
+    fleet = provision_fleet(10, transport=name)
+    transport = fleet.transport
+    expected = {}
+    exchange = transport.exchange_many_async
 
+    async def oracle_exchange(requests):
+        responses = await exchange(requests)
+        for device_id, payload in responses.items():
+            expected[device_id] = oracle_report(fleet.verifier, device_id,
+                                                payload, fleet.now)
+        return responses
 
-def test_as_async_transport_passes_async_through():
-    class _Null(AsyncTransport):
-        def register(self, device):
-            pass
+    def blocking_exchange(requests):
+        raise AssertionError("the round took the blocking exchange")
 
-        async def exchange_many(self, requests):
-            return {device_id: None for device_id in requests}
-
-    transport = _Null()
-    assert as_async_transport(transport) is transport
-
-
-def test_as_async_transport_prefers_native_async():
-    engine = SimulationEngine()
-    transport = SimulatedNetworkTransport(engine)
-    adapted = as_async_transport(transport)
-    # Bound to exchange_many_async, not the blocking sync drive.
-    assert type(adapted).__name__ == "_NativeAsyncAdapter"
-    assert adapted.engine is engine
-    assert adapted.stale_responses_rejected == 0
-
-
-def test_async_single_exchange_helper():
-    fleet = provision_fleet(1)
-    adapted = as_async_transport(fleet.transport)
-    request = fleet.verifier.create_collect_request().encode()
-    payload = asyncio.run(adapted.exchange("dev-0000", request))
-    assert payload is not None
+    monkeypatch.setattr(transport, "exchange_many_async", oracle_exchange)
+    if name != "in-process":
+        monkeypatch.setattr(transport, "exchange_many", blocking_exchange)
+    try:
+        for infected in (False, True):
+            if infected:
+                fleet.device("dev-0003").load_application(MALWARE)
+                fleet.run_until(120.0)
+            expected.clear()
+            reports = fleet.collect_all(batch_size=3)
+            assert [r.device_id for r in reports] == fleet.device_ids()
+            assert [(report_key(r), r.collection_time, r.verdicts)
+                    for r in reports] == \
+                [(report_key(r), r.collection_time, r.verdicts)
+                 for r in map(expected.get, fleet.device_ids())]
+            assert reports.stats.responses_lost == 0
+        assert fleet.health.flagged_devices == {"dev-0003"}
+    finally:
+        fleet.close()
+        if name == "socket":
+            transport.close()
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +411,7 @@ def test_external_cancellation_does_not_orphan_worker_shard_tasks():
     cancel_mid_round("process")
 
 
-class _FailingTransport:
+class _FailingTransport(Transport):
     """Delegates to a transport; its ``fail_on``-th exchange raises."""
 
     name = "failing"
@@ -429,6 +427,9 @@ class _FailingTransport:
 
     def register(self, device):
         self.inner.register(device)
+
+    def exchange(self, device_id, payload):
+        return self.exchange_many({device_id: payload})[device_id]
 
     def exchange_many(self, requests):
         self.calls += 1

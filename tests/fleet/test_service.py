@@ -13,6 +13,7 @@ from repro.fleet import (
     FleetHealthSink,
     JsonlSink,
     MemorySink,
+    Transport,
 )
 
 FIRMWARE = b"service-test-firmware"
@@ -248,11 +249,10 @@ def test_profile_factories_reject_config_plus_overrides():
         DeviceProfile.hydra(config=config, buffer_slots=4)
 
 
-class _ExplodingTransport:
+class _ExplodingTransport(Transport):
     """A transport that fails after serving its first batch."""
 
     name = "exploding"
-    engine = None
 
     def __init__(self, inner, explode_after: int):
         self._inner = inner
@@ -261,6 +261,9 @@ class _ExplodingTransport:
 
     def register(self, device):
         self._inner.register(device)
+
+    def exchange(self, device_id, payload):
+        return self.exchange_many({device_id: payload})[device_id]
 
     def exchange_many(self, requests):
         self._exchanges += 1

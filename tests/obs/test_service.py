@@ -33,7 +33,7 @@ def test_round_finished_folds_stats():
     obs.round_finished(RoundStats(requests_sent=10, responses_received=8,
                                   responses_lost=2,
                                   stale_responses_rejected=1,
-                                  wall_seconds=0.5))
+                                  wall_end=0.5))
     assert obs.rounds_total.value() == 1
     assert obs.requests_sent_total.value() == 10
     assert obs.responses_lost_total.value() == 2
@@ -248,7 +248,7 @@ def test_remote_write_round_trip_through_the_service():
     exporter = obs.remote_write("http://unused.invalid/w",
                                 post=posted.append)
     obs.round_finished(RoundStats(requests_sent=3, responses_lost=1,
-                                  wall_seconds=0.25))
+                                  wall_end=0.25))
     assert exporter.flush(5.0)
     (payload,) = posted
     assert payload["round"] == 1
