@@ -8,11 +8,14 @@ This package implements the paper's primary contribution:
   kept in the prover's insecure memory (Section 3.2);
 * :mod:`repro.core.scheduler` — regular, CSPRNG-irregular (Section 3.5)
   and lenient (Section 5) measurement scheduling;
-* :mod:`repro.core.prover` / :mod:`repro.core.verifier` — the two
-  protocol roles, including the collection protocol (Figure 2), the
-  ERASMUS+OD variant (Figure 4) and measurement-history verification;
-* :mod:`repro.core.ondemand` — the on-demand attestation baseline
-  (SMART+-style) that ERASMUS is compared against;
+* :mod:`repro.core.prover` — the prover role: self-measurement, the
+  collection protocol (Figure 2) and the ERASMUS+OD variant (Figure 4);
+  an ERASMUS+OD request with ``k=0`` is the pure on-demand
+  (SMART+-style) baseline ERASMUS is compared against;
+* :mod:`repro.core.verification` — the stateless verifier checks:
+  :class:`VerificationCore` judges measurement histories and
+  ERASMUS+OD responses; the stateful verifier is
+  :class:`repro.fleet.FleetVerifier`;
 * :mod:`repro.core.qoa` — the Quality of Attestation metric
   (Section 3.1);
 * :mod:`repro.core.config` — configuration dataclasses.
@@ -20,7 +23,6 @@ This package implements the paper's primary contribution:
 
 from repro.core.config import ErasmusConfig, ScheduleKind
 from repro.core.measurement import Measurement, MeasurementDecodeError
-from repro.core.ondemand import OnDemandProver, OnDemandVerifier
 from repro.core.protocol import (
     CollectRequest,
     CollectResponse,
@@ -41,7 +43,6 @@ from repro.core.scheduler import (
 )
 from repro.core.storage import MeasurementStore
 from repro.core.verification import (
-    BaseVerifier,
     DeviceStatus,
     DuplicateEnrollmentError,
     Enrollment,
@@ -49,10 +50,8 @@ from repro.core.verification import (
     VerificationCore,
     VerificationReport,
 )
-from repro.core.verifier import ErasmusVerifier
 
 __all__ = [
-    "BaseVerifier",
     "CollectRequest",
     "CollectResponse",
     "DeviceStatus",
@@ -60,7 +59,6 @@ __all__ = [
     "Enrollment",
     "ErasmusConfig",
     "ErasmusProver",
-    "ErasmusVerifier",
     "IrregularScheduler",
     "LenientScheduler",
     "Measurement",
@@ -68,10 +66,8 @@ __all__ = [
     "MeasurementScheduler",
     "MeasurementStore",
     "MeasurementVerdict",
-    "OnDemandProver",
     "OnDemandRequest",
     "OnDemandResponse",
-    "OnDemandVerifier",
     "ProtocolDecodeError",
     "QoA",
     "RegularScheduler",

@@ -1,12 +1,15 @@
 """Stateless measurement-history verification.
 
-This module is the policy-and-crypto half of the verifier role, split
-out so the same checks can back any enrollment store:
+This module is the policy-and-crypto half of the verifier role; the
+stateful half, enrollments and collection rounds, is
+:class:`repro.fleet.FleetVerifier`.  It holds one verdict path and
+its reference:
 
-* :class:`ErasmusVerifier` (:mod:`repro.core.verifier`) keeps the
-  original one-object API for single-device walkthroughs;
-* :class:`repro.fleet.FleetVerifier` runs the same core over thousands
-  of enrolled provers with batched collections.
+* :class:`DeviceJudge` judges every collection the verifier accepts,
+  in a round or through ``FleetVerifier.verify_collection``;
+* :meth:`VerificationCore.verify_measurements` is the reference oracle
+  the judge is tested against, and :meth:`VerificationCore.
+  verify_ondemand` the only judge of ERASMUS+OD (paper Fig. 4).
 
 :class:`VerificationCore` holds only deployment policy (the config, the
 schedule tolerance, the missing-measurement allowance) and the resolved
@@ -20,20 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.store.base import StateStore
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.arch.base import encode_timestamp
 from repro.core.config import ErasmusConfig
 from repro.core.measurement import Measurement
-from repro.core.protocol import (
-    CollectRequest,
-    CollectResponse,
-    OnDemandRequest,
-    OnDemandResponse,
-)
+from repro.core.protocol import OnDemandRequest, OnDemandResponse
 from repro.crypto.backend import resolve_backend
 from repro.crypto.mac import get_mac
 
@@ -374,9 +369,9 @@ class VerificationCore:
                             ) -> VerificationReport:
         """Verify one measurement history against the enrollment facts.
 
-        This is the pure core of ``verify_collection``: no internal
-        state is read or written, so callers own all bookkeeping (report
-        history, newest-seen timestamps).
+        The reference oracle :class:`DeviceJudge` reports are tested
+        against: no internal state is read or written, so callers own
+        all bookkeeping (report history, newest-seen timestamps).
         """
         report = VerificationReport(device_id=enrollment.device_id,
                                     collection_time=collection_time,
@@ -547,148 +542,3 @@ class DeviceJudge:
                 measurement.timestamp > horizon))
         return self.core._assess(report, enrollment, collection_time)
 
-
-class BaseVerifier:
-    """Shared enrollment store and bookkeeping for verifier front ends.
-
-    Both the legacy single-device :class:`repro.core.ErasmusVerifier`
-    and the fleet-scale :class:`repro.fleet.FleetVerifier` subclass
-    this: they keep :class:`Enrollment` records per device, advance the
-    newest-seen timestamp after every accepted report, and delegate all
-    judgement to the stateless :class:`VerificationCore`.
-
-    ``store`` is an optional :class:`repro.store.StateStore`: every
-    enrollment and every last-seen advance is written through to it, so
-    a store-backed verifier can be rebuilt after a restart (see
-    :meth:`repro.fleet.FleetVerifier.restore`).  ``None`` keeps the
-    historical dict-only behaviour.
-    """
-
-    def __init__(self, config: ErasmusConfig,
-                 schedule_tolerance: float = 0.25,
-                 allowed_missing: int = 0,
-                 store: Optional["StateStore"] = None) -> None:
-        self.config = config
-        self.core = VerificationCore(config,
-                                     schedule_tolerance=schedule_tolerance,
-                                     allowed_missing=allowed_missing)
-        self.store = store
-        self._enrollments: Dict[str, Enrollment] = {}
-        self._last_collection_time: Dict[str, float] = {}
-        # Bumped whenever a device's key or digest whitelist changes (not
-        # on last-seen advances); worker pools key their enrollment
-        # mirrors on this so re-syncs only happen when material changed.
-        self._enrollment_epoch = 0
-
-    # Policy attributes kept readable for existing callers/tests.
-    @property
-    def schedule_tolerance(self) -> float:
-        return self.core.schedule_tolerance
-
-    @property
-    def allowed_missing(self) -> int:
-        return self.core.allowed_missing
-
-    @property
-    def mac_algorithm(self):
-        return self.core.mac_algorithm
-
-    @property
-    def crypto_backend(self):
-        return self.core.crypto_backend
-
-    # ------------------------------------------------------------------
-    # Enrollment
-    # ------------------------------------------------------------------
-    def enroll(self, device_id: str, key: bytes,
-               healthy_digests: Iterable[bytes]) -> None:
-        """Register a prover: its shared key and its known-good states.
-
-        This is the low-level primitive: it *overwrites* any existing
-        enrollment (resetting ``last_seen`` and the digest whitelist),
-        including in the attached store.  Fleet deployments should use
-        :meth:`repro.fleet.FleetVerifier.enroll_device`, which guards
-        against accidental re-enrollment.
-        """
-        self._set_enrollment(Enrollment.create(device_id, key,
-                                               healthy_digests))
-
-    def _set_enrollment(self, enrollment: Enrollment) -> None:
-        """Install an enrollment and write it through to the store."""
-        previous = self._enrollments.get(enrollment.device_id)
-        key_changed = previous is not None and not \
-            self.crypto_backend.compare_digests(previous.key, enrollment.key)
-        if (previous is None or key_changed
-                # Whitelist *change detection* over public software-state
-                # digest sets, not an authentication decision:
-                # statics: ok(constant-time)
-                or previous.healthy_digests != enrollment.healthy_digests):
-            self._enrollment_epoch += 1
-        self._enrollments[enrollment.device_id] = enrollment
-        if self.store is not None:
-            self.store.save_enrollment(enrollment)
-
-    def is_enrolled(self, device_id: str) -> bool:
-        """True when the device has been enrolled."""
-        return device_id in self._enrollments
-
-    def healthy_digests(self, device_id: str) -> frozenset[bytes]:
-        """The whitelisted software states for one device."""
-        return self._enrollment_for(device_id).healthy_digests
-
-    def last_seen(self, device_id: str) -> Optional[float]:
-        """Newest measurement timestamp accepted from one device."""
-        return self._enrollment_for(device_id).last_seen
-
-    def add_healthy_digest(self, device_id: str, digest: bytes) -> None:
-        """Whitelist an additional software state (e.g. after an update)."""
-        self._set_enrollment(self._enrollment_for(device_id)
-                             .with_digest(digest))
-
-    def _enrollment_for(self, device_id: str) -> Enrollment:
-        try:
-            return self._enrollments[device_id]
-        except KeyError as exc:
-            raise KeyError(f"device {device_id!r} is not enrolled") from exc
-
-    # ------------------------------------------------------------------
-    # Requests and bookkeeping
-    # ------------------------------------------------------------------
-    def create_collect_request(self, k: Optional[int] = None) -> CollectRequest:
-        """Build a plain collection request (no authentication needed)."""
-        if k is None:
-            k = self.config.measurements_per_collection
-        return CollectRequest(k=k)
-
-    def verify_collection(self, device_id: str, response: CollectResponse,
-                          collection_time: float) -> VerificationReport:
-        """Verify a plain ERASMUS collection (Figure 2, verifier side)."""
-        enrollment = self._enrollment_for(device_id)
-        report = self.core.verify_measurements(
-            enrollment, list(response.measurements), collection_time,
-            expect_nonempty=True)
-        return self._commit(report)
-
-    def _commit(self, report: VerificationReport) -> VerificationReport:
-        """Accept a finished report; subclasses add their own recording."""
-        self._advance_bookkeeping(report)
-        return report
-
-    def _advance_bookkeeping(self, report: VerificationReport) -> None:
-        """Record the collection time and newest-seen timestamp.
-
-        Only collections that actually carried measurements advance the
-        per-device state — an empty or unanswered round proves nothing
-        about which records already reached the verifier.
-        """
-        if not report.measurement_count:
-            return
-        enrollment = self._enrollments[report.device_id]
-        advanced = self.core.advance_last_seen(report, enrollment.last_seen)
-        if advanced is not None:
-            self._set_enrollment(enrollment.advanced(advanced))
-        self._last_collection_time[report.device_id] = report.collection_time
-
-    def last_collection_time(self, device_id: str) -> Optional[float]:
-        """Time of the most recent collection that carried measurements."""
-        return self._last_collection_time.get(device_id)

@@ -38,9 +38,9 @@ Quickstart::
     reports = fleet.collect_all()
     print(fleet.health.summary())
 
-The legacy single-device entry points
-(:class:`repro.core.ErasmusProver` / :class:`repro.core.ErasmusVerifier`)
-keep working as thin shims over the same verification core.
+:class:`FleetVerifier` is the one stateful verifier, for one device or
+thousands: ``verify_collection`` judges a single hand-wired collection
+through the same per-device judge a round uses.
 """
 
 from repro.fleet.profiles import (

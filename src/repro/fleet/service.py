@@ -10,9 +10,9 @@ This is the canonical public API for running ERASMUS at fleet scale:
   from a :class:`DeviceProfile`, wire them to a transport and a shared
   simulation engine, and expose ``run_until`` / ``collect_all``.
 
-The verification itself is the stateless
-:class:`repro.core.verification.VerificationCore`, shared with the
-legacy single-device :class:`repro.core.ErasmusVerifier`.
+Every collection is judged by the device's precompiled
+:class:`repro.core.verification.DeviceJudge` over the stateless
+:class:`repro.core.verification.VerificationCore`.
 """
 
 from __future__ import annotations
@@ -34,15 +34,18 @@ from typing import (
 
 from repro.core.config import ErasmusConfig
 from repro.core.protocol import (
+    CollectRequest,
+    CollectResponse,
     OnDemandResponse,
     ProtocolDecodeError,
     decode_response,
 )
 from repro.core.verification import (
-    BaseVerifier,
     DeviceJudge,
     DeviceStatus,
     DuplicateEnrollmentError,
+    Enrollment,
+    VerificationCore,
     VerificationReport,
 )
 from repro.fleet.profiles import DeviceProfile, ProvisionedDevice
@@ -103,11 +106,11 @@ def _ensure_no_running_loop(hint: str) -> None:
         f"collect_all would block the running event loop; {hint}")
 
 
-class FleetVerifier(BaseVerifier):
+class FleetVerifier:
     """A verifier service managing an enrolled fleet of provers.
 
-    Parameters mirror the legacy :class:`repro.core.ErasmusVerifier`
-    (same ``schedule_tolerance`` / ``allowed_missing`` policy knobs);
+    ``schedule_tolerance`` and ``allowed_missing`` are the
+    :class:`~repro.core.verification.VerificationCore` policy knobs;
     ``sinks`` is any iterable of :class:`ReportSink` that each finished
     report is streamed to, in each round's device order.
 
@@ -137,9 +140,17 @@ class FleetVerifier(BaseVerifier):
                  sinks: Iterable[ReportSink] = (),
                  store: Optional[StateStore] = None,
                  obs: Optional["Observability"] = None) -> None:
-        super().__init__(config, schedule_tolerance=schedule_tolerance,
-                         allowed_missing=allowed_missing,
-                         store=store if store is not None else MemoryStore())
+        self.config = config
+        self.core = VerificationCore(config,
+                                     schedule_tolerance=schedule_tolerance,
+                                     allowed_missing=allowed_missing)
+        self.store = store if store is not None else MemoryStore()
+        self._enrollments: Dict[str, Enrollment] = {}
+        self._last_collection_time: Dict[str, float] = {}
+        # Bumped whenever a device's key or digest whitelist changes (not
+        # on last-seen advances); worker pools key their enrollment
+        # mirrors on this so re-syncs only happen when material changed.
+        self._enrollment_epoch = 0
         self.sinks: List[ReportSink] = list(sinks)
         self.health = FleetHealth()
         self.rounds_completed = 0
@@ -177,8 +188,37 @@ class FleetVerifier(BaseVerifier):
         return verifier
 
     # ------------------------------------------------------------------
-    # Enrollment (shared store in BaseVerifier, fleet conveniences here)
+    # Enrollment
     # ------------------------------------------------------------------
+    def enroll(self, device_id: str, key: bytes,
+               healthy_digests: Iterable[bytes]) -> None:
+        """Register a prover: its shared key and its known-good states.
+
+        The low-level primitive: it *replaces* any existing enrollment,
+        resetting ``last_seen``, the digest whitelist and the last
+        collection time, in the attached store too.
+        :meth:`enroll_device` guards against accidental re-enrollment.
+        """
+        self._last_collection_time.pop(device_id, None)
+        self._set_enrollment(Enrollment.create(device_id, key,
+                                               healthy_digests))
+
+    def _set_enrollment(self, enrollment: Enrollment) -> None:
+        """Install an enrollment and write it through to the store."""
+        previous = self._enrollments.get(enrollment.device_id)
+        key_changed = previous is not None and not \
+            self.core.crypto_backend.compare_digests(previous.key,
+                                                     enrollment.key)
+        if (previous is None or key_changed
+                # Whitelist *change detection* over public software-state
+                # digest sets, not an authentication decision:
+                # statics: ok(constant-time)
+                or previous.healthy_digests != enrollment.healthy_digests):
+            self._enrollment_epoch += 1
+        self._enrollments[enrollment.device_id] = enrollment
+        if self.store is not None:
+            self.store.save_enrollment(enrollment)
+
     def enroll_device(self, device: ProvisionedDevice, *,
                       re_enroll: bool = False) -> None:
         """Register a provisioned device (key and healthy digest bundled).
@@ -203,11 +243,34 @@ class FleetVerifier(BaseVerifier):
                 f"restore to resume a deployment, or pass re_enroll=True "
                 f"to deliberately replace the key, digest whitelist and "
                 f"last-seen state")
-        if already:
-            # The replaced unit's collection history is void along with
-            # its last-seen state.
-            self._last_collection_time.pop(device.device_id, None)
         self.enroll(device.device_id, device.key, [device.healthy_digest])
+
+    def is_enrolled(self, device_id: str) -> bool:
+        """True when the device has been enrolled."""
+        return device_id in self._enrollments
+
+    def healthy_digests(self, device_id: str) -> frozenset[bytes]:
+        """The whitelisted software states for one device."""
+        return self._enrollment_for(device_id).healthy_digests
+
+    def last_seen(self, device_id: str) -> Optional[float]:
+        """Newest measurement timestamp accepted from one device."""
+        return self._enrollment_for(device_id).last_seen
+
+    def last_collection_time(self, device_id: str) -> Optional[float]:
+        """Time of the most recent collection that carried measurements."""
+        return self._last_collection_time.get(device_id)
+
+    def add_healthy_digest(self, device_id: str, digest: bytes) -> None:
+        """Whitelist an additional software state (e.g. after an update)."""
+        self._set_enrollment(self._enrollment_for(device_id)
+                             .with_digest(digest))
+
+    def _enrollment_for(self, device_id: str) -> Enrollment:
+        try:
+            return self._enrollments[device_id]
+        except KeyError as exc:
+            raise KeyError(f"device {device_id!r} is not enrolled") from exc
 
     def enrolled_ids(self) -> List[str]:
         """All enrolled device ids, in enrollment order."""
@@ -223,8 +286,29 @@ class FleetVerifier(BaseVerifier):
         self.sinks.append(sink)
 
     # ------------------------------------------------------------------
-    # Single-response verification (verify_collection inherited)
+    # Single-response verification
     # ------------------------------------------------------------------
+    def create_collect_request(self, k: Optional[int] = None
+                               ) -> CollectRequest:
+        """Build a plain collection request (no authentication needed)."""
+        if k is None:
+            k = self.config.measurements_per_collection
+        return CollectRequest(k=k)
+
+    def verify_collection(self, device_id: str, response: CollectResponse,
+                          collection_time: float) -> VerificationReport:
+        """Verify, commit and emit one plain ERASMUS collection (Fig. 2).
+
+        Judged by the device's :class:`DeviceJudge`, the path a round
+        takes, and committed like a one-report round shard.
+        """
+        report = self._judge(device_id, list(response.measurements),
+                             collection_time)
+        self._commit_batch([report])
+        for sink in self.sinks:
+            sink.emit(report)
+        return report
+
     def _decode_collection(self, device_id: str, payload: Optional[bytes],
                            collection_time: float):
         """Decode one raw transport response.
@@ -254,37 +338,32 @@ class FleetVerifier(BaseVerifier):
                            "collection"]), None
         return None, list(response.measurements)
 
-    def _judge_for(self, device_id: str, enrollment) -> DeviceJudge:
-        """The device's cached fast path, rebuilt on key change."""
+    def _judge(self, device_id: str, measurements, collection_time: float
+               ) -> VerificationReport:
+        """Judge one history through the device's cached :class:`DeviceJudge`.
+
+        The judge is rebuilt when a re-enrollment changed the key; its
+        reports equal the reference :meth:`VerificationCore.
+        verify_measurements` verdicts.
+        """
+        enrollment = self._enrollment_for(device_id)
         judge = self._judges.get(device_id)
-        if judge is None or not self.crypto_backend.compare_digests(
+        if judge is None or not self.core.crypto_backend.compare_digests(
                 judge.key, enrollment.key):
             judge = self.core.device_judge(enrollment.key)
             self._judges[device_id] = judge
-        return judge
+        return judge.verify_measurements(enrollment, measurements,
+                                         collection_time,
+                                         expect_nonempty=True)
 
     def _verify_payload(self, device_id: str, payload: Optional[bytes],
                         collection_time: float) -> VerificationReport:
-        """Judge one raw transport response (``None`` = never answered).
-
-        The history goes through the device's precompiled
-        :class:`DeviceJudge`, whose reports equal the reference
-        :meth:`VerificationCore.verify_measurements` verdicts.
-        """
-        enrollment = self._enrollment_for(device_id)
+        """Judge one raw transport response (``None`` = never answered)."""
         report, measurements = self._decode_collection(
             device_id, payload, collection_time)
         if report is not None:
             return report
-        return self._judge_for(device_id, enrollment).verify_measurements(
-            enrollment, measurements, collection_time, expect_nonempty=True)
-
-    def _commit(self, report: VerificationReport) -> VerificationReport:
-        """Commit one finished report and stream it to the sinks."""
-        self._commit_batch([report])
-        for sink in self.sinks:
-            sink.emit(report)
-        return report
+        return self._judge(device_id, measurements, collection_time)
 
     def _commit_batch(self, reports: List[VerificationReport],
                       part: Optional[FleetHealth] = None,
@@ -331,6 +410,21 @@ class FleetVerifier(BaseVerifier):
         if part is not None:
             self.health.merge(part)
         return reports
+
+    def _advance_bookkeeping(self, report: VerificationReport) -> None:
+        """Record the collection time and newest-seen timestamp.
+
+        Only collections that actually carried measurements advance the
+        per-device state — an empty or unanswered round proves nothing
+        about which records already reached the verifier.
+        """
+        if not report.measurement_count:
+            return
+        enrollment = self._enrollments[report.device_id]
+        advanced = self.core.advance_last_seen(report, enrollment.last_seen)
+        if advanced is not None:
+            self._set_enrollment(enrollment.advanced(advanced))
+        self._last_collection_time[report.device_id] = report.collection_time
 
     def apply_worker_batch(self, report_rows: Iterable[Mapping[str, object]],
                            health_row: Mapping[str, object],
@@ -838,10 +932,10 @@ class ShardedFleetVerifier(FleetVerifier):
         if self.worker_mode != "process":
             return None
         if self._pool is None:
-            self._pool = WorkerPool(self.shards, config=self.config,
-                                    schedule_tolerance=self.schedule_tolerance,
-                                    allowed_missing=self.allowed_missing,
-                                    obs=self.obs)
+            self._pool = WorkerPool(
+                self.shards, config=self.config,
+                schedule_tolerance=self.core.schedule_tolerance,
+                allowed_missing=self.core.allowed_missing, obs=self.obs)
         pool = self._pool
         # Spawn every slot before shipping: a mirror larger than the
         # pipe buffer blocks its send until that worker has started.

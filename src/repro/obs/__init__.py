@@ -5,9 +5,7 @@ delivered as cooperating pieces:
 
 * :mod:`repro.obs.metrics` — a dependency-free metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram` with labels
-  and fixed buckets, plus sliding-window counters and exponential-
-  decay gauges for "recent" health, and bucket-derived quantile
-  estimation) rendered in the Prometheus text format and served over a
+  and fixed buckets, and bucket-derived quantile estimation) rendered in the Prometheus text format and served over a
   stdlib HTTP endpoint (:mod:`repro.obs.server`);
 * :mod:`repro.obs.tracing` — span traces of every collection round
   (``round`` → ``shard`` → ``device_verify``) with ids *derived* from
@@ -19,10 +17,7 @@ delivered as cooperating pieces:
 * :mod:`repro.obs.report` — the analysis layer: rebuilds the span tree
   into per-round critical paths, shard skew and verify breakdowns,
   rendered as a self-contained HTML flame/timeline plus a
-  byte-stable JSON summary (:class:`ObsReport`);
-* :mod:`repro.obs.export` — :class:`RemoteWriteExporter` pushes
-  exposition + SLO snapshots to an HTTP endpoint at round edges, for
-  deployments nobody can scrape.
+  byte-stable JSON summary (:class:`ObsReport`).
 
 One :class:`Observability` object threads through
 ``Fleet.provision(obs=...)`` and lights up the whole stack —
@@ -33,7 +28,6 @@ historical cost (pinned by ``benchmarks/test_obs_overhead.py``).
 See ``MONITORING.md`` for the metric catalog and scrape examples.
 """
 
-from repro.obs.export import RemoteWriteExporter
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_ROUND_BUCKETS,
@@ -53,7 +47,6 @@ from repro.obs.report import (
 )
 from repro.obs.server import MetricsServer
 from repro.obs.service import (
-    DEFAULT_RECENT_WINDOW,
     DEFAULT_SUMMARY_QUANTILES,
     NULL_OBSERVABILITY,
     NullObservability,
@@ -80,7 +73,6 @@ __all__ = [
     "AttestationWindowRule",
     "CoverageRule",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_RECENT_WINDOW",
     "DEFAULT_ROUND_BUCKETS",
     "DEFAULT_SUMMARY_QUANTILES",
     "FreshnessRule",
@@ -94,7 +86,6 @@ __all__ = [
     "ObsReport",
     "Observability",
     "ObservedStore",
-    "RemoteWriteExporter",
     "SloRule",
     "SloViolation",
     "Span",

@@ -9,25 +9,8 @@ but implemented on nothing beyond the standard library:
   chosen at registration time, rendered as the cumulative
   ``_bucket{le=...}`` / ``_sum`` / ``_count`` series scrapers expect.
 
-Two further instrument kinds serve long-lived deployments, where
-cumulative-since-boot numbers stop answering "how is the fleet doing
-*now*":
-
-* **window counters** (:meth:`MetricsRegistry.window_counter`) — a
-  sliding-window total: increments carry a timestamp from the
-  registry's bound clock and age out of the window, so the rendered
-  value (TYPE ``gauge``) is the amount observed in the last ``window``
-  seconds;
-* **decay gauges** (:meth:`MetricsRegistry.decay_gauge`) — an
-  exponentially-decayed sum: each :meth:`~_DecayGaugeChild.mark`
-  first halves the standing value once per elapsed ``half_life``, so
-  old activity fades smoothly instead of falling off a cliff.
-
-Both are stamped by the registry clock
-(:meth:`MetricsRegistry.bind_clock` — usually the simulation engine's
-virtual ``now``), which keeps them deterministic under the virtual
-clock; without a clock, time stands still at 0.0 and they degrade to
-plain cumulative counters.
+Recent rates (``rate()``, ``increase()``) are the scraper's job,
+computed from the plain counters.
 
 Histograms additionally estimate quantiles from their bucket counts
 (:meth:`_HistogramChild.quantile`, with explicit error bounds from
@@ -56,17 +39,7 @@ byte-identical expositions (the obs test-suite pins this).
 from __future__ import annotations
 
 import bisect
-from collections import deque
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.statics.runtime import named_lock
 
@@ -84,24 +57,6 @@ DEFAULT_ROUND_BUCKETS: Tuple[float, ...] = (
 
 class MetricError(ValueError):
     """A metric was registered or used inconsistently."""
-
-
-class _ClockBox:
-    """A shared, rebindable clock every time-aware child reads through.
-
-    Children hold a reference to the box (not the callable) so
-    :meth:`MetricsRegistry.bind_clock` retroactively reaches series
-    created before the engine existed.  Without a bound callable the
-    clock stands still at 0.0 — deterministic, just windowless.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self) -> None:
-        self.fn: Optional[Callable[[], float]] = None
-
-    def now(self) -> float:
-        return self.fn() if self.fn is not None else 0.0
 
 
 def _format_value(value: float) -> str:
@@ -272,95 +227,11 @@ class _HistogramChild:
         return lower + (upper - lower) * fraction
 
 
-class _WindowCounterChild:
-    """One sliding-window counter series.
-
-    Increments are stamped with the registry clock and age out of the
-    window; reads sum the still-live increments without mutating, so a
-    scrape stays lock-free.  ``inc`` prunes expired entries (amortized
-    O(1) per increment).
-    """
-
-    __slots__ = ("window", "_clock", "_entries")
-
-    def __init__(self, window: float, clock: _ClockBox) -> None:
-        self.window = window
-        self._clock = clock
-        self._entries: Deque[Tuple[float, float]] = deque()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise MetricError("window counters only count forward; "
-                              "use a Gauge for signed values")
-        now = self._clock.now()
-        entries = self._entries
-        entries.append((now, amount))
-        horizon = now - self.window
-        while entries and entries[0][0] <= horizon:
-            entries.popleft()
-
-    @property
-    def value(self) -> float:
-        """The amount observed within the trailing window."""
-        horizon = self._clock.now() - self.window
-        return sum(amount for stamp, amount in list(self._entries)
-                   if stamp > horizon)
-
-    def rate(self) -> float:
-        """The windowed amount per second."""
-        return self.value / self.window
-
-
-class _DecayGaugeChild:
-    """One exponentially-decayed sum series.
-
-    :meth:`mark` first decays the standing value by ``0.5 ** (elapsed
-    / half_life)`` and then adds the new amount; reads apply the same
-    decay without mutating.  With the virtual clock bound, the decay
-    is a pure function of simulated time — deterministic run to run.
-    """
-
-    __slots__ = ("half_life", "_clock", "_value", "_stamp")
-
-    def __init__(self, half_life: float, clock: _ClockBox) -> None:
-        self.half_life = half_life
-        self._clock = clock
-        self._value = 0.0
-        self._stamp = clock.now()
-
-    def _decayed(self, now: float) -> float:
-        elapsed = now - self._stamp
-        if elapsed <= 0.0:
-            return self._value
-        return self._value * (0.5 ** (elapsed / self.half_life))
-
-    def mark(self, amount: float = 1.0) -> None:
-        now = self._clock.now()
-        self._value = self._decayed(now) + amount
-        self._stamp = now
-
-    # ``inc`` aliases ``mark`` so generic call sites treat the kinds
-    # uniformly.
-    inc = mark
-
-    @property
-    def value(self) -> float:
-        """The decayed sum as of the clock's current reading."""
-        return self._decayed(self._clock.now())
-
-
 _CHILD_FACTORIES = {
     "counter": lambda metric: _CounterChild(),
     "gauge": lambda metric: _GaugeChild(),
     "histogram": lambda metric: _HistogramChild(metric.buckets),
-    "window": lambda metric: _WindowCounterChild(metric.extra,
-                                                 metric.clock),
-    "decay": lambda metric: _DecayGaugeChild(metric.extra, metric.clock),
 }
-
-#: Exposition TYPE line per internal kind: the windowed/decayed kinds
-#: render as gauges (their values go up *and* down by design).
-_EXPOSITION_TYPE = {"window": "gauge", "decay": "gauge"}
 
 
 class Metric:
@@ -375,18 +246,12 @@ class Metric:
     def __init__(self, name: str, kind: str, help: str = "",
                  label_names: Sequence[str] = (),
                  buckets: Tuple[float, ...] = (),
-                 extra: float = 0.0,
-                 clock: Optional[_ClockBox] = None,
                  summary_quantiles: Tuple[float, ...] = ()) -> None:
         self.name = name
         self.kind = kind
         self.help = help
         self.label_names: Tuple[str, ...] = tuple(label_names)
         self.buckets = buckets
-        #: Kind-specific scalar: the window (seconds) of a window
-        #: counter, the half-life (seconds) of a decay gauge.
-        self.extra = extra
-        self.clock = clock if clock is not None else _ClockBox()
         self.summary_quantiles = summary_quantiles
         # Children mutate under the GIL; the creation lock only guards
         # the insert of a *new* child (reads never take it).
@@ -435,9 +300,6 @@ class Metric:
     def observe(self, value: float) -> None:
         self._default.observe(value)
 
-    def mark(self, amount: float = 1.0) -> None:
-        self._default.mark(amount)
-
     # -- reads ----------------------------------------------------------
     def child_items(self) -> List[Tuple[Tuple[str, ...], object]]:
         """Children sorted by label values (a lock-free snapshot)."""
@@ -446,11 +308,10 @@ class Metric:
     def value(self, *label_values: object) -> float:
         """Current value of one series (0 if unseen).
 
-        Defined per kind: a counter or gauge returns its scalar, a
-        window counter its in-window total, a decay gauge its decayed
-        sum.  A histogram has *no* single value — returning its sum
-        would silently read as a count at most call sites and vice
-        versa — so asking raises :class:`MetricError`; read
+        A counter or gauge returns its scalar.  A histogram has *no*
+        single value — returning its sum would silently read as a count
+        at most call sites and vice versa — so asking raises
+        :class:`MetricError`; read
         ``labels(...).sum`` / ``.count`` or estimate a
         :meth:`quantile` instead (pinned by the obs unit tests).
         """
@@ -480,8 +341,7 @@ class Metric:
         lines = []
         if self.help:
             lines.append(f"# HELP {self.name} {_escape_help(self.help)}")
-        lines.append(f"# TYPE {self.name} "
-                     f"{_EXPOSITION_TYPE.get(self.kind, self.kind)}")
+        lines.append(f"# TYPE {self.name} {self.kind}")
         for key, child in self.child_items():
             if self.kind == "histogram":
                 lines.extend(self._render_histogram(key, child))
@@ -548,16 +408,12 @@ class MetricsRegistry:
 
     ``summary_quantiles`` (e.g. ``(0.5, 0.9, 0.99)``) makes every
     histogram family also render a ``<name>_summary`` gauge family of
-    bucket-derived quantile estimates.  ``bind_clock`` attaches the
-    clock (usually the engine's virtual ``now``) that stamps window
-    counters and decay gauges — retroactively, including children
-    created before the bind.
+    bucket-derived quantile estimates.
     """
 
     def __init__(self, summary_quantiles: Sequence[float] = ()) -> None:
         self._metrics: Dict[str, Metric] = {}
         self._lock = named_lock("obs.registry")
-        self._clock = _ClockBox()
         self.summary_quantiles: Tuple[float, ...] = \
             tuple(float(q) for q in summary_quantiles)
         for q in self.summary_quantiles:
@@ -565,33 +421,22 @@ class MetricsRegistry:
                 raise MetricError(
                     f"summary quantiles must be within [0, 1], got {q}")
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the clock time-aware instruments are stamped with."""
-        self._clock.fn = clock
-
-    def now(self) -> float:
-        """The registry clock's current reading (0.0 unbound)."""
-        return self._clock.now()
-
     def _register(self, name: str, kind: str, help: str,
                   labels: Sequence[str],
-                  buckets: Tuple[float, ...] = (),
-                  extra: float = 0.0) -> Metric:
+                  buckets: Tuple[float, ...] = ()) -> Metric:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
                 if existing.kind != kind or \
                         existing.label_names != tuple(labels) or \
-                        existing.buckets != buckets or \
-                        existing.extra != extra:
+                        existing.buckets != buckets:
                     raise MetricError(
                         f"metric {name!r} is already registered as a "
                         f"{existing.kind} with labels "
                         f"{list(existing.label_names)}")
                 return existing
             metric = Metric(name, kind, help=help, label_names=labels,
-                            buckets=buckets, extra=extra,
-                            clock=self._clock,
+                            buckets=buckets,
                             summary_quantiles=self.summary_quantiles)
             self._metrics[name] = metric
             return metric
@@ -618,40 +463,13 @@ class MetricsRegistry:
         return self._register(name, "histogram", help, labels,
                               buckets=boundaries)
 
-    def window_counter(self, name: str, help: str = "",
-                       labels: Sequence[str] = (),
-                       window: float = 300.0) -> Metric:
-        """Register (or fetch) a sliding-window counter family.
-
-        Renders as a gauge whose value is the amount observed within
-        the trailing ``window`` seconds of the registry clock.
-        """
-        if window <= 0:
-            raise MetricError("window must be positive")
-        return self._register(name, "window", help, labels,
-                              extra=float(window))
-
-    def decay_gauge(self, name: str, help: str = "",
-                    labels: Sequence[str] = (),
-                    half_life: float = 300.0) -> Metric:
-        """Register (or fetch) an exponential-decay gauge family.
-
-        Renders as a gauge holding an exponentially-decayed sum: each
-        recorded amount loses half its weight every ``half_life``
-        seconds of the registry clock.
-        """
-        if half_life <= 0:
-            raise MetricError("half_life must be positive")
-        return self._register(name, "decay", help, labels,
-                              extra=float(half_life))
-
     def absorb(self, other: "MetricsRegistry", label: str, value: str,
                rename: Optional[Callable[[str], str]] = None) -> None:
         """Fold another registry's series into this one under a label.
 
         Every family in ``other`` is re-registered here with ``label``
         appended to its label names and every series merged in under
-        ``value`` — counters and window/decay state add, gauges set,
+        ``value`` — counters add, gauges set,
         histograms merge bucket-by-bucket.  The default ``rename``
         marks the absorbed families as per-cell aggregates
         (``repro_x_total`` → ``repro_cell_x_total``) so they can never
@@ -666,7 +484,7 @@ class MetricsRegistry:
             target = self._register(
                 rename(name), family.kind, family.help,
                 labels=family.label_names + (label,),
-                buckets=family.buckets, extra=family.extra)
+                buckets=family.buckets)
             for key, child in family.child_items():
                 mine = target.labels(*(key + (value,)))
                 if family.kind == "histogram":
@@ -677,7 +495,7 @@ class MetricsRegistry:
                     mine.count += sum(counts)
                 elif family.kind == "gauge":
                     mine.set(child.value)
-                else:  # counter / window / decay: totals add
+                else:  # counter: totals add
                     amount = child.value
                     if amount:
                         mine.inc(amount)

@@ -39,13 +39,10 @@ from repro.obs.metrics import (
 from repro.obs.server import MetricsServer
 from repro.obs.slo import SloRule, SloViolation, StreamingHealthSink
 from repro.obs.tracing import Span, SpanTracer, derive_child_seed
+from repro.store.base import StateStore
 
 #: Quantiles every histogram family renders as ``_summary`` lines.
 DEFAULT_SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-#: Window (seconds, virtual clock) of the "recent health" instruments.
-DEFAULT_RECENT_WINDOW = 300.0
-from repro.store.base import StateStore
 
 
 class ObservedStore(StateStore):
@@ -119,10 +116,6 @@ class Observability:
       would dominate the artifact);
     * ``summary_quantiles`` renders every histogram's bucket-derived
       quantile estimates as ``_summary`` exposition lines;
-    * ``recent_window`` (seconds, virtual clock) sizes the sliding
-      windows and decay half-life of the "recent health" instruments
-      (``repro_reports_recent`` etc.), which report the last window
-      instead of cumulative-since-boot;
     * ``cell`` names this instance as one campaign cell's child
       observability — usually set through :meth:`for_cell`, not
       directly.
@@ -138,12 +131,10 @@ class Observability:
                  trace_devices: bool = True,
                  summary_quantiles: Sequence[float]
                  = DEFAULT_SUMMARY_QUANTILES,
-                 recent_window: float = DEFAULT_RECENT_WINDOW,
                  cell: Optional[str] = None) -> None:
         self.registry = MetricsRegistry(summary_quantiles=summary_quantiles)
         self.tracer = SpanTracer(seed=seed)
         self.trace_devices = trace_devices
-        self.recent_window = recent_window
         self.cell = cell
         r = self.registry
         # -- collection pipeline ---------------------------------------
@@ -175,23 +166,6 @@ class Observability:
             "Collection rounds currently in flight.")
         self.devices_enrolled = r.gauge(
             "repro_devices_enrolled", "Devices enrolled with the verifier.")
-        # -- recent health (windowed / decayed, virtual clock) ----------
-        self.reports_recent = r.window_counter(
-            "repro_reports_recent",
-            "Reports committed within the trailing window, by status.",
-            labels=("status",), window=recent_window)
-        self.rounds_recent = r.window_counter(
-            "repro_rounds_recent",
-            "Collection rounds completed within the trailing window.",
-            window=recent_window)
-        self.responses_lost_recent = r.window_counter(
-            "repro_responses_lost_recent",
-            "Responses lost within the trailing window.",
-            window=recent_window)
-        self.round_activity = r.decay_gauge(
-            "repro_round_activity",
-            "Exponentially-decayed round completions (recency-weighted "
-            "round rate indicator).", half_life=recent_window)
         # -- network ----------------------------------------------------
         self.packets_admitted_total = r.counter(
             "repro_net_packets_admitted_total",
@@ -251,18 +225,14 @@ class Observability:
         self._status_children: dict = {}
         self._server: Optional[MetricsServer] = None
         self._attached_networks: set = set()
-        self._round_listeners: List[Callable[[object], None]] = []
-        self._exporters: List[object] = []
 
     # ------------------------------------------------------------------
     # Wiring (done once by Fleet.provision)
     # ------------------------------------------------------------------
     def bind_engine(self, engine) -> None:
-        """Stamp spans, SLO events and windowed metrics with this
-        engine's virtual clock."""
+        """Stamp spans and SLO events with this engine's virtual clock."""
         clock = lambda: engine.now  # noqa: E731 (one-expression clock)
         self.tracer.bind_clock(clock)
-        self.registry.bind_clock(clock)
         if self._slo_sink is not None:
             self._slo_sink.bind_clock(clock)
 
@@ -340,41 +310,23 @@ class Observability:
             self.tracer.record_device_verify(shard_span, device_id, status)
 
     def report_committed(self, report) -> None:
-        """Count one committed report by status (cumulative + recent)."""
+        """Count one committed report by status."""
         status = report.status.value
-        pair = self._status_children.get(status)
-        if pair is None:
-            pair = (self.reports_total.labels(status),
-                    self.reports_recent.labels(status))
-            self._status_children[status] = pair
-        pair[0].inc()
-        pair[1].inc()
+        child = self._status_children.get(status)
+        if child is None:
+            child = self.reports_total.labels(status)
+            self._status_children[status] = child
+        child.inc()
 
     def round_finished(self, stats) -> None:
         """Fold one finished round's mechanics into the counters."""
         self.rounds_total.inc()
-        self.rounds_recent.inc()
-        self.round_activity.mark()
         self.requests_sent_total.inc(stats.requests_sent)
         if stats.responses_lost:
             self.responses_lost_total.inc(stats.responses_lost)
-            self.responses_lost_recent.inc(stats.responses_lost)
         if stats.stale_responses_rejected:
             self.stale_responses_total.inc(stats.stale_responses_rejected)
         self.round_wall_seconds.observe(stats.wall_seconds)
-        for listener in self._round_listeners:
-            listener(stats)
-
-    def add_round_listener(self, listener: Callable[[object], None]
-                           ) -> None:
-        """Call ``listener(stats)`` at every round edge, after the
-        round's counters have been folded in.
-
-        Listeners run on the round's thread and must stay cheap and
-        non-raising (the remote-write exporter's listener, for example,
-        only renders a snapshot and appends it to a bounded buffer).
-        """
-        self._round_listeners.append(listener)
 
     def cell_finished(self, wall_seconds: float, skipped_rounds: int = 0,
                       recovered_rounds: int = 0) -> None:
@@ -403,7 +355,6 @@ class Observability:
             seed=derive_child_seed(self.tracer.seed, cell),
             trace_devices=self.trace_devices,
             summary_quantiles=self.registry.summary_quantiles,
-            recent_window=self.recent_window,
             cell=cell)
 
     def absorb_cell(self, child: "Observability") -> None:
@@ -438,22 +389,6 @@ class Observability:
         """Export the span trace as JSONL; returns the row count."""
         return self.tracer.write_jsonl(path)
 
-    def remote_write(self, endpoint: str, **kwargs):
-        """Start a push exporter POSTing snapshots at every round edge.
-
-        Builds a :class:`~repro.obs.export.RemoteWriteExporter` whose
-        self-metrics register in this registry, attaches it to the
-        round-edge hook, and tracks it so :meth:`close` stops it.
-        Keyword arguments pass through to the exporter (``max_buffer``,
-        ``max_retries``, ``backoff``, ``timeout``, ``post`` ...).
-        """
-        from repro.obs.export import RemoteWriteExporter
-        exporter = RemoteWriteExporter(endpoint, registry=self.registry,
-                                       **kwargs)
-        exporter.attach(self)
-        self._exporters.append(exporter)
-        return exporter
-
     def report(self, title: str = "trace"):
         """Analyze this instance's trace + exposition as an
         :class:`~repro.obs.report.ObsReport`."""
@@ -461,11 +396,9 @@ class Observability:
         return ObsReport.from_observability(self, title=title)
 
     def close(self) -> None:
-        """Stop the scrape endpoint and any push exporters (idempotent)."""
+        """Stop the scrape endpoint (idempotent)."""
         if self._server is not None:
             self._server.close()
-        for exporter in self._exporters:
-            exporter.close()
 
 
 class NullObservability(Observability):
@@ -527,9 +460,6 @@ class NullObservability(Observability):
                       recovered_rounds: int = 0) -> None:
         del wall_seconds, skipped_rounds, recovered_rounds
 
-    def add_round_listener(self, listener) -> None:
-        del listener
-
     def for_cell(self, cell: str) -> "NullObservability":
         # A null parent begets null cells: the campaign stays dark.
         del cell
@@ -537,11 +467,6 @@ class NullObservability(Observability):
 
     def absorb_cell(self, child) -> None:
         del child
-
-    def remote_write(self, endpoint: str, **kwargs):
-        raise RuntimeError(
-            "NullObservability has nothing to export; construct a real "
-            "Observability() and pass it to Fleet.provision(obs=...)")
 
     def report(self, title: str = "trace"):
         raise RuntimeError(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.base import hash_for_mac
-from repro.core import ErasmusConfig, ErasmusProver, ErasmusVerifier
+from repro.core import ErasmusConfig, ErasmusProver
+from repro.fleet import FleetVerifier
 from repro.hydra import build_hydra_architecture
 from repro.sim import SimulationEngine
 from repro.smartplus import build_smartplus_architecture
@@ -67,7 +68,7 @@ def erasmus_setup(key, config, smartplus_arch):
     healthy = hash_for_mac(config.mac_name)(
         smartplus_arch.read_measured_memory())
     prover = ErasmusProver(smartplus_arch, config, device_id="dev-under-test")
-    verifier = ErasmusVerifier(config)
+    verifier = FleetVerifier(config)
     verifier.enroll("dev-under-test", key, [healthy])
     engine = SimulationEngine()
     return prover, verifier, engine, smartplus_arch

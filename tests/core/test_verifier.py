@@ -3,9 +3,9 @@
 import pytest
 
 from repro.adversary import TamperingMalware
-from repro.core import CollectResponse, DeviceStatus, ErasmusVerifier, \
-    Measurement
-from repro.core.verifier import MeasurementVerdict
+from repro.core import CollectResponse, DeviceStatus, Enrollment, \
+    Measurement, MeasurementVerdict, VerificationCore
+from repro.fleet import FleetVerifier, MemorySink
 
 
 def run_schedule(prover, engine, until):
@@ -31,7 +31,7 @@ def test_healthy_history_verifies(erasmus_setup):
 def test_unenrolled_device_rejected(erasmus_setup, config):
     prover, _verifier, engine, _arch = erasmus_setup
     run_schedule(prover, engine, 30.0)
-    stranger = ErasmusVerifier(config)
+    stranger = FleetVerifier(config)
     response = prover.handle_collect(stranger.create_collect_request())
     with pytest.raises(KeyError):
         stranger.verify_collection(prover.device_id, response, 30.0)
@@ -94,7 +94,7 @@ def test_allowed_missing_policy_tolerates_gaps(erasmus_setup, config, key):
     slot = prover.store.slot_for_time(30.0)
     prover.store.overwrite_slot(slot, None)
 
-    lenient_verifier = ErasmusVerifier(config, allowed_missing=2)
+    lenient_verifier = FleetVerifier(config, allowed_missing=2)
     healthy = strict_verifier.healthy_digests(prover.device_id)
     lenient_verifier.enroll(prover.device_id, key, healthy)
     response = prover.handle_collect(lenient_verifier.create_collect_request())
@@ -136,11 +136,13 @@ def test_redundant_recollection_is_not_flagged(erasmus_setup):
 
 def test_reports_accumulate_per_device(erasmus_setup):
     prover, verifier, engine, _arch = erasmus_setup
+    sink = MemorySink()
+    verifier.add_sink(sink)
     run_schedule(prover, engine, 60.0)
     collect(prover, verifier, 60.0)
     engine.run(until=120.0)
     collect(prover, verifier, 120.0)
-    assert len(verifier.reports_for(prover.device_id)) == 2
+    assert len(sink.for_device(prover.device_id)) == 2
     assert verifier.last_collection_time(prover.device_id) == 120.0
 
 
@@ -169,16 +171,16 @@ def test_measurement_verdict_acceptable_logic():
 
 def test_verifier_parameter_validation(config):
     with pytest.raises(ValueError):
-        ErasmusVerifier(config, schedule_tolerance=1.5)
+        FleetVerifier(config, schedule_tolerance=1.5)
     with pytest.raises(ValueError):
-        ErasmusVerifier(config, allowed_missing=-1)
-    verifier = ErasmusVerifier(config)
+        FleetVerifier(config, allowed_missing=-1)
+    verifier = FleetVerifier(config)
     with pytest.raises(ValueError):
         verifier.enroll("dev", b"", [])
 
 
 def test_enrollment_epoch_tracks_material_changes(config):
-    verifier = ErasmusVerifier(config)
+    verifier = FleetVerifier(config)
     start = verifier._enrollment_epoch
     verifier.enroll("dev", b"k" * 16, [b"d" * 32])
     assert verifier._enrollment_epoch == start + 1
@@ -195,16 +197,82 @@ def test_enrollment_epoch_tracks_material_changes(config):
 
 def test_enrollment_key_change_check_is_constant_time(config, monkeypatch):
     """Re-enrollment key comparison routes through compare_digests."""
-    verifier = ErasmusVerifier(config)
+    verifier = FleetVerifier(config)
     verifier.enroll("dev", b"k" * 16, [b"d" * 32])
     calls = []
-    real = verifier.crypto_backend.compare_digests
+    real = verifier.core.crypto_backend.compare_digests
 
     def recorder(left, right):
         calls.append((bytes(left), bytes(right)))
         return real(left, right)
 
-    monkeypatch.setattr(verifier.crypto_backend, "compare_digests",
+    monkeypatch.setattr(verifier.core.crypto_backend, "compare_digests",
                         recorder)
     verifier.enroll("dev", b"k" * 16, [b"d" * 32])
     assert (b"k" * 16, b"k" * 16) in calls
+
+
+# ----------------------------------------------------------------------
+# verify_collection takes the round's verdict path
+# ----------------------------------------------------------------------
+
+def _forge_macs(store):
+    for m in store.latest(store.slots):
+        store.overwrite_slot(store.slot_for_time(m.timestamp), Measurement(
+            m.timestamp, m.digest, b"\x00" * len(m.tag)))
+
+
+#: Name -> (tampering applied to the prover's buffer, collection time).
+RESPONSES = {
+    "healthy": (None, 60.0),
+    "forged-mac": (_forge_macs, 60.0),
+    "deleted-newest": (
+        lambda store: TamperingMalware(store).delete_latest(3), 60.0),
+    "deleted-middle": (
+        lambda store: store.overwrite_slot(store.slot_for_time(30.0), None),
+        60.0),
+    "duplicate-timestamp": (
+        lambda store: TamperingMalware(store).replay_old_measurement(), 60.0),
+    "future-timestamp": (None, 45.0),
+    "infected": (None, 60.0),
+}
+
+
+@pytest.mark.parametrize("reference_raises", [False, True],
+                         ids=["reference-live", "reference-raises"])
+@pytest.mark.parametrize("name", list(RESPONSES))
+def test_verify_collection_matches_the_reference_oracle(
+        erasmus_setup, key, malware_image, firmware, monkeypatch, name,
+        reference_raises):
+    """verify_collection judges through the round's DeviceJudge, and its
+    report equals the reference oracle's on a twin enrollment."""
+    prover, verifier, engine, arch = erasmus_setup
+    tamper, collection_time = RESPONSES[name]
+    run_schedule(prover, engine, 30.0)
+    if name == "infected":
+        arch.load_application(malware_image)
+        engine.run(until=45.0)
+        arch.load_application(firmware)
+    engine.run(until=60.0)
+    if tamper is not None:
+        tamper(prover.store)
+    response = prover.handle_collect(verifier.create_collect_request())
+    twin = Enrollment.create(prover.device_id, key,
+                             verifier.healthy_digests(prover.device_id))
+    reference = VerificationCore(verifier.config).verify_measurements(
+        twin, list(response.measurements), collection_time)
+    if reference_raises:
+        def _refuse(*_args, **_kwargs):
+            raise AssertionError("the reference oracle was consulted")
+        monkeypatch.setattr(VerificationCore, "verify_measurements", _refuse)
+
+    report = verifier.verify_collection(prover.device_id, response,
+                                        collection_time)
+    assert report.status is reference.status
+    assert report.anomalies == reference.anomalies
+    assert report.verdicts == reference.verdicts
+    assert report.freshness == reference.freshness
+    assert report.missing_intervals == reference.missing_intervals
+    expected = {"healthy": DeviceStatus.HEALTHY,
+                "infected": DeviceStatus.INFECTED}
+    assert report.status is expected.get(name, DeviceStatus.TAMPERED)

@@ -9,9 +9,9 @@ from repro.core import (
     DeviceStatus,
     ErasmusConfig,
     ErasmusProver,
-    ErasmusVerifier,
     ScheduleKind,
 )
+from repro.fleet import FleetVerifier
 from repro.hydra import build_hydra_architecture
 from repro.net import Link, Network, NetworkNode
 from repro.sim import SimulationEngine
@@ -34,7 +34,7 @@ def build_stack(key, firmware, mac_name="keyed-blake2s", architecture="smart+",
     healthy = hash_for_mac(mac_name)(arch.read_measured_memory())
     prover = ErasmusProver(arch, config, device_id="device",
                            scheduling_key=key)
-    verifier = ErasmusVerifier(config, allowed_missing=allowed_missing)
+    verifier = FleetVerifier(config, allowed_missing=allowed_missing)
     verifier.enroll("device", key, [healthy])
     engine = SimulationEngine()
     prover.attach(engine)
@@ -183,23 +183,3 @@ def test_fleet_detects_transient_infection_like_legacy_api(key, firmware,
     assert all(report.status is DeviceStatus.HEALTHY
                for device_id, report in reports.items()
                if device_id != "dev-0004")
-
-
-def test_legacy_shim_and_fleet_core_agree(key, firmware):
-    """Old ErasmusVerifier and the fleet service verify identically."""
-    from repro.fleet import FleetVerifier
-
-    config, _arch, prover, legacy_verifier, engine = build_stack(key, firmware)
-    engine.run(until=60.0)
-
-    fleet_verifier = FleetVerifier(config)
-    fleet_verifier.enroll("device", key,
-                          legacy_verifier.healthy_digests("device"))
-    response = prover.handle_collect(legacy_verifier.create_collect_request())
-
-    legacy_report = legacy_verifier.verify_collection("device", response, 60.0)
-    fleet_report = fleet_verifier.verify_collection("device", response, 60.0)
-    assert legacy_report.status is fleet_report.status
-    assert legacy_report.measurement_count == fleet_report.measurement_count
-    assert legacy_report.freshness == fleet_report.freshness
-    assert legacy_report.anomalies == fleet_report.anomalies

@@ -134,16 +134,8 @@ def test_empty_registry_renders_empty():
 
 
 # ----------------------------------------------------------------------
-# v2: quantiles, summaries, windowed/decayed instruments, absorb
+# v2: quantiles, summaries, absorb
 # ----------------------------------------------------------------------
-
-class _FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
 
 def test_histogram_value_raises_metric_error():
     hist = MetricsRegistry().histogram("h", buckets=(1.0,))
@@ -222,67 +214,6 @@ def test_summary_lines_render_for_nonempty_series_only():
 def test_summary_quantiles_validated():
     with pytest.raises(MetricError):
         MetricsRegistry(summary_quantiles=(1.5,))
-
-
-def test_window_counter_ages_out_of_the_window():
-    clock = _FakeClock()
-    registry = MetricsRegistry()
-    registry.bind_clock(clock)
-    recent = registry.window_counter("recent", window=10.0)
-    recent.inc(3)
-    clock.t = 5.0
-    recent.inc(2)
-    assert recent.value() == 5
-    clock.t = 10.0  # the t=0 entry is now exactly window-old: expired
-    assert recent.value() == 2
-    clock.t = 50.0
-    assert recent.value() == 0
-    # Renders as a gauge of the in-window amount.
-    assert "# TYPE recent gauge" in registry.render()
-    with pytest.raises(MetricError):
-        recent.inc(-1)
-
-
-def test_window_counter_rate():
-    clock = _FakeClock()
-    registry = MetricsRegistry()
-    registry.bind_clock(clock)
-    recent = registry.window_counter("r", window=10.0)
-    recent.inc(5)
-    assert recent.labels().rate() == pytest.approx(0.5)
-
-
-def test_decay_gauge_halves_per_half_life():
-    clock = _FakeClock()
-    registry = MetricsRegistry()
-    registry.bind_clock(clock)
-    activity = registry.decay_gauge("act", half_life=10.0)
-    activity.mark(8.0)
-    assert activity.value() == pytest.approx(8.0)
-    clock.t = 10.0
-    assert activity.value() == pytest.approx(4.0)
-    clock.t = 20.0
-    activity.mark(1.0)  # decays to 2, then adds 1
-    assert activity.value() == pytest.approx(3.0)
-    assert "# TYPE act gauge" in registry.render()
-
-
-def test_bind_clock_is_retroactive():
-    registry = MetricsRegistry()
-    recent = registry.window_counter("r", window=10.0)
-    recent.inc()  # stamped 0.0: no clock yet
-    clock = _FakeClock()
-    clock.t = 100.0
-    registry.bind_clock(clock)  # children created earlier see it too
-    assert recent.value() == 0  # the 0.0-stamped entry aged out
-
-
-def test_window_and_decay_validate_parameters():
-    registry = MetricsRegistry()
-    with pytest.raises(MetricError):
-        registry.window_counter("w", window=0.0)
-    with pytest.raises(MetricError):
-        registry.decay_gauge("d", half_life=-1.0)
 
 
 def test_absorb_merges_under_cell_label_with_rename():

@@ -161,32 +161,8 @@ def test_trace_devices_false_keeps_round_and_shard_spans_only():
 
 
 # ----------------------------------------------------------------------
-# v2: recent-health instruments, per-cell children, round listeners
+# v2: summary lines and per-cell children
 # ----------------------------------------------------------------------
-
-class _FakeEngine:
-    def __init__(self):
-        self.now = 0.0
-
-
-def test_recent_instruments_track_the_window():
-    obs = Observability(recent_window=100.0)
-    engine = _FakeEngine()
-    obs.bind_engine(engine)
-    obs.report_committed(report())
-    obs.round_finished(RoundStats(requests_sent=5, responses_lost=2))
-    assert obs.reports_recent.value("healthy") == 1
-    assert obs.rounds_recent.value() == 1
-    assert obs.responses_lost_recent.value() == 2
-    assert obs.round_activity.value() == pytest.approx(1.0)
-    engine.now = 100.0  # one window / one half-life later
-    assert obs.reports_recent.value("healthy") == 0
-    assert obs.rounds_recent.value() == 0
-    assert obs.round_activity.value() == pytest.approx(0.5)
-    # Cumulative families are untouched by the aging.
-    assert obs.reports_total.value("healthy") == 1
-    assert obs.rounds_total.value() == 1
-
 
 def test_summary_lines_appear_in_the_service_exposition():
     obs = Observability()
@@ -229,46 +205,10 @@ def test_absorb_cell_lands_in_the_cell_namespace():
     assert 'repro_cell_reports_total{status="healthy",cell="c1"} 1' in text
 
 
-def test_round_listeners_fire_after_counters():
-    obs = Observability()
-    seen = []
-    obs.add_round_listener(
-        lambda stats: seen.append((stats.requests_sent,
-                                   obs.rounds_total.value())))
-    stats = RoundStats(requests_sent=4)
-    obs.round_finished(stats)
-    assert seen == [(4, 1.0)]  # the counter was already folded in
-    # The listener never mutated the stats object.
-    assert stats.requests_sent == 4
-
-
-def test_remote_write_round_trip_through_the_service():
-    obs = Observability()
-    posted = []
-    exporter = obs.remote_write("http://unused.invalid/w",
-                                post=posted.append)
-    obs.round_finished(RoundStats(requests_sent=3, responses_lost=1,
-                                  wall_end=0.25))
-    assert exporter.flush(5.0)
-    (payload,) = posted
-    assert payload["round"] == 1
-    assert payload["stats"]["responses_lost"] == 1
-    assert "repro_rounds_total 1" in payload["metrics"]
-    assert payload["slo"] == []
-    # The exporter's self-metrics live in the service registry...
-    assert "repro_remote_write_pushes_total" in obs.render_metrics()
-    # ...and close() stops the exporter's worker.
-    obs.close()
-    assert not exporter._thread.is_alive()
-
-
 def test_null_observability_v2_surface():
     null = NullObservability()
-    null.add_round_listener(lambda stats: None)
     assert null.for_cell("x") is null
     null.absorb_cell(null)
     assert null.cell is None
-    with pytest.raises(RuntimeError):
-        null.remote_write("http://unused.invalid/")
     with pytest.raises(RuntimeError):
         null.report()

@@ -151,19 +151,31 @@ def test_provisioning_over_existing_store_state_fails_loudly(tmp_path):
         provision(tmp_path, "jsonl", count=4)
 
 
-def test_re_enrollment_clears_collection_time_everywhere(tmp_path):
-    """re_enroll=True voids the old unit's collection history — live,
-    in the next checkpoint, and across an un-checkpointed crash."""
-    fleet = provision(tmp_path, "sqlite", count=4)
+def _re_enroll_device(verifier, device):
+    verifier.enroll_device(device, re_enroll=True)
+
+
+def _re_enroll_primitive(verifier, device):
+    verifier.enroll(device.device_id, device.key, [device.healthy_digest])
+
+
+@pytest.mark.parametrize("replace", [_re_enroll_device, _re_enroll_primitive],
+                         ids=["enroll_device", "enroll"])
+@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
+def test_re_enrollment_clears_collection_time_everywhere(tmp_path, backend,
+                                                         replace):
+    """Replacing an enrollment voids the old unit's collection history —
+    live, in the next checkpoint, and across an un-checkpointed crash."""
+    fleet = provision(tmp_path, backend, count=4)
     device_id = fleet.device_ids()[0]
     fleet.run_until(600.0)
     fleet.collect_all()
     assert fleet.verifier.last_collection_time(device_id) is not None
 
-    fleet.verifier.enroll_device(fleet.device(device_id), re_enroll=True)
+    replace(fleet.verifier, fleet.device(device_id))
     assert fleet.verifier.last_collection_time(device_id) is None
     # Crash before any checkpoint: the restore must agree.
     restored = FleetVerifier.restore(
-        profile().config, make_store("sqlite", tmp_path))
+        profile().config, make_store(backend, tmp_path))
     assert restored.last_collection_time(device_id) is None
     assert restored.last_seen(device_id) is None
