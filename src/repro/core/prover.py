@@ -47,7 +47,8 @@ class ErasmusProver:
     config:
         Deployment parameters (``T_M``, ``n``, schedule, ...).
     device_id:
-        Identifier used in traces and by the verifier's bookkeeping.
+        Identifier passed to measurement listeners and used by the
+        verifier's bookkeeping.
     scheduling_key:
         Seed for the CSPRNG when ``config.schedule`` is ``IRREGULAR``;
         in a real deployment this is derived from ``K`` inside the
@@ -86,7 +87,6 @@ class ErasmusProver:
         self.measurements_aborted = 0
         self.measurements_missed = 0
         self.collections_served = 0
-        self.busy_intervals: List[tuple[float, float]] = []
         #: Observers called after every engine-scheduled measurement
         #: attempt with ``(device_id, time, measurement-or-None)``.
         #: This is the Section 3.5 observation channel: measurement
@@ -116,7 +116,6 @@ class ErasmusProver:
         measurement = Measurement.from_output(output)
         self.store.store(measurement)
         self.measurements_taken += 1
-        self.busy_intervals.append((time, time + measurement.duration))
         return measurement
 
     def attach(self, engine: SimulationEngine, start_time: float = 0.0) -> None:
@@ -131,10 +130,6 @@ class ErasmusProver:
         assert self._engine is not None
         time = self._engine.now
         measurement = self.take_measurement(time)
-        self._engine.trace.record(
-            time, "measurement", device=self.device_id,
-            aborted=measurement is None,
-            timestamp=None if measurement is None else measurement.timestamp)
         for listener in list(self.measurement_listeners):
             listener(self.device_id, time, measurement)
         if measurement is None:
@@ -200,21 +195,3 @@ class ErasmusProver:
                    if entry.timestamp != fresh.timestamp]
         self.collections_served += 1
         return OnDemandResponse(fresh=fresh, measurements=history)
-
-    # ------------------------------------------------------------------
-    # Availability accounting (Section 5)
-    # ------------------------------------------------------------------
-    def busy_fraction(self, start: float, end: float) -> float:
-        """Fraction of ``[start, end]`` spent computing measurements."""
-        if end <= start:
-            raise ValueError("end must be after start")
-        busy = 0.0
-        for interval_start, interval_end in self.busy_intervals:
-            overlap = min(end, interval_end) - max(start, interval_start)
-            if overlap > 0:
-                busy += overlap
-        return busy / (end - start)
-
-    def is_busy_at(self, time: float) -> bool:
-        """True when a measurement is in progress at ``time``."""
-        return any(start <= time < end for start, end in self.busy_intervals)

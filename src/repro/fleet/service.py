@@ -513,7 +513,6 @@ class FleetVerifier:
             transport.stale_responses_rejected - stale_before
         reports.stats = stats
         self.rounds_completed += 1
-        self.health.record_round(stats)
         if self.obs.enabled:
             self.obs.round_finished(stats)
         if checkpoint:

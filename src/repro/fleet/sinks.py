@@ -33,10 +33,11 @@ class RoundStats:
     responses from earlier (timed-out) rounds the transport had to
     discard, and how long the round took in wall-clock terms.  Returned
     by ``collect_all`` (on the report list's ``stats`` attribute) and
-    recorded, in memory only, on the verifier's :class:`FleetHealth` —
-    wall-clock figures are machine-dependent, so they are deliberately
-    kept out of the persisted health row (and out of campaign artifact
-    rows and span traces, which must be byte-reproducible).
+    handed to ``Observability.round_finished``; the verifier keeps no
+    history of them.  Wall-clock figures are machine-dependent, so they
+    are deliberately kept out of the persisted health row (and out of
+    campaign artifact rows and span traces, which must be
+    byte-reproducible).
 
     ``wall_start`` / ``wall_end`` are one *monotonic* clock pair
     (``time.perf_counter``) bracketing the round, stamped by the
@@ -266,11 +267,6 @@ class FleetHealth:
     # ulp depending on how reports were split across workers.
     _freshness_sum: Fraction = Fraction(0)
     _freshness_count: int = 0
-    #: Per-round collection mechanics (see :class:`RoundStats`).  Kept
-    #: in memory only — wall-clock figures are machine-dependent, so
-    #: they never enter the persisted row (:meth:`to_row`).
-    round_stats: List[RoundStats] = field(default_factory=list,
-                                          compare=False, repr=False)
 
     def record(self, report: VerificationReport) -> None:
         """Fold one report into the aggregate."""
@@ -284,10 +280,6 @@ class FleetHealth:
         if report.freshness is not None:
             self._freshness_sum += Fraction(report.freshness)
             self._freshness_count += 1
-
-    def record_round(self, stats: RoundStats) -> None:
-        """Attach one finished round's collection mechanics."""
-        self.round_stats.append(stats)
 
     def merge(self, other: "FleetHealth") -> None:
         """Fold another aggregate into this one (process worker parts)."""

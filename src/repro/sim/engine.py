@@ -23,8 +23,8 @@ class SimulationEngine:
         engine.schedule(10.0, lambda ev: print("fired"), EventKind.TIMER)
         engine.run(until=100.0)
 
-    The engine also owns a :class:`TraceRecorder` so that experiments can
-    reconstruct what happened (e.g. for QoA / detection analysis).
+    The engine also owns a :class:`TraceRecorder`.  It holds only what a
+    caller records into it: the engine and the provers record nothing.
     """
 
     def __init__(self, trace: Optional[TraceRecorder] = None) -> None:

@@ -1,8 +1,8 @@
 """Trace recording for simulation runs.
 
-The analysis code (QoA, detection probability, swarm metrics) consumes
-traces rather than inspecting live objects, which keeps experiments
-reproducible and lets tests assert against exactly what happened.
+A :class:`TraceRecorder` holds only what a caller records into it; the
+engine and the provers record nothing on their own, so a long run's
+heap does not grow with the number of simulated events.
 """
 
 from __future__ import annotations

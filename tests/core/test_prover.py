@@ -25,14 +25,19 @@ def test_attached_prover_follows_schedule(erasmus_setup):
                           (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)]
 
 
-def test_measurement_events_recorded_in_trace(erasmus_setup):
+def test_measurement_listeners_see_each_scheduled_measurement(erasmus_setup):
     prover, _verifier, engine, _arch = erasmus_setup
+    calls = []
+    prover.measurement_listeners.append(
+        lambda device_id, time, measurement:
+            calls.append((device_id, time, measurement)))
     prover.attach(engine)
     engine.run(until=30.0)
-    events = engine.trace.events("measurement")
-    assert len(events) == 3
-    assert all(event.details["device"] == "dev-under-test"
-               for event in events)
+    assert [(device_id, time) for device_id, time, _ in calls] == \
+        [("dev-under-test", pytest.approx(t)) for t in (10.0, 20.0, 30.0)]
+    assert all(measurement is not None for _, _, measurement in calls)
+    # The engine's recorder keeps nothing per self-measurement.
+    assert len(engine.trace) == 0
 
 
 def test_handle_collect_returns_latest_k(erasmus_setup):
@@ -115,17 +120,6 @@ def test_lenient_schedule_recovers_aborted_measurement(key, smartplus_arch):
     timestamps = {round(m.timestamp, 1)
                   for m in prover.store.all_measurements()}
     assert 25.0 in timestamps
-
-
-def test_busy_fraction_accounts_for_measurement_time(erasmus_setup):
-    prover, _verifier, engine, _arch = erasmus_setup
-    prover.attach(engine)
-    engine.run(until=60.0)
-    fraction = prover.busy_fraction(0.0, 60.0)
-    assert 0 < fraction < 0.2
-    assert prover.is_busy_at(10.0)
-    with pytest.raises(ValueError):
-        prover.busy_fraction(10.0, 10.0)
 
 
 def test_irregular_prover_uses_round_robin_storage(key, smartplus_arch):

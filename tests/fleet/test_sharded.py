@@ -182,7 +182,6 @@ def test_sharded_round_stats_merge():
     # Shards of 5 devices with batch_size 3: two pipeline shards each.
     assert stats.shards == 4
     assert stats.wall_seconds > 0
-    assert fleet.health.round_stats == [stats]
 
 
 def test_sharded_last_collection_time_and_enrollment_lookups():
