@@ -23,6 +23,9 @@ SOAK_ROUNDS = 150
 #: Allowed growth over the soak rounds: a handful of interned or cached
 #: objects, nothing that scales with the round count.
 MAX_OBJECT_GROWTH = 50
+#: tracemalloc counts blocks allocated after it starts but cannot
+#: subtract the older blocks they replace, so refilling the rolling
+#: buffers and the journal window reads as ~0.1 MB of one-off growth.
 MAX_TRACED_GROWTH_BYTES = 512 * 1024
 
 
