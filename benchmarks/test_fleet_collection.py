@@ -9,8 +9,8 @@ Two collection paths are compared on identical fleets:
 
 * ``async`` — the pipelined single-verifier ``collect_all`` (awaitable
   transport seam plus the precompiled per-device verification path);
-* ``sharded`` — :class:`repro.fleet.ShardedFleetVerifier` draining the
-  fleet as four concurrent partitions.
+* ``sharded`` — a :class:`repro.fleet.FleetVerifier` with ``shards=4``
+  draining the fleet as four concurrent partitions.
 
 Both must collect, verify and report every device of the same
 1,000-device fleet.

@@ -7,8 +7,8 @@ The single-process ceiling falls in two places at once:
   datagrams on the loopback interface (``transport="socket"``), with a
   TCP fallback for responses too large for one datagram, instead of an
   in-process function call;
-* **verification** — a ``ShardedFleetVerifier`` with
-  ``worker_mode="process"`` ships each partition's response batches to
+* **verification** — a ``FleetVerifier(..., shards=4,
+  worker_mode="process")`` ships each partition's response batches to
   its spawned worker process over a compact binary pipe codec and
   merges the ``FleetHealth`` parts that come home.
 

@@ -8,9 +8,9 @@ the same 10,000-device round twice:
 1. **single verifier** — one ``FleetVerifier`` draining the whole
    fleet through the pipelined collection round (shards of devices in
    flight at once, each verified as soon as its exchange settles);
-2. **sharded** — a ``ShardedFleetVerifier`` with 4 shards: the same
-   round, cut round-robin into 4 partitions that each run their own
-   in-flight window, committing into one ``FleetHealth``.
+2. **sharded** — a ``FleetVerifier(..., shards=4)``: the same round,
+   cut round-robin into 4 partitions that each run their own in-flight
+   window, committing into one ``FleetHealth``.
 
 Provisioning is deterministic (same profile, same master secret), so
 the two fleets carry identical devices with identical measurement

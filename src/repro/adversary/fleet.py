@@ -110,12 +110,6 @@ class FleetAdversary(abc.ABC):
         read this after the engine has drained the horizon.
         """
 
-    def all_infections(self) -> List[Infection]:
-        """Every ground-truth infection, in (device, start) order."""
-        return [infection
-                for device_id in sorted(self.ground_truth())
-                for infection in self.ground_truth()[device_id]]
-
     def _require_undeployed(self) -> None:
         if self._deployed:
             raise RuntimeError(

@@ -331,22 +331,11 @@ class CampaignRunner:
     order either way, and every row is a pure function of its scenario,
     so the artifact's ``cells`` section is identical no matter how the
     sweep was parallelized.
-
-    ``executor`` selects where cells execute: ``"thread"`` (default)
-    fans out on a thread pool in this process; ``"process"`` ships each
-    cell's scenario row to a :class:`repro.fleet.workers.WorkerPool`
-    worker process and rebuilds the :class:`CellResult` from the JSON
-    row shipped home — the artifact rows are identical, but the
-    simulations escape the GIL.  A process campaign cannot carry
-    per-cell observability (the child tracer cannot cross the process
-    boundary), so ``executor="process"`` with an enabled ``obs``
-    raises.
     """
 
     def __init__(self, scenarios: Union[ScenarioGrid, Sequence[Scenario]],
                  name: str = "campaign",
                  max_workers: Optional[int] = None,
-                 executor: str = "thread",
                  obs: Optional["Observability"] = None) -> None:
         if isinstance(scenarios, ScenarioGrid):
             self.cells = scenarios.cells()
@@ -354,50 +343,19 @@ class CampaignRunner:
             self.cells = list(scenarios)
         if not self.cells:
             raise ValueError("a campaign needs at least one scenario cell")
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}; "
-                             f"expected 'thread' or 'process'")
-        if executor == "process" and obs is not None and obs.enabled:
-            raise ValueError(
-                "an observed campaign cannot run with executor='process': "
-                "per-cell observability (tracer, registry, reports) lives "
-                "in the parent process; use the thread executor")
         self.name = name
         self.max_workers = max_workers
-        self.executor = executor
         self.obs = obs
         self.results: List[CellResult] = []
 
     def run(self) -> List[CellResult]:
         """Run every cell (optionally fanned out); results in cell order."""
-        if self.executor == "process":
-            self.results = self._run_process()
-            return self.results
         sweep = ParameterSweep({"index": list(range(len(self.cells)))})
         sweep.run(lambda index: run_scenario(self.cells[index],
                                              obs=self.obs),
                   max_workers=self.max_workers)
         self.results = list(sweep.outcomes())
         return self.results
-
-    def _run_process(self) -> List[CellResult]:
-        """Ship every cell to a worker process; rebuild results in order."""
-        from repro.fleet.workers import WorkerPool, cell_from_row
-
-        count = self.max_workers if self.max_workers is not None \
-            else (os.cpu_count() or 1)
-        count = max(1, min(count, len(self.cells)))
-        pool = WorkerPool(count)
-        try:
-            for index in range(count):
-                pool.ensure_worker(index)
-            futures = [pool.submit_cell(index % count, cell.to_row())
-                       for index, cell in enumerate(self.cells)]
-            rows = [json.loads(bytes(future.result()))
-                    for future in futures]
-        finally:
-            pool.close()
-        return [cell_from_row(row) for row in rows]
 
     def rows(self) -> List[Dict[str, object]]:
         """Every cell's deterministic JSON row, in cell order."""

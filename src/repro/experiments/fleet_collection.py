@@ -26,7 +26,7 @@ DEFAULT_TRANSPORTS: Sequence[str] = ("in-process", "simulated-network",
 
 #: Collection-path variants compared by :func:`run_concurrency_comparison`:
 #: ``async`` is the pipelined single-verifier ``collect_all``,
-#: ``sharded`` the :class:`repro.fleet.ShardedFleetVerifier`.
+#: ``sharded`` a :class:`repro.fleet.FleetVerifier` with ``shards=4``.
 COLLECTION_MODES: Sequence[str] = ("async", "sharded")
 
 #: Store backends compared by :func:`run_store_comparison`; ``baseline``

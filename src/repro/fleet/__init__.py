@@ -14,9 +14,10 @@ attestation as a many-device service rather than a pairwise exchange:
   encoding;
 * :mod:`repro.fleet.service` — :class:`FleetVerifier` (an async-first
   ``collect_all`` pipeline over the stateless verification core, with
-  the synchronous call kept as a thin shim), the
-  :class:`ShardedFleetVerifier` (the same rounds, run as N concurrent
-  partitions) and the :class:`Fleet` facade;
+  the synchronous call kept as a thin shim; ``shards=N`` runs its
+  rounds as N concurrent partitions, and
+  ``FleetVerifier(worker_mode="process")`` verifies them in worker
+  processes) and the :class:`Fleet` facade;
 * :mod:`repro.fleet.sinks` — pluggable report sinks (in-memory, JSONL,
   :class:`FleetHealth` aggregation) and per-round :class:`RoundStats`.
 
@@ -52,12 +53,11 @@ from repro.fleet.profiles import (
 )
 from repro.fleet.service import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_MAX_INFLIGHT_SHARDS,
+    MAX_INFLIGHT_SHARDS,
     TRANSPORT_FACTORIES,
     Fleet,
     FleetVerifier,
     RoundReports,
-    ShardedFleetVerifier,
 )
 from repro.core.verification import DuplicateEnrollmentError
 from repro.fleet.sinks import (
@@ -82,7 +82,6 @@ from repro.fleet.workers import WorkerCrashed, WorkerError, WorkerPool
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_MAX_INFLIGHT_SHARDS",
     "DeviceProfile",
     "DuplicateEnrollmentError",
     "Fleet",
@@ -92,13 +91,13 @@ __all__ = [
     "HYDRA",
     "InProcessTransport",
     "JsonlSink",
+    "MAX_INFLIGHT_SHARDS",
     "MemorySink",
     "ProvisionedDevice",
     "ReportSink",
     "RoundReports",
     "RoundStats",
     "SMARTPLUS",
-    "ShardedFleetVerifier",
     "SimulatedNetworkTransport",
     "SinkFanout",
     "SocketTransport",

@@ -80,8 +80,8 @@ def _default_obs() -> "Observability":
 #: Default number of devices verified per shard of a collection round.
 DEFAULT_BATCH_SIZE = 256
 
-#: Default number of shards a pipelined round keeps in flight at once.
-DEFAULT_MAX_INFLIGHT_SHARDS = 4
+#: Number of shards each partition of a round keeps in flight at once.
+MAX_INFLIGHT_SHARDS = 4
 
 
 class RoundReports(List[VerificationReport]):
@@ -128,19 +128,59 @@ class FleetVerifier:
     counters and span traces.  The default (``None`` →
     :data:`repro.obs.NULL_OBSERVABILITY`) keeps every instrumented
     path at historical cost behind a single ``enabled`` test.
-    """
 
-    #: Partitions each collection round is cut into (see
-    #: :class:`ShardedFleetVerifier`); a plain verifier runs one.
-    shards = 1
+    ``shards`` cuts every round into that many partitions; sharding
+    decides only where a round's verification runs.  Device ``i`` of a
+    round's device list goes to partition ``i % shards`` (round-robin
+    in enrollment order for a whole-fleet round), and every partition
+    drains its own in-flight window on the round's one event loop; on
+    the simulated network the partitions overlap in virtual time.
+    Everything else stays single: one store, one :class:`FleetHealth`,
+    one :class:`RoundStats` per round, one sink fan-out fed in device
+    order and one checkpoint, so reports, health and store state are
+    byte-identical at any shard count.
+
+    ``worker_mode`` selects where partition batches are verified:
+
+    * ``"loop"`` (the default) — inline, between awaits.  On CPython
+      this is the fast choice for ERASMUS verification, whose hot path
+      is pure Python plus small-buffer C crypto that never releases the
+      GIL.
+    * ``"process"`` — partition ``s`` in slot ``s`` of a pool of
+      spawned worker *processes* (see :mod:`repro.fleet.workers`): the
+      HMAC-heavy verify loop runs outside this process's GIL entirely,
+      fed over binary pipes with zero-copy payload views on the worker
+      side.  The parent keeps the store, sinks and enrollments; workers
+      ship report rows and exact :class:`FleetHealth` parts home, so
+      health stays byte-identical to ``"loop"`` mode.  Workers spawn
+      lazily on the first round (or :meth:`warm_up`); every slot
+      mirrors every enrollment, re-shipped only when keys or whitelists
+      change, and a crashed worker's outstanding batches finish as
+      lost devices before it rejoins the next round.
+    """
 
     def __init__(self, config: ErasmusConfig,
                  schedule_tolerance: float = 0.25,
                  allowed_missing: int = 0,
                  sinks: Iterable[ReportSink] = (),
                  store: Optional[StateStore] = None,
-                 obs: Optional["Observability"] = None) -> None:
+                 obs: Optional["Observability"] = None,
+                 shards: int = 1,
+                 worker_mode: str = "loop") -> None:
+        if shards < 1:
+            raise ValueError("a verifier needs at least one shard")
+        if worker_mode not in ("loop", "process"):
+            raise ValueError(f"unknown worker mode {worker_mode!r}; "
+                             f"expected 'loop' or 'process'")
         self.config = config
+        self.shards = shards
+        self.worker_mode = worker_mode
+        # Process-mode machinery: the pool spawns lazily on the first
+        # round; _worker_sync caches (generation, enrollment epoch) per
+        # slot so enrollment mirrors re-ship only when material changed
+        # or the slot respawned.
+        self._pool: Optional[WorkerPool] = None
+        self._worker_sync: List[Optional[tuple]] = [None] * shards
         self.core = VerificationCore(config,
                                      schedule_tolerance=schedule_tolerance,
                                      allowed_missing=allowed_missing)
@@ -458,21 +498,27 @@ class FleetVerifier:
                                   rounds_completed=self.rounds_completed)
 
     def close(self) -> None:
-        """Close every attached sink and the store (idempotent).
+        """Close the worker pool, every sink and the store (idempotent).
 
-        Exception-safe: one sink failing never prevents the remaining
-        sinks or the store from being released; the first failure is
-        re-raised once everything has been attempted, and re-entry is
-        a no-op either way.
+        Exception-safe: the pool or one sink failing never prevents the
+        remaining sinks or the store from being released; the first
+        failure is re-raised once everything has been attempted, and
+        re-entry is a no-op either way.
         """
         if self._closed:
             return
         self._closed = True
         first_error: Optional[BaseException] = None
+        if self._pool is not None:
+            try:
+                self._pool.close()
+            except Exception as exc:
+                first_error = exc
         try:
             SinkFanout(self.sinks).close()
         except Exception as exc:
-            first_error = exc
+            if first_error is None:
+                first_error = exc
         if self.store is not None:
             try:
                 self.store.close()
@@ -504,7 +550,7 @@ class FleetVerifier:
 
     def _finish_round(self, reports: RoundReports, stats: RoundStats,
                       transport: Transport, stale_before: int,
-                      started: float, checkpoint: bool) -> RoundReports:
+                      started: float) -> RoundReports:
         """Stamp the round's stats and fold state into a checkpoint."""
         ended = _time.perf_counter()
         stats.wall_start = started
@@ -515,17 +561,14 @@ class FleetVerifier:
         self.rounds_completed += 1
         if self.obs.enabled:
             self.obs.round_finished(stats)
-        if checkpoint:
-            self.checkpoint()
+        self.checkpoint()
         return reports
 
     def collect_all(self, transport: Transport,
                     collection_time: Optional[float] = None,
                     k: Optional[int] = None,
                     device_ids: Optional[Iterable[str]] = None,
-                    batch_size: int = DEFAULT_BATCH_SIZE,
-                    checkpoint: bool = True,
-                    max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
+                    batch_size: int = DEFAULT_BATCH_SIZE
                     ) -> RoundReports:
         """Run one collection round over (a subset of) the fleet.
 
@@ -545,15 +588,14 @@ class FleetVerifier:
         Sinks are guarded by a :class:`~repro.fleet.sinks.SinkFanout`:
         a clean round flushes them, a transport failure mid-round
         flushes *and closes* them so already-verified reports reach
-        disk before the exception propagates.  Unless ``checkpoint=
-        False``, a finished round also folds the verifier state into a
-        store snapshot (see :meth:`checkpoint`).
+        disk before the exception propagates.  A finished round also
+        folds the verifier state into a store snapshot (see
+        :meth:`checkpoint`).
         """
         _ensure_no_running_loop("await collect_all_async(...) instead")
         return asyncio.run(self.collect_all_async(
             transport, collection_time, k=k, device_ids=device_ids,
-            batch_size=batch_size, checkpoint=checkpoint,
-            max_inflight_shards=max_inflight_shards))
+            batch_size=batch_size))
 
     @staticmethod
     def _count_batch(stats: RoundStats, batch: List[str],
@@ -569,14 +611,13 @@ class FleetVerifier:
                                 collection_time: Optional[float] = None,
                                 k: Optional[int] = None,
                                 device_ids: Optional[Iterable[str]] = None,
-                                batch_size: int = DEFAULT_BATCH_SIZE,
-                                checkpoint: bool = True,
-                                max_inflight_shards: int =
-                                DEFAULT_MAX_INFLIGHT_SHARDS) -> RoundReports:
+                                batch_size: int = DEFAULT_BATCH_SIZE
+                                ) -> RoundReports:
         """One collection round as an asyncio pipeline.
 
         The round is cut into shards of ``batch_size`` devices; up to
-        ``max_inflight_shards`` shards are in flight at once, each
+        :data:`MAX_INFLIGHT_SHARDS` shards per partition are in flight
+        at once, each
         exchanging through :meth:`Transport.exchange_many_async` and
         verifying its payloads — through the precompiled per-device
         judges, inline between awaits — as soon as *its* exchange
@@ -592,26 +633,78 @@ class FleetVerifier:
         network, the shards genuinely overlap in virtual time.
         """
         return await self._run_round(transport, collection_time, k,
-                                     device_ids, batch_size, checkpoint,
-                                     max_inflight_shards)
+                                     device_ids, batch_size)
+
+    @property
+    def worker_pool(self) -> Optional[WorkerPool]:
+        """The process pool, once the first process-mode round spawned it."""
+        return self._pool
+
+    def warm_up(self) -> None:
+        """Spawn worker processes and ship enrollments ahead of a round.
+
+        Process mode pays its one-time costs — spawning the workers
+        (interpreter + import per process) and shipping the enrollment
+        mirrors — lazily inside the first ``collect_all``.  Call this
+        first to take that cold start out of the first round's latency
+        (benchmarks measure steady-state rounds this way).  No-op in
+        ``"loop"`` mode.
+        """
+        if self.worker_mode == "process":
+            asyncio.run(self._round_pool())
 
     async def _round_pool(self) -> Optional[WorkerPool]:
-        """The synced worker pool a round verifies in; ``None`` = inline."""
-        return None
+        """The synced worker pool a round verifies in; ``None`` = inline.
+
+        In process mode, spawns/respawns slots and re-ships changed
+        enrollment mirrors.
+        """
+        if self.worker_mode != "process":
+            return None
+        if self._pool is None:
+            self._pool = WorkerPool(
+                self.shards, config=self.config,
+                schedule_tolerance=self.core.schedule_tolerance,
+                allowed_missing=self.core.allowed_missing, obs=self.obs)
+        pool = self._pool
+        # Spawn every slot before shipping: a mirror larger than the
+        # pipe buffer blocks its send until that worker has started.
+        generations = [pool.ensure_worker(slot)
+                       for slot in range(self.shards)]
+        rows = None
+        waits = []
+        slots = []
+        for slot, generation in enumerate(generations):
+            key = (generation, self._enrollment_epoch)
+            if self._worker_sync[slot] != key:
+                if rows is None:
+                    rows = [enrollment.to_row()
+                            for enrollment in self._enrollments.values()]
+                waits.append(asyncio.wrap_future(
+                    pool.sync_enrollments(slot, rows)))
+                slots.append(slot)
+                self._worker_sync[slot] = key
+        results = await asyncio.gather(*waits, return_exceptions=True)
+        for slot, result in zip(slots, results):
+            if isinstance(result, BaseException):
+                # The slot died before acking; forget the sync so the
+                # next round re-ships after the respawn.  This round's
+                # tasks to it fail fast as WorkerCrashed (lost devices).
+                self._worker_sync[slot] = None
+        return pool
 
     async def _run_round(self, transport: Transport,
                          collection_time: Optional[float],
                          k: Optional[int],
                          device_ids: Optional[Iterable[str]],
-                         batch_size: int, checkpoint: bool,
-                         max_inflight_shards: int) -> RoundReports:
+                         batch_size: int) -> RoundReports:
         """The windowed round every collection path runs.
 
         The round's device list is cut into :attr:`shards` partitions,
         ``ids[s::shards]``, and each partition into shards of
         ``batch_size`` devices.  Every partition runs its own window:
-        at most ``max_inflight_shards`` shards exchange concurrently and
-        commit in shard order.  All windows share one
+        at most :data:`MAX_INFLIGHT_SHARDS` shards exchange concurrently
+        and commit in shard order.  All windows share one
         :class:`RoundStats`, one sink fan-out and one checkpoint.  Only
         the verify step varies: without a worker pool
         (:meth:`_round_pool`) each shard is judged inline
@@ -625,8 +718,6 @@ class FleetVerifier:
         sinks in order, and the error propagates; the sinks the fan-out
         closed are pruned.
         """
-        if max_inflight_shards <= 0:
-            raise ValueError("max_inflight_shards must be positive")
         engine, ids, request_bytes = self._round_prologue(
             transport, collection_time, device_ids, batch_size, k)
         stale_before = transport.stale_responses_rejected
@@ -690,7 +781,7 @@ class FleetVerifier:
             def _keep_window_full() -> None:
                 nonlocal next_shard
                 while next_shard < len(shards) and \
-                        len(in_flight) < max_inflight_shards:
+                        len(in_flight) < MAX_INFLIGHT_SHARDS:
                     in_flight.append(asyncio.ensure_future(_collect_shard(
                         partition, shards[next_shard][1], next_shard,
                         round_span)))
@@ -754,7 +845,7 @@ class FleetVerifier:
             if obs_enabled:
                 obs.rounds_inflight.dec()
         return self._finish_round(reports, stats, transport, stale_before,
-                                  started, checkpoint)
+                                  started)
 
     async def _verify_inline(self, partition: int, shard: List[str],
                              responses: Mapping[str, Optional[bytes]],
@@ -849,127 +940,6 @@ async def _cancel_all(tasks: List[asyncio.Task]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Sharded verification
-# ----------------------------------------------------------------------
-
-class ShardedFleetVerifier(FleetVerifier):
-    """A :class:`FleetVerifier` whose rounds run as ``shards`` partitions.
-
-    Sharding decides only where a round's verification runs.  Device
-    ``i`` of a round's device list goes to partition ``i % shards``
-    (round-robin in enrollment order for a whole-fleet round), and
-    every partition drains its own in-flight window on the round's one
-    event loop; on the simulated network the partitions overlap in
-    virtual time.  Everything else is the one verifier's: one store,
-    one :class:`FleetHealth`, one :class:`RoundStats` per round, one
-    sink fan-out fed in device order and one checkpoint, so reports,
-    health and store state are byte-identical to a plain verifier's.
-
-    ``worker_mode`` selects where partition batches are verified:
-
-    * ``"loop"`` (the default) — inline, between awaits.  On CPython
-      this is the fast choice for ERASMUS verification, whose hot path
-      is pure Python plus small-buffer C crypto that never releases the
-      GIL.
-    * ``"process"`` — partition ``s`` in slot ``s`` of a pool of
-      spawned worker *processes* (see :mod:`repro.fleet.workers`): the
-      HMAC-heavy verify loop runs outside this process's GIL entirely,
-      fed over binary pipes with zero-copy payload views on the worker
-      side.  The parent keeps the store, sinks and enrollments; workers
-      ship report rows and exact :class:`FleetHealth` parts home, so
-      health stays byte-identical to ``"loop"`` mode.  Workers spawn
-      lazily on the first round (or :meth:`warm_up`); every slot
-      mirrors every enrollment, re-shipped only when keys or whitelists
-      change, and a crashed worker's outstanding batches finish as
-      lost devices before it rejoins the next round.
-    """
-
-    def __init__(self, config: ErasmusConfig, shards: int = 4,
-                 schedule_tolerance: float = 0.25,
-                 allowed_missing: int = 0,
-                 sinks: Iterable[ReportSink] = (),
-                 store: Optional[StateStore] = None,
-                 worker_mode: str = "loop",
-                 obs: Optional["Observability"] = None) -> None:
-        if shards < 1:
-            raise ValueError("a sharded verifier needs at least one shard")
-        if worker_mode not in ("loop", "process"):
-            raise ValueError(f"unknown worker mode {worker_mode!r}; "
-                             f"expected 'loop' or 'process'")
-        super().__init__(config, schedule_tolerance=schedule_tolerance,
-                         allowed_missing=allowed_missing, sinks=sinks,
-                         store=store, obs=obs)
-        self.shards = shards
-        self.worker_mode = worker_mode
-        # Process-mode machinery: the pool spawns lazily on the first
-        # round; _worker_sync caches (generation, enrollment epoch) per
-        # slot so enrollment mirrors re-ship only when material changed
-        # or the slot respawned.
-        self._pool: Optional[WorkerPool] = None
-        self._worker_sync: List[Optional[tuple]] = [None] * shards
-
-    @property
-    def worker_pool(self) -> Optional[WorkerPool]:
-        """The process pool, once the first process-mode round spawned it."""
-        return self._pool
-
-    def warm_up(self) -> None:
-        """Spawn worker processes and ship enrollments ahead of a round.
-
-        Process mode pays its one-time costs — spawning the workers
-        (interpreter + import per process) and shipping the enrollment
-        mirrors — lazily inside the first ``collect_all``.  Call this
-        first to take that cold start out of the first round's latency
-        (benchmarks measure steady-state rounds this way).  No-op in
-        ``"loop"`` mode.
-        """
-        if self.worker_mode == "process":
-            asyncio.run(self._round_pool())
-
-    async def _round_pool(self) -> Optional[WorkerPool]:
-        """Spawn/respawn slots and re-ship changed enrollment mirrors."""
-        if self.worker_mode != "process":
-            return None
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.shards, config=self.config,
-                schedule_tolerance=self.core.schedule_tolerance,
-                allowed_missing=self.core.allowed_missing, obs=self.obs)
-        pool = self._pool
-        # Spawn every slot before shipping: a mirror larger than the
-        # pipe buffer blocks its send until that worker has started.
-        generations = [pool.ensure_worker(slot)
-                       for slot in range(self.shards)]
-        rows = None
-        waits = []
-        slots = []
-        for slot, generation in enumerate(generations):
-            key = (generation, self._enrollment_epoch)
-            if self._worker_sync[slot] != key:
-                if rows is None:
-                    rows = [enrollment.to_row()
-                            for enrollment in self._enrollments.values()]
-                waits.append(asyncio.wrap_future(
-                    pool.sync_enrollments(slot, rows)))
-                slots.append(slot)
-                self._worker_sync[slot] = key
-        results = await asyncio.gather(*waits, return_exceptions=True)
-        for slot, result in zip(slots, results):
-            if isinstance(result, BaseException):
-                # The slot died before acking; forget the sync so the
-                # next round re-ships after the respawn.  This round's
-                # tasks to it fail fast as WorkerCrashed (lost devices).
-                self._worker_sync[slot] = None
-        return pool
-
-    def close(self) -> None:
-        """Close the worker pool, every sink and the store (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-        super().close()
-
-
-# ----------------------------------------------------------------------
 # Facade
 # ----------------------------------------------------------------------
 
@@ -1035,12 +1005,10 @@ class Fleet:
         instance, or a callable receiving the engine.  ``store`` backs
         the verifier with a :class:`repro.store.StateStore` so the
         deployment can be resumed after a verifier restart (see
-        :meth:`FleetVerifier.restore`).  ``shards`` provisions the
-        fleet onto a :class:`ShardedFleetVerifier`, whose rounds run as
-        that many concurrent partitions, instead of a plain
-        :class:`FleetVerifier`; ``worker_mode`` then selects where the
-        partitions are verified (``"loop"`` or ``"process"`` — see
-        :class:`ShardedFleetVerifier`).
+        :meth:`FleetVerifier.restore`).  ``shards`` runs the verifier's
+        rounds as that many concurrent partitions (``None`` = one);
+        ``worker_mode`` then selects where the partitions are verified
+        (``"loop"`` or ``"process"`` — see :class:`FleetVerifier`).
 
         ``obs`` threads one :class:`repro.obs.Observability` through
         the whole stack: its clock binds to the fleet engine, the
@@ -1091,18 +1059,12 @@ class Fleet:
             slo_sink = obs.health_sink()
             if slo_sink is not None and slo_sink not in round_sinks:
                 round_sinks.append(slo_sink)
-        if shards is not None:
-            verifier: FleetVerifier = ShardedFleetVerifier(
-                profile.config, shards=shards,
-                schedule_tolerance=schedule_tolerance,
-                allowed_missing=allowed_missing, sinks=round_sinks,
-                store=store, worker_mode=worker_mode, obs=obs)
-        else:
-            verifier = FleetVerifier(profile.config,
-                                     schedule_tolerance=schedule_tolerance,
-                                     allowed_missing=allowed_missing,
-                                     sinks=round_sinks, store=store,
-                                     obs=obs)
+        verifier = FleetVerifier(profile.config,
+                                 schedule_tolerance=schedule_tolerance,
+                                 allowed_missing=allowed_missing,
+                                 sinks=round_sinks, store=store, obs=obs,
+                                 shards=1 if shards is None else shards,
+                                 worker_mode=worker_mode)
         devices: Dict[str, ProvisionedDevice] = {}
         interval = profile.config.measurement_interval
         for index in range(count):
@@ -1165,9 +1127,7 @@ class Fleet:
 
     def collect_all(self, k: Optional[int] = None,
                     collection_time: Optional[float] = None,
-                    batch_size: int = DEFAULT_BATCH_SIZE,
-                    checkpoint: bool = True,
-                    max_inflight_shards: int = DEFAULT_MAX_INFLIGHT_SHARDS
+                    batch_size: int = DEFAULT_BATCH_SIZE
                     ) -> RoundReports:
         """Run one collection round over the whole fleet.
 
@@ -1175,23 +1135,19 @@ class Fleet:
         after its exchange (see :meth:`FleetVerifier.collect_all`).
         """
         return self.verifier.collect_all(
-            self.transport, collection_time, k=k, batch_size=batch_size,
-            checkpoint=checkpoint, max_inflight_shards=max_inflight_shards)
+            self.transport, collection_time, k=k, batch_size=batch_size)
 
     async def collect_all_async(self, k: Optional[int] = None,
                                 collection_time: Optional[float] = None,
-                                batch_size: int = DEFAULT_BATCH_SIZE,
-                                checkpoint: bool = True,
-                                max_inflight_shards: int =
-                                DEFAULT_MAX_INFLIGHT_SHARDS) -> RoundReports:
+                                batch_size: int = DEFAULT_BATCH_SIZE
+                                ) -> RoundReports:
         """Awaitable :meth:`collect_all` — the fleet's async pipeline.
 
-        Sharded fleets run the same round: their partitions drain
-        concurrently on the caller's event loop.
+        A sharded fleet's partitions drain concurrently on the caller's
+        event loop.
         """
         return await self.verifier.collect_all_async(
-            self.transport, collection_time, k=k, batch_size=batch_size,
-            checkpoint=checkpoint, max_inflight_shards=max_inflight_shards)
+            self.transport, collection_time, k=k, batch_size=batch_size)
 
     def close(self) -> None:
         """Close every attached report sink and the state store.

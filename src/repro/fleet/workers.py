@@ -24,11 +24,6 @@ batch's devices as lost), and the next :meth:`WorkerPool.ensure_worker`
 respawns the slot.  :meth:`WorkerPool.inject_crash` arms a
 deterministic ``os._exit`` on the slot's next task — the same wrap-only
 fault-injection idiom as :class:`repro.campaign.faults.CrashOnceStore`.
-
-The pool also runs campaign cells (:meth:`WorkerPool.submit_cell`):
-a cell is one ``run_scenario`` call, fully described by its
-:class:`~repro.campaign.scenario.Scenario` row and returning a plain
-JSON result, so scenario grids fan out across cores unchanged.
 """
 
 from __future__ import annotations
@@ -65,8 +60,6 @@ OP_RESULT = 3        # worker -> parent: report rows + health part
 OP_ERROR = 4         # worker -> parent: traceback text
 OP_EXIT = 5          # parent -> worker: hard os._exit (crash injection)
 OP_SHUTDOWN = 6      # parent -> worker: clean exit
-OP_CELL = 7          # parent -> worker: run one campaign scenario cell
-OP_CELL_RESULT = 8   # worker -> parent: the cell's JSON result
 
 _TASK_WANT_TIMINGS = 0x01
 _TASK_CRASH = 0x02
@@ -188,7 +181,7 @@ def _worker_main(conn, config: Optional[ErasmusConfig],
 
     Runs in a spawned child process (``multiprocessing`` forwards the
     parent's ``sys.path``, so the src layout imports cleanly).  All
-    fleet/campaign imports happen here, not at module import time, so
+    fleet imports happen here, not at module import time, so
     the parent-side pool never pays for (or cycles through) them.
     """
     from repro.core.verification import Enrollment
@@ -251,19 +244,6 @@ def _worker_main(conn, config: Optional[ErasmusConfig],
                 conn.send_bytes(_FRAME.pack(OP_RESULT, rid) +
                                 encode_result(rows, health.to_row(),
                                               timings))
-            elif opcode == OP_CELL:
-                from repro.campaign.runner import run_scenario
-                from repro.campaign.scenario import Scenario
-                request = json.loads(bytes(body))
-                scenario = Scenario(**request["scenario"])
-                secret = request.get("master_secret")
-                result = run_scenario(
-                    scenario,
-                    master_secret=None if secret is None
-                    else bytes.fromhex(secret))
-                conn.send_bytes(_FRAME.pack(OP_CELL_RESULT, rid) +
-                                json.dumps(_cell_to_row(result),
-                                           sort_keys=True).encode("utf-8"))
             else:
                 raise WorkerError(f"unknown opcode {opcode}")
         except SystemExit:
@@ -274,65 +254,6 @@ def _worker_main(conn, config: Optional[ErasmusConfig],
                                 traceback.format_exc().encode("utf-8"))
             except (OSError, ValueError):
                 return
-
-
-def _cell_to_row(result) -> Dict[str, object]:
-    """Flatten one :class:`~repro.campaign.runner.CellResult` to JSON.
-
-    Only fields the campaign artifact consumes cross the pipe; the
-    cell's fleet, reports and observability stay in the worker.
-    """
-    detection = result.detection
-    return {
-        "scenario": result.scenario.to_row(),
-        "detection": {
-            "total_infections": detection.total_infections,
-            "detected_infections": detection.detected_infections,
-            "latencies": list(detection.latencies),
-            "infected_devices": detection.infected_devices,
-            "detected_devices": detection.detected_devices,
-        },
-        "rounds": [{
-            "requests_sent": stats.requests_sent,
-            "responses_received": stats.responses_received,
-            "responses_lost": stats.responses_lost,
-            "stale_responses_rejected": stats.stale_responses_rejected,
-            "shards": stats.shards,
-        } for stats in result.rounds],
-        "skipped_rounds": result.skipped_rounds,
-        "recovered_rounds": result.recovered_rounds,
-        "dropped_exchanges": result.dropped_exchanges,
-        "wall_seconds": result.wall_seconds,
-    }
-
-
-def cell_from_row(row: Dict[str, object]):
-    """Rebuild a :class:`~repro.campaign.runner.CellResult` from its row."""
-    from repro.analysis.detection import FleetDetectionSummary
-    from repro.campaign.runner import CellResult
-    from repro.campaign.scenario import Scenario
-    from repro.fleet.sinks import RoundStats
-
-    detection_row = dict(row["detection"])
-    detection = FleetDetectionSummary(
-        total_infections=int(detection_row["total_infections"]),
-        detected_infections=int(detection_row["detected_infections"]),
-        latencies=[float(value) for value in detection_row["latencies"]],
-        infected_devices=int(detection_row["infected_devices"]),
-        detected_devices=int(detection_row["detected_devices"]))
-    rounds = [RoundStats(
-        requests_sent=int(stats["requests_sent"]),
-        responses_received=int(stats["responses_received"]),
-        responses_lost=int(stats["responses_lost"]),
-        stale_responses_rejected=int(stats["stale_responses_rejected"]),
-        shards=int(stats["shards"])) for stats in row["rounds"]]
-    return CellResult(
-        scenario=Scenario(**row["scenario"]),
-        detection=detection, rounds=rounds,
-        skipped_rounds=int(row["skipped_rounds"]),
-        recovered_rounds=int(row["recovered_rounds"]),
-        dropped_exchanges=int(row["dropped_exchanges"]),
-        wall_seconds=float(row["wall_seconds"]))
 
 
 # ----------------------------------------------------------------------
@@ -516,15 +437,6 @@ class WorkerPool:
             future.add_done_callback(_observe)
         return future
 
-    def submit_cell(self, index: int, scenario_row: Dict[str, object],
-                    master_secret: Optional[bytes] = None) -> Future:
-        """Run one campaign cell on the slot; resolves to its JSON row."""
-        request = {"scenario": scenario_row,
-                   "master_secret": None if master_secret is None
-                   else master_secret.hex()}
-        return self._submit(index, OP_CELL,
-                            json.dumps(request).encode("utf-8"))
-
     def _submit(self, index: int, opcode: int, body: bytes) -> Future:
         handle = self._handles[index]
         if handle is None or handle.dead.is_set():
@@ -573,7 +485,7 @@ class WorkerPool:
             if opcode == OP_ERROR:
                 future.set_exception(WorkerError(
                     f"worker {index} failed:\n{str(body, 'utf-8')}"))
-            elif opcode in (OP_RESULT, OP_CELL_RESULT):
+            elif opcode == OP_RESULT:
                 future.set_result(body)
             else:
                 # A frame this parent cannot interpret means the codec

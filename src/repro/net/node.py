@@ -25,11 +25,6 @@ class NetworkNode:
         self.sent_bytes = 0
         self.received_bytes = 0
 
-    def set_receive_handler(self, handler: Callable[["NetworkNode", Packet,
-                                                     float], None]) -> None:
-        """Install the callback invoked on packet delivery."""
-        self._on_receive = handler
-
     def send(self, destination: str, payload: bytes,
              kind: str = "data") -> Optional[Packet]:
         """Send a packet through the attached network.

@@ -723,13 +723,6 @@ class ObsReport:
                                      title=title)
 
     @classmethod
-    def from_tracer(cls, tracer, exposition: Optional[str] = None,
-                    title: str = "trace") -> "ObsReport":
-        """Analyze a live :class:`~repro.obs.tracing.SpanTracer`."""
-        return cls(tracer.export_rows(), exposition=exposition,
-                   title=title)
-
-    @classmethod
     def from_observability(cls, obs, title: str = "trace") -> "ObsReport":
         """Analyze one :class:`~repro.obs.Observability`: its tracer's
         rows plus its registry's current exposition."""

@@ -74,7 +74,7 @@ class TestPartitionInjector:
         transport = wrap(inner)
         fleet = provision(count=64, engine=engine, transport=transport)
         fleet.run_until(600.0)
-        reports = fleet.collect_all(batch_size=8, max_inflight_shards=4)
+        reports = fleet.collect_all(batch_size=8)
         rows = [(r.device_id, r.status, r.collection_time, r.verdicts)
                 for r in reports]
         return fleet, transport, reports, rows, engine.now

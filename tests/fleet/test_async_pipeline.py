@@ -171,16 +171,9 @@ def test_collect_all_refuses_to_block_running_loop():
 
 def test_pipeline_commits_in_device_order_across_shards():
     fleet = provision_fleet(20)
-    reports = fleet.collect_all(batch_size=3, max_inflight_shards=2)
+    reports = fleet.collect_all(batch_size=3)
     assert [report.device_id for report in reports] == fleet.device_ids()
     assert reports.stats.shards == 7
-
-
-def test_max_inflight_shards_validation():
-    fleet = provision_fleet(2)
-    with pytest.raises(ValueError):
-        asyncio.run(fleet.verifier.collect_all_async(
-            fleet.transport, max_inflight_shards=0))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for ShardedFleetVerifier: partition assignment, output identity."""
+"""Tests for sharded FleetVerifier rounds: partitions, output identity."""
 
 import asyncio
 import re
@@ -13,7 +13,6 @@ from repro.fleet import (
     FleetVerifier,
     InProcessTransport,
     MemorySink,
-    ShardedFleetVerifier,
 )
 from repro.obs import Observability
 from repro.sim.engine import SimulationEngine
@@ -76,8 +75,7 @@ def test_shard_assignment_is_stable_round_robin():
     engine = SimulationEngine()
     obs.bind_engine(engine)
     transport = InProcessTransport(engine)
-    verifier = ShardedFleetVerifier(small_profile().config, shards=3,
-                                    obs=obs)
+    verifier = FleetVerifier(small_profile().config, shards=3, obs=obs)
     profile = small_profile()
     for index in range(7):
         device = profile.provision(f"s-{index}", master_secret=b"master")
@@ -101,11 +99,11 @@ def test_shard_assignment_is_stable_round_robin():
 def test_sharded_requires_at_least_one_shard_and_known_mode():
     config = small_profile().config
     with pytest.raises(ValueError):
-        ShardedFleetVerifier(config, shards=0)
+        FleetVerifier(config, shards=0)
     with pytest.raises(ValueError):
-        ShardedFleetVerifier(config, worker_mode="fork")
+        FleetVerifier(config, worker_mode="fork")
     with pytest.raises(ValueError, match="'loop' or 'process'"):
-        ShardedFleetVerifier(config, worker_mode="thread")
+        FleetVerifier(config, worker_mode="thread")
 
 
 @settings(max_examples=12, deadline=None)
@@ -115,7 +113,7 @@ def test_sharded_requires_at_least_one_shard_and_known_mode():
        rounds=st.integers(min_value=1, max_value=2))
 def test_shard_merge_health_byte_identical_property(count, shards,
                                                     infected_seed, rounds):
-    """ShardedFleetVerifier health == single-verifier health, bytewise.
+    """Sharded-round health == single-shard health, bytewise.
 
     Whatever the fleet size, shard count, infection pattern and number
     of rounds, merging the per-shard aggregates must reproduce the
@@ -198,10 +196,41 @@ def test_sharded_last_collection_time_and_enrollment_lookups():
 
 def test_sharded_close_is_idempotent():
     sink = MemorySink()
-    verifier = ShardedFleetVerifier(small_profile().config, shards=2,
-                                    sinks=(sink,), store=MemoryStore())
+    verifier = FleetVerifier(small_profile().config, shards=2,
+                             sinks=(sink,), store=MemoryStore())
     verifier.close()
     verifier.close()  # second close must be a no-op
+
+
+def test_failing_pool_close_still_releases_sinks_and_store():
+    """The pool closes inside close()'s first-error sequence."""
+    released = []
+
+    class RecordingSink(MemorySink):
+        def close(self):
+            released.append("sink")
+
+    class RecordingStore(MemoryStore):
+        def close(self):
+            released.append("store")
+
+    verifier = FleetVerifier(small_profile().config, shards=2,
+                             sinks=(RecordingSink(),), store=RecordingStore(),
+                             worker_mode="process")
+    verifier.warm_up()
+    pool = verifier.worker_pool
+    real_close = pool.close
+
+    def failing_close():
+        real_close()
+        raise OSError("pool shutdown failed")
+
+    pool.close = failing_close
+    with pytest.raises(OSError, match="pool shutdown failed"):
+        verifier.close()
+    assert released == ["sink", "store"]
+    verifier.close()  # re-entry stays a no-op
+    assert released == ["sink", "store"]
 
 
 class _ExplodingSink(MemorySink):
@@ -256,8 +285,7 @@ def test_single_shard_equals_plain_fleet_verifier():
         5, shards=1)
     assert [report_key(r) for r in single_rounds[0]] == \
         [report_key(r) for r in sharded_rounds[0]]
-    assert isinstance(sharded.verifier, ShardedFleetVerifier)
-    assert isinstance(single.verifier, FleetVerifier)
+    assert sharded.verifier.shards == 1
     assert health_bytes(single.verifier) == health_bytes(sharded.verifier)
 
 

@@ -228,6 +228,41 @@ def test_worker_reports_python_errors_as_worker_error():
         pool.close()
 
 
+def test_worker_rejects_unknown_opcode_and_keeps_serving():
+    """The worker answers a frame it has no arm for with an error, not a
+    dead pipe, and the same slot still verifies the next task."""
+    from repro.core.protocol import CollectRequest
+    from repro.core.verification import Enrollment
+    from repro.fleet import serve_request
+    from repro.sim.engine import SimulationEngine
+
+    profile = small_profile()
+    device = profile.provision("dev-0000", master_secret=b"master")
+    engine = SimulationEngine()
+    device.prover.attach(engine, start_time=0.0)
+    engine.run(until=60.0)
+    payload = serve_request(device.prover, CollectRequest(
+        k=profile.config.measurements_per_collection).encode())
+    enrollment = Enrollment.create(device.device_id, device.key,
+                                   [device.healthy_digest])
+
+    pool = WorkerPool(1, config=profile.config)
+    try:
+        pool.ensure_worker(0)
+        pool.sync_enrollments(0, [enrollment.to_row()]).result(timeout=30)
+        future = pool._submit(0, 7, b"{}")
+        with pytest.raises(WorkerError, match="unknown opcode 7"):
+            future.result(timeout=30)
+        body = pool.submit_task(0, 60.0, [(device.device_id, payload, None)]
+                                ).result(timeout=30)
+        rows, _, _ = decode_result(body)
+        assert [row["device_id"] for row in rows] == [device.device_id]
+        assert rows[0]["status"] == DeviceStatus.HEALTHY.value
+        assert pool.restarts == [0]
+    finally:
+        pool.close()
+
+
 def test_pool_close_is_idempotent_and_final():
     pool = WorkerPool(2, config=small_profile().config)
     pool.ensure_worker(0)
