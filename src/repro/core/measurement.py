@@ -6,13 +6,20 @@ the prover's insecure rolling buffer and later shipped to the verifier
 unencrypted (they are authenticated by the MAC and contain no secrets;
 Section 3.2).  This module defines the record and a compact, canonical
 wire encoding used both for buffer storage and for network transfer.
+
+A received record list decodes into one :class:`RecordBatch`: four
+columns (timestamps, MAC inputs as received, digests, tags) rather
+than one object per record.  The verifier judges the columns directly;
+the batch builds :class:`Measurement` records only for a caller that
+indexes or iterates it.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.arch.base import MeasurementOutput, encode_timestamp
 
@@ -45,8 +52,10 @@ class Measurement:
     ``duration`` (not transmitted) records the modelled run-time of the
     measurement on the prover, used by availability experiments.
 
-    A record decoded from the wire also remembers its MAC input as
-    received (see :meth:`mac_input`).  That is not a dataclass field:
+    A record read out of a :class:`RecordBatch` decoded from the wire
+    also remembers its MAC input as received (see :meth:`mac_input`);
+    the verifier itself judges the batch's columns and builds no
+    record.  The MAC input is not a dataclass field:
     it is never encoded, compared, hashed or shown, and every other way
     of building a record — direct construction, :meth:`with_timestamp`,
     ``dataclasses.replace`` — leaves it unset, so a record whose
@@ -109,7 +118,8 @@ class Measurement:
                 f"expected {expected}")
         digest_end = _HEADER.size + digest_len
         digest = data[_HEADER.size:digest_end]
-        return _received_record(timestamp_us, digest, data[digest_end:],
+        return _received_record(timestamp_us / 1_000_000, digest,
+                                data[digest_end:],
                                 data[:_TIMESTAMP_SIZE] + digest)
 
     @property
@@ -132,7 +142,7 @@ def _as_bytes(payload: Buffer) -> bytes:
     return payload if type(payload) is bytes else bytes(payload)
 
 
-def _received_record(timestamp_us: int, digest: bytes, tag: bytes,
+def _received_record(timestamp: float, digest: bytes, tag: bytes,
                      received: bytes) -> Measurement:
     """A decoded record whose MAC input is ``received``.
 
@@ -143,12 +153,73 @@ def _received_record(timestamp_us: int, digest: bytes, tag: bytes,
     inline: one garbage-collected allocation per record, not two.
     """
     record = _new(Measurement)
-    _set(record, "timestamp", timestamp_us / 1_000_000)
+    _set(record, "timestamp", timestamp)
     _set(record, "digest", digest)
     _set(record, "tag", tag)
     _set(record, "duration", 0.0)
     _set(record, "_received", received)
     return record
+
+
+class RecordBatch(Sequence):
+    """A record list as four columns: ``Sequence[Measurement]``.
+
+    ``timestamps`` are in seconds, ``mac_inputs`` are the bytes each
+    tag is checked against (for a decoded batch, the eight timestamp
+    bytes and the digest exactly as received), ``digests`` and ``tags``
+    are ``bytes``.  The columns are what the verifier judges.  Indexing,
+    slicing, iteration and ``==`` see :class:`Measurement` records: a
+    decoded batch builds them on first use (frozen, equal and hashing
+    like ``Measurement(...)``, each remembering its received MAC
+    input); a batch :meth:`from_measurements` hands out the caller's
+    own records.
+    """
+
+    __slots__ = ("timestamps", "mac_inputs", "digests", "tags", "_records")
+
+    def __init__(self, timestamps: List[float], mac_inputs: List[bytes],
+                 digests: List[bytes], tags: List[bytes],
+                 records: Optional[List[Measurement]] = None) -> None:
+        self.timestamps = timestamps
+        self.mac_inputs = mac_inputs
+        self.digests = digests
+        self.tags = tags
+        self._records = records
+
+    @classmethod
+    def from_measurements(cls, records: Iterable[Measurement]
+                          ) -> "RecordBatch":
+        """The columns of records that did not come off the wire."""
+        records = list(records)
+        return cls([record.timestamp for record in records],
+                   [record.mac_input() for record in records],
+                   [record.digest for record in records],
+                   [record.tag for record in records], records)
+
+    def _materialized(self) -> List[Measurement]:
+        records = self._records
+        if records is None:
+            records = self._records = list(map(
+                _received_record, self.timestamps, self.digests, self.tags,
+                self.mac_inputs))
+        return records
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self) -> Iterator[Measurement]:
+        return iter(self._materialized())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RecordBatch, list)):
+            return self._materialized() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RecordBatch({self._materialized()!r})"
 
 
 def encode_records(measurements: List[Measurement],
@@ -190,34 +261,41 @@ def _record_list_error(data: bytes, offset: int) -> MeasurementDecodeError:
 
 
 def decode_records(payload: Buffer, offset: int,
-                   count: int) -> List[Measurement]:
+                   count: int) -> RecordBatch:
     """Decode ``count`` length-prefixed records filling ``payload[offset:]``.
 
     ``payload`` is copied to ``bytes`` once if it is not already; each
     record then costs one ``struct`` unpack (length prefix and header
     together) and ``bytes`` slices for its digest, tag and MAC input
-    (the received timestamp bytes followed by the digest).
+    (the received timestamp bytes followed by the digest), appended to
+    the :class:`RecordBatch` columns.  No :class:`Measurement` is built.
     """
     data = _as_bytes(payload)
     end = len(data)
     unpack = _PREFIXED_HEADER.unpack_from
-    measurements: List[Measurement] = []
-    append = measurements.append
+    prefixed_size, header_size = _PREFIXED_HEADER.size, _HEADER.size
+    timestamps: List[float] = []
+    mac_inputs: List[bytes] = []
+    digests: List[bytes] = []
+    tags: List[bytes] = []
+    add_timestamp, add_mac_input, add_digest, add_tag = (
+        timestamps.append, mac_inputs.append, digests.append, tags.append)
     for _ in range(count):
-        if offset + _PREFIXED_HEADER.size > end:
+        if offset + prefixed_size > end:
             raise _record_list_error(data, offset)
         length, timestamp_us, digest_len, tag_len = unpack(data, offset)
         start = offset + _LENGTH.size
         stop = start + length
-        if length != _HEADER.size + digest_len + tag_len or stop > end:
+        if length != header_size + digest_len + tag_len or stop > end:
             raise _record_list_error(data, offset)
-        digest_start = start + _HEADER.size
+        digest_start = start + header_size
         digest_end = digest_start + digest_len
         digest = data[digest_start:digest_end]
-        append(_received_record(
-            timestamp_us, digest, data[digest_end:stop],
-            data[start:start + _TIMESTAMP_SIZE] + digest))
+        add_timestamp(timestamp_us / 1_000_000)
+        add_mac_input(data[start:start + _TIMESTAMP_SIZE] + digest)
+        add_digest(digest)
+        add_tag(data[digest_end:stop])
         offset = stop
     if offset != end:
         raise MeasurementDecodeError("trailing bytes after measurement list")
-    return measurements
+    return RecordBatch(timestamps, mac_inputs, digests, tags)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.arch.base import encode_timestamp
 from repro.core.measurement import (
     Buffer,
     Measurement,
     MeasurementDecodeError,
+    RecordBatch,
     decode_records,
     encode_records,
 )
@@ -84,7 +85,7 @@ class CollectRequest:
 
 
 def _decode_measurements(payload: Buffer, offset: int,
-                         count: int) -> List[Measurement]:
+                         count: int) -> RecordBatch:
     """:func:`decode_records`, its errors raised as protocol errors."""
     try:
         return decode_records(payload, offset, count)
@@ -94,9 +95,12 @@ def _decode_measurements(payload: Buffer, offset: int,
 
 @dataclass(frozen=True)
 class CollectResponse:
-    """Prover -> verifier: the k latest stored measurements, newest first."""
+    """Prover -> verifier: the k latest stored measurements, newest first.
 
-    measurements: List[Measurement] = field(default_factory=list)
+    A decoded response carries its records as one :class:`RecordBatch`.
+    """
+
+    measurements: Sequence[Measurement] = field(default_factory=list)
 
     def encode_parts(self) -> List[bytes]:
         """The wire encoding as a writev-style list of buffers."""
@@ -110,7 +114,7 @@ class CollectResponse:
 
     @classmethod
     def decode(cls, payload: Buffer) -> "CollectResponse":
-        """Parse the wire format (records hold ``bytes`` fields)."""
+        """Parse the wire format into a :class:`RecordBatch` of records."""
         if len(payload) < _RESPONSE_HEADER.size:
             raise ProtocolDecodeError("malformed collect response")
         message_type, count = _RESPONSE_HEADER.unpack_from(payload)
@@ -197,7 +201,7 @@ class OnDemandResponse:
         if message_type != _TYPE_ONDEMAND_RESPONSE:
             raise ProtocolDecodeError("not an on-demand response")
         has_fresh = payload[_RESPONSE_HEADER.size] == 1
-        records = _decode_measurements(payload, minimum, count)
+        records = list(_decode_measurements(payload, minimum, count))
         if has_fresh:
             if not records:
                 raise ProtocolDecodeError("fresh measurement flagged but absent")

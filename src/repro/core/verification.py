@@ -6,10 +6,20 @@ stateful half, enrollments and collection rounds, is
 its reference:
 
 * :class:`DeviceJudge` judges every collection the verifier accepts,
-  in a round or through ``FleetVerifier.verify_collection``;
+  in a round or through ``FleetVerifier.verify_collection``.  It takes
+  the records as one :class:`repro.core.measurement.RecordBatch` and
+  makes one pass over its columns into three flag lists (MAC
+  authentic, known-good digest, dated in the future); no per-record
+  object is built, and a report's :attr:`VerificationReport.verdicts`
+  are made from the batch and the flags only when someone reads them;
 * :meth:`VerificationCore.verify_measurements` is the reference oracle
-  the judge is tested against, and :meth:`VerificationCore.
-  verify_ondemand` the only judge of ERASMUS+OD (paper Fig. 4).
+  the judge is tested against, one :class:`MeasurementVerdict` per
+  record, and :meth:`VerificationCore.verify_ondemand` the only judge
+  of ERASMUS+OD (paper Fig. 4).
+
+Both paths hand their columns to one assessment
+(:meth:`VerificationCore._assess`): schedule, freshness, status and
+the report's persisted counters are computed there, once.
 
 :class:`VerificationCore` holds only deployment policy (the config, the
 schedule tolerance, the missing-measurement allowance) and the resolved
@@ -22,12 +32,12 @@ any number of threads concurrently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.arch.base import encode_timestamp
 from repro.core.config import ErasmusConfig
-from repro.core.measurement import Measurement
+from repro.core.measurement import Measurement, RecordBatch
 from repro.core.protocol import OnDemandRequest, OnDemandResponse
 from repro.crypto.backend import resolve_backend
 from repro.crypto.mac import get_mac
@@ -67,78 +77,93 @@ class MeasurementVerdict:
         return self.authentic and self.healthy and not self.from_future
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _verdict(measurement: Measurement, authentic: bool, healthy: bool,
-             from_future: bool) -> MeasurementVerdict:
-    """``MeasurementVerdict(...)`` for the judge's per-record loop.
-
-    Sets the fields in the generated ``__init__``'s order without its
-    call overhead (there is no ``__post_init__``): frozen, equal and
-    hashing like the generated constructor's result, and one
-    garbage-collected allocation per verdict.
-    """
-    verdict = _new(MeasurementVerdict)
-    _set(verdict, "measurement", measurement)
-    _set(verdict, "authentic", authentic)
-    _set(verdict, "healthy", healthy)
-    _set(verdict, "from_future", from_future)
-    return verdict
-
-
-@dataclass
 class VerificationReport:
     """Outcome of verifying one collection from one prover.
 
-    A report normally carries its per-measurement verdicts; a report
-    restored from a persisted row (:meth:`from_row`) carries none, so
-    the derived counters fall back to the ``restored`` row written by
-    :meth:`to_row` — :meth:`measurement_count`,
-    :meth:`infected_timestamps` and :meth:`newest_timestamp` stay
-    correct either way, which is what lets a
-    :class:`repro.store.StateStore` replay reports into a
-    :class:`repro.fleet.FleetHealth` aggregate after a restart.
+    :attr:`measurement_count`, :attr:`infected_timestamps` and
+    :attr:`newest_timestamp` are computed once, when the report is
+    judged (or built from ``verdicts``); a report restored from a
+    persisted row (:meth:`from_row`) takes them from its ``restored``
+    row, which is what lets a :class:`repro.store.StateStore` replay
+    reports into a :class:`repro.fleet.FleetHealth` aggregate after a
+    restart.  The per-record :attr:`verdicts` of a report the
+    :class:`DeviceJudge` made are built on first read, from the judged
+    record batch and its flag columns; a restored report has none.
+    ``restored`` takes no part in ``==``, like a ``compare=False``
+    dataclass field.
     """
 
-    device_id: str
-    collection_time: float
-    status: DeviceStatus
-    verdicts: List[MeasurementVerdict] = field(default_factory=list)
-    anomalies: List[str] = field(default_factory=list)
-    freshness: Optional[float] = None
-    missing_intervals: int = 0
-    restored: Optional[Dict[str, object]] = field(
-        default=None, repr=False, compare=False)
+    def __init__(self, device_id: str, collection_time: float,
+                 status: DeviceStatus,
+                 verdicts: Optional[List[MeasurementVerdict]] = None,
+                 anomalies: Optional[List[str]] = None,
+                 freshness: Optional[float] = None,
+                 missing_intervals: int = 0,
+                 restored: Optional[Dict[str, object]] = None) -> None:
+        self.device_id = device_id
+        self.collection_time = collection_time
+        self.status = status
+        self.anomalies = [] if anomalies is None else anomalies
+        self.freshness = freshness
+        self.missing_intervals = missing_intervals
+        self.restored = restored
+        self._verdicts = [] if verdicts is None else verdicts
+        # (records, authentic, healthy, from_future) of a judged batch
+        # whose verdicts nobody has read yet.
+        self._pending: Optional[tuple] = None
+        if verdicts:
+            self._summarize(
+                [verdict.measurement.timestamp for verdict in verdicts],
+                [verdict.authentic for verdict in verdicts],
+                [verdict.healthy for verdict in verdicts],
+                [verdict.from_future for verdict in verdicts])
+        elif restored is not None:
+            self.measurement_count = int(restored.get("measurements", 0))
+            self.infected_timestamps = [
+                float(t) for t in restored.get("infected_timestamps", ())]
+            newest = restored.get("newest_timestamp")
+            self.newest_timestamp = None if newest is None else float(newest)
+        else:
+            self.measurement_count = 0
+            self.infected_timestamps = []
+            self.newest_timestamp = None
+
+    def _summarize(self, timestamps: List[float], authentic: List[bool],
+                   healthy: List[bool], from_future: List[bool]) -> None:
+        """Derive the persisted counters from the judged columns.
+
+        ``measurement_count`` is the number of records received;
+        ``infected_timestamps`` the authentic records whose state was
+        not a known-good one; ``newest_timestamp`` the newest record
+        not dated in the future (``None`` if there is none), so a forged
+        future-dated record cannot move the device's last-seen mark.
+        """
+        self.measurement_count = len(timestamps)
+        self.infected_timestamps = [
+            timestamp for timestamp, good_mac, known
+            in zip(timestamps, authentic, healthy) if good_mac and not known]
+        self.newest_timestamp = max(
+            (timestamp for timestamp, future in zip(timestamps, from_future)
+             if not future), default=None)
 
     @property
-    def measurement_count(self) -> int:
-        """Number of measurements received in this collection."""
-        if self.verdicts or self.restored is None:
-            return len(self.verdicts)
-        return int(self.restored.get("measurements", 0))
+    def verdicts(self) -> List[MeasurementVerdict]:
+        """Per-measurement verdicts, built on first read for a judged batch."""
+        pending = self._pending
+        if pending is not None:
+            self._verdicts = list(map(MeasurementVerdict, *pending))
+            self._pending = None
+        return self._verdicts
 
-    @property
-    def infected_timestamps(self) -> List[float]:
-        """Timestamps at which the prover's state was not a known-good one."""
-        if self.verdicts or self.restored is None:
-            return [verdict.measurement.timestamp
-                    for verdict in self.verdicts
-                    if verdict.authentic and not verdict.healthy]
-        return [float(t) for t in
-                self.restored.get("infected_timestamps", ())]
-
-    @property
-    def newest_timestamp(self) -> Optional[float]:
-        """Newest measurement timestamp carried by this collection."""
-        if self.verdicts:
-            return max(verdict.measurement.timestamp
-                       for verdict in self.verdicts)
-        if self.restored is not None:
-            value = self.restored.get("newest_timestamp")
-            return None if value is None else float(value)
-        return None
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.device_id, self.collection_time, self.status,
+                self.verdicts, self.anomalies, self.freshness,
+                self.missing_intervals) == \
+            (other.device_id, other.collection_time, other.status,
+             other.verdicts, other.anomalies, other.freshness,
+             other.missing_intervals)
 
     def to_row(self) -> Dict[str, object]:
         """Flatten into a stable, JSON-friendly row.
@@ -156,7 +181,7 @@ class VerificationReport:
             "freshness": self.freshness,
             "missing_intervals": self.missing_intervals,
             "anomalies": list(self.anomalies),
-            "infected_timestamps": self.infected_timestamps,
+            "infected_timestamps": list(self.infected_timestamps),
             "newest_timestamp": self.newest_timestamp,
         }
 
@@ -269,6 +294,19 @@ class Enrollment:
             last_seen=None if last_seen is None else float(last_seen))
 
 
+def _empty_report(enrollment: Enrollment, collection_time: float,
+                  expect_nonempty: bool) -> VerificationReport:
+    """The verdict on a collection that carried no records."""
+    if not expect_nonempty:
+        return VerificationReport(device_id=enrollment.device_id,
+                                  collection_time=collection_time,
+                                  status=DeviceStatus.NO_DATA)
+    return VerificationReport(device_id=enrollment.device_id,
+                              collection_time=collection_time,
+                              status=DeviceStatus.TAMPERED,
+                              anomalies=["prover returned no measurements"])
+
+
 class VerificationCore:
     """Stateless verification of ERASMUS measurement histories.
 
@@ -363,42 +401,45 @@ class VerificationCore:
     # Whole-collection verification
     # ------------------------------------------------------------------
     def verify_measurements(self, enrollment: Enrollment,
-                            measurements: List[Measurement],
+                            measurements: Sequence[Measurement],
                             collection_time: float,
                             expect_nonempty: bool = True
                             ) -> VerificationReport:
         """Verify one measurement history against the enrollment facts.
 
         The reference oracle :class:`DeviceJudge` reports are tested
-        against: no internal state is read or written, so callers own
-        all bookkeeping (report history, newest-seen timestamps).
+        against: one :meth:`verdict` per record, kept in the report.  No
+        internal state is read or written, so callers own all
+        bookkeeping (report history, newest-seen timestamps).
         """
+        if not measurements:
+            return _empty_report(enrollment, collection_time, expect_nonempty)
+        verdicts = [self.verdict(enrollment, measurement, collection_time)
+                    for measurement in measurements]
         report = VerificationReport(device_id=enrollment.device_id,
                                     collection_time=collection_time,
-                                    status=DeviceStatus.HEALTHY)
-        if not measurements:
-            report.status = DeviceStatus.NO_DATA if not expect_nonempty \
-                else DeviceStatus.TAMPERED
-            if expect_nonempty:
-                report.anomalies.append("prover returned no measurements")
-            return report
-
-        for measurement in measurements:
-            report.verdicts.append(
-                self.verdict(enrollment, measurement, collection_time))
-        return self._assess(report, enrollment, collection_time)
+                                    status=DeviceStatus.HEALTHY,
+                                    verdicts=verdicts)
+        return self._assess(
+            report, enrollment, collection_time,
+            [verdict.measurement.timestamp for verdict in verdicts],
+            [verdict.authentic for verdict in verdicts],
+            [verdict.healthy for verdict in verdicts],
+            [verdict.from_future for verdict in verdicts])
 
     def _assess(self, report: VerificationReport, enrollment: Enrollment,
-                collection_time: float) -> VerificationReport:
-        """Judge a report whose per-measurement verdicts are filled in.
+                collection_time: float, timestamps: List[float],
+                authentic: List[bool], healthy: List[bool],
+                from_future: List[bool]) -> VerificationReport:
+        """Judge a non-empty collection from its per-record columns.
 
+        ``timestamps`` and the three flag lists run in record order.
         Shared by the reference path (:meth:`verify_measurements`) and
-        the precompiled fast path (:class:`DeviceJudge`), so the two can
-        only ever differ in how the verdicts were computed — which the
-        equivalence tests pin to "not at all".
+        the batch path (:class:`DeviceJudge`), so the two can only ever
+        differ in how the flags were computed — which the equivalence
+        tests pin to "not at all".
         """
-        timestamps = [verdict.measurement.timestamp
-                      for verdict in report.verdicts]
+        report._summarize(timestamps, authentic, healthy, from_future)
         report.missing_intervals, schedule_anomalies = self.check_schedule(
             sorted(timestamps), enrollment.last_seen)
         report.anomalies.extend(schedule_anomalies)
@@ -413,21 +454,17 @@ class VerificationCore:
             report.missing_intervals += max(
                 1, int(report.freshness / expected_interval) - 1)
 
-        forged = [verdict for verdict in report.verdicts
-                  if not verdict.authentic]
-        future = [verdict for verdict in report.verdicts if verdict.from_future]
-        infected = [verdict for verdict in report.verdicts
-                    if verdict.authentic and not verdict.healthy]
-
+        forged = authentic.count(False)
+        future = from_future.count(True)
         if forged or future or schedule_anomalies:
             report.status = DeviceStatus.TAMPERED
             if forged:
                 report.anomalies.append(
-                    f"{len(forged)} measurement(s) failed MAC verification")
+                    f"{forged} measurement(s) failed MAC verification")
             if future:
                 report.anomalies.append(
-                    f"{len(future)} measurement(s) are timestamped in the future")
-        elif infected:
+                    f"{future} measurement(s) are timestamped in the future")
+        elif report.infected_timestamps:
             report.status = DeviceStatus.INFECTED
         elif report.missing_intervals > self.allowed_missing:
             # Gaps without other anomalies: measurements were deleted or
@@ -488,9 +525,10 @@ class DeviceJudge:
     """Fast verification of one device's collections under a fixed key.
 
     The policy checks are the shared :meth:`VerificationCore._assess`;
-    only the per-measurement verdict loop is specialized — MAC closure
-    with the key pre-bound, provider-native tag comparison, and the
-    digest whitelist consulted without attribute chasing.  Judges are
+    only the per-record flag loop over a :class:`RecordBatch` is
+    specialized — MAC closure with the key pre-bound, provider-native
+    tag comparison, and the digest whitelist consulted without
+    attribute chasing.  Judges are
     cheap to build and safe to reuse across rounds as long as the
     device keeps the same key (re-enrollment must discard the judge).
     """
@@ -515,30 +553,41 @@ class DeviceJudge:
         self._compare = backend.compare_digests
 
     def verify_measurements(self, enrollment: Enrollment,
-                            measurements: List[Measurement],
+                            measurements: Sequence[Measurement],
                             collection_time: float,
                             expect_nonempty: bool = True
                             ) -> VerificationReport:
-        """Drop-in fast equivalent of ``core.verify_measurements``."""
-        report = VerificationReport(device_id=enrollment.device_id,
-                                    collection_time=collection_time,
-                                    status=DeviceStatus.HEALTHY)
+        """Drop-in fast equivalent of ``core.verify_measurements``.
+
+        Judges the records as one :class:`RecordBatch` (a decoded
+        response already is one): a single pass over its columns MACs
+        every received MAC input, checks every digest against the
+        whitelist and every timestamp against the horizon, into three
+        flag lists.  The report's verdicts are built only if read.
+        """
         if not measurements:
-            report.status = DeviceStatus.NO_DATA if not expect_nonempty \
-                else DeviceStatus.TAMPERED
-            if expect_nonempty:
-                report.anomalies.append("prover returned no measurements")
-            return report
+            return _empty_report(enrollment, collection_time, expect_nonempty)
+        batch = measurements if type(measurements) is RecordBatch \
+            else RecordBatch.from_measurements(measurements)
         mac, compare = self._mac, self._compare
         digests = enrollment.healthy_digests
         horizon = collection_time + 1e-6
-        append = report.verdicts.append
-        for measurement in measurements:
-            append(_verdict(
-                measurement,
-                compare(mac(measurement.mac_input()), measurement.tag),
-                # statics: ok(constant-time) — public whitelist membership
-                measurement.digest in digests,
-                measurement.timestamp > horizon))
-        return self.core._assess(report, enrollment, collection_time)
-
+        authentic: List[bool] = []
+        healthy: List[bool] = []
+        from_future: List[bool] = []
+        good_mac, known, future = \
+            authentic.append, healthy.append, from_future.append
+        for mac_input, tag, digest, timestamp in zip(
+                batch.mac_inputs, batch.tags, batch.digests,
+                batch.timestamps):
+            good_mac(compare(mac(mac_input), tag))
+            # statics: ok(constant-time) — public whitelist membership
+            known(digest in digests)
+            future(timestamp > horizon)
+        report = VerificationReport(device_id=enrollment.device_id,
+                                    collection_time=collection_time,
+                                    status=DeviceStatus.HEALTHY)
+        report._pending = (batch, authentic, healthy, from_future)
+        return self.core._assess(report, enrollment, collection_time,
+                                 batch.timestamps, authentic, healthy,
+                                 from_future)

@@ -342,7 +342,7 @@ class FleetVerifier:
         Judged by the device's :class:`DeviceJudge`, the path a round
         takes, and committed like a one-report round shard.
         """
-        report = self._judge(device_id, list(response.measurements),
+        report = self._judge(device_id, response.measurements,
                              collection_time)
         self._commit_batch([report])
         for sink in self.sinks:
@@ -376,7 +376,7 @@ class FleetVerifier:
                 status=DeviceStatus.TAMPERED,
                 anomalies=["unexpected on-demand response to a plain "
                            "collection"]), None
-        return None, list(response.measurements)
+        return None, response.measurements
 
     def _judge(self, device_id: str, measurements, collection_time: float
                ) -> VerificationReport:
