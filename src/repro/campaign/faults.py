@@ -168,6 +168,9 @@ class CrashOnceStore(StateStore):
         self.inner.checkpoint(health, last_collection_times,
                               rounds_completed=rounds_completed)
 
+    def batch(self):
+        return self.inner.batch()
+
     def has_enrollment(self, device_id: str) -> bool:
         return self.inner.has_enrollment(device_id)
 

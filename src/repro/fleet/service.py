@@ -116,9 +116,11 @@ class FleetVerifier:
 
     ``store`` selects the :class:`repro.store.StateStore` backend the
     verifier's state is committed through — every enrollment change is
-    written through immediately, every finished report is journaled,
-    and the aggregate :class:`FleetHealth` is checkpointed at the end
-    of each collection round.  The default :class:`repro.store.
+    written through, every finished report is journaled, and the
+    aggregate :class:`FleetHealth` is checkpointed at the end of each
+    collection round.  A round commits each shard batch's reports and
+    ``last_seen`` advances as one :meth:`StateStore.batch`, before any
+    of them reaches a sink.  The default :class:`repro.store.
     MemoryStore` keeps the historical in-process behaviour; pass a
     :class:`repro.store.JsonlStore` or :class:`repro.store.SqliteStore`
     to make the deployment restartable via :meth:`restore`.
@@ -409,47 +411,59 @@ class FleetVerifier:
                       part: Optional[FleetHealth] = None,
                       done: Optional[List[VerificationReport]] = None
                       ) -> List[VerificationReport]:
-        """Journal, advance, aggregate and observe, report by report.
+        """Journal and advance the batch as one store unit, then count it.
 
-        Each report is journaled *before* its enrollment advance so the
-        store's write-ahead invariant holds: a crash between the two
-        writes replays the report (which re-derives the advance) rather
-        than leaving an advanced ``last_seen`` with no report behind it.
+        Every report is journaled *before* its enrollment advance, and
+        both go in one :meth:`StateStore.batch`, so the store's write-ahead
+        invariant holds: a report row and its ``last_seen`` advance
+        become durable together, never an advance without its report.
+        Only once the batch's exit has returned are the reports
+        aggregated, observed and appended to ``done``; sinks are fed by
+        the caller after that (a round emits in device order).
         Without a ``part`` each report is recorded into :attr:`health`;
         a round's verify step instead brings the batch's exact
-        :class:`FleetHealth` ``part``, merged once after the batch.
-        Each committed report is appended to ``done`` as it commits, so
-        a store failure mid-batch still leaves the caller (and
-        :attr:`health`) exactly the reports already journaled.  Sinks are fed by the caller: a round emits
-        in device order.
+        :class:`FleetHealth` ``part``, merged once.  If a write fails
+        mid-batch, the batch exit still commits the reports written
+        before it, and exactly those count; if that commit fails too,
+        none of the batch counts.
         """
         store = self.store
-        record = self.health.record if part is None else None
-        obs = self.obs
-        obs_enabled = obs.enabled
-        count = 0
+        written = 0
+        failure: Optional[BaseException] = None
         try:
-            for report in reports:
-                if store is not None:
-                    store.append_report(report)
-                self._advance_bookkeeping(report)
-                if record is not None:
-                    record(report)
-                if obs_enabled:
-                    obs.report_committed(report)
-                if done is not None:
-                    done.append(report)
-                count += 1
-        except BaseException:
-            # Keep health in step with the journal: the part covers the
-            # whole batch, so fold in only the reports committed.
-            if part is not None:
-                for report in reports[:count]:
-                    self.health.record(report)
+            with store.batch() if store is not None else nullcontext():
+                try:
+                    for report in reports:
+                        if store is not None:
+                            store.append_report(report)
+                        self._advance_bookkeeping(report)
+                        written += 1
+                except BaseException as exc:
+                    failure = exc
+                    raise
+        except BaseException as exc:
+            if exc is not failure:
+                written = 0  # the batch's own commit failed
+            # The part covers the whole batch: record only what landed.
+            self._count_committed(reports[:written], None, done)
             raise
-        if part is not None:
-            self.health.merge(part)
+        self._count_committed(reports, part, done)
         return reports
+
+    def _count_committed(self, reports: List[VerificationReport],
+                         part: Optional[FleetHealth],
+                         done: Optional[List[VerificationReport]]) -> None:
+        """Fold durable reports into health, metrics and ``done``."""
+        if part is None:
+            for report in reports:
+                self.health.record(report)
+        else:
+            self.health.merge(part)
+        if self.obs.enabled:
+            for report in reports:
+                self.obs.report_committed(report)
+        if done is not None:
+            done.extend(reports)
 
     def _advance_bookkeeping(self, report: VerificationReport) -> None:
         """Record the collection time and newest-seen timestamp.
@@ -1067,17 +1081,19 @@ class Fleet:
                                  worker_mode=worker_mode)
         devices: Dict[str, ProvisionedDevice] = {}
         interval = profile.config.measurement_interval
-        for index in range(count):
-            device_id = f"{name_prefix}-{index:04d}"
-            device = profile.provision(device_id,
-                                       master_secret=master_secret)
-            offset = start_time
-            if stagger:
-                offset += (index / count) * interval
-            device.prover.attach(engine, start_time=offset)
-            built_transport.register(device)
-            verifier.enroll_device(device)
-            devices[device_id] = device
+        # One store unit for the whole fleet's enrollments.
+        with verifier.store.batch():
+            for index in range(count):
+                device_id = f"{name_prefix}-{index:04d}"
+                device = profile.provision(device_id,
+                                           master_secret=master_secret)
+                offset = start_time
+                if stagger:
+                    offset += (index / count) * interval
+                device.prover.attach(engine, start_time=offset)
+                built_transport.register(device)
+                verifier.enroll_device(device)
+                devices[device_id] = device
         if obs.enabled:
             # inc, not set: two fleets sharing one obs should add up.
             obs.devices_enrolled.inc(count)

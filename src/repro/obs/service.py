@@ -52,7 +52,8 @@ class ObservedStore(StateStore):
     mirroring the fault injectors' design), so it composes with any
     backend — and with the sharded verifier's internal locking, which
     wraps *around* this so the recorded latency is the backend's own,
-    not lock-wait time.
+    not lock-wait time.  :meth:`batch` forwards untimed, so a batch's
+    commit is in no operation's latency.
     """
 
     def __init__(self, inner: StateStore, obs: "Observability") -> None:
@@ -81,6 +82,9 @@ class ObservedStore(StateStore):
         self._timed("checkpoint", self.inner.checkpoint, health,
                     last_collection_times,
                     rounds_completed=rounds_completed)
+
+    def batch(self):
+        return self.inner.batch()
 
     def has_enrollment(self, device_id: str) -> bool:
         return self.inner.has_enrollment(device_id)

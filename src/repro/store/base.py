@@ -17,6 +17,13 @@ makes that state durable without the verifier caring how:
   replayed into a :class:`RestoredState`, from which
   :meth:`repro.fleet.FleetVerifier.restore` resumes a deployment.
 
+What is durable when: outside a :meth:`StateStore.batch`, a write is
+durable (on the backend's medium) when its call returns.  Inside one,
+the batch's writes become durable together when the outermost batch
+exits, whether it exits normally or by an exception.  The verifier
+commits each shard batch of a round as one such unit, and hands a
+report to its sinks only after that unit's exit has returned.
+
 The snapshot document is canonical: enrollments sorted by device id,
 digest sets sorted, JSON emitted with sorted keys.  Checkpointing the
 same logical state therefore always produces the same bytes
@@ -27,9 +34,10 @@ tests assert.
 from __future__ import annotations
 
 import abc
+import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.verification import Enrollment, VerificationReport
 
@@ -143,6 +151,12 @@ def apply_report_row(row: Mapping[str, object], state: RestoredState,
     state.replayed_reports += 1
 
 
+def _check_limit(limit: Optional[int]) -> None:
+    """Reject a negative ``device_history`` limit on every backend."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+
+
 def _drop_reset_collection_times(state: RestoredState,
                                  enrollment_seq: Mapping[str, int],
                                  last_report_seq: Mapping[str, int]) -> None:
@@ -184,6 +198,20 @@ class StateStore(abc.ABC):
                    rounds_completed: int = 0) -> None:
         """Fold all state accepted so far into one durable snapshot."""
 
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group the writes made inside into one durable unit.
+
+        The writes become durable together when the outermost batch
+        exits — normally or by an exception, so writes made before a
+        failing one still land.  If that final commit fails, none of
+        the batch's writes is durable and the error propagates.
+        Batches nest; inner exits commit nothing.  This default makes
+        every write durable as it is made, which is already what a
+        batch promises.
+        """
+        yield
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -206,7 +234,8 @@ class StateStore(abc.ABC):
                        limit: Optional[int] = None) -> List[Row]:
         """Retained report rows for one device, oldest first.
 
-        ``limit`` keeps only the newest ``limit`` rows.  How much
+        ``limit`` keeps only the newest ``limit`` rows (``0`` keeps
+        none; a negative limit raises :class:`ValueError`).  How much
         history is retained is backend-defined: :class:`SqliteStore`
         keeps everything (indexed), :class:`MemoryStore` keeps a
         bounded in-RAM window (``max_reports``, 10,000 by default),

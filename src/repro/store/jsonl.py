@@ -10,6 +10,10 @@ under one directory:
   checkpoint: every enrollment upsert and every finished report, each
   stamped with a monotonically increasing sequence number.
 
+Outside a :meth:`JsonlStore.batch`, a record reaches the OS when its
+flush is due (``flush_every``).  Inside one, the batch's records are
+flushed together when the outermost batch exits.
+
 Recovery loads the snapshot, then replays journal records with a
 sequence number beyond the snapshot's; a torn final line (crash mid-
 append) is tolerated and simply ends the replay.  Checkpointing folds
@@ -19,10 +23,12 @@ recovery time and disk growth.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
-from typing import IO, Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (IO, Any, Dict, Iterator, List, Mapping, Optional, Tuple,
+                    Union)
 
 from repro.core.verification import Enrollment, VerificationReport
 from repro.store.base import (
@@ -30,6 +36,7 @@ from repro.store.base import (
     Row,
     StateStore,
     StoreError,
+    _check_limit,
     apply_report_row,
     encode_snapshot,
     snapshot_document,
@@ -45,7 +52,9 @@ class JsonlStore(StateStore):
 
     ``flush_every`` bounds data loss: the journal stream is flushed to
     the OS after every ``flush_every`` appended records (default 1 —
-    flush each record).
+    flush each record).  Inside a :meth:`batch` the stream is flushed
+    once, when the outermost batch exits, however many records the
+    batch appended.
     """
 
     def __init__(self, directory: Union[str, os.PathLike],
@@ -59,6 +68,7 @@ class JsonlStore(StateStore):
         self.flush_every = flush_every
         self._journal: Optional[IO[str]] = None
         self._unflushed = 0
+        self._batch_depth = 0
         self._closed = False
         # Resume sequence numbering and the enrollment cache from
         # whatever an earlier process left behind; the replayed state is
@@ -92,9 +102,19 @@ class JsonlStore(StateStore):
         json.dump(record, stream, sort_keys=True, separators=(",", ":"))
         stream.write("\n")
         self._unflushed += 1
-        if self._unflushed >= self.flush_every:
+        if not self._batch_depth and self._unflushed >= self.flush_every:
             stream.flush()
             self._unflushed = 0
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if not self._batch_depth and self._unflushed:
+                self.flush()
 
     def _journal_records(self) -> List[Row]:
         """All complete journal records, tolerating a torn final line."""
@@ -263,12 +283,13 @@ class JsonlStore(StateStore):
 
     def device_history(self, device_id: str,
                        limit: Optional[int] = None) -> List[Row]:
+        _check_limit(limit)
         self.flush()
         rows = [record["row"] for record in self._journal_records()
                 if record.get("kind") == _KIND_REPORT
                 and record["row"].get("device_id") == device_id]
         if limit is not None:
-            rows = rows[-limit:]
+            rows = rows[max(len(rows) - limit, 0):]
         return rows
 
     def state_rows(self) -> Optional[Row]:

@@ -19,6 +19,7 @@ from repro.store.base import (
     Row,
     StateStore,
     StoreError,
+    _check_limit,
     _drop_reset_collection_times,
     apply_report_row,
     snapshot_document,
@@ -106,11 +107,12 @@ class MemoryStore(StateStore):
 
     def device_history(self, device_id: str,
                        limit: Optional[int] = None) -> List[Row]:
+        _check_limit(limit)
         # History is bounded by the retention window (``max_reports``).
         rows = [dict(row) for row in self._reports
                 if row["device_id"] == device_id]
         if limit is not None:
-            rows = rows[-limit:]
+            rows = rows[max(len(rows) - limit, 0):]
         return rows
 
     def state_rows(self) -> Optional[Row]:

@@ -10,14 +10,21 @@ The checkpoint document (same canonical bytes as the JSONL snapshot)
 is stored in a ``meta`` table; recovery loads it and replays only the
 reports appended after its journal position, exactly like the JSONL
 backend — the two differ purely in medium.
+
+Outside a :meth:`SqliteStore.batch` every write is its own transaction,
+committed before the call returns.  Inside one, the writes join a
+single transaction that the outermost exit commits, so a verifier's
+shard batch — its report rows and the ``last_seen`` advances they
+cause — costs one ``COMMIT`` and lands atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sqlite3
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.core.verification import Enrollment, VerificationReport
 from repro.store.base import (
@@ -25,6 +32,7 @@ from repro.store.base import (
     Row,
     StateStore,
     StoreError,
+    _check_limit,
     _drop_reset_collection_times,
     apply_report_row,
     encode_snapshot,
@@ -56,7 +64,15 @@ _SNAPSHOT_KEY = "snapshot"
 
 
 class SqliteStore(StateStore):
-    """Single-file SQLite persistence for verifier state."""
+    """Single-file SQLite persistence for verifier state.
+
+    A write outside a :meth:`batch` is durable when it returns; inside
+    one, when the outermost batch exits.  The store assumes it is the
+    file's only writer: it keeps the newest report ``seq`` in memory
+    (read once at open) and, from the first checkpoint on, a copy of
+    the enrollment table, so neither an enrollment write nor a
+    checkpoint reads back what this connection wrote itself.
+    """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = str(path)
@@ -76,6 +92,11 @@ class SqliteStore(StateStore):
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.commit()
+        self._batch_depth = 0
+        self._seq = self._newest_seq()
+        # Loaded by the first checkpoint, not here: open-then-restore
+        # must read the table only once.
+        self._enrollments: Optional[Dict[str, Enrollment]] = None
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
@@ -83,37 +104,69 @@ class SqliteStore(StateStore):
         return self._conn
 
     # ------------------------------------------------------------------
+    # Transactions
+    # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        self._connection()
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            # A close inside the batch already committed everything.
+            if not self._batch_depth and self._conn is not None:
+                self._commit()
+
+    def _commit(self) -> None:
+        """Commit the open transaction; roll it back if that fails."""
+        conn = self._connection()
+        try:
+            conn.commit()
+        except BaseException:
+            conn.rollback()
+            # The in-memory copies may hold rolled-back writes.
+            self._seq = self._newest_seq()
+            self._enrollments = None
+            raise
+
+    def _write_done(self) -> None:
+        if not self._batch_depth:
+            self._commit()
+
+    # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def save_enrollment(self, enrollment: Enrollment) -> None:
-        conn = self._connection()
-        conn.execute(
+        self._connection().execute(
             "INSERT OR REPLACE INTO enrollments (device_id, row, saved_seq) "
             "VALUES (?, ?, ?)",
             (enrollment.device_id,
-             json.dumps(enrollment.to_row(), sort_keys=True),
-             self._newest_seq()))
-        conn.commit()
+             json.dumps(enrollment.to_row(), sort_keys=True), self._seq))
+        self._write_done()
+        if self._enrollments is not None:
+            self._enrollments[enrollment.device_id] = enrollment
 
     def append_report(self, report: VerificationReport) -> None:
-        conn = self._connection()
-        conn.execute(
+        cursor = self._connection().execute(
             "INSERT INTO reports (device_id, row) VALUES (?, ?)",
             (report.device_id,
              json.dumps(report.to_row(), sort_keys=True)))
-        conn.commit()
+        self._seq = cursor.lastrowid
+        self._write_done()
 
     def checkpoint(self, health: Any,
                    last_collection_times: Mapping[str, float],
                    rounds_completed: int = 0) -> None:
+        if self._enrollments is None:
+            self._enrollments = self._load_enrollments()
         document = snapshot_document(
-            self._load_enrollments(), health, last_collection_times,
-            rounds_completed, journal_seq=self._newest_seq())
-        conn = self._connection()
-        conn.execute(
+            self._enrollments, health, last_collection_times,
+            rounds_completed, journal_seq=self._seq)
+        self._connection().execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             (_SNAPSHOT_KEY, encode_snapshot(document).decode("utf-8")))
-        conn.commit()
+        self._write_done()
 
     # ------------------------------------------------------------------
     # Reads
@@ -162,6 +215,7 @@ class SqliteStore(StateStore):
 
     def device_history(self, device_id: str,
                        limit: Optional[int] = None) -> List[Row]:
+        _check_limit(limit)
         if limit is not None:
             # Let the (device_id, seq) index bound the work: newest
             # ``limit`` rows, then restored to oldest-first order.

@@ -11,8 +11,8 @@ from repro.fleet import (
     SimulatedNetworkTransport,
 )
 from repro.sim import SimulationEngine
-from repro.store import MemoryStore, StoreError
-from tests.fleet.helpers import small_profile
+from repro.store import MemoryStore, SqliteStore, StoreError
+from tests.fleet.helpers import oracle_round, report_key, small_profile
 
 SECRET = b"campaign-fault-master-secret"
 
@@ -138,6 +138,43 @@ class TestCrashOnceStore:
             reports = fleet.collect_all()
             assert all(r.status is DeviceStatus.HEALTHY for r in reports)
             assert store.reports_appended >= 10
+
+    def test_sqlite_restart_matches_the_oracle(self, tmp_path):
+        """The restart drill on a durable SQLite store: the restored
+        verifier carries the crashed one's state, and both its re-run of
+        the crashed round and the next one, with a device newly
+        infected, equal the reference oracle."""
+        engine = SimulationEngine()
+        store = CrashOnceStore(SqliteStore(tmp_path / "state.sqlite"),
+                               crash_after_reports=6)
+        with provision(engine=engine, store=store) as fleet:
+            fleet.run_until(60.0)
+            fleet.collect_all()
+            fleet.run_until(120.0)
+            with pytest.raises(StoreError, match="injected store crash"):
+                fleet.collect_all()  # dies on the 7th append
+            crashed = fleet.verifier
+            fleet.verifier = FleetVerifier.restore(
+                small_profile(b"fault-firmware").config, store)
+            assert fleet.verifier.health.to_row() == crashed.health.to_row()
+            assert fleet.verifier.health.reports_total == 6
+            for device_id in fleet.device_ids():
+                assert fleet.verifier.last_seen(device_id) == \
+                    crashed.last_seen(device_id)
+
+            # Re-run the crashed round, as the campaign runner does, then
+            # a round with one device newly infected.  A SQLite restore
+            # lists devices in table order, so compare device by device.
+            infected = fleet.device_ids()[1]
+            for time in (120.0, 180.0):
+                if time == 180.0:
+                    fleet.device(infected).load_application(b"implant")
+                fleet.run_until(time)
+                expected = oracle_round(fleet)
+                reports = fleet.collect_all()
+                assert sorted(map(report_key, reports)) == \
+                    sorted(map(report_key, expected))
+            assert fleet.health.flagged_devices == {infected}
 
     def test_journal_matches_successful_appends(self):
         inner = MemoryStore()

@@ -16,7 +16,7 @@ from repro.fleet import (
 )
 from repro.obs import Observability
 from repro.sim.engine import SimulationEngine
-from repro.store import MemoryStore
+from repro.store import MemoryStore, SqliteStore
 from repro.store.base import StoreError
 from tests.fleet.helpers import health_bytes, oracle_report, report_key
 from tests.fleet.helpers import small_profile as _small_profile
@@ -361,11 +361,11 @@ def test_failed_sharded_round_emits_every_committed_report(worker_mode):
         fleet.close()
 
 
-class _FailOnNthAppendStore(MemoryStore):
-    """A store whose ``fail_on``-th ``append_report`` raises."""
+class _FailOnNthAppend:
+    """Mixin: the store's ``fail_on``-th ``append_report`` raises."""
 
-    def __init__(self, fail_on):
-        super().__init__()
+    def __init__(self, fail_on, *args):
+        super().__init__(*args)
         self.fail_on = fail_on
         self.appends = 0
 
@@ -376,29 +376,48 @@ class _FailOnNthAppendStore(MemoryStore):
         super().append_report(report)
 
 
+class _FailOnNthAppendStore(_FailOnNthAppend, MemoryStore):
+    pass
+
+
+class _FailOnNthAppendSqliteStore(_FailOnNthAppend, SqliteStore):
+    pass
+
+
 @pytest.mark.parametrize("shards,worker_mode", [
     (None, "loop"), (3, "loop"), (3, "process")])
 def test_store_failure_mid_batch_emits_the_reports_it_journaled(
-        shards, worker_mode):
+        shards, worker_mode, tmp_path):
     """A store that fails partway through a batch must not strand the
     batch's reports already journaled: they reach the sinks, in device
-    order, before the failure propagates, and health counts them."""
-    sink = MemorySink()
-    store = _FailOnNthAppendStore(fail_on=7)
-    fleet = Fleet.provision(small_profile(), 12, master_secret=b"master",
-                            shards=shards, worker_mode=worker_mode,
-                            sinks=(sink,), store=store)
-    try:
-        fleet.run_until(60.0)
-        with pytest.raises(StoreError, match="disk full"):
-            fleet.collect_all(batch_size=4)
-        journaled = [device_id for device_id in fleet.device_ids()
-                     if store.device_history(device_id)]
-        assert len(journaled) >= 6  # the 7th append fails mid-batch
-        assert [report.device_id for report in sink.reports] == journaled
-        assert fleet.health.reports_total == len(journaled)
-    finally:
-        fleet.close()
+    order, before the failure propagates, and health counts them.  On
+    SQLite the batch exit commits them: a fresh connection reads exactly
+    the sink's reports, and a restore from it reproduces health."""
+    path = tmp_path / "state.sqlite"
+    for store in (_FailOnNthAppendStore(7),
+                  _FailOnNthAppendSqliteStore(7, path)):
+        sink = MemorySink()
+        fleet = Fleet.provision(small_profile(), 12, master_secret=b"master",
+                                shards=shards, worker_mode=worker_mode,
+                                sinks=(sink,), store=store)
+        try:
+            fleet.run_until(60.0)
+            with pytest.raises(StoreError, match="disk full"):
+                fleet.collect_all(batch_size=4)
+            journaled = [device_id for device_id in fleet.device_ids()
+                         if store.device_history(device_id)]
+            assert len(journaled) >= 6  # the 7th append fails mid-batch
+            assert [report.device_id for report in sink.reports] == \
+                journaled
+            assert fleet.health.reports_total == len(journaled)
+        finally:
+            fleet.close()
+    with SqliteStore(path) as fresh:
+        rows = [row for device_id in fleet.device_ids()
+                for row in fresh.device_history(device_id)]
+        assert rows == [report.to_row() for report in sink.reports]
+        restored = FleetVerifier.restore(small_profile().config, fresh)
+        assert restored.health.to_row() == fleet.health.to_row()
 
 
 class _CallOrderStore(MemoryStore):

@@ -1,0 +1,221 @@
+"""A store batch is one durable unit, and a shard batch is one store batch.
+
+Outside :meth:`StateStore.batch` a write is durable when it returns;
+inside, the writes become durable together when the outermost batch
+exits.  The verifier commits each shard batch of a round as one store
+batch, before any of its reports reaches a sink.
+"""
+
+import json
+import sqlite3
+
+import pytest
+
+from repro.core.verification import DeviceStatus, Enrollment, \
+    VerificationReport
+from repro.fleet import Fleet, FleetVerifier, MemorySink
+from repro.fleet.sinks import FleetHealth
+from repro.obs import Observability
+from repro.store import JsonlStore, SqliteStore
+from tests.fleet.helpers import small_profile
+
+FIRMWARE = b"group-commit-firmware"
+
+
+def enrollment(device_id, last_seen=None):
+    return Enrollment.create(device_id, b"\x01" * 16, [b"\xaa" * 32],
+                             last_seen=last_seen)
+
+
+def report(device_id, collection_time):
+    return VerificationReport.from_row({
+        "device_id": device_id, "collection_time": collection_time,
+        "status": DeviceStatus.HEALTHY.value, "measurements": 3,
+        "freshness": 1.5, "missing_intervals": 0, "anomalies": [],
+        "infected_timestamps": [],
+        "newest_timestamp": collection_time - 1.5})
+
+
+def committed_rows(path):
+    """Report rows another connection sees, in journal order."""
+    with sqlite3.connect(path) as reader:
+        return [json.loads(row) for (row,) in reader.execute(
+            "SELECT row FROM reports ORDER BY seq")]
+
+
+def count_commits(store):
+    """Start counting the ``COMMIT`` statements a SQLite store issues."""
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    return lambda: sum(1 for statement in statements
+                       if statement.strip().upper().startswith("COMMIT"))
+
+
+class _FailingCommits:
+    """A connection whose next ``commit`` fails once it is armed."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.armed = False
+
+    def commit(self):
+        if self.armed:
+            self.armed = False
+            raise sqlite3.OperationalError("disk I/O error")
+        self._conn.commit()
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def test_sqlite_batch_commits_once_at_the_outermost_exit(tmp_path, opened):
+    path = tmp_path / "state.sqlite"
+    store = opened(SqliteStore(path))
+    commits = count_commits(store)
+    with store.batch():
+        store.save_enrollment(enrollment("dev-1"))
+        with store.batch():
+            store.append_report(report("dev-1", 10.0))
+        store.append_report(report("dev-1", 20.0))
+        assert committed_rows(path) == []  # the inner exit committed nothing
+    assert len(committed_rows(path)) == 2
+    assert commits() == 1
+    # Outside a batch every write is durable when it returns.
+    store.append_report(report("dev-1", 30.0))
+    assert len(committed_rows(path)) == 3
+    assert commits() == 2
+
+
+def test_sqlite_batch_commits_the_writes_before_a_failure(tmp_path, opened):
+    path = tmp_path / "state.sqlite"
+    store = opened(SqliteStore(path))
+    with pytest.raises(RuntimeError, match="mid-batch"):
+        with store.batch():
+            store.append_report(report("dev-1", 10.0))
+            store.append_report(report("dev-1", 20.0))
+            raise RuntimeError("mid-batch")
+    assert len(committed_rows(path)) == 2
+
+
+def test_sqlite_failed_batch_commit_rolls_the_batch_back(tmp_path, opened):
+    """A failed commit leaves none of the batch behind, in the file or in
+    the store's in-memory seq and enrollment copies."""
+    path = tmp_path / "state.sqlite"
+    store = opened(SqliteStore(path))
+    store.save_enrollment(enrollment("dev-1"))
+    store.append_report(report("dev-1", 10.0))
+    store.checkpoint(FleetHealth(), {})  # loads the enrollment copy
+    store._conn = failing = _FailingCommits(store._conn)
+    failing.armed = True
+    with pytest.raises(sqlite3.OperationalError):
+        with store.batch():
+            store.append_report(report("dev-1", 20.0))
+            store.save_enrollment(enrollment("dev-2"))
+    assert len(committed_rows(path)) == 1
+    assert not store.has_enrollment("dev-2")
+    store.checkpoint(FleetHealth(), {})
+    document = store.state_rows()
+    assert document["journal_seq"] == 1
+    assert [row["device_id"] for row in document["enrollments"]] == ["dev-1"]
+
+
+def test_sqlite_checkpoint_equals_a_reopened_stores(tmp_path, opened):
+    """The in-memory seq and enrollment copy checkpoint exactly what a
+    store reading them back from the file does."""
+    path = tmp_path / "state.sqlite"
+    store = opened(SqliteStore(path))
+    health = FleetHealth()
+    with store.batch():
+        for index in range(3):
+            store.save_enrollment(enrollment(f"dev-{index}"))
+    store.checkpoint(health, {})
+    with store.batch():
+        store.append_report(report("dev-1", 10.0))
+        store.save_enrollment(enrollment("dev-1", last_seen=8.5))
+    store.checkpoint(health, {"dev-1": 10.0}, rounds_completed=1)
+    store.close()
+    reopened = opened(SqliteStore(path))
+    before = reopened.state_bytes()
+    reopened.checkpoint(health, {"dev-1": 10.0}, rounds_completed=1)
+    assert reopened.state_bytes() == before
+    assert reopened.state_rows()["journal_seq"] == 1
+
+
+def test_jsonl_batch_flushes_once_at_the_outermost_exit(tmp_path, opened):
+    store = opened(JsonlStore(tmp_path / "state"))
+    journal = tmp_path / "state" / "journal.jsonl"
+    with store.batch():
+        with store.batch():
+            store.save_enrollment(enrollment("dev-1"))
+        store.append_report(report("dev-1", 10.0))
+        assert journal.read_text() == ""  # flush_every=1 waits for the exit
+    assert len(journal.read_text().splitlines()) == 2
+    store.append_report(report("dev-1", 20.0))
+    assert len(journal.read_text().splitlines()) == 3
+
+
+def provision(store, count=12, **kwargs):
+    return Fleet.provision(small_profile(FIRMWARE), count,
+                           master_secret=b"group-commit", store=store,
+                           **kwargs)
+
+
+def test_provisioning_is_one_commit(tmp_path, opened):
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
+    commits = count_commits(store)
+    opened(provision(store))
+    assert commits() == 1
+    assert store.restore_state().enrollments.keys() == \
+        {f"dev-{index:04d}" for index in range(12)}
+
+
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["bare", "observed"])
+def test_round_commits_once_per_shard_batch(tmp_path, opened, observed):
+    """One ``COMMIT`` per shard batch plus the checkpoint's, not two per
+    device — also through the observability store wrapper."""
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
+    obs = Observability(seed=1) if observed else None
+    fleet = opened(provision(store, shards=3, obs=obs))
+    assert (fleet.verifier.store is not store) == observed
+    fleet.run_until(60.0)
+    commits = count_commits(store)
+    reports = fleet.collect_all(batch_size=2)
+    assert len(reports) == 12
+    assert reports.stats.shards == 6
+    assert commits() == reports.stats.shards + 1
+
+
+@pytest.mark.parametrize("shards", [None, 3])
+def test_failed_batch_commit_counts_none_of_the_batch(tmp_path, opened,
+                                                      shards):
+    """When a shard batch's commit fails, its reports reach neither the
+    sinks nor health, and the file holds exactly what the sinks got."""
+    path = tmp_path / "state.sqlite"
+    store = opened(SqliteStore(path))
+    sink = MemorySink()
+    fleet = opened(provision(store, shards=shards, sinks=(sink,)))
+    fleet.run_until(60.0)
+    failing = _FailingCommits(store._conn)
+    store._conn = failing
+    calls = {"batches": 0}
+    batch = store.batch
+
+    def second_batch_fails():
+        calls["batches"] += 1
+        failing.armed = calls["batches"] == 2
+        return batch()
+
+    store.batch = second_batch_fails
+    with pytest.raises(sqlite3.OperationalError):
+        fleet.collect_all(batch_size=4)
+    assert 0 < len(sink.reports) <= 8  # at least the failed batch is out
+    assert fleet.health.reports_total == len(sink.reports)
+    position = {device_id: index
+                for index, device_id in enumerate(fleet.device_ids())}
+    on_disk = sorted(committed_rows(path),
+                     key=lambda row: position[row["device_id"]])
+    assert on_disk == [report.to_row() for report in sink.reports]
+    restored = FleetVerifier.restore(small_profile(FIRMWARE).config,
+                                     opened(SqliteStore(path)))
+    assert restored.health.to_row() == fleet.health.to_row()

@@ -32,14 +32,15 @@ def profile():
                                    buffer_slots=16)
 
 
-def provision(tmp_path, backend, count=24):
-    return Fleet.provision(profile(), count, master_secret=MASTER_SECRET,
-                           store=make_store(backend, tmp_path))
+def provision(tmp_path, backend, opened, count=24):
+    store = opened(make_store(backend, tmp_path))
+    return opened(Fleet.provision(profile(), count,
+                                  master_secret=MASTER_SECRET, store=store))
 
 
 @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_kill_and_restore_reproduces_state_exactly(backend, tmp_path):
-    fleet = provision(tmp_path, backend)
+def test_kill_and_restore_reproduces_state_exactly(backend, tmp_path, opened):
+    fleet = provision(tmp_path, backend, opened)
     fleet.run_until(600.0)
     reports = fleet.collect_all()
     assert all(not report.detected_infection() for report in reports)
@@ -56,7 +57,7 @@ def test_kill_and_restore_reproduces_state_exactly(backend, tmp_path):
 
     # Crash: only the store's files survive.
     restored = FleetVerifier.restore(
-        profile().config, make_store(backend, tmp_path))
+        profile().config, opened(make_store(backend, tmp_path)))
 
     assert restored.health.to_row() == health_before
     assert restored.device_count == fleet.device_count
@@ -73,8 +74,8 @@ def test_kill_and_restore_reproduces_state_exactly(backend, tmp_path):
 
 
 @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_restored_verifier_flags_stale_devices(backend, tmp_path):
-    fleet = provision(tmp_path, backend)
+def test_restored_verifier_flags_stale_devices(backend, tmp_path, opened):
+    fleet = provision(tmp_path, backend, opened)
     fleet.run_until(600.0)
     fleet.collect_all()
     stalled = fleet.device_ids()[3]
@@ -82,7 +83,7 @@ def test_restored_verifier_flags_stale_devices(backend, tmp_path):
     fleet.run_until(1200.0)
 
     restored = FleetVerifier.restore(
-        profile().config, make_store(backend, tmp_path))
+        profile().config, opened(make_store(backend, tmp_path)))
     second = restored.collect_all(fleet.transport)
     flagged = [report.device_id for report in second
                if report.detected_infection()]
@@ -90,15 +91,15 @@ def test_restored_verifier_flags_stale_devices(backend, tmp_path):
     # The second round advanced and re-checkpointed durable state.
     assert restored.rounds_completed == 2
     third = FleetVerifier.restore(
-        profile().config, make_store(backend, tmp_path))
+        profile().config, opened(make_store(backend, tmp_path)))
     assert third.health.to_row() == restored.health.to_row()
 
 
 @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
 def test_uncheckpointed_round_recovers_from_journal(backend, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, opened):
     """A crash mid-deployment loses nothing that reached the journal."""
-    fleet = provision(tmp_path, backend, count=8)
+    fleet = provision(tmp_path, backend, opened, count=8)
     fleet.run_until(600.0)
     fleet.collect_all()  # checkpointed round
     fleet.run_until(1200.0)
@@ -108,29 +109,29 @@ def test_uncheckpointed_round_recovers_from_journal(backend, tmp_path,
     health_before = fleet.verifier.health.to_row()
 
     restored = FleetVerifier.restore(
-        profile().config, make_store(backend, tmp_path))
+        profile().config, opened(make_store(backend, tmp_path)))
     assert restored.health.to_row() == health_before
     assert restored.health.reports_total == 16
 
 
-def test_restore_keeps_committing_through_the_store(tmp_path):
-    fleet = provision(tmp_path, "jsonl", count=6)
+def test_restore_keeps_committing_through_the_store(tmp_path, opened):
+    fleet = provision(tmp_path, "jsonl", opened, count=6)
     fleet.run_until(600.0)
     fleet.collect_all()
     restored = FleetVerifier.restore(
-        profile().config, make_store("jsonl", tmp_path))
+        profile().config, opened(make_store("jsonl", tmp_path)))
     # New enrollments after restore are durable too.
     ghost = profile().provision("late-device", master_secret=MASTER_SECRET)
     restored.enroll_device(ghost)
     restored.checkpoint()
     again = FleetVerifier.restore(
-        profile().config, make_store("jsonl", tmp_path))
+        profile().config, opened(make_store("jsonl", tmp_path)))
     assert again.is_enrolled("late-device")
     assert again.device_count == 7
 
 
-def test_duplicate_enrollment_rejected_and_escape_hatch(tmp_path):
-    fleet = provision(tmp_path, "jsonl", count=4)
+def test_duplicate_enrollment_rejected_and_escape_hatch(tmp_path, opened):
+    fleet = provision(tmp_path, "jsonl", opened, count=4)
     device = fleet.device(fleet.device_ids()[0])
     with pytest.raises(DuplicateEnrollmentError):
         fleet.verifier.enroll_device(device)
@@ -143,15 +144,15 @@ def test_duplicate_enrollment_rejected_and_escape_hatch(tmp_path):
     assert fleet.verifier._enrollments[device.device_id].last_seen is None
 
 
-def test_provisioning_over_existing_store_state_fails_loudly(tmp_path):
+def test_provisioning_over_existing_store_state_fails_loudly(tmp_path, opened):
     """Re-running provision against a used state dir must not silently
     erase persisted last-seen state — restore is the correct path."""
-    fleet = provision(tmp_path, "jsonl", count=4)
+    fleet = provision(tmp_path, "jsonl", opened, count=4)
     fleet.run_until(600.0)
     fleet.collect_all()
     fleet.close()
     with pytest.raises(DuplicateEnrollmentError):
-        provision(tmp_path, "jsonl", count=4)
+        provision(tmp_path, "jsonl", opened, count=4)
 
 
 def _re_enroll_device(verifier, device):
@@ -166,10 +167,10 @@ def _re_enroll_primitive(verifier, device):
                          ids=["enroll_device", "enroll"])
 @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
 def test_re_enrollment_clears_collection_time_everywhere(tmp_path, backend,
-                                                         replace):
+                                                         replace, opened):
     """Replacing an enrollment voids the old unit's collection history —
     live, in the next checkpoint, and across an un-checkpointed crash."""
-    fleet = provision(tmp_path, backend, count=4)
+    fleet = provision(tmp_path, backend, opened, count=4)
     device_id = fleet.device_ids()[0]
     fleet.run_until(600.0)
     fleet.collect_all()
@@ -179,6 +180,6 @@ def test_re_enrollment_clears_collection_time_everywhere(tmp_path, backend,
     assert fleet.verifier.last_collection_time(device_id) is None
     # Crash before any checkpoint: the restore must agree.
     restored = FleetVerifier.restore(
-        profile().config, make_store(backend, tmp_path))
+        profile().config, opened(make_store(backend, tmp_path)))
     assert restored.last_collection_time(device_id) is None
     assert restored.last_seen(device_id) is None

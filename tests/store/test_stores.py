@@ -34,12 +34,20 @@ def make_store(backend, tmp_path):
     return SqliteStore(tmp_path / "state.sqlite")
 
 
-def reopen(backend, store, tmp_path):
+@pytest.fixture
+def open_store(tmp_path, opened):
+    """Open a backend's store on this test's medium, closed at teardown."""
+    def _open(backend):
+        return opened(make_store(backend, tmp_path))
+    return _open
+
+
+def reopen(backend, store, open_store):
     """Simulate a process restart: close and reopen the same medium."""
     if backend == "memory":
         return store  # memory survives only within the process
     store.close()
-    return make_store(backend, tmp_path)
+    return open_store(backend)
 
 
 def enrollment(device_id, last_seen=None):
@@ -65,15 +73,15 @@ def report(device_id, collection_time, status=DeviceStatus.HEALTHY,
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_enrollments_round_trip_and_upsert(backend, tmp_path):
-    store = make_store(backend, tmp_path)
+def test_enrollments_round_trip_and_upsert(backend, open_store):
+    store = open_store(backend)
     first = enrollment("dev-α")
     store.save_enrollment(first)
     store.save_enrollment(enrollment("dev-b"))
     advanced = first.advanced(120.0)
     store.save_enrollment(advanced)  # upsert, not duplicate
 
-    store = reopen(backend, store, tmp_path)
+    store = reopen(backend, store, open_store)
     state = store.restore_state()
     assert set(state.enrollments) == {"dev-α", "dev-b"}
     assert state.enrollments["dev-α"] == advanced
@@ -81,9 +89,9 @@ def test_enrollments_round_trip_and_upsert(backend, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_journal_tail_replayed_after_checkpoint(backend, tmp_path):
+def test_journal_tail_replayed_after_checkpoint(backend, open_store):
     """Reports appended after the last checkpoint are not lost."""
-    store = make_store(backend, tmp_path)
+    store = open_store(backend)
     store.save_enrollment(enrollment("dev-1"))
     health = FleetHealth()
     checkpointed = report("dev-1", 100.0)
@@ -96,7 +104,7 @@ def test_journal_tail_replayed_after_checkpoint(backend, tmp_path):
     store.append_report(
         report("dev-1", 300.0, status=DeviceStatus.INFECTED, newest=299.0))
 
-    store = reopen(backend, store, tmp_path)
+    store = reopen(backend, store, open_store)
     state = store.restore_state()
     assert state.health.reports_total == 3
     assert state.health.count(DeviceStatus.INFECTED) == 1
@@ -108,8 +116,8 @@ def test_journal_tail_replayed_after_checkpoint(backend, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_checkpoint_is_deterministic(backend, tmp_path):
-    store = make_store(backend, tmp_path)
+def test_checkpoint_is_deterministic(backend, open_store):
+    store = open_store(backend)
     for index in range(3):
         store.save_enrollment(enrollment(f"dev-{index}", last_seen=50.0))
     health = FleetHealth()
@@ -126,8 +134,8 @@ def test_checkpoint_is_deterministic(backend, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_store_restores_to_blank_state(backend, tmp_path):
-    store = make_store(backend, tmp_path)
+def test_empty_store_restores_to_blank_state(backend, open_store):
+    store = open_store(backend)
     state = store.restore_state()
     assert state.enrollments == {}
     assert state.health.reports_total == 0
@@ -137,8 +145,8 @@ def test_empty_store_restores_to_blank_state(backend, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_device_history_filters_and_limits(backend, tmp_path):
-    store = make_store(backend, tmp_path)
+def test_device_history_filters_and_limits(backend, open_store):
+    store = open_store(backend)
     for time in (10.0, 20.0, 30.0):
         store.append_report(report("dev-a", time))
         store.append_report(report("dev-b", time + 1.0))
@@ -149,9 +157,24 @@ def test_device_history_filters_and_limits(backend, tmp_path):
     assert store.device_history("dev-missing") == []
 
 
-def test_sqlite_history_survives_checkpoints(tmp_path):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_device_history_limit_zero_is_empty_negative_raises(backend,
+                                                            open_store):
+    """Every backend reads ``limit`` alike: 0 keeps no row, and a
+    negative limit is an error rather than "everything" or "all but"."""
+    store = open_store(backend)
+    for time in (10.0, 20.0, 30.0):
+        store.append_report(report("dev-a", time))
+    sizes = [len(store.device_history("dev-a", limit=limit))
+             for limit in (None, 0, 1, 3, 5)]
+    assert sizes == [3, 0, 1, 3, 3]
+    with pytest.raises(ValueError):
+        store.device_history("dev-a", limit=-1)
+
+
+def test_sqlite_history_survives_checkpoints(tmp_path, opened):
     """SQLite is the full-history backend: checkpoints drop nothing."""
-    store = SqliteStore(tmp_path / "state.sqlite")
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
     store.save_enrollment(enrollment("dev-1"))
     for time in (10.0, 20.0, 30.0):
         store.append_report(report("dev-1", time))
@@ -159,8 +182,8 @@ def test_sqlite_history_survives_checkpoints(tmp_path):
     assert len(store.device_history("dev-1")) == 3
 
 
-def test_jsonl_atomic_snapshot_and_torn_journal_tail(tmp_path):
-    store = JsonlStore(tmp_path / "state")
+def test_jsonl_atomic_snapshot_and_torn_journal_tail(tmp_path, opened):
+    store = opened(JsonlStore(tmp_path / "state"))
     store.save_enrollment(enrollment("dev-1"))
     health = FleetHealth()
     store.checkpoint(health, {}, rounds_completed=1)
@@ -178,14 +201,14 @@ def test_jsonl_atomic_snapshot_and_torn_journal_tail(tmp_path):
     with open(journal, "a", encoding="utf-8") as stream:
         stream.write('{"seq": 99, "kind": "report", "row"')
 
-    reopened = JsonlStore(tmp_path / "state")
+    reopened = opened(JsonlStore(tmp_path / "state"))
     state = reopened.restore_state()
     assert state.health.reports_total == 1
     assert state.rounds_completed == 1
 
 
-def test_jsonl_corrupt_middle_record_raises(tmp_path):
-    store = JsonlStore(tmp_path / "state")
+def test_jsonl_corrupt_middle_record_raises(tmp_path, opened):
+    store = opened(JsonlStore(tmp_path / "state"))
     store.append_report(report("dev-1", 10.0))
     store.close()
     journal = tmp_path / "state" / "journal.jsonl"
@@ -195,8 +218,8 @@ def test_jsonl_corrupt_middle_record_raises(tmp_path):
         JsonlStore(tmp_path / "state")
 
 
-def test_jsonl_checkpoint_truncates_journal(tmp_path):
-    store = JsonlStore(tmp_path / "state")
+def test_jsonl_checkpoint_truncates_journal(tmp_path, opened):
+    store = opened(JsonlStore(tmp_path / "state"))
     for index in range(5):
         store.append_report(report("dev-1", float(index)))
     store.flush()
@@ -211,8 +234,8 @@ def test_jsonl_checkpoint_truncates_journal(tmp_path):
     assert record["seq"] == 6
 
 
-def test_jsonl_flush_every_batches_journal_flushes(tmp_path):
-    store = JsonlStore(tmp_path / "state", flush_every=10)
+def test_jsonl_flush_every_batches_journal_flushes(tmp_path, opened):
+    store = opened(JsonlStore(tmp_path / "state", flush_every=10))
     store.append_report(report("dev-1", 1.0))
     # One record buffered, not yet flushed through to the file.
     journal = tmp_path / "state" / "journal.jsonl"
@@ -254,17 +277,17 @@ def test_memory_store_rejects_restore_after_uncheckpointed_eviction():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_replay_never_resurrects_a_reenrollment_reset(backend, tmp_path):
+def test_replay_never_resurrects_a_reenrollment_reset(backend, open_store):
     """A deliberate re-enrollment (last_seen=None, new key) written after
     journaled reports must survive restore on every backend — replay may
     not re-advance past the reset."""
-    store = make_store(backend, tmp_path)
+    store = open_store(backend)
     store.save_enrollment(enrollment("dev-1"))
     store.append_report(report("dev-1", 100.0, newest=100.0))
     reset = Enrollment.create("dev-1", b"\x02" * 16, [b"\xbb" * 32])
     store.save_enrollment(reset)  # re_enroll=True path, then crash
 
-    store = reopen(backend, store, tmp_path)
+    store = reopen(backend, store, open_store)
     state = store.restore_state()
     assert state.enrollments["dev-1"].last_seen is None
     assert state.enrollments["dev-1"].key == b"\x02" * 16
@@ -276,31 +299,32 @@ def test_replay_never_resurrects_a_reenrollment_reset(backend, tmp_path):
     assert state.enrollments["dev-1"].last_seen == 199.0
 
 
-def test_jsonl_append_after_torn_tail_does_not_corrupt(tmp_path):
+def test_jsonl_append_after_torn_tail_does_not_corrupt(tmp_path, opened):
     """Recovery must repair a torn tail before the next append merges
     a new record onto the partial line."""
-    store = JsonlStore(tmp_path / "state")
+    store = opened(JsonlStore(tmp_path / "state"))
     store.append_report(report("dev-1", 10.0))
     store.close()
     journal = tmp_path / "state" / "journal.jsonl"
     with open(journal, "a", encoding="utf-8") as stream:
         stream.write('{"seq": 2, "kind": "rep')  # crash mid-append
 
-    reopened = JsonlStore(tmp_path / "state")
+    reopened = opened(JsonlStore(tmp_path / "state"))
     reopened.save_enrollment(enrollment("dev-2"))
     reopened.append_report(report("dev-2", 20.0))
     reopened.close()
 
-    final = JsonlStore(tmp_path / "state")
+    final = opened(JsonlStore(tmp_path / "state"))
     state = final.restore_state()
     assert state.health.reports_total == 2
     assert "dev-2" in state.enrollments
 
 
-def test_jsonl_acknowledged_record_missing_newline_is_completed(tmp_path):
+def test_jsonl_acknowledged_record_missing_newline_is_completed(tmp_path,
+                                                               opened):
     """A record that parsed (and was re-served by replay) but lost only
     its newline must be completed on repair, never dropped."""
-    store = JsonlStore(tmp_path / "state")
+    store = opened(JsonlStore(tmp_path / "state"))
     store.save_enrollment(enrollment("dev-1"))
     store.save_enrollment(enrollment("dev-2"))
     store.close()
@@ -309,29 +333,30 @@ def test_jsonl_acknowledged_record_missing_newline_is_completed(tmp_path):
     assert data.endswith(b"\n")
     journal.write_bytes(data[:-1])  # crash between record and newline
 
-    reopened = JsonlStore(tmp_path / "state")
+    reopened = opened(JsonlStore(tmp_path / "state"))
     assert reopened.has_enrollment("dev-2")  # acknowledged on reopen...
     reopened.save_enrollment(enrollment("dev-3"))
     reopened.close()
-    final = JsonlStore(tmp_path / "state").restore_state()
+    final = opened(JsonlStore(tmp_path / "state")).restore_state()
     # ...so it must survive the next crash/recovery too.
     assert set(final.enrollments) == {"dev-1", "dev-2", "dev-3"}
 
 
-def test_sqlite_close_is_idempotent(tmp_path):
-    store = SqliteStore(tmp_path / "state.sqlite")
+def test_sqlite_close_is_idempotent(tmp_path, opened):
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
     with store:
         store.save_enrollment(enrollment("dev-1"))
         store.close()  # early close inside the context manager
     store.close()  # and once more for good measure
-    assert SqliteStore(tmp_path / "state.sqlite").has_enrollment("dev-1")
+    assert opened(SqliteStore(tmp_path / "state.sqlite")).has_enrollment(
+        "dev-1")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_measurement_free_report_does_not_shield_a_reset(backend, tmp_path):
+def test_measurement_free_report_does_not_shield_a_reset(backend, open_store):
     """A NO_DATA report after a re-enrollment reset must not resurrect
     the decommissioned unit's collection time on restore."""
-    store = make_store(backend, tmp_path)
+    store = open_store(backend)
     store.save_enrollment(enrollment("dev-1"))
     health = FleetHealth()
     first = report("dev-1", 100.0, newest=100.0)
@@ -347,14 +372,14 @@ def test_measurement_free_report_does_not_shield_a_reset(backend, tmp_path):
                                status=DeviceStatus.NO_DATA,
                                measurements=0, newest=None))
 
-    store = reopen(backend, store, tmp_path)
+    store = reopen(backend, store, open_store)
     state = store.restore_state()
     assert state.enrollments["dev-1"].last_seen is None
     assert "dev-1" not in state.last_collection_times
 
 
-def test_future_snapshot_version_is_rejected(tmp_path):
-    store = JsonlStore(tmp_path / "state")
+def test_future_snapshot_version_is_rejected(tmp_path, opened):
+    store = opened(JsonlStore(tmp_path / "state"))
     store.save_enrollment(enrollment("dev-1"))
     store.checkpoint(FleetHealth(), {})
     store.close()
@@ -367,8 +392,8 @@ def test_future_snapshot_version_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("backend", ("jsonl", "sqlite"))
-def test_writes_after_close_raise_store_error(backend, tmp_path):
-    store = make_store(backend, tmp_path)
+def test_writes_after_close_raise_store_error(backend, open_store):
+    store = open_store(backend)
     store.save_enrollment(enrollment("dev-1"))
     store.close()
     with pytest.raises(StoreError):
@@ -377,10 +402,10 @@ def test_writes_after_close_raise_store_error(backend, tmp_path):
         store.checkpoint(FleetHealth(), {})
 
 
-def test_jsonl_tail_torn_inside_multibyte_character(tmp_path):
+def test_jsonl_tail_torn_inside_multibyte_character(tmp_path, opened):
     """A crash can cut a record mid-way through a multi-byte UTF-8
     character; recovery must treat it as a torn tail, not die decoding."""
-    store = JsonlStore(tmp_path / "state")
+    store = opened(JsonlStore(tmp_path / "state"))
     store.save_enrollment(enrollment("dev-1"))
     store.close()
     journal = tmp_path / "state" / "journal.jsonl"
@@ -388,9 +413,9 @@ def test_jsonl_tail_torn_inside_multibyte_character(tmp_path):
     with open(journal, "ab") as stream:
         stream.write(b'{"seq": 2, "kind": "enrollment", "row": {"de\xc3')
 
-    reopened = JsonlStore(tmp_path / "state")
+    reopened = opened(JsonlStore(tmp_path / "state"))
     assert reopened.has_enrollment("dev-1")
     reopened.save_enrollment(enrollment("dev-é"))
     reopened.close()
-    state = JsonlStore(tmp_path / "state").restore_state()
+    state = opened(JsonlStore(tmp_path / "state")).restore_state()
     assert set(state.enrollments) == {"dev-1", "dev-é"}
