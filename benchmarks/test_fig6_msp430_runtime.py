@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import fig6_msp430_runtime
+from tests.experiments.paper_checks import linearity_error
 
 
 def test_fig6_series_regeneration(benchmark):
@@ -13,7 +14,7 @@ def test_fig6_series_regeneration(benchmark):
     # Linearity and ERASMUS ~= on-demand, as in the figure.
     for mac in ("hmac-sha256", "keyed-blake2s"):
         points = fig6_msp430_runtime.series(rows, mac, "erasmus")
-        assert fig6_msp430_runtime.linearity_error(points) < 0.05
+        assert linearity_error(points) < 0.05
     # "Roughly equivalent" holds over the figure's visible range; at tiny
     # memory sizes the constant request-authentication cost dominates.
     for row in rows:

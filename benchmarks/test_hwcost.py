@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import hwcost
+from tests.experiments.paper_checks import erasmus_equals_ondemand
 
 
 def test_hwcost_regeneration(benchmark):
@@ -16,4 +17,4 @@ def test_hwcost_regeneration(benchmark):
         13.0, abs=0.5)
     assert by_variant["erasmus"]["lut_overhead_pct"] == pytest.approx(
         14.0, abs=0.5)
-    assert hwcost.erasmus_equals_ondemand(rows)
+    assert erasmus_equals_ondemand(rows)

@@ -10,7 +10,7 @@ it analyzes (a 1k-device round takes seconds; its report must take a
 fraction of one).
 """
 
-from repro.experiments import obs_report
+from tests.obs import trace_harness as obs_report
 
 DEVICES = 1000
 SHARDS = 4

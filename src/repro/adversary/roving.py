@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.scheduler import MeasurementScheduler, RegularScheduler
+from repro.core.scheduler import MeasurementScheduler
 
 
 @dataclass
@@ -94,18 +94,3 @@ class ScheduleAwareMalware:
             evasions = sum(1 for entry_time in entry_times
                            if self.evades_once(scheduler, entry_time))
         return EvasionResult(trials=trials, evasions=evasions)
-
-    def best_case_dwell(self, scheduler: MeasurementScheduler) -> float:
-        """Longest dwell that is *guaranteed* to evade the given scheduler.
-
-        For a regular scheduler this is essentially ``T_M``; for an
-        irregular scheduler it is the lower bound ``L`` of the interval
-        distribution — the paper's argument for irregular intervals in a
-        nutshell.
-        """
-        if isinstance(scheduler, RegularScheduler):
-            return scheduler.measurement_interval
-        lower = getattr(scheduler, "lower", None)
-        if lower is not None:
-            return float(lower)
-        return scheduler.measurement_interval

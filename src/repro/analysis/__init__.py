@@ -18,9 +18,7 @@ from repro.analysis.detection import (
 )
 from repro.analysis.qoa_analysis import (
     QoAComparison,
-    collection_freshness,
     compare_erasmus_vs_ondemand,
-    detection_curve,
 )
 from repro.analysis.sweep import ParameterSweep, SweepResult
 
@@ -30,9 +28,7 @@ __all__ = [
     "ParameterSweep",
     "QoAComparison",
     "SweepResult",
-    "collection_freshness",
     "compare_erasmus_vs_ondemand",
-    "detection_curve",
     "detection_latency",
     "first_exposing_report",
     "infection_detected",

@@ -1,31 +1,12 @@
-"""QoA statistics: freshness, detection curves and ERASMUS-vs-on-demand."""
+"""QoA statistics: freshness and ERASMUS-vs-on-demand."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
 
 from repro.adversary.malware import MalwareCampaign
 from repro.analysis.detection import simulate_detection
-from repro.core.qoa import QoA, detection_probability, expected_freshness
-
-
-def collection_freshness(measurement_times: Sequence[float],
-                         collection_times: Sequence[float]) -> List[float]:
-    """Freshness ``f`` observed at each collection.
-
-    Freshness is the age of the newest measurement available at
-    collection time; collections before the first measurement are
-    skipped.  Section 3.1 predicts values between 0 and ``T_M`` with an
-    average of ``T_M / 2``.
-    """
-    ordered = sorted(measurement_times)
-    freshness: List[float] = []
-    for collection_time in sorted(collection_times):
-        previous = [time for time in ordered if time <= collection_time]
-        if previous:
-            freshness.append(collection_time - previous[-1])
-    return freshness
+from repro.core.qoa import QoA
 
 
 @dataclass
@@ -74,40 +55,3 @@ def compare_erasmus_vs_ondemand(measurement_interval: float,
         erasmus_mean_latency=erasmus_summary.mean_latency,
         on_demand_mean_latency=on_demand_summary.mean_latency,
     )
-
-
-def detection_curve(measurement_interval: float,
-                    dwell_times: Sequence[float]) -> Dict[float, float]:
-    """Analytic detection probability as a function of malware dwell time.
-
-    Returns ``{dwell: P(detected)}`` for a regular schedule with the
-    given ``T_M`` — the curve behind the Figure 1 intuition that the
-    escape window shrinks linearly with ``T_M``.
-    """
-    return {dwell: detection_probability(dwell, measurement_interval)
-            for dwell in dwell_times}
-
-
-def freshness_statistics(measurement_interval: float,
-                         collection_interval: float,
-                         horizon: float) -> Dict[str, float]:
-    """Observed vs predicted freshness for a regular deployment."""
-    measurement_times = _times(measurement_interval, horizon)
-    collection_times = _times(collection_interval, horizon)
-    observed = collection_freshness(measurement_times, collection_times)
-    mean_observed = sum(observed) / len(observed) if observed else 0.0
-    return {
-        "predicted_mean": expected_freshness(measurement_interval),
-        "observed_mean": mean_observed,
-        "observed_max": max(observed) if observed else 0.0,
-        "samples": float(len(observed)),
-    }
-
-
-def _times(interval: float, horizon: float) -> List[float]:
-    times: List[float] = []
-    time = interval
-    while time <= horizon:
-        times.append(time)
-        time += interval
-    return times

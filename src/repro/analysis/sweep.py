@@ -68,15 +68,3 @@ class ParameterSweep:
     def outcomes(self) -> List[Any]:
         """All outcomes, in run order."""
         return [result.outcome for result in self.results]
-
-    def as_table(self, outcome_name: str = "outcome") -> List[Dict[str, Any]]:
-        """Results flattened into a list of rows (dicts), one per combination."""
-        table = []
-        for result in self.results:
-            row = dict(result.parameters)
-            if isinstance(result.outcome, dict):
-                row.update(result.outcome)
-            else:
-                row[outcome_name] = result.outcome
-            table.append(row)
-        return table

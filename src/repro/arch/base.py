@@ -212,12 +212,6 @@ class SecurityArchitecture(abc.ABC):
     # ------------------------------------------------------------------
     # Introspection used by the application / adversary layers
     # ------------------------------------------------------------------
-    def application_write(self, region: str, offset: int,
-                          payload: bytes) -> None:
-        """Write to device memory from the (untrusted) normal world."""
-        self.memory.write_region(region, payload,
-                                 context=AccessContext.NORMAL, offset=offset)
-
     def application_read(self, region: str) -> bytes:
         """Read device memory from the (untrusted) normal world."""
         return self.memory.read_region(region, context=AccessContext.NORMAL)

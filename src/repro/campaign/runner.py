@@ -20,7 +20,6 @@ are byte-reproducible.
 from __future__ import annotations
 
 import json
-import os
 import time as _time
 from dataclasses import dataclass, field
 from typing import (
@@ -382,50 +381,3 @@ class CampaignRunner:
             json.dump(document, handle, sort_keys=True, indent=2)
             handle.write("\n")
         return document
-
-    def write_reports(self, directory: str) -> Dict[str, List[str]]:
-        """Emit per-cell observability reports plus a fleet-level rollup.
-
-        For every cell that ran with a child observability
-        (:attr:`CellResult.obs`), writes ``<cell>.report.html`` (the
-        flame/timeline view) and ``<cell>.summary.json`` (the
-        byte-stable trace summary) into ``directory``, then
-        ``rollup.json`` / ``rollup.html`` aggregating all cells.
-        Returns the written paths per kind.  Requires :meth:`run` to
-        have completed with an observed campaign; raises otherwise.
-        """
-        from repro.obs.report import (
-            ObsReport,
-            render_rollup_html,
-            rollup_summaries,
-        )
-        observed = [result for result in self.results
-                    if result.obs is not None]
-        if not observed:
-            raise ValueError(
-                "no cell observability to report on: run the campaign "
-                "with CampaignRunner(..., obs=Observability()) first")
-        os.makedirs(directory, exist_ok=True)
-        written: Dict[str, List[str]] = {"html": [], "json": []}
-        summaries: Dict[str, Dict[str, object]] = {}
-        for result in observed:
-            cell = result.obs.cell or result.scenario.name
-            report = ObsReport.from_observability(result.obs, title=cell)
-            safe = cell.replace("/", "_").replace(" ", "_")
-            paths = report.write(
-                html_path=os.path.join(directory, f"{safe}.report.html"),
-                json_path=os.path.join(directory, f"{safe}.summary.json"))
-            written["html"].append(paths["html"])
-            written["json"].append(paths["json"])
-            summaries[cell] = report.summary
-        rollup = rollup_summaries(summaries)
-        rollup_json = os.path.join(directory, "rollup.json")
-        with open(rollup_json, "w", encoding="utf-8") as handle:
-            json.dump(rollup, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        rollup_html = os.path.join(directory, "rollup.html")
-        with open(rollup_html, "w", encoding="utf-8") as handle:
-            handle.write(render_rollup_html(rollup, title=self.name))
-        written["json"].append(rollup_json)
-        written["html"].append(rollup_html)
-        return written

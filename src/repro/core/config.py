@@ -95,12 +95,3 @@ class ErasmusConfig:
         """
         return int(math.ceil(self.collection_interval /
                              self.measurement_interval))
-
-    @property
-    def buffer_capacity_seconds(self) -> float:
-        """How much history the buffer holds before overwriting: ``n * T_M``."""
-        return self.buffer_slots * self.measurement_interval
-
-    def validate_no_overwrite(self) -> bool:
-        """Check the paper's buffer-sizing rule ``T_C <= n * T_M``."""
-        return self.collection_interval <= self.buffer_capacity_seconds

@@ -57,7 +57,7 @@ class Measurement:
     the verifier itself judges the batch's columns and builds no
     record.  The MAC input is not a dataclass field:
     it is never encoded, compared, hashed or shown, and every other way
-    of building a record — direct construction, :meth:`with_timestamp`,
+    of building a record — direct construction or
     ``dataclasses.replace`` — leaves it unset, so a record whose
     timestamp or digest changed after decode is MAC-checked against a
     fresh encoding of its fields and fails.
@@ -126,15 +126,6 @@ class Measurement:
     def size_bytes(self) -> int:
         """Encoded size of the record in bytes."""
         return _HEADER.size + len(self.digest) + len(self.tag)
-
-    def with_timestamp(self, timestamp: float) -> "Measurement":
-        """Copy with a different timestamp (used by tampering adversaries).
-
-        The tag is *not* recomputed — malware cannot forge MACs — so the
-        result will fail verification, which is exactly the point.
-        """
-        return Measurement(timestamp=timestamp, digest=self.digest,
-                           tag=self.tag, duration=self.duration)
 
 
 def _as_bytes(payload: Buffer) -> bytes:

@@ -47,11 +47,6 @@ class QoA:
             return 0.0
         return expected_freshness(self.measurement_interval)
 
-    @property
-    def worst_case_freshness(self) -> float:
-        """Worst-case freshness: 0 for on-demand, ``T_M`` otherwise."""
-        return 0.0 if self.on_demand_only else self.measurement_interval
-
     def detection_probability(self, dwell_time: float) -> float:
         """Probability that transient malware of that dwell time is detected."""
         if self.on_demand_only:
@@ -65,14 +60,6 @@ class QoA:
         """Expected time from infection to the verifier noticing it."""
         return expected_detection_latency(self.measurement_interval,
                                           self.collection_interval)
-
-    def stronger_than(self, other: "QoA") -> bool:
-        """Strict QoA comparison: at least as good on both axes, better on one."""
-        no_worse = (self.measurement_interval <= other.measurement_interval and
-                    self.collection_interval <= other.collection_interval)
-        strictly = (self.measurement_interval < other.measurement_interval or
-                    self.collection_interval < other.collection_interval)
-        return no_worse and strictly
 
 
 def expected_freshness(measurement_interval: float) -> float:

@@ -82,8 +82,9 @@ class IrregularScheduler(MeasurementScheduler):
     The CSPRNG is seeded with the attestation key (plus an optional
     per-device nonce), so the verifier — who shares ``K`` — can
     regenerate the expected schedule, while malware on the prover
-    cannot predict it (the timer deadline is read-protected, see
-    :class:`repro.hw.timers.PeriodicTimer`).
+    cannot predict it (the paper read-protects the timer deadline; here
+    the next time lives only in the prover's scheduler and the engine
+    event it schedules).
     """
 
     def __init__(self, key: bytes, lower: float, upper: float,

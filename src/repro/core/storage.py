@@ -98,10 +98,6 @@ class MeasurementStore:
         """Number of non-empty slots."""
         return sum(1 for entry in self._buffer if entry is not None)
 
-    def capacity_seconds(self) -> float:
-        """History span before overwrite: ``n * T_M``."""
-        return self.slots * self.measurement_interval
-
     def all_measurements(self) -> List[Measurement]:
         """All stored measurements, oldest first (by timestamp)."""
         present = [entry for entry in self._buffer if entry is not None]

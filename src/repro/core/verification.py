@@ -71,11 +71,6 @@ class MeasurementVerdict:
     healthy: bool
     from_future: bool = False
 
-    @property
-    def acceptable(self) -> bool:
-        """Authentic, plausible and matching a known-good state."""
-        return self.authentic and self.healthy and not self.from_future
-
 
 class VerificationReport:
     """Outcome of verifying one collection from one prover.
@@ -259,13 +254,6 @@ class Enrollment:
                           healthy_digests=self.healthy_digests,
                           last_seen=last_seen)
 
-    def with_digest(self, digest: bytes) -> "Enrollment":
-        """Copy whitelisting one more software state (e.g. an update)."""
-        return Enrollment(device_id=self.device_id, key=self.key,
-                          healthy_digests=self.healthy_digests |
-                          {bytes(digest)},
-                          last_seen=self.last_seen)
-
     def to_row(self) -> Dict[str, object]:
         """Flatten into a stable, JSON-friendly row.
 
@@ -332,6 +320,7 @@ class VerificationCore:
     # ------------------------------------------------------------------
     # Request authentication material
     # ------------------------------------------------------------------
+    # statics: ok(dead-public) — ERASMUS+OD verifier half (paper Fig. 4)
     def request_tag(self, key: bytes, request_time: float) -> bytes:
         """``MAC_K(t_req)`` for an authenticated ERASMUS+OD request."""
         return self.mac_algorithm.mac(key, encode_timestamp(request_time),
@@ -476,6 +465,7 @@ class VerificationCore:
                 f"(policy allows {self.allowed_missing})")
         return report
 
+    # statics: ok(dead-public) — ERASMUS+OD verifier half (paper Fig. 4)
     def verify_ondemand(self, enrollment: Enrollment,
                         request: OnDemandRequest,
                         response: OnDemandResponse,

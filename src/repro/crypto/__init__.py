@@ -30,18 +30,16 @@ from repro.crypto.backend import (
     set_default_backend,
     use_backend,
 )
-from repro.crypto.blake2s import Blake2s, blake2s_digest, keyed_blake2s
+from repro.crypto.blake2s import Blake2s, keyed_blake2s
 from repro.crypto.constant_time import constant_time_compare
 from repro.crypto.csprng import HmacDrbg
 from repro.crypto.hmac import Hmac, hmac_digest
 from repro.crypto.mac import (
     MacAlgorithm,
-    MacDescriptor,
-    available_macs,
     get_mac,
     register_mac,
 )
-from repro.crypto.sha1 import Sha1, sha1_digest
+from repro.crypto.sha1 import Sha1
 from repro.crypto.sha256 import Sha256, sha256_digest
 
 __all__ = [
@@ -51,13 +49,10 @@ __all__ = [
     "Hmac",
     "HmacDrbg",
     "MacAlgorithm",
-    "MacDescriptor",
     "ReferenceBackend",
     "Sha1",
     "Sha256",
     "available_backends",
-    "available_macs",
-    "blake2s_digest",
     "constant_time_compare",
     "default_backend_name",
     "get_backend",
@@ -68,7 +63,6 @@ __all__ = [
     "register_mac",
     "resolve_backend",
     "set_default_backend",
-    "sha1_digest",
     "sha256_digest",
     "use_backend",
 ]

@@ -255,6 +255,7 @@ def set_default_backend(name: str | None) -> None:
 
 
 @contextlib.contextmanager
+# statics: ok(dead-public) — test seam: swaps the default crypto backend
 def use_backend(name: str) -> Iterator[CryptoBackend]:
     """Temporarily make ``name`` the default backend (for tests/sweeps)."""
     global _default_override

@@ -152,11 +152,6 @@ class Blake2s:
             self._state[i] ^= v[i] ^ v[i + 8]
 
 
-def blake2s_digest(data: bytes, digest_size: int = 32) -> bytes:
-    """One-shot unkeyed BLAKE2s of ``data``."""
-    return Blake2s(data, digest_size=digest_size).digest()
-
-
 def keyed_blake2s(key: bytes, data: bytes, digest_size: int = 32) -> bytes:
     """One-shot keyed BLAKE2s MAC of ``data`` under ``key``."""
     return Blake2s(data, key=key, digest_size=digest_size).digest()

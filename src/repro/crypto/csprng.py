@@ -60,11 +60,6 @@ class HmacDrbg:
         self.reseed_counter = 1
         self._update(bytes(seed) + bytes(personalization))
 
-    @property
-    def backend_name(self) -> str:
-        """Name of the backend computing the internal HMACs."""
-        return self._backend.name
-
     def _update(self, provided_data: bytes = b"") -> None:
         self._key = self._hmac(self._key, self._value + b"\x00" + provided_data)
         self._value = self._hmac(self._key, self._value)
@@ -72,13 +67,6 @@ class HmacDrbg:
             self._key = self._hmac(
                 self._key, self._value + b"\x01" + provided_data)
             self._value = self._hmac(self._key, self._value)
-
-    def reseed(self, entropy: bytes) -> None:
-        """Mix additional entropy into the generator state."""
-        if not entropy:
-            raise ValueError("reseed entropy must be non-empty")
-        self._update(bytes(entropy))
-        self.reseed_counter = 1
 
     def generate(self, num_bytes: int) -> bytes:
         """Return ``num_bytes`` pseudo-random bytes."""

@@ -91,20 +91,12 @@ class Hmac:
 
     @property
     def compressions(self) -> int:
-        """Total compression-function invocations so far (inner pass only).
+        """Compression-function invocations so far (inner pass only).
 
-        The two extra outer-pass compressions are added by
-        :meth:`total_compressions` because they only happen at
-        finalization time.
+        The two outer-pass compressions happen at finalization time and
+        are not counted.
         """
         return self._inner.compressions
-
-    def total_compressions(self) -> int:
-        """Compression count including the outer finalization pass."""
-        outer = self._hash_cls(self._outer_key)
-        outer.update(self._inner.copy().digest())
-        outer.digest()
-        return self._inner.compressions + outer.compressions
 
 
 def hmac_digest(key: bytes, data: bytes, hash_name: str = "sha256",

@@ -9,7 +9,6 @@ per-block compression cost class and indicative ROM footprint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.crypto.backend import BackendSpec, resolve_backend
@@ -69,16 +68,6 @@ class MacAlgorithm:
         return f"MacAlgorithm(name={self.name!r})"
 
 
-@dataclass(frozen=True)
-class MacDescriptor:
-    """Static metadata about a registered MAC, used by code-size models."""
-
-    name: str
-    block_size: int
-    digest_size: int
-    deprecated: bool
-
-
 _REGISTRY: Dict[str, MacAlgorithm] = {}
 
 
@@ -94,15 +83,6 @@ def get_mac(name: str) -> MacAlgorithm:
     except KeyError as exc:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown MAC {name!r}; known: {known}") from exc
-
-
-def available_macs() -> list[MacDescriptor]:
-    """Return descriptors for every registered MAC."""
-    return [
-        MacDescriptor(alg.name, alg.block_size, alg.digest_size,
-                      alg.deprecated)
-        for alg in sorted(_REGISTRY.values(), key=lambda a: a.name)
-    ]
 
 
 def _hmac_sha1(key: bytes, data: bytes) -> bytes:

@@ -103,8 +103,3 @@ class Sha1:
             (self._state[3] + d) & _MASK32,
             (self._state[4] + e) & _MASK32,
         ]
-
-
-def sha1_digest(data: bytes) -> bytes:
-    """One-shot SHA-1 of ``data``."""
-    return Sha1(data).digest()

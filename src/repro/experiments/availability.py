@@ -31,10 +31,6 @@ class CriticalTask:
     period: float
     busy_time: float
 
-    def active_at(self, time: float) -> bool:
-        """True when a task instance is running at ``time``."""
-        return (time % self.period) < self.busy_time
-
     def windows(self, horizon: float) -> List[tuple[float, float]]:
         """All busy windows up to ``horizon``."""
         result = []

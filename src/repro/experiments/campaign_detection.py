@@ -13,12 +13,6 @@ expected shape is the same analytic law:
   the dwell time exceeds ``T_M``;
 * on-demand detection rate ≈ min(1, dwell / T_C) — near zero for any
   malware that leaves before the next attestation request.
-
-``flagship`` runs the headline single cell from the issue: a
-1000-device fleet on the swarm-relay transport under partition-and-
-merge mobility, with a store crash injected mid-round — proving the
-adversary layer, the mobility model, the fault injectors and the
-durable-verifier recovery path all compose at fleet scale.
 """
 
 from __future__ import annotations
@@ -89,26 +83,6 @@ def run(measurement_interval: float = 60.0,
             "ondemand_mean_latency_s": ondemand.detection.mean_latency,
         })
     return rows
-
-
-def flagship(devices: int = 1000,
-             horizon: float = 3600.0,
-             seed: int = 42) -> Scenario:
-    """The issue's headline cell: 1k devices, mobility, fault injection.
-
-    Mobile malware sweeps a 1000-device fleet collected over the
-    swarm-relay transport while partition-and-merge mobility splits the
-    swarm into islands, and the verifier's store crashes mid-round —
-    the campaign must recover via the durable-verifier restart path.
-    """
-    return Scenario(
-        name="flagship-1k", devices=devices, horizon=horizon,
-        measurement_interval=60.0, collection_interval=600.0,
-        malware="mobile", dwell=120.0, arrival_rate=1.0 / 900.0,
-        victim_fraction=0.25,
-        transport="swarm-relay", mobility="partition-merge",
-        partition_period=600.0, merged_fraction=0.5,
-        mobility_area=400.0, store_crash_round=2, seed=seed)
 
 
 def format_table(rows: List[Dict[str, object]]) -> str:

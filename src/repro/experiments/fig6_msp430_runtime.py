@@ -61,24 +61,6 @@ def series(rows: List[Dict[str, object]], mac_name: str,
             for row in rows if row["mac"] == mac_name]
 
 
-def linearity_error(points: Sequence[tuple[float, float]]) -> float:
-    """Maximum relative deviation of the points from the best straight line.
-
-    Figure 6 shows straight lines; a small value here confirms the model
-    preserves that shape.
-    """
-    if len(points) < 3:
-        return 0.0
-    (x0, y0), (x1, y1) = points[0], points[-1]
-    slope = (y1 - y0) / (x1 - x0)
-    worst = 0.0
-    for x, y in points[1:-1]:
-        predicted = y0 + slope * (x - x0)
-        if y > 0:
-            worst = max(worst, abs(predicted - y) / y)
-    return worst
-
-
 def format_table(rows: List[Dict[str, object]]) -> str:
     """Render the Figure 6 series as a text table."""
     lines = ["Figure 6: Measurement run-time on MSP430 @ 8 MHz (seconds)"]

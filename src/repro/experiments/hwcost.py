@@ -39,15 +39,6 @@ def run(model: SynthesisModel | None = None) -> List[Dict[str, object]]:
     return rows
 
 
-def erasmus_equals_ondemand(rows: List[Dict[str, object]]) -> bool:
-    """The paper's key finding: ERASMUS costs exactly what on-demand costs."""
-    by_variant = {row["variant"]: row for row in rows}
-    erasmus = by_variant["erasmus"]
-    on_demand = by_variant["on-demand"]
-    return (erasmus["registers"] == on_demand["registers"] and
-            erasmus["luts"] == on_demand["luts"])
-
-
 def format_table(rows: List[Dict[str, object]]) -> str:
     """Render the hardware-cost rows as a text table."""
     lines = ["Hardware cost (openMSP430 synthesis model)"]

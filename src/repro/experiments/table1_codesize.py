@@ -53,21 +53,6 @@ def run(model: CodeSizeModel | None = None) -> List[Dict[str, object]]:
     return rows
 
 
-def matches_paper(rows: List[Dict[str, object]],
-                  tolerance_kb: float = 0.05) -> bool:
-    """True when every reproduced cell is within ``tolerance_kb`` of the paper."""
-    for row in rows:
-        for column in _COLUMNS:
-            measured = row[column]
-            expected = row[f"paper:{column}"]
-            if (measured is None) != (expected is None):
-                return False
-            if measured is not None and expected is not None and \
-                    abs(float(measured) - float(expected)) > tolerance_kb:
-                return False
-    return True
-
-
 def format_table(rows: List[Dict[str, object]]) -> str:
     """Render the rows as a text table shaped like the paper's Table 1."""
     lines = ["Table 1: Size of Attestation Executable (KB)"]

@@ -62,7 +62,6 @@ from repro.fleet.service import (
 from repro.core.verification import DuplicateEnrollmentError
 from repro.fleet.sinks import (
     FleetHealth,
-    FleetHealthSink,
     JsonlSink,
     MemorySink,
     ReportSink,
@@ -86,7 +85,6 @@ __all__ = [
     "DuplicateEnrollmentError",
     "Fleet",
     "FleetHealth",
-    "FleetHealthSink",
     "FleetVerifier",
     "HYDRA",
     "InProcessTransport",

@@ -14,7 +14,7 @@ how real deployments diversify a factory secret per unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.arch.base import SecurityArchitecture, hash_for_mac
@@ -60,8 +60,8 @@ class DeviceProfile:
         default.
     config:
         Deployment parameters (``T_M``, ``T_C``, ``n``, schedule, MAC,
-        crypto backend).  :meth:`with_config` and the factory
-        classmethods build sensible ones.
+        crypto backend).  The factory classmethods build sensible
+        ones.
     """
 
     architecture: str = SMARTPLUS
@@ -116,10 +116,6 @@ class DeviceProfile:
                    application_size=application_size,
                    measurement_buffer_size=16 * 1024,
                    config=cls._build_config(config, config_overrides))
-
-    def with_config(self, **overrides) -> "DeviceProfile":
-        """Copy of this profile with config fields replaced."""
-        return replace(self, config=replace(self.config, **overrides))
 
     # ------------------------------------------------------------------
     # Provisioning
@@ -181,9 +177,3 @@ class ProvisionedDevice:
     def load_application(self, image: bytes) -> None:
         """Replace the application image (firmware update or infection)."""
         self.architecture.load_application(image)
-
-    def current_digest(self) -> bytes:
-        """Digest of the currently loaded measured memory."""
-        return hash_for_mac(self.profile.config.mac_name,
-                            self.architecture.crypto_backend)(
-                                self.architecture.read_measured_memory())

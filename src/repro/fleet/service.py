@@ -299,15 +299,6 @@ class FleetVerifier:
         """Newest measurement timestamp accepted from one device."""
         return self._enrollment_for(device_id).last_seen
 
-    def last_collection_time(self, device_id: str) -> Optional[float]:
-        """Time of the most recent collection that carried measurements."""
-        return self._last_collection_time.get(device_id)
-
-    def add_healthy_digest(self, device_id: str, digest: bytes) -> None:
-        """Whitelist an additional software state (e.g. after an update)."""
-        self._set_enrollment(self._enrollment_for(device_id)
-                             .with_digest(digest))
-
     def _enrollment_for(self, device_id: str) -> Enrollment:
         try:
             return self._enrollments[device_id]
@@ -648,11 +639,6 @@ class FleetVerifier:
         """
         return await self._run_round(transport, collection_time, k,
                                      device_ids, batch_size)
-
-    @property
-    def worker_pool(self) -> Optional[WorkerPool]:
-        """The process pool, once the first process-mode round spawned it."""
-        return self._pool
 
     def warm_up(self) -> None:
         """Spawn worker processes and ship enrollments ahead of a round.

@@ -7,9 +7,10 @@ to any number of sinks:
 
 * :class:`MemorySink` — keep reports in a list (tests, small fleets);
 * :class:`JsonlSink` — append one JSON object per report to a file, the
-  shape log-pipeline ingestion expects;
-* :class:`FleetHealthSink` — fold reports into a running
-  :class:`FleetHealth` aggregate without retaining them.
+  shape log-pipeline ingestion expects.
+
+The verifier itself folds every committed report into its running
+:class:`FleetHealth` aggregate.
 """
 
 from __future__ import annotations
@@ -173,6 +174,7 @@ class SinkFanout:
         return False
 
 
+# statics: ok(dead-public) — test seam: the in-memory sink tests read
 class MemorySink(ReportSink):
     """Retain every report in order of arrival."""
 
@@ -181,11 +183,6 @@ class MemorySink(ReportSink):
 
     def emit(self, report: VerificationReport) -> None:
         self.reports.append(report)
-
-    def for_device(self, device_id: str) -> List[VerificationReport]:
-        """All retained reports for one device."""
-        return [report for report in self.reports
-                if report.device_id == device_id]
 
 
 def report_to_row(report: VerificationReport) -> Dict[str, object]:
@@ -199,6 +196,8 @@ def report_to_row(report: VerificationReport) -> Dict[str, object]:
     return report.to_row()
 
 
+# perfbench writes its reports through this sink and times its emit.
+# statics: ok(dead-public) — read by perfbench, outside the scanned roots
 class JsonlSink(ReportSink):
     """Append one JSON line per report to a file or file-like object.
 
@@ -412,13 +411,3 @@ class FleetHealth:
                 f"reports={self.reports_total}, "
                 f"healthy_fraction={self.healthy_fraction:.3f}, "
                 f"flagged={len(self.flagged_devices)})")
-
-
-class FleetHealthSink(ReportSink):
-    """Fold reports into a :class:`FleetHealth` without retaining them."""
-
-    def __init__(self, health: Optional[FleetHealth] = None) -> None:
-        self.health = health if health is not None else FleetHealth()
-
-    def emit(self, report: VerificationReport) -> None:
-        self.health.record(report)

@@ -395,9 +395,9 @@ class SimulatedNetworkTransport(Transport):
                                   ) -> Dict[str, Optional[bytes]]:
         """Awaitable exchange: lets rounds overlap on one network.
 
-        Any number of these coroutines can be in flight concurrently
-        (plus an :meth:`SimulationEngine.run_async` drain): one of them
-        drives the engine a few events at a time while the others yield,
+        Any number of these coroutines can be in flight concurrently:
+        one of them drives the engine a few events at a time while the
+        others yield,
         each resolving as soon as *its own* packets settle or its
         deadline passes — rounds never barrier on each other's traffic.
         """

@@ -344,6 +344,7 @@ class WorkerPool:
                     self.obs.worker_restarts_total.labels(str(index)).inc()
             return self.generations[index]
 
+    # statics: ok(dead-public) — test seam: fault injection
     def inject_crash(self, index: int) -> None:
         """Arm a hard ``os._exit`` on the slot's next verification task.
 
@@ -353,6 +354,7 @@ class WorkerPool:
         """
         self._crash_armed[index] = True
 
+    # statics: ok(dead-public) — test seam: fault injection
     def kill(self, index: int) -> None:
         """Hard-kill the slot *now* via an ``OP_EXIT`` frame.
 
@@ -457,9 +459,13 @@ class WorkerPool:
             handle.conn.send_bytes(_FRAME.pack(opcode, rid) + body)
         except (OSError, ValueError) as exc:
             with handle.lock:
-                handle.pending.pop(rid, None)
-            future.set_exception(WorkerCrashed(
-                f"worker {index} pipe is broken: {exc}"))
+                owned = handle.pending.pop(rid, None)
+            # The reader may have orphaned and failed the future first
+            # (the worker died while we were sending); fail it only if
+            # it is still ours to fail.
+            if owned is not None:
+                owned.set_exception(WorkerCrashed(
+                    f"worker {index} pipe is broken: {exc}"))
         return future
 
     # -- reader ---------------------------------------------------------

@@ -11,7 +11,6 @@ pieces ERASMUS needs:
 * :mod:`repro.hw.clock` — the Reliable Read-Only Clock (RROC), both as
   a hardware register (SMART+) and as the software construction over a
   wrapping GPT counter (HYDRA);
-* :mod:`repro.hw.timers` — periodic timers that drive self-measurement;
 * :mod:`repro.hw.devices` — cycle-cost models for the MSP430-class and
   i.MX6-class targets, calibrated to the paper's Figures 6 and 8;
 * :mod:`repro.hw.codesize` — the executable-size model behind Table 1;
@@ -36,7 +35,6 @@ from repro.hw.memory import (
     RegionKind,
 )
 from repro.hw.synthesis import SynthesisModel, SynthesisReport
-from repro.hw.timers import PeriodicTimer, TimerExpiration
 
 __all__ = [
     "AccessContext",
@@ -49,13 +47,11 @@ __all__ = [
     "DeviceMemory",
     "MCUModel",
     "MemoryRegion",
-    "PeriodicTimer",
     "RegionKind",
     "ReliableClock",
     "RuntimeBreakdown",
     "SoftwareClock",
     "SynthesisModel",
     "SynthesisReport",
-    "TimerExpiration",
     "WrappingCounter",
 ]

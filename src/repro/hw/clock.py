@@ -38,11 +38,6 @@ class ReliableClock:
         self.frequency_hz = frequency_hz
         self._cycles = 0
 
-    @property
-    def cycles(self) -> int:
-        """Current 64-bit cycle count."""
-        return self._cycles & 0xFFFFFFFFFFFFFFFF
-
     def read(self) -> float:
         """Current time in seconds since device boot."""
         return self._cycles / self.frequency_hz
@@ -139,15 +134,6 @@ class SoftwareClock:
         wraps = self._counter.advance_to(time_seconds)
         if trusted and wraps:
             self._high_bits += wraps
-
-    def set_high_bits(self, value: int, trusted: bool) -> None:
-        """Explicit write to the high bits; only the attestation process may."""
-        if not trusted:
-            raise ClockTamperError(
-                "only the attestation process may write the RROC high bits")
-        if value < self._high_bits:
-            raise ClockTamperError("RROC high bits cannot move backwards")
-        self._high_bits = value
 
     def read(self) -> float:
         """Current time in seconds, combining high bits and live counter."""

@@ -84,11 +84,6 @@ class AccessPolicy:
         only = frozenset({AccessContext.ATTESTATION})
         return cls(only, only)
 
-    @classmethod
-    def read_only_peripheral(cls) -> "AccessPolicy":
-        """Readable by everyone, writable by nobody (the RROC register)."""
-        return cls(frozenset(AccessContext), frozenset())
-
 
 @dataclass
 class MemoryRegion:
@@ -163,10 +158,6 @@ class DeviceMemory:
     def regions(self) -> list[MemoryRegion]:
         """All regions, sorted by base address."""
         return sorted(self._regions.values(), key=lambda region: region.base)
-
-    def total_size(self) -> int:
-        """Sum of all region sizes in bytes."""
-        return sum(region.size for region in self._regions.values())
 
     def _find(self, address: int, length: int) -> MemoryRegion:
         for region in self._regions.values():

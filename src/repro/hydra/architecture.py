@@ -170,10 +170,6 @@ class HydraArchitecture(SecurityArchitecture):
     # ------------------------------------------------------------------
     # HYDRA-specific behaviour
     # ------------------------------------------------------------------
-    def spawn_application(self, name: str, priority: int | None = None) -> None:
-        """Spawn a user-space application process below PrAtt's priority."""
-        self.pratt.spawn_user_process(name, priority)
-
     def load_application(self, image: bytes) -> None:
         """Load (or let malware overwrite) the application image."""
         region = self.memory.region(APPLICATION_REGION)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hydra.sel4 import Capability, CapabilityError, Microkernel, Right
+from repro.hydra.sel4 import Capability, Microkernel, Right
 
 #: Kernel object names PrAtt needs exclusive access to.
 KEY_OBJECT = "key_region"
@@ -44,20 +44,6 @@ class PrAttProcess:
         ]
         kernel.create_initial_process("pratt", priority, capabilities)
         return cls(kernel=kernel, name="pratt", priority=priority)
-
-    def spawn_user_process(self, name: str, priority: int | None = None,
-                           capabilities: tuple[Capability, ...] = ()) -> None:
-        """Spawn an application process at a strictly lower priority."""
-        if priority is None:
-            priority = self.priority - 1
-        if priority >= self.priority:
-            raise CapabilityError(
-                "user processes must run below PrAtt's priority")
-        self.kernel.spawn(self.name, name, priority, capabilities)
-
-    def can_read_key(self) -> bool:
-        """True when PrAtt holds the READ capability on the key region."""
-        return self.kernel.check_access(self.name, KEY_OBJECT, Right.READ)
 
     def has_exclusive_key_access(self) -> bool:
         """HYDRA's key-protection property: only PrAtt can read ``K``."""

@@ -60,7 +60,6 @@ class Process:
     priority: int
     capabilities: Dict[str, Capability] = field(default_factory=dict)
     parent: Optional[str] = None
-    alive: bool = True
 
     def holds(self, object_name: str, right: Right) -> bool:
         """True when the process holds a capability with ``right``."""
@@ -112,8 +111,6 @@ class Microkernel:
         capabilities it itself holds with the GRANT right.
         """
         parent = self.process(parent_name)
-        if not parent.alive:
-            raise CapabilityError(f"parent process {parent_name!r} is dead")
         if priority >= parent.priority:
             raise CapabilityError(
                 "child processes must run at a lower priority than their parent")
@@ -151,17 +148,6 @@ class Microkernel:
         except KeyError as exc:
             raise KeyError(f"no process named {name!r}") from exc
 
-    def processes(self) -> list[Process]:
-        """All processes, highest priority first."""
-        return sorted(self._processes.values(),
-                      key=lambda process: -process.priority)
-
-    def kill(self, name: str) -> None:
-        """Terminate a process (its capabilities are revoked)."""
-        process = self.process(name)
-        process.alive = False
-        process.capabilities.clear()
-
     # ------------------------------------------------------------------
     # Enforcement and scheduling
     # ------------------------------------------------------------------
@@ -169,7 +155,7 @@ class Microkernel:
                      right: Right) -> bool:
         """Check (and record) whether a process may access an object."""
         process = self.process(process_name)
-        if process.alive and process.holds(object_name, right):
+        if process.holds(object_name, right):
             return True
         self.access_denials.append((process_name, object_name, right.name or ""))
         return False
@@ -183,20 +169,19 @@ class Microkernel:
 
     def exclusive_holder(self, object_name: str,
                          right: Right = Right.READ) -> Optional[str]:
-        """Name of the only live process holding ``right`` on the object.
+        """Name of the only process holding ``right`` on the object.
 
         Returns ``None`` when zero or more than one process holds it.
         HYDRA's key-protection property is exactly "PrAtt is the
         exclusive holder of READ on the key region".
         """
         holders = [process.name for process in self._processes.values()
-                   if process.alive and process.holds(object_name, right)]
+                   if process.holds(object_name, right)]
         return holders[0] if len(holders) == 1 else None
 
     def schedule(self) -> Optional[Process]:
-        """Return the runnable process with the highest priority."""
-        runnable = [process for process in self._processes.values()
-                    if process.alive]
-        if not runnable:
+        """Return the process with the highest priority."""
+        if not self._processes:
             return None
-        return max(runnable, key=lambda process: process.priority)
+        return max(self._processes.values(),
+                   key=lambda process: process.priority)

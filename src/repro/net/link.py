@@ -34,10 +34,6 @@ class Link:
         """The two endpoint names, in construction order."""
         return (self.node_a, self.node_b)
 
-    def connects(self, first: str, second: str) -> bool:
-        """True when the link joins the two named nodes (either direction)."""
-        return {first, second} == {self.node_a, self.node_b}
-
     def transfer_delay(self, packet: Packet) -> float:
         """Total delay for one packet: propagation plus serialization."""
         serialization = packet.size_bytes * 8 / self.bandwidth_bps

@@ -113,11 +113,6 @@ class RandomWaypointMobility(MobilityModel):
         """Names of the static anchors added via :meth:`pin`."""
         return list(self._pinned)
 
-    def position_of(self, name: str) -> tuple[float, float]:
-        """Current (x, y) of one device or pinned anchor."""
-        position = self._positions.get(name) or self._pinned[name]
-        return (position.x, position.y)
-
     def _advance(self, elapsed: float) -> None:
         for position in self._positions.values():
             remaining = elapsed
@@ -188,17 +183,12 @@ class RandomWaypointMobility(MobilityModel):
     def fork(self) -> "RandomWaypointMobility":
         """An independent copy: same positions, waypoints and RNG state.
 
-        Advancing the fork never perturbs this model, so diagnostics
-        (e.g. :meth:`churn_rate`) can look ahead — and a transport can
-        pin a gateway into its private copy — without changing what a
+        Advancing the fork never perturbs this model, so a transport can
+        pin a gateway into its private copy without changing what a
         protocol run on the original model will see.  A deep copy, so
         subclasses (custom dynamics, extra state) fork faithfully.
         """
         return copy.deepcopy(self)
-
-    def churn_rate(self, horizon: float, step: float = 1.0) -> float:
-        """Fraction of links that change per step over a time horizon."""
-        return _churn_rate(self, horizon, step)
 
 
 class PartitionMergeMobility(MobilityModel):
@@ -303,47 +293,6 @@ class PartitionMergeMobility(MobilityModel):
                 links.append(self._link(left[0], right[0]))
         return links
 
-    def group_of(self, name: str) -> int:
-        """Index of the group one device belongs to."""
-        for index, group in enumerate(self.groups):
-            if name in group:
-                return index
-        raise KeyError(f"{name!r} is not part of this model")
-
     def fork(self) -> "PartitionMergeMobility":
         """An independent copy (links are pure functions of time)."""
         return copy.deepcopy(self)
-
-    def churn_rate(self, horizon: float, step: float = 1.0) -> float:
-        """Fraction of links that change per step over a time horizon."""
-        return _churn_rate(self, horizon, step)
-
-
-def _churn_rate(model: MobilityModel, horizon: float,
-                step: float = 1.0) -> float:
-    """Link-set churn of any forkable mobility model.
-
-    Used by the swarm experiments to characterize "how mobile" a
-    deployment is independently of the protocol under test.  The
-    measurement runs on a fork, so looking ahead never perturbs the
-    model it was called on.
-    """
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and step must be positive")
-    probe = model.fork()
-    start = getattr(probe, "_last_update", 0.0)
-    previous = {(link.node_a, link.node_b)
-                for link in probe.links_at(start)}
-    changes = 0.0
-    samples = 0
-    time = start
-    while time < start + horizon:
-        time += step
-        current = {(link.node_a, link.node_b)
-                   for link in probe.links_at(time)}
-        union = previous | current
-        if union:
-            changes += len(previous ^ current) / len(union)
-        samples += 1
-        previous = current
-    return changes / samples if samples else 0.0

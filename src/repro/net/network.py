@@ -98,12 +98,6 @@ class Network:
         self._topology_version += 1
         return link
 
-    def remove_link(self, first: str, second: str) -> None:
-        """Remove the link between two nodes, if present."""
-        if self.graph.has_edge(first, second):
-            self.graph.remove_edge(first, second)
-            self._topology_version += 1
-
     def link_between(self, first: str, second: str) -> Optional[Link]:
         """The link joining two nodes, if any."""
         if not self.graph.has_edge(first, second):
@@ -127,10 +121,6 @@ class Network:
     def neighbors(self, name: str) -> list[str]:
         """Names of the node's current one-hop neighbours."""
         return list(self.graph.neighbors(name))
-
-    def is_connected(self, first: str, second: str) -> bool:
-        """True when a path currently exists between the two nodes."""
-        return nx.has_path(self.graph, first, second)
 
     # ------------------------------------------------------------------
     # Packet delivery

@@ -39,11 +39,8 @@ from repro.obs.report import (
     ObsReport,
     build_summary,
     histogram_quantiles,
-    load_trace,
     parse_exposition,
     render_html,
-    render_rollup_html,
-    rollup_summaries,
 )
 from repro.obs.server import MetricsServer
 from repro.obs.service import (
@@ -54,9 +51,7 @@ from repro.obs.service import (
     ObservedStore,
 )
 from repro.obs.slo import (
-    AttestationWindowRule,
     CoverageRule,
-    FreshnessRule,
     LostBudgetRule,
     SloRule,
     SloViolation,
@@ -70,12 +65,10 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "AttestationWindowRule",
     "CoverageRule",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_ROUND_BUCKETS",
     "DEFAULT_SUMMARY_QUANTILES",
-    "FreshnessRule",
     "LostBudgetRule",
     "MetricError",
     "MetricFamily",
@@ -95,9 +88,6 @@ __all__ = [
     "derive_child_seed",
     "derive_span_id",
     "histogram_quantiles",
-    "load_trace",
     "parse_exposition",
     "render_html",
-    "render_rollup_html",
-    "rollup_summaries",
 ]

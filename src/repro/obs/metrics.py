@@ -13,8 +13,8 @@ Recent rates (``rate()``, ``increase()``) are the scraper's job,
 computed from the plain counters.
 
 Histograms additionally estimate quantiles from their bucket counts
-(:meth:`_HistogramChild.quantile`, with explicit error bounds from
-:meth:`_HistogramChild.quantile_bounds`), and a registry constructed
+(:meth:`_HistogramChild.quantile`, never off by more than the
+quantile's bucket width), and a registry constructed
 with ``summary_quantiles=(0.5, 0.9, 0.99)`` renders one
 ``<name>_summary{quantile="..."}`` gauge family per histogram next to
 its bucket series.
@@ -178,31 +178,12 @@ class _HistogramChild:
                 return index, total - counts[index], counts[index], total
         return -1, 0, 0, 0  # unreachable: total > 0 has a non-empty bucket
 
-    def quantile_bounds(self, q: float) -> Optional[Tuple[float, float]]:
-        """The bucket interval guaranteed to contain the ``q``-quantile.
-
-        Returns ``(lower, upper)`` — the true quantile of the observed
-        values lies within it — or ``None`` for an empty histogram.
-        The upper bound is ``+Inf`` when the quantile falls in the
-        overflow bucket, which is the honest answer: beyond the last
-        boundary the histogram carries no resolution.
-        """
-        index, _before, _inside, total = self._quantile_bucket(q)
-        if total == 0:
-            return None
-        boundaries = self.boundaries
-        if index >= len(boundaries):
-            return boundaries[-1], float("inf")
-        lower = 0.0 if index == 0 and boundaries[0] > 0 \
-            else (boundaries[index - 1] if index > 0 else boundaries[0])
-        return (min(lower, boundaries[index]), boundaries[index])
-
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the ``q``-quantile from the bucket counts.
 
         Linear interpolation within the quantile's bucket (the same
         model as PromQL's ``histogram_quantile``): the estimate is
-        always inside :meth:`quantile_bounds`, so its absolute error is
+        always inside the quantile's bucket, so its absolute error is
         at most that bucket's width.  Quantiles landing in the overflow
         bucket clamp to the largest finite boundary.  ``None`` for an
         empty histogram.

@@ -281,17 +281,6 @@ def _quantile_from_cumulative(buckets: List[Tuple[float, float]],
 # Trace-tree reconstruction
 # ----------------------------------------------------------------------
 
-def load_trace(path: str) -> List[Dict[str, object]]:
-    """Read one span-trace JSONL file back into rows."""
-    rows: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
 def _segments(path: str) -> List[Tuple[str, str]]:
     parts: List[Tuple[str, str]] = []
     for segment in path.split("/"):
@@ -729,19 +718,6 @@ class ObsReport:
         return cls(obs.tracer.export_rows(),
                    exposition=obs.render_metrics(), title=title)
 
-    @classmethod
-    def from_files(cls, trace_path: str,
-                   metrics_path: Optional[str] = None,
-                   title: Optional[str] = None) -> "ObsReport":
-        """Analyze an exported trace JSONL (and optional scraped
-        exposition text file)."""
-        exposition = None
-        if metrics_path is not None:
-            with open(metrics_path, "r", encoding="utf-8") as handle:
-                exposition = handle.read()
-        return cls(load_trace(trace_path), exposition=exposition,
-                   title=title if title is not None else trace_path)
-
     def to_json(self) -> str:
         """The canonical JSON summary text (byte-stable)."""
         return summary_json(self.summary)
@@ -763,70 +739,3 @@ class ObsReport:
                 handle.write(self.to_html())
             written["html"] = html_path
         return written
-
-
-def rollup_summaries(cell_summaries: Mapping[str, Mapping[str, object]]
-                     ) -> Dict[str, object]:
-    """A fleet-level rollup over per-cell report summaries.
-
-    One row per cell (rounds, device verifies, total virtual duration,
-    worst shard skew, status counts) plus campaign-wide totals — the
-    companion artifact :meth:`repro.campaign.runner.CampaignRunner.
-    write_reports` emits next to the per-cell reports.
-    """
-    cells_out: Dict[str, object] = {}
-    totals = {"rounds": 0, "device_verifies": 0, "statuses": {}}
-    for cell in sorted(cell_summaries):
-        summary = cell_summaries[cell]
-        cell_totals = summary.get("totals", {})
-        rounds = summary.get("rounds", [])
-        duration = sum(float(r["duration"]) for r in rounds)
-        skew = max((float(r["shard_skew"]) for r in rounds), default=0.0)
-        cells_out[cell] = {
-            "rounds": cell_totals.get("rounds", 0),
-            "device_verifies": cell_totals.get("device_verifies", 0),
-            "virtual_duration": duration,
-            "max_shard_skew": skew,
-            "statuses": cell_totals.get("statuses", {}),
-        }
-        totals["rounds"] += cell_totals.get("rounds", 0)
-        totals["device_verifies"] += cell_totals.get("device_verifies", 0)
-        for status, count in cell_totals.get("statuses", {}).items():
-            totals["statuses"][status] = \
-                totals["statuses"].get(status, 0) + count
-    totals["statuses"] = dict(sorted(totals["statuses"].items()))
-    return {"cells": cells_out, "totals": totals}
-
-
-def render_rollup_html(rollup: Mapping[str, object],
-                       title: str = "campaign") -> str:
-    """A compact HTML table view of a campaign rollup."""
-    parts = [
-        "<!doctype html><html><head><meta charset='utf-8'>",
-        f"<title>obs rollup: {_html.escape(title)}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>Campaign rollup — {_html.escape(title)}</h1>",
-        "<table><tr><th class='l'>cell</th><th>rounds</th>"
-        "<th>device verifies</th><th>virtual duration</th>"
-        "<th>max shard skew</th><th class='l'>statuses</th></tr>",
-    ]
-    for cell, row in rollup.get("cells", {}).items():
-        statuses = ", ".join(f"{k}={v}"
-                             for k, v in row.get("statuses", {}).items())
-        parts.append(
-            f"<tr><td class='l'>{_html.escape(str(cell))}</td>"
-            f"<td>{row['rounds']}</td><td>{row['device_verifies']}</td>"
-            f"<td>{_format_seconds(row['virtual_duration'])}</td>"
-            f"<td>{_format_seconds(row['max_shard_skew'])}</td>"
-            f"<td class='l'>{_html.escape(statuses)}</td></tr>")
-    totals = rollup.get("totals", {})
-    parts.append(
-        f"<tr><th class='l'>total</th><th>{totals.get('rounds', 0)}</th>"
-        f"<th>{totals.get('device_verifies', 0)}</th><th></th><th></th>"
-        f"<th class='l'>{_html.escape(', '.join(f'{k}={v}' for k, v in totals.get('statuses', {}).items()))}</th></tr>")
-    parts.append("</table>")
-    parts.append("<script type='application/json' id='obs-rollup'>"
-                 + json.dumps(rollup, sort_keys=True, indent=2)
-                 + "</script>")
-    parts.append("</body></html>")
-    return "".join(parts)

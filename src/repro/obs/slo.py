@@ -92,6 +92,7 @@ class SloRule(abc.ABC):
         """Settle the round's verdict; ``(value, message)`` if violated."""
 
     @abc.abstractmethod
+    # statics: ok(dead-public) — post-hoc oracle for the streaming verdict
     def violated_by(self, health: FleetHealth) -> bool:
         """The same verdict, recomputed from a post-hoc aggregate."""
 
@@ -143,6 +144,7 @@ class LostBudgetRule(SloRule):
                     f"(budget {self.max_lost})")
         return None
 
+    # statics: ok(dead-public) — post-hoc oracle for the streaming verdict
     def violated_by(self, health: FleetHealth) -> bool:
         return health.count(DeviceStatus.NO_DATA) > self.max_lost
 
@@ -218,158 +220,13 @@ class CoverageRule(SloRule):
             is not None else self._seen
         return self._verdict(self._seen - self._missing, expected)
 
+    # statics: ok(dead-public) — post-hoc oracle for the streaming verdict
     def violated_by(self, health: FleetHealth) -> bool:
         expected = self.expected_devices if self.expected_devices \
             is not None else health.reports_total
         attested = health.reports_total - \
             health.count(DeviceStatus.NO_DATA)
         return self._verdict(attested, expected) is not None
-
-
-class FreshnessRule(SloRule):
-    """Mean measurement freshness must stay within ``max_mean_seconds``.
-
-    Freshness is the age of a collection's measurements at verify time
-    (the paper's QoA axis); this rule bounds the fleet-wide mean.  The
-    streaming accumulator uses exact rationals, mirroring
-    :class:`FleetHealth`'s, so the end-of-round verdict is *identical*
-    to the one recomputed from a merged post-hoc aggregate — not just
-    close.
-    """
-
-    def __init__(self, max_mean_seconds: float) -> None:
-        if max_mean_seconds <= 0:
-            raise ValueError("max_mean_seconds must be positive")
-        self.max_mean_seconds = max_mean_seconds
-        # Via str(): the user wrote the decimal "0.1", not the binary
-        # float nearest it — Fraction(0.1) is a hair *above* 0.1, so a
-        # fleet whose exact mean lands on the threshold would misjudge.
-        self._max_mean = Fraction(str(max_mean_seconds))
-        self._sum = Fraction(0)
-        self._count = 0
-
-    name = "freshness"
-
-    @property
-    def threshold(self) -> float:
-        return self.max_mean_seconds
-
-    def reset(self) -> None:
-        self._sum = Fraction(0)
-        self._count = 0
-
-    def observe(self, report: VerificationReport) -> Optional[tuple]:
-        if report.freshness is not None:
-            self._sum += Fraction(report.freshness)
-            self._count += 1
-        return None  # a late fresh report can still pull the mean back
-
-    def _verdict(self, total: Fraction, count: int) -> Optional[tuple]:
-        if count and total / count > self._max_mean:
-            mean = float(total / count)
-            return (mean,
-                    f"mean freshness {mean:.1f}s exceeds "
-                    f"{self.max_mean_seconds:.1f}s")
-        return None
-
-    def end_of_round(self) -> Optional[tuple]:
-        return self._verdict(self._sum, self._count)
-
-    def violated_by(self, health: FleetHealth) -> bool:
-        return self._verdict(health._freshness_sum,
-                             health._freshness_count) is not None
-
-
-class AttestationWindowRule(SloRule):
-    """``min_fraction`` of the fleet must attest within ``window``
-    virtual seconds of the round's first report.
-
-    The paper's time-to-detection argument in SLO form: the clock is
-    the *engine's*, so on the simulated network the window measures
-    genuine protocol latency (multi-hop relays, retries, partitions),
-    deterministically.  Streaming-only by nature — a finished
-    :class:`FleetHealth` no longer knows *when* each report landed —
-    so :meth:`violated_by` replays the verdict the stream settled on.
-    """
-
-    def __init__(self, min_fraction: float, window: float,
-                 expected_devices: int,
-                 clock: Optional[Callable[[], float]] = None) -> None:
-        if not 0.0 < min_fraction <= 1.0:
-            raise ValueError("min_fraction must be within (0, 1]")
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if expected_devices <= 0:
-            raise ValueError("expected_devices must be positive")
-        self.min_fraction = min_fraction
-        # Exact decimal threshold: 0.07 * 100 is 7.000000000000001 as
-        # floats, so exactly 7 of 100 attested would falsely violate.
-        self._min_fraction_exact = Fraction(str(min_fraction))
-        self.window = window
-        self.expected_devices = expected_devices
-        self._clock = clock
-        self._round_start: Optional[float] = None
-        self._attested_in_window = 0
-        self._violated: Optional[tuple] = None
-
-    name = "attestation_window"
-
-    @property
-    def threshold(self) -> float:
-        return self.min_fraction
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the virtual clock (done by the sink when bound)."""
-        self._clock = clock
-
-    def _now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
-
-    def reset(self) -> None:
-        self._round_start = None
-        self._attested_in_window = 0
-        self._violated = None
-
-    def _short_of_target(self) -> bool:
-        """Exact ``attested/expected < min_fraction`` — no float target."""
-        return (Fraction(self._attested_in_window, self.expected_devices)
-                < self._min_fraction_exact)
-
-    def observe(self, report: VerificationReport) -> Optional[tuple]:
-        now = self._now()
-        if self._round_start is None:
-            self._round_start = now
-        in_window = now - self._round_start <= self.window
-        if report.status is not DeviceStatus.NO_DATA and in_window:
-            self._attested_in_window += 1
-        if self._violated is not None:
-            return None  # already fired this round
-        if not in_window and self._short_of_target():
-            fraction = self._attested_in_window / self.expected_devices
-            self._violated = (
-                fraction,
-                f"only {self._attested_in_window}/"
-                f"{self.expected_devices} device(s) attested within "
-                f"{self.window:.1f}s (target {self.min_fraction:.1%})")
-            return self._violated
-        return None
-
-    def end_of_round(self) -> Optional[tuple]:
-        if self._violated is not None:
-            return None  # already streamed; do not double-fire
-        if self._round_start is None:
-            return None
-        if self._short_of_target():
-            fraction = self._attested_in_window / self.expected_devices
-            return (fraction,
-                    f"only {self._attested_in_window}/"
-                    f"{self.expected_devices} device(s) attested within "
-                    f"{self.window:.1f}s (target {self.min_fraction:.1%})")
-        return None
-
-    def violated_by(self, health: FleetHealth) -> bool:
-        del health  # timing is gone from a post-hoc aggregate
-        return self._violated is not None
 
 
 class StreamingHealthSink(ReportSink):
@@ -403,15 +260,10 @@ class StreamingHealthSink(ReportSink):
         self.violations: List[SloViolation] = []
         for rule in self.rules:
             rule.reset()
-            if clock is not None and hasattr(rule, "bind_clock"):
-                rule.bind_clock(clock)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the virtual clock events are stamped with."""
         self._clock = clock
-        for rule in self.rules:
-            if hasattr(rule, "bind_clock"):
-                rule.bind_clock(clock)
 
     def _now(self) -> float:
         return self._clock() if self._clock is not None else 0.0
@@ -459,12 +311,6 @@ class StreamingHealthSink(ReportSink):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def violations_for_round(self, round_index: int
-                             ) -> List[SloViolation]:
-        """All violations recorded for one round."""
-        return [violation for violation in self.violations
-                if violation.round_index == round_index]
-
     def violation_rows(self) -> List[dict]:
         """JSON-friendly rows for the ``/slo`` endpoint."""
         return [{

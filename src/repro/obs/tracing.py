@@ -204,11 +204,6 @@ class SpanTracer:
             handle.write(text)
         return text.count("\n")
 
-    @property
-    def span_count(self) -> int:
-        """Finished spans recorded so far (device verifies included)."""
-        return len(self.spans) + len(self._device_rows)
-
 
 class _SpanContext:
     """Context manager that finishes its span on exit (even on error)."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 from typing import Any, Callable, Optional
 
@@ -124,46 +123,3 @@ class SimulationEngine:
         next_time = self.peek_time()
         if next_time is None or next_time > until:
             self.now = until
-
-    async def run_async(self, until: Optional[float] = None,
-                        max_events: Optional[int] = None,
-                        yield_every: int = 64) -> int:
-        """Awaitable :meth:`run`: drain events, yielding to the loop.
-
-        Control returns to the asyncio event loop every ``yield_every``
-        simulation events, so coroutines awaiting on simulation progress
-        — an async transport waiting for collection responses, a
-        scenario overlapping rounds with measurement schedules — can
-        interleave with the drain instead of blocking behind it.  The
-        same re-entrancy guard as :meth:`run` applies; concurrent
-        *steppers* (e.g. a transport driving :meth:`step` directly while
-        this coroutine is suspended) are fine, because each event is
-        popped exactly once.
-        """
-        if yield_every <= 0:
-            raise SimulationError("yield_every must be positive")
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run)")
-        self._running = True
-        processed = 0
-        try:
-            while True:
-                if max_events is not None and processed >= max_events:
-                    break
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
-                processed += 1
-                if processed % yield_every == 0:
-                    await asyncio.sleep(0)
-            self._advance_to_horizon(until)
-        finally:
-            self._running = False
-        return processed
-
-    def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)

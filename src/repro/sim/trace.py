@@ -32,22 +32,6 @@ class TraceRecorder:
         self._events.append(event)
         return event
 
-    def events(self, category: str | None = None) -> list[TraceEvent]:
-        """Return recorded events, optionally filtered by category."""
-        if category is None:
-            return list(self._events)
-        return [event for event in self._events if event.category == category]
-
-    def categories(self) -> set[str]:
-        """Return the set of categories seen so far."""
-        return {event.category for event in self._events}
-
-    def between(self, start: float, end: float,
-                category: str | None = None) -> list[TraceEvent]:
-        """Return events with ``start <= time <= end``."""
-        return [event for event in self.events(category)
-                if start <= event.time <= end]
-
     def last(self, category: str) -> TraceEvent | None:
         """Return the most recent event of a category, if any."""
         for event in reversed(self._events):

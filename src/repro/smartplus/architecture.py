@@ -69,7 +69,6 @@ class SmartPlusArchitecture(SecurityArchitecture):
         self.rom_image = rom_image
         self.clock = ReliableClock(frequency_hz=self.cost_model.clock_hz)
         self._in_attestation = False
-        self.interrupts_blocked = 0
 
     @staticmethod
     def _build_memory_map(rom_image: RomImage, application_size: int,
@@ -128,23 +127,6 @@ class SmartPlusArchitecture(SecurityArchitecture):
     # ------------------------------------------------------------------
     # SMART+-specific behaviour
     # ------------------------------------------------------------------
-    @property
-    def in_attestation(self) -> bool:
-        """True while the ROM attestation code is executing."""
-        return self._in_attestation
-
-    def request_interrupt(self) -> bool:
-        """Model an interrupt request arriving at the MCU.
-
-        SMART disables interrupts while the attestation code runs, so
-        requests arriving during a measurement are blocked (and counted);
-        outside attestation they would be delivered normally.
-        """
-        if self._in_attestation:
-            self.interrupts_blocked += 1
-            return False
-        return True
-
     def load_application(self, image: bytes) -> None:
         """Load (or let malware overwrite) the application image."""
         region = self.memory.region(APPLICATION_REGION)

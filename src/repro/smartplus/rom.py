@@ -25,15 +25,6 @@ class RomImage:
     mac_name: str
     variant: str
 
-    @property
-    def code_size(self) -> int:
-        """Size of the attestation executable in bytes."""
-        return len(self.code)
-
-    def code_digest(self) -> bytes:
-        """SHA-256 digest of the attestation code (its identity)."""
-        return sha256_digest(self.code)
-
 
 def build_rom_image(key: bytes, mac_name: str = "keyed-blake2s",
                     variant: str = "erasmus",

@@ -17,6 +17,7 @@ from repro.statics.checkers.determinism import DeterminismChecker
 from repro.statics.checkers.exact_fraction import ExactFractionChecker
 from repro.statics.checkers.lock_discipline import LockDisciplineChecker
 from repro.statics.checkers.codec import CodecExhaustivenessChecker
+from repro.statics.checkers.dead_public import DeadPublicChecker
 from repro.statics.checkers.obs_seam import ObsSeamChecker
 
 CHECKER_CLASSES = (
@@ -26,6 +27,7 @@ CHECKER_CLASSES = (
     LockDisciplineChecker,
     CodecExhaustivenessChecker,
     ObsSeamChecker,
+    DeadPublicChecker,
 )
 
 

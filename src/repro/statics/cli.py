@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.statics src tests
+    python -m repro.statics src tests examples benchmarks
     python -m repro.statics --format json --output statics-report.json src
     python -m repro.statics --list-rules
     python -m repro.statics --write-baseline statics-baseline.json \
@@ -33,9 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.statics",
         description="Invariant lint engine for the attestation stack.")
-    parser.add_argument("paths", nargs="*", default=["src", "tests"],
+    parser.add_argument("paths", nargs="*",
+                        default=["src", "tests", "examples", "benchmarks"],
                         help="files/directories to scan "
-                             "(default: src tests)")
+                             "(default: src tests examples benchmarks)")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
     parser.add_argument("--output", metavar="FILE",

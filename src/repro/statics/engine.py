@@ -92,7 +92,8 @@ class Checker:
     Subclasses set :attr:`rule` (the id pragmas and baselines use),
     :attr:`description` (one line, for ``--list-rules``) and
     :attr:`invariant` (the repo/paper invariant the rule protects, for
-    the catalog), then implement :meth:`check`.
+    the catalog), then implement :meth:`check`.  A rule that needs the
+    whole tree also implements :meth:`finish`.
     """
 
     rule: str = ""
@@ -109,6 +110,10 @@ class Checker:
         if ctx.is_test and not self.applies_to_tests:
             return iter(())
         return self.check(ctx)
+
+    def finish(self) -> Iterator[Finding]:
+        """Cross-file findings, once every file has been checked."""
+        return iter(())
 
 
 def split_name(name: str) -> List[str]:
@@ -243,6 +248,11 @@ def run_checks(ctx: FileContext, checkers: Sequence[Checker],
                         rule=PRAGMA_RULE,
                         message=f"pragma suppresses unknown rule "
                                 f"{rule!r}"))
+    return _apply_pragmas(raw, pragmas)
+
+
+def _apply_pragmas(raw: Iterable[Finding], pragmas: Dict[int, Set[str]]
+                   ) -> tuple[List[Finding], int]:
     findings: List[Finding] = []
     suppressed = 0
     for finding in raw:
@@ -263,6 +273,7 @@ def scan_paths(paths: Sequence[Path], checkers: Sequence[Checker],
     known = {checker.rule for checker in checkers}
     result = ScanResult(checkers=sorted(known))
     collected: List[Finding] = []
+    texts: Dict[str, str] = {}
     for path in iter_python_files(paths):
         relpath = _relpath(path, root)
         try:
@@ -275,11 +286,21 @@ def scan_paths(paths: Sequence[Path], checkers: Sequence[Checker],
                                      message=f"could not parse: {exc}"))
             result.files_scanned += 1
             continue
+        texts[relpath] = text
         ctx = FileContext(path, relpath, text, tree)
         findings, suppressed = run_checks(ctx, checkers, known_rules=known)
         collected.extend(findings)
         result.suppressed += suppressed
         result.files_scanned += 1
+    late: Dict[str, List[Finding]] = {}
+    for checker in checkers:
+        for finding in checker.finish():
+            late.setdefault(finding.path, []).append(finding)
+    for relpath, raw in late.items():
+        findings, suppressed = _apply_pragmas(
+            raw, parse_pragmas(texts[relpath]))
+        collected.extend(findings)
+        result.suppressed += suppressed
     collected.sort()
     if baseline is None:
         baseline = Baseline()

@@ -204,6 +204,7 @@ class LockWitness:
                        f"{', '.join(held)}"))
 
 
+# statics: ok(dead-public) — test seam: the lock witness tests inspect
 def active_witness() -> Optional[LockWitness]:
     """The currently installed witness, if any (test mode only)."""
     return _ACTIVE

@@ -138,9 +138,13 @@ class SqliteStore(StateStore):
     # Writes
     # ------------------------------------------------------------------
     def save_enrollment(self, enrollment: Enrollment) -> None:
+        # An upsert, not INSERT OR REPLACE: REPLACE deletes and
+        # re-inserts the row, moving a re-saved enrollment to the end
+        # of the rowid order restore lists devices in.
         self._connection().execute(
-            "INSERT OR REPLACE INTO enrollments (device_id, row, saved_seq) "
-            "VALUES (?, ?, ?)",
+            "INSERT INTO enrollments (device_id, row, saved_seq) "
+            "VALUES (?, ?, ?) ON CONFLICT(device_id) DO UPDATE SET "
+            "row = excluded.row, saved_seq = excluded.saved_seq",
             (enrollment.device_id,
              json.dumps(enrollment.to_row(), sort_keys=True), self._seq))
         self._write_done()
@@ -179,7 +183,7 @@ class SqliteStore(StateStore):
     def _load_enrollments(self) -> Dict[str, Enrollment]:
         enrollments: Dict[str, Enrollment] = {}
         for device_id, payload in self._connection().execute(
-                "SELECT device_id, row FROM enrollments"):
+                "SELECT device_id, row FROM enrollments ORDER BY rowid"):
             enrollments[device_id] = Enrollment.from_row(json.loads(payload))
         return enrollments
 
@@ -194,7 +198,8 @@ class SqliteStore(StateStore):
         state.enrollments = self._load_enrollments()
         saved_seq = {device_id: int(seq) for device_id, seq
                      in self._connection().execute(
-                         "SELECT device_id, saved_seq FROM enrollments")}
+                         "SELECT device_id, saved_seq FROM enrollments "
+                         "ORDER BY rowid")}
         last_report_seq: Dict[str, int] = {}
         for seq, device_id, payload in self._connection().execute(
                 "SELECT seq, device_id, row FROM reports WHERE seq > ? "

@@ -38,8 +38,3 @@ class SwarmAttestationResult:
         if self.devices_total == 0:
             return 1.0
         return self.devices_attested / self.devices_total
-
-    @property
-    def complete(self) -> bool:
-        """True when every device was attested."""
-        return self.devices_attested == self.devices_total

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.swarm.device import SwarmDevice
 
@@ -48,15 +48,6 @@ class StaggeredSchedule:
         return {device.device_id: (index % groups) * slot_length
                 for index, device in enumerate(devices)}
 
-    def feasible(self, measurement_runtime: float) -> bool:
-        """Can the bound actually be met with this measurement run-time?
-
-        The measurement must fit inside one phase slot, otherwise
-        adjacent groups overlap and the busy fraction is exceeded.
-        """
-        return measurement_runtime <= self.measurement_interval / \
-            self.group_count
-
     def busy_fraction_at(self, time: float, devices: Sequence[SwarmDevice],
                          measurement_runtime: float) -> float:
         """Fraction of the swarm busy measuring at a given instant."""
@@ -81,18 +72,3 @@ class StaggeredSchedule:
         return max(self.busy_fraction_at(index * step, devices,
                                          measurement_runtime)
                    for index in range(samples))
-
-
-def round_robin_collection_order(devices: Sequence[SwarmDevice],
-                                 per_collection: int) -> List[List[str]]:
-    """Split a swarm into collection batches visited round-robin.
-
-    The verifier can bound its own per-round work by collecting from
-    ``per_collection`` devices at a time; every device is still visited
-    once per full cycle.
-    """
-    if per_collection <= 0:
-        raise ValueError("per_collection must be positive")
-    names = [device.device_id for device in devices]
-    return [names[index:index + per_collection]
-            for index in range(0, len(names), per_collection)]

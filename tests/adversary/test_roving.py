@@ -3,8 +3,7 @@
 import pytest
 
 from repro.adversary.roving import EvasionResult, ScheduleAwareMalware
-from repro.core.scheduler import IrregularScheduler, LenientScheduler, \
-    RegularScheduler
+from repro.core.scheduler import IrregularScheduler, RegularScheduler
 
 
 def test_short_dwell_always_evades_regular_schedule():
@@ -32,14 +31,6 @@ def test_dwell_below_lower_bound_still_evades_irregular():
     malware = ScheduleAwareMalware(dwell=25.0, seed=3)
     irregular = IrregularScheduler(b"key", lower=30.0, upper=90.0)
     assert malware.simulate(irregular, trials=300).evasion_probability == 1.0
-
-
-def test_best_case_dwell():
-    malware = ScheduleAwareMalware(dwell=10.0)
-    assert malware.best_case_dwell(RegularScheduler(60.0)) == 60.0
-    assert malware.best_case_dwell(
-        IrregularScheduler(b"key", 30.0, 90.0)) == 30.0
-    assert malware.best_case_dwell(LenientScheduler(60.0, 2.0)) == 60.0
 
 
 def test_evasion_result_properties():

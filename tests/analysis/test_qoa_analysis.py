@@ -1,39 +1,8 @@
 """Tests for QoA statistics and the ERASMUS vs on-demand comparison."""
 
-import pytest
-
 from repro.analysis import (
-    collection_freshness,
     compare_erasmus_vs_ondemand,
-    detection_curve,
 )
-from repro.analysis.qoa_analysis import freshness_statistics
-
-
-def test_collection_freshness_values():
-    measurements = [10.0, 20.0, 30.0, 40.0]
-    collections = [25.0, 45.0]
-    assert collection_freshness(measurements, collections) == [5.0, 5.0]
-    # A collection before any measurement yields no sample.
-    assert collection_freshness([50.0], [10.0]) == []
-
-
-def test_freshness_statistics_match_prediction():
-    stats = freshness_statistics(measurement_interval=60.0,
-                                 collection_interval=601.0,
-                                 horizon=60_000.0)
-    assert stats["predicted_mean"] == pytest.approx(30.0)
-    assert 0.0 <= stats["observed_mean"] <= 60.0
-    assert stats["observed_max"] <= 60.0
-
-
-def test_detection_curve_is_monotone_and_capped():
-    curve = detection_curve(60.0, [6.0, 30.0, 60.0, 120.0])
-    assert curve[6.0] == pytest.approx(0.1)
-    assert curve[60.0] == 1.0
-    assert curve[120.0] == 1.0
-    values = [curve[d] for d in sorted(curve)]
-    assert values == sorted(values)
 
 
 def test_compare_erasmus_vs_ondemand_structure():

@@ -18,20 +18,6 @@ def test_run_collects_results_in_order():
     assert sweep.outcomes() == [10, 20, 30]
 
 
-def test_as_table_flattens_dict_outcomes():
-    sweep = ParameterSweep({"speed": [0.0, 1.0]})
-    sweep.run(lambda speed: {"coverage": 1.0 - speed / 10.0})
-    table = sweep.as_table()
-    assert table[0] == {"speed": 0.0, "coverage": 1.0}
-    assert table[1]["coverage"] == 0.9
-
-
-def test_as_table_wraps_scalar_outcomes():
-    sweep = ParameterSweep({"n": [4]})
-    sweep.run(lambda n: n * n)
-    assert sweep.as_table(outcome_name="square") == [{"n": 4, "square": 16}]
-
-
 def test_empty_parameter_space():
     sweep = ParameterSweep({})
     results = sweep.run(lambda: 42)

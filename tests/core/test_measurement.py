@@ -1,5 +1,7 @@
 """Tests for the measurement record and its wire encoding."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ def test_authenticated_payload_binds_time_and_digest():
     measurement = make()
     assert measurement.authenticated_payload() == \
         encode_timestamp(12.5) + b"\xAB" * 32
-    shifted = measurement.with_timestamp(13.0)
+    shifted = dataclasses.replace(measurement, timestamp=13.0)
     assert shifted.authenticated_payload() != \
         measurement.authenticated_payload()
     assert shifted.tag == measurement.tag  # tags cannot be re-forged

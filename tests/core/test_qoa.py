@@ -35,14 +35,12 @@ def test_qoa_properties():
     qoa = QoA(measurement_interval=60.0, collection_interval=600.0)
     assert qoa.measurements_per_collection == 10
     assert qoa.expected_freshness == pytest.approx(30.0)
-    assert qoa.worst_case_freshness == pytest.approx(60.0)
     assert qoa.expected_detection_latency() == pytest.approx(330.0)
 
 
 def test_on_demand_qoa_degenerate_case():
     on_demand = QoA(600.0, 600.0, on_demand_only=True)
     assert on_demand.expected_freshness == 0.0
-    assert on_demand.worst_case_freshness == 0.0
     # On-demand detection window is T_C, so short-lived malware escapes.
     assert on_demand.detection_probability(60.0) == pytest.approx(0.1)
 
@@ -53,14 +51,6 @@ def test_erasmus_detects_better_than_on_demand_for_same_tc():
     for dwell in (10.0, 60.0, 300.0):
         assert erasmus.detection_probability(dwell) >= \
             on_demand.detection_probability(dwell)
-
-
-def test_stronger_than_comparison():
-    baseline = QoA(60.0, 600.0)
-    assert QoA(30.0, 600.0).stronger_than(baseline)
-    assert QoA(60.0, 300.0).stronger_than(baseline)
-    assert not baseline.stronger_than(baseline)
-    assert not QoA(120.0, 300.0).stronger_than(baseline)
 
 
 def test_invalid_intervals_rejected():

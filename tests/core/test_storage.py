@@ -51,7 +51,6 @@ def test_wraparound_overwrites_oldest():
 
 def test_capacity_and_occupancy():
     store = MeasurementStore(slots=6, measurement_interval=5.0)
-    assert store.capacity_seconds() == pytest.approx(30.0)
     assert store.occupancy() == 0
     store.store(record(5.0))
     assert store.occupancy() == len(store) == 1

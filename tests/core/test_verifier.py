@@ -4,7 +4,7 @@ import pytest
 
 from repro.adversary import TamperingMalware
 from repro.core import CollectResponse, DeviceStatus, Enrollment, \
-    Measurement, MeasurementVerdict, VerificationCore
+    Measurement, VerificationCore
 from repro.fleet import FleetVerifier, MemorySink
 
 
@@ -142,31 +142,9 @@ def test_reports_accumulate_per_device(erasmus_setup):
     collect(prover, verifier, 60.0)
     engine.run(until=120.0)
     collect(prover, verifier, 120.0)
-    assert len(sink.for_device(prover.device_id)) == 2
-    assert verifier.last_collection_time(prover.device_id) == 120.0
-
-
-def test_software_update_whitelisting(erasmus_setup, malware_image):
-    prover, verifier, engine, arch = erasmus_setup
-    run_schedule(prover, engine, 30.0)
-    # Treat the new image as a legitimate update instead of malware.
-    arch.load_application(malware_image)
-    from repro.arch.base import hash_for_mac
-    verifier.add_healthy_digest(prover.device_id, hash_for_mac(
-        arch.mac_name)(arch.read_measured_memory()))
-    engine.run(until=60.0)
-    report = collect(prover, verifier, 60.0)
-    assert report.status is DeviceStatus.HEALTHY
-
-
-def test_measurement_verdict_acceptable_logic():
-    measurement = Measurement(1.0, b"\x00" * 32, b"\x00" * 32)
-    good = MeasurementVerdict(measurement, authentic=True, healthy=True)
-    assert good.acceptable
-    assert not MeasurementVerdict(measurement, authentic=False,
-                                  healthy=True).acceptable
-    assert not MeasurementVerdict(measurement, authentic=True, healthy=True,
-                                  from_future=True).acceptable
+    assert [report.device_id for report in sink.reports] == \
+        [prover.device_id] * 2
+    assert verifier._last_collection_time.get(prover.device_id) == 120.0
 
 
 def test_verifier_parameter_validation(config):

@@ -106,8 +106,8 @@ def test_decoded_records_and_fast_verdicts_stay_frozen_values():
 @pytest.mark.parametrize("index", [0, 3])
 def test_retimestamped_record_fails_mac(index):
     measurements = decoded()
-    measurements[index] = measurements[index].with_timestamp(
-        measurements[index].timestamp + 0.5)
+    measurements[index] = dataclasses.replace(
+        measurements[index], timestamp=measurements[index].timestamp + 0.5)
     assert_tampered(measurements, index)
 
 

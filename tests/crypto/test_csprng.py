@@ -44,22 +44,6 @@ def test_empty_seed_rejected():
         HmacDrbg(b"")
 
 
-def test_reseed_changes_stream():
-    baseline = HmacDrbg(b"seed")
-    baseline.generate(16)
-    continued = baseline.generate(16)
-
-    reseeded = HmacDrbg(b"seed")
-    reseeded.generate(16)
-    reseeded.reseed(b"fresh entropy")
-    assert reseeded.generate(16) != continued
-
-
-def test_reseed_requires_entropy():
-    with pytest.raises(ValueError):
-        HmacDrbg(b"seed").reseed(b"")
-
-
 def test_random_uint_bits():
     drbg = HmacDrbg(b"seed")
     value = drbg.random_uint(16)

@@ -58,11 +58,6 @@ def test_name_and_sizes():
     assert mac.block_size == 64
 
 
-def test_total_compressions_exceeds_inner():
-    mac = Hmac(b"key", b"x" * 500, hash_name="sha256")
-    assert mac.total_compressions() > mac.compressions
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.binary(min_size=1, max_size=100),
        st.binary(min_size=0, max_size=1500),

@@ -5,18 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.constant_time import constant_time_compare
-from repro.crypto.mac import MacAlgorithm, available_macs, get_mac, register_mac
+from repro.crypto.mac import MacAlgorithm, get_mac, register_mac
+
+PAPER_MACS = ("hmac-sha1", "hmac-sha256", "keyed-blake2s")
 
 
 def test_three_paper_macs_are_registered():
-    names = {descriptor.name for descriptor in available_macs()}
-    assert {"hmac-sha1", "hmac-sha256", "keyed-blake2s"} <= names
+    for name in PAPER_MACS:
+        assert get_mac(name).name == name
 
 
 def test_sha1_is_marked_deprecated():
-    descriptors = {d.name: d for d in available_macs()}
-    assert descriptors["hmac-sha1"].deprecated
-    assert not descriptors["hmac-sha256"].deprecated
+    assert get_mac("hmac-sha1").deprecated
+    assert not get_mac("hmac-sha256").deprecated
 
 
 def test_lookup_is_case_insensitive():
@@ -29,8 +30,8 @@ def test_unknown_mac_raises():
 
 
 def test_mac_and_verify_roundtrip():
-    for descriptor in available_macs():
-        algorithm = get_mac(descriptor.name)
+    for name in PAPER_MACS:
+        algorithm = get_mac(name)
         tag = algorithm.mac(b"secret key", b"message")
         assert len(tag) == algorithm.digest_size
         assert algorithm.verify(b"secret key", b"message", tag)

@@ -14,12 +14,17 @@ from repro.experiments import (
     table1_codesize,
     table2_collection,
 )
+from tests.experiments.paper_checks import (
+    erasmus_equals_ondemand,
+    linearity_error,
+    matches_paper,
+)
 
 
 class TestTable1:
     def test_matches_paper_exactly(self):
         rows = table1_codesize.run()
-        assert table1_codesize.matches_paper(rows, tolerance_kb=0.05)
+        assert matches_paper(rows, tolerance_kb=0.05)
 
     def test_erasmus_vs_ondemand_direction(self):
         rows = {row["mac"]: row for row in table1_codesize.run()}
@@ -61,7 +66,7 @@ class TestFig6:
         for mac in ("hmac-sha256", "keyed-blake2s"):
             for variant in ("erasmus", "on-demand"):
                 points = fig6_msp430_runtime.series(rows, mac, variant)
-                assert fig6_msp430_runtime.linearity_error(points) < 0.05
+                assert linearity_error(points) < 0.05
 
     def test_erasmus_and_ondemand_roughly_equivalent(self):
         rows = fig6_msp430_runtime.run(memory_sizes_kb=(10,))
@@ -96,7 +101,7 @@ class TestHwCost:
             13.1, abs=0.2)
 
     def test_erasmus_equals_ondemand(self):
-        assert hwcost.erasmus_equals_ondemand(hwcost.run())
+        assert erasmus_equals_ondemand(hwcost.run())
 
 
 class TestQoADetection:

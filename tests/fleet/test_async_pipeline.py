@@ -33,6 +33,22 @@ def provision_fleet(count=12, **kwargs) -> Fleet:
     return fleet
 
 
+async def drain(engine, until, yield_every=64):
+    """Step ``engine`` up to ``until``, yielding to the loop every
+    ``yield_every`` events, so coroutines awaiting simulation progress
+    interleave with the drain instead of blocking behind it."""
+    processed = 0
+    while True:
+        next_time = engine.peek_time()
+        if next_time is None or next_time > until:
+            break
+        engine.step()
+        processed += 1
+        if processed % yield_every == 0:
+            await asyncio.sleep(0)
+    engine.run(until=until)
+
+
 # ----------------------------------------------------------------------
 # The transport seam
 # ----------------------------------------------------------------------
@@ -310,10 +326,9 @@ def test_concurrent_drain_cannot_smuggle_in_a_timed_out_response():
     request = CollectRequest(k=6).encode()
 
     async def scenario():
-        drain = asyncio.ensure_future(engine.run_async(until=40.0,
-                                                       yield_every=1))
+        drained = asyncio.ensure_future(drain(engine, 40.0, yield_every=1))
         responses = await transport.exchange_many_async({"t-0": request})
-        await drain
+        await drained
         return responses
 
     responses = asyncio.run(scenario())
@@ -324,13 +339,13 @@ def test_concurrent_drain_cannot_smuggle_in_a_timed_out_response():
 
 
 def test_collection_overlaps_engine_drain():
-    """A collection round can run while run_async drains the schedule."""
+    """A collection round can run while a drain steps the schedule."""
     fleet = provision_fleet(6, transport="simulated-network")
 
     async def scenario():
-        drain = asyncio.ensure_future(fleet.engine.run_async(until=62.0))
+        drained = asyncio.ensure_future(drain(fleet.engine, 62.0))
         reports = await fleet.collect_all_async(batch_size=2)
-        await drain
+        await drained
         return reports
 
     reports = asyncio.run(scenario())

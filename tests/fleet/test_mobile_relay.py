@@ -77,7 +77,8 @@ def test_gateway_is_pinned_without_mutating_the_callers_model():
     # cost-model comparison run over it sees no phantom static relay.
     assert transport.mobility is not mobility
     assert VERIFIER_NODE in transport.mobility.pinned_names()
-    assert transport.mobility.position_of(VERIFIER_NODE) == (60.0, 60.0)
+    gateway = transport.mobility._pinned[VERIFIER_NODE]
+    assert (gateway.x, gateway.y) == (60.0, 60.0)
     assert mobility.pinned_names() == []
     links = {name for link in mobility.links_at(0.0)
              for name in link.endpoints()}

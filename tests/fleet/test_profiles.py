@@ -2,13 +2,22 @@
 
 import pytest
 
-from repro.core import DeviceStatus, ScheduleKind
+from repro.arch.base import hash_for_mac
+from repro.core import DeviceStatus
 from repro.fleet import DeviceProfile, derive_device_key
 from repro.hydra.architecture import HydraArchitecture
 from repro.sim import SimulationEngine
 from repro.smartplus.architecture import SmartPlusArchitecture
 
 FIRMWARE = b"profile-test-firmware" + bytes(64)
+
+
+def current_digest(device) -> bytes:
+    """Digest of the device's currently loaded measured memory."""
+    architecture = device.architecture
+    return hash_for_mac(device.profile.config.mac_name,
+                        architecture.crypto_backend)(
+                            architecture.read_measured_memory())
 
 
 def smart_profile(**overrides) -> DeviceProfile:
@@ -24,7 +33,7 @@ def test_smartplus_provision_builds_ready_device():
     assert device.prover.device_id == "unit-1"
     assert device.key == b"\x01" * 16
     # The healthy digest matches the freshly imaged measured memory.
-    assert device.healthy_digest == device.current_digest()
+    assert device.healthy_digest == current_digest(device)
 
 
 def test_hydra_provision_builds_ready_device():
@@ -34,7 +43,7 @@ def test_hydra_provision_builds_ready_device():
                                   collection_interval=60.0)
     device = profile.provision("unit-2", key=b"\x02" * 32)
     assert isinstance(device.architecture, HydraArchitecture)
-    assert device.healthy_digest == device.current_digest()
+    assert device.healthy_digest == current_digest(device)
 
 
 def test_provisioned_device_measures_and_verifies(config):
@@ -75,13 +84,6 @@ def test_key_derivation_is_deterministic_and_per_device():
     assert first != other_master
     with pytest.raises(ValueError):
         derive_device_key(b"", "dev-0001")
-
-
-def test_with_config_overrides_schedule():
-    profile = smart_profile().with_config(schedule=ScheduleKind.IRREGULAR)
-    assert profile.config.schedule is ScheduleKind.IRREGULAR
-    # The original profile is untouched (profiles are immutable).
-    assert smart_profile().config.schedule is ScheduleKind.REGULAR
 
 
 def test_infected_device_detected_after_reimage():

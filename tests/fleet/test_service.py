@@ -10,7 +10,6 @@ from repro.fleet import (
     DeviceProfile,
     Fleet,
     FleetHealth,
-    FleetHealthSink,
     JsonlSink,
     MemorySink,
     Transport,
@@ -120,7 +119,8 @@ def test_sinks_receive_streamed_reports():
     rows = [json.loads(line) for line in stream.getvalue().splitlines()]
     assert {row["device_id"] for row in rows} == set(fleet.device_ids())
     assert all(row["status"] == "healthy" for row in rows)
-    assert memory.for_device("dev-0002")
+    assert [report for report in memory.reports
+            if report.device_id == "dev-0002"]
 
 
 def test_jsonl_sink_writes_file(tmp_path):
@@ -137,14 +137,12 @@ def test_jsonl_sink_writes_file(tmp_path):
 
 
 def test_fleet_health_aggregation():
-    health = FleetHealth()
-    sink = FleetHealthSink(health)
-    fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
-                            sinks=(sink,))
+    fleet = Fleet.provision(small_profile(), 8, master_secret=b"master")
     fleet.run_until(20.0)
     fleet.device("dev-0001").load_application(MALWARE)
     fleet.run_until(60.0)
     fleet.collect_all()
+    health = fleet.health
     assert health.devices_total == 8
     assert health.count(DeviceStatus.INFECTED) == 1
     assert health.healthy_fraction == pytest.approx(7 / 8)
@@ -189,9 +187,9 @@ def test_verifier_refuses_unenrolled_device(fleet):
 def test_last_collection_time_tracked(fleet):
     fleet.run_until(60.0)
     fleet.collect_all()
-    assert fleet.verifier.last_collection_time("dev-0000") == \
+    assert fleet.verifier._last_collection_time.get("dev-0000") == \
         pytest.approx(60.0)
-    assert fleet.verifier.last_collection_time("missing") is None
+    assert fleet.verifier._last_collection_time.get("missing") is None
 
 
 def test_lossy_network_never_misflags_healthy_devices():

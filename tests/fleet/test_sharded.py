@@ -190,8 +190,8 @@ def test_sharded_last_collection_time_and_enrollment_lookups():
     verifier = fleet.verifier
     assert verifier.is_enrolled("dev-0000")
     assert not verifier.is_enrolled("ghost")
-    assert verifier.last_collection_time("dev-0003") == pytest.approx(60.0)
-    assert verifier.last_collection_time("ghost") is None
+    assert verifier._last_collection_time.get("dev-0003") == pytest.approx(60.0)
+    assert verifier._last_collection_time.get("ghost") is None
 
 
 def test_sharded_close_is_idempotent():
@@ -218,7 +218,7 @@ def test_failing_pool_close_still_releases_sinks_and_store():
                              sinks=(RecordingSink(),), store=RecordingStore(),
                              worker_mode="process")
     verifier.warm_up()
-    pool = verifier.worker_pool
+    pool = verifier._pool
     real_close = pool.close
 
     def failing_close():

@@ -112,7 +112,7 @@ def test_process_mode_matches_loop_mode():
         # (the 80 s cadence additionally flags round-2 gap policy hits,
         # identically on both sides — pinned by the byte-identity above).
         assert {"dev-0004", "dev-0011"} <= process.health.flagged_devices
-        pool = process.verifier.worker_pool
+        pool = process.verifier._pool
         assert pool is not None and pool.restarts == [0, 0, 0]
     finally:
         loop.close()
@@ -155,7 +155,7 @@ def test_worker_crash_loses_round_then_rejoins():
         fleet.run_until(60.0)
         first = {r.device_id: r for r in fleet.collect_all()}
         assert all(r.status is DeviceStatus.HEALTHY for r in first.values())
-        pool = verifier.worker_pool
+        pool = verifier._pool
         assert pool is not None
 
         pool.inject_crash(0)
@@ -190,7 +190,7 @@ def test_crash_round_health_counts_shard_devices_unseen():
     try:
         fleet.run_until(60.0)
         fleet.verifier.warm_up()
-        pool = fleet.verifier.worker_pool
+        pool = fleet.verifier._pool
         pool.inject_crash(1)
         reports = fleet.collect_all()
         shard1 = set(fleet.verifier.enrolled_ids()[1::2])
@@ -303,7 +303,7 @@ def test_worker_pool_metrics_record_restarts_and_latency():
         assert obs.worker_task_seconds.labels("1").count >= 1
         assert obs.worker_queue_depth.value("0") == 0
         assert obs.worker_restarts_total.value("0") == 0
-        pool = fleet.verifier.worker_pool
+        pool = fleet.verifier._pool
         pool.inject_crash(0)
         fleet.run_until(120.0)
         fleet.collect_all()
@@ -363,4 +363,33 @@ def test_drain_rejects_frames_with_unknown_opcodes():
     finally:
         worker_end.close()
         reader.join(timeout=10)
+        pool.close()
+
+
+def test_send_failure_after_reader_orphaned_the_future_is_worker_crashed():
+    """The worker dies while a task is being sent: the reader's EOF path
+    fails the pending future first, then ``send_bytes`` raises.  The
+    caller must see one ``WorkerCrashed``, not ``InvalidStateError``
+    from failing the future twice."""
+    from repro.fleet.workers import _WorkerHandle
+
+    pool = WorkerPool(1, config=small_profile().config)
+
+    class _DyingConn:
+        def recv_bytes(self):
+            raise EOFError
+
+        def send_bytes(self, _frame):
+            pool._drain(0, handle)  # the reader sees EOF and orphans
+            raise OSError("broken pipe")
+
+    handle = _WorkerHandle(process=None, conn=_DyingConn())
+    pool._handles[0] = handle
+    try:
+        future = pool.submit_task(0, 0.0, [])
+        with pytest.raises(WorkerCrashed, match="died with tasks"):
+            future.result(timeout=10)
+        assert handle.dead.is_set() and handle.pending == {}
+    finally:
+        pool._handles[0] = None
         pool.close()

@@ -27,7 +27,6 @@ def build_memory() -> DeviceMemory:
 def test_region_lookup_and_sizes():
     memory = build_memory()
     assert memory.region("rom").size == 64
-    assert memory.total_size() == 64 + 16 + 128
     assert [region.name for region in memory.regions()] == ["rom", "key", "ram"]
 
 
@@ -119,5 +118,3 @@ def test_policy_factories():
     secret = AccessPolicy.secret_key()
     assert secret.readable == frozenset({AccessContext.ATTESTATION})
     assert not secret.writable
-    rroc = AccessPolicy.read_only_peripheral()
-    assert not rroc.writable and AccessContext.DMA in rroc.readable

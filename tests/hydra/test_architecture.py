@@ -21,24 +21,24 @@ def test_pratt_is_initial_highest_priority_process(hydra_arch):
 
 def test_pratt_has_exclusive_key_access(hydra_arch):
     assert hydra_arch.pratt.has_exclusive_key_access()
-    assert hydra_arch.pratt.can_read_key()
+    assert hydra_arch.kernel.check_access("pratt", KEY_OBJECT, Right.READ)
 
 
 def test_spawned_applications_run_below_pratt(hydra_arch):
-    hydra_arch.spawn_application("sensor-loop")
-    hydra_arch.spawn_application("network-daemon", priority=10)
+    hydra_arch.kernel.spawn("pratt", "sensor-loop", 254)
+    hydra_arch.kernel.spawn("pratt", "network-daemon", 10)
     assert hydra_arch.pratt.is_highest_priority()
     assert hydra_arch.kernel.process("sensor-loop").priority < 255
 
 
 def test_application_cannot_get_key_capability(hydra_arch):
-    hydra_arch.spawn_application("app")
+    hydra_arch.kernel.spawn("pratt", "app", 254)
     assert not hydra_arch.kernel.check_access("app", KEY_OBJECT, Right.READ)
 
 
 def test_spawn_at_pratt_priority_rejected(hydra_arch):
     with pytest.raises(CapabilityError):
-        hydra_arch.pratt.spawn_user_process("rogue", priority=255)
+        hydra_arch.kernel.spawn("pratt", "rogue", 255)
 
 
 def test_key_region_unreadable_from_normal_world(hydra_arch):
@@ -65,10 +65,9 @@ def test_measurement_fails_if_key_capability_leaks(key, firmware):
 def test_measurement_fails_if_pratt_not_highest_priority(key, firmware):
     architecture = build_hydra_architecture(key, application_size=2048)
     architecture.load_application(firmware)
+    # A rogue process outranks a demoted PrAtt.
+    architecture.kernel.process("pratt").priority = 254
     architecture.kernel._add_process("rogue", 255, [], parent=None)
-    # schedule() now returns a max-priority process that may not be pratt;
-    # force determinism by killing pratt.
-    architecture.kernel.kill("pratt")
     with pytest.raises(ArchitectureError):
         architecture.perform_measurement()
 

@@ -86,24 +86,6 @@ def test_exclusive_holder_detection():
     assert kernel.exclusive_holder("key_region") is None
 
 
-def test_schedule_picks_highest_priority_live_process():
-    kernel = build_kernel()
-    kernel.create_initial_process("pratt", 255, [])
-    kernel.spawn("pratt", "app-a", 10)
-    kernel.spawn("pratt", "app-b", 20)
-    assert kernel.schedule().name == "pratt"
-    kernel.kill("pratt")
-    assert kernel.schedule().name == "app-b"
-
-
-def test_killed_process_loses_capabilities():
-    kernel = build_kernel()
-    kernel.create_initial_process("pratt", 255, [
-        Capability("key_region", Right.READ)])
-    kernel.kill("pratt")
-    assert not kernel.check_access("pratt", "key_region", Right.READ)
-
-
 def test_duplicate_and_unknown_names_rejected():
     kernel = build_kernel()
     with pytest.raises(ValueError):

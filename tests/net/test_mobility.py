@@ -8,6 +8,18 @@ from repro.net.mobility import RandomWaypointMobility
 NAMES = [f"dev{i}" for i in range(12)]
 
 
+def position(mobility, name):
+    """Current (x, y) of one device or pinned anchor."""
+    state = mobility._positions.get(name) or mobility._pinned[name]
+    return (state.x, state.y)
+
+
+def group_of(model, name):
+    """Index of the partition group one device belongs to."""
+    return next(index for index, group in enumerate(model.groups)
+                if name in group)
+
+
 def test_static_swarm_topology_is_stable():
     mobility = RandomWaypointMobility(NAMES, area_size=50.0, radio_range=30.0,
                                       speed=0.0, seed=1)
@@ -31,7 +43,7 @@ def test_positions_stay_in_area():
     for time in (0.0, 10.0, 50.0, 200.0):
         mobility.links_at(time)
         for name in NAMES:
-            x, y = mobility.position_of(name)
+            x, y = position(mobility, name)
             assert 0.0 <= x <= 40.0
             assert 0.0 <= y <= 40.0
 
@@ -41,8 +53,8 @@ def test_links_are_symmetric_unit_disc():
                                       speed=0.0, seed=4)
     links = mobility.links_at(0.0)
     for link in links:
-        ax, ay = mobility.position_of(link.node_a)
-        bx, by = mobility.position_of(link.node_b)
+        ax, ay = position(mobility, link.node_a)
+        bx, by = position(mobility, link.node_b)
         assert ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5 <= 20.0 + 1e-9
 
 
@@ -53,46 +65,8 @@ def test_time_cannot_move_backwards():
         mobility.links_at(5.0)
 
 
-def test_churn_rate_grows_with_speed():
-    slow = RandomWaypointMobility(NAMES, area_size=100.0, radio_range=30.0,
-                                  speed=0.5, seed=6)
-    fast = RandomWaypointMobility(NAMES, area_size=100.0, radio_range=30.0,
-                                  speed=8.0, seed=6)
-    assert fast.churn_rate(horizon=30.0, step=1.0) > \
-        slow.churn_rate(horizon=30.0, step=1.0)
-
-
-def test_zero_speed_churn_is_zero():
-    mobility = RandomWaypointMobility(NAMES, speed=0.0, seed=7)
-    assert mobility.churn_rate(horizon=10.0, step=1.0) == 0.0
-
-
 def links_set(mobility, time):
     return {(l.node_a, l.node_b) for l in mobility.links_at(time)}
-
-
-def test_churn_rate_does_not_perturb_the_model():
-    """Diagnosing mobility must not advance the model it measures."""
-    probed = RandomWaypointMobility(NAMES, area_size=80.0, radio_range=25.0,
-                                    speed=4.0, seed=11)
-    control = RandomWaypointMobility(NAMES, area_size=80.0, radio_range=25.0,
-                                     speed=4.0, seed=11)
-    rate = probed.churn_rate(horizon=30.0, step=1.0)
-    assert rate > 0.0
-    # links_at after the probe returns exactly what it would have
-    # returned without it, at every subsequent sample.
-    for time in (0.0, 5.0, 20.0, 60.0):
-        assert links_set(probed, time) == links_set(control, time)
-        for name in NAMES:
-            assert probed.position_of(name) == control.position_of(name)
-
-
-def test_churn_rate_is_repeatable():
-    mobility = RandomWaypointMobility(NAMES, area_size=80.0, radio_range=25.0,
-                                      speed=4.0, seed=12)
-    first = mobility.churn_rate(horizon=20.0, step=1.0)
-    second = mobility.churn_rate(horizon=20.0, step=1.0)
-    assert first == second
 
 
 def test_fork_is_independent():
@@ -116,9 +90,6 @@ def test_fork_preserves_subclass_dynamics():
     fork = mobility.fork()
     assert type(fork) is FrozenSwarm
     assert links_set(fork, 100.0) == links_set(mobility, 100.0)
-    # churn_rate probes through fork(): frozen dynamics mean zero churn,
-    # which a base-class clone at speed 5 would not report.
-    assert mobility.churn_rate(horizon=10.0, step=1.0) == 0.0
 
 
 def test_pinned_anchor_joins_the_geometric_graph():
@@ -127,7 +98,7 @@ def test_pinned_anchor_joins_the_geometric_graph():
     mobility.pin("gateway", 25.0, 25.0)
     assert mobility.pinned_names() == ["gateway"]
     assert "gateway" not in mobility.device_names()
-    assert mobility.position_of("gateway") == (25.0, 25.0)
+    assert position(mobility, "gateway") == (25.0, 25.0)
     # Radio range covers the whole area: the link must exist.
     assert {"gateway"} <= {name for link in mobility.links_at(0.0)
                            for name in link.endpoints()}
@@ -158,8 +129,8 @@ def test_grid_candidate_search_matches_all_pairs_scan():
         expected = []
         for index, first in enumerate(names):
             for second in names[index + 1:]:
-                ax, ay = mobility.position_of(first)
-                bx, by = mobility.position_of(second)
+                ax, ay = position(mobility, first)
+                bx, by = position(mobility, second)
                 if math.hypot(ax - bx, ay - by) <= 17.0:
                     expected.append((first, second))
         assert links == expected
@@ -172,8 +143,6 @@ def test_invalid_parameters_rejected():
         RandomWaypointMobility(NAMES, area_size=0.0)
     with pytest.raises(ValueError):
         RandomWaypointMobility(NAMES, speed=-1.0)
-    with pytest.raises(ValueError):
-        RandomWaypointMobility(NAMES).churn_rate(horizon=0.0)
 
 
 class TestPartitionMergeMobility:
@@ -195,7 +164,7 @@ class TestPartitionMergeMobility:
     def test_partitioned_links_stay_inside_groups(self):
         model = self._model()
         for link in model.links_at(10.0):
-            assert model.group_of(link.node_a) == model.group_of(link.node_b)
+            assert group_of(model, link.node_a) == group_of(model, link.node_b)
 
     def test_merged_links_bridge_adjacent_groups(self):
         model = self._model(groups=3)
@@ -204,7 +173,7 @@ class TestPartitionMergeMobility:
         bridges = merged - partitioned
         assert len(bridges) == 2  # chain of 3 groups: 2 bridge links
         for node_a, node_b in bridges:
-            assert model.group_of(node_a) != model.group_of(node_b)
+            assert group_of(model, node_a) != group_of(model, node_b)
 
     def test_pinned_gateway_attaches_to_group_zero(self):
         model = self._model()
@@ -216,7 +185,7 @@ class TestPartitionMergeMobility:
         assert len(gateway) == 1
         other = gateway[0].node_b if gateway[0].node_a == "verifier" \
             else gateway[0].node_a
-        assert model.group_of(other) == 0
+        assert group_of(model, other) == 0
 
     def test_pin_validation(self):
         model = self._model()
@@ -242,12 +211,6 @@ class TestPartitionMergeMobility:
             {(l.node_a, l.node_b) for l in model.links_at(60.0)}
         clone.pin("extra", 20.0, 20.0)
         assert model.pinned_names() == ["verifier"]
-
-    def test_churn_tracks_partition_cycles(self):
-        model = self._model(period=20.0)
-        assert model.churn_rate(horizon=100.0, step=1.0) > 0.0
-        static = self._model(merged_fraction=1.0, period=20.0)
-        assert static.churn_rate(horizon=100.0, step=1.0) == 0.0
 
     def test_invalid_parameters_rejected(self):
         from repro.net.mobility import PartitionMergeMobility

@@ -4,10 +4,9 @@ The streaming path folds reports in one at a time and settles at the
 round boundary; the post-hoc path recomputes the same objective from a
 finished :class:`FleetHealth` — possibly *merged* from per-shard
 aggregates, the way process workers' health parts fold into the
-verifier's.  Both sides accumulate freshness as exact rationals,
-so the verdicts must agree bit-for-bit for any report stream and any
-shard layout (:class:`AttestationWindowRule` is excluded by design:
-report timing does not survive into a post-hoc aggregate).
+verifier's.  Both sides count with exact integers and rationals, so
+the verdicts must agree bit-for-bit for any report stream and any
+shard layout.
 """
 
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from repro.core.verification import DeviceStatus, VerificationReport
 from repro.fleet.sinks import FleetHealth
 from repro.obs import (
     CoverageRule,
-    FreshnessRule,
     LostBudgetRule,
     StreamingHealthSink,
 )
@@ -39,14 +37,12 @@ def _materialize(stream):
         for index, (status, freshness) in enumerate(stream)]
 
 
-def _rules(report_count, lost_budget, min_coverage, max_freshness,
-           expect_devices):
+def _rules(report_count, lost_budget, min_coverage, expect_devices):
     return [
         LostBudgetRule(lost_budget),
         CoverageRule(min_coverage,
                      expected_devices=report_count if expect_devices
                      else None),
-        FreshnessRule(max_freshness),
     ]
 
 
@@ -55,22 +51,17 @@ def _rules(report_count, lost_budget, min_coverage, max_freshness,
        lost_budget=st.integers(min_value=0, max_value=5),
        min_coverage=st.floats(min_value=0.05, max_value=1.0,
                               allow_nan=False),
-       max_freshness=st.floats(min_value=1.0, max_value=1e5,
-                               allow_nan=False),
        expect_devices=st.booleans(),
        shard_count=st.integers(min_value=1, max_value=5))
 def test_streaming_verdict_equals_merged_post_hoc_verdict(
-        stream, lost_budget, min_coverage, max_freshness, expect_devices,
-        shard_count):
+        stream, lost_budget, min_coverage, expect_devices, shard_count):
     reports = _materialize(stream)
-    rules = _rules(len(reports), lost_budget, min_coverage, max_freshness,
-                   expect_devices)
+    rules = _rules(len(reports), lost_budget, min_coverage, expect_devices)
     sink = StreamingHealthSink(rules)
     for report in reports:
         sink.emit(report)
     sink.flush()  # the round boundary settles every verdict
-    streamed = {violation.rule
-                for violation in sink.violations_for_round(1)}
+    streamed = {violation.rule for violation in sink.violations}
 
     # Post-hoc: the same reports dealt round-robin onto shard
     # aggregates, merged the way worker health parts are folded in.

@@ -4,18 +4,15 @@ import json
 
 import pytest
 
-from repro.experiments import obs_report as harness
+from tests.obs import trace_harness as harness
 from repro.obs import (
     MetricsRegistry,
     Observability,
     ObsReport,
     build_summary,
     histogram_quantiles,
-    load_trace,
     parse_exposition,
     render_html,
-    render_rollup_html,
-    rollup_summaries,
 )
 from repro.obs.report import ExpositionParseError, summary_json
 from repro.obs.tracing import SpanTracer
@@ -175,22 +172,14 @@ def test_metrics_section_appears_only_with_an_exposition():
 
 
 # ----------------------------------------------------------------------
-# Artifacts: files, HTML, rollups
+# Artifacts: files and HTML
 # ----------------------------------------------------------------------
 
-def test_obs_report_from_files_round_trip(tmp_path):
-    clock_rows = _scripted_trace()
-    trace_path = tmp_path / "trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as handle:
-        for row in clock_rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-    metrics_path = tmp_path / "metrics.prom"
-    metrics_path.write_text(harness.build_exposition(devices=10, shards=2),
-                            encoding="utf-8")
-    assert load_trace(str(trace_path)) == clock_rows
-    report = ObsReport.from_files(str(trace_path),
-                                  metrics_path=str(metrics_path),
-                                  title="from-files")
+def test_obs_report_write_round_trip(tmp_path):
+    report = ObsReport(_scripted_trace(),
+                       exposition=harness.build_exposition(devices=10,
+                                                           shards=2),
+                       title="written")
     assert report.summary["totals"]["device_verifies"] == 3
     assert "verify_latency" in report.summary["metrics"]
     written = report.write(html_path=str(tmp_path / "r.html"),
@@ -221,17 +210,3 @@ def test_observability_report_facade():
     report = obs.report(title="facade")
     assert report.summary["totals"]["device_verifies"] == 1
     assert "metrics" in report.summary  # exposition included
-
-
-def test_rollup_aggregates_cells():
-    one = build_summary(harness.build_trace(devices=20, rounds=1,
-                                            shards=2), title="a")
-    two = build_summary(harness.build_trace(devices=40, rounds=2,
-                                            shards=2), title="b")
-    rollup = rollup_summaries({"a": one, "b": two})
-    assert set(rollup["cells"]) == {"a", "b"}
-    assert rollup["totals"]["rounds"] == 3
-    assert rollup["totals"]["device_verifies"] == 20 + 80
-    assert rollup["cells"]["b"]["max_shard_skew"] >= 0.0
-    html = render_rollup_html(rollup, title="campaign")
-    assert "Campaign rollup" in html and "<table>" in html

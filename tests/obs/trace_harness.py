@@ -1,9 +1,8 @@
-"""Report-generation throughput: the obs analysis layer under load.
+"""Synthetic span traces for the obs analysis layer, and its timing.
 
-Not a paper artifact — this harness characterizes
-:mod:`repro.obs.report` itself: how long it takes to turn a
-1k-device span trace (plus a matching exposition) into the JSON
-summary and the self-contained HTML flame view.  It backs the
+This harness characterizes :mod:`repro.obs.report` itself: how long
+it takes to turn a 1k-device span trace (plus a matching exposition)
+into the JSON summary and the self-contained HTML flame view.  It backs the
 ``benchmarks/test_obs_report.py`` gate, so the analysis layer cannot
 quietly become slower than the rounds it analyzes.
 

@@ -66,15 +66,6 @@ def test_cancelled_events_do_not_fire():
     assert fired == ["kept"]
 
 
-def test_pending_count_excludes_cancelled():
-    engine = SimulationEngine()
-    kept = engine.schedule(1.0, lambda event: None)
-    cancelled = engine.schedule(2.0, lambda event: None)
-    cancelled.cancel()
-    assert engine.pending_count() == 1
-    del kept
-
-
 def test_events_can_schedule_more_events():
     engine = SimulationEngine()
     times = []
@@ -95,7 +86,7 @@ def test_max_events_limit():
         engine.schedule(float(index), lambda event: None)
     processed = engine.run(max_events=4)
     assert processed == 4
-    assert engine.pending_count() == 6
+    assert engine.run() == 6
 
 
 def test_step_returns_event_and_none_when_idle():
@@ -113,40 +104,6 @@ def test_events_processed_counter():
         engine.schedule(float(index + 1), lambda event: None)
     engine.run()
     assert engine.events_processed == 3
-
-
-def test_run_async_matches_run():
-    import asyncio
-
-    times = []
-    engine = SimulationEngine()
-    for index in range(10):
-        engine.schedule(float(index), lambda event: times.append(event.time))
-    processed = asyncio.run(engine.run_async(until=20.0, yield_every=3))
-    assert processed == 10
-    assert times == [float(index) for index in range(10)]
-    assert engine.now == 20.0
-
-
-def test_run_async_rejects_bad_yield_interval_and_reentry():
-    import asyncio
-
-    engine = SimulationEngine()
-    with pytest.raises(SimulationError):
-        asyncio.run(engine.run_async(yield_every=0))
-
-    async def reenter():
-        for index in range(8):
-            engine.schedule(float(index), lambda event: None)
-        # yield_every=1 forces the first drain to suspend after each
-        # event, so the second one genuinely starts mid-run.
-        first = engine.run_async(yield_every=1)
-        second = engine.run_async(max_events=1)
-        return await asyncio.gather(first, second,
-                                    return_exceptions=True)
-
-    results = asyncio.run(reenter())
-    assert any(isinstance(result, SimulationError) for result in results)
 
 
 def test_truncated_run_does_not_jump_clock_past_pending_events():

@@ -45,17 +45,6 @@ def test_measurement_buffer_is_open_to_normal_world(smartplus_arch):
     assert content.startswith(b"anything")
 
 
-def test_interrupts_blocked_during_attestation(smartplus_arch):
-    # Outside attestation, interrupts are delivered.
-    assert smartplus_arch.request_interrupt()
-    # The protected-execution context manager disables them.
-    with smartplus_arch._protected_execution():
-        assert smartplus_arch.in_attestation
-        assert not smartplus_arch.request_interrupt()
-    assert smartplus_arch.interrupts_blocked == 1
-    assert not smartplus_arch.in_attestation
-
-
 def test_nested_attestation_entry_rejected(smartplus_arch):
     with smartplus_arch._protected_execution():
         with pytest.raises(ArchitectureError, match="atomic"):

@@ -2,12 +2,15 @@
 
 from repro.statics.checkers.codec import CodecExhaustivenessChecker
 from repro.statics.checkers.constant_time import ConstantTimeChecker
+from repro.statics.checkers.dead_public import DeadPublicChecker
 from repro.statics.checkers.determinism import DeterminismChecker
 from repro.statics.checkers.exact_fraction import ExactFractionChecker
 from repro.statics.checkers.lock_discipline import LockDisciplineChecker
 from repro.statics.checkers.obs_seam import ObsSeamChecker
 
-from tests.statics.helpers import lint, rules_hit
+from repro.statics.engine import scan_paths
+from repro.statics.report import render_json
+from tests.statics.helpers import lint, rules_hit, write_tree
 
 
 # ----------------------------------------------------------------------
@@ -317,3 +320,106 @@ def test_obs_seam_pragma():
               "from repro.obs.metrics import Counter\n")
     assert lint(ObsSeamChecker(), source,
                 relpath="src/repro/fleet/service.py") == []
+
+
+# ----------------------------------------------------------------------
+# dead-public
+# ----------------------------------------------------------------------
+def scan_dead_public(root, files):
+    write_tree(root, files)
+    return scan_paths([root], [DeadPublicChecker()], relative_to=root)
+
+
+def dead_names(root, files):
+    """Qualified names of the defs the rule reports dead."""
+    return [finding.message.split()[2]
+            for finding in scan_dead_public(root, files).findings]
+
+
+LIBRARY = ("def used():\n    pass\n"
+           "def spare():\n    pass\n"
+           "class Box:\n"
+           "    def open(self):\n        pass\n")
+
+
+def test_dead_public_flags_a_def_only_tests_call(tmp_path):
+    files = {"src/pkg/lib.py": LIBRARY,
+             "src/pkg/app.py": "from pkg.lib import used, Box\n"
+                               "used()\nBox()\n",
+             "tests/test_lib.py": "from pkg.lib import spare, Box\n"
+                                  "spare()\nBox().open()\n"}
+    assert dead_names(tmp_path, files) == ["spare", "Box.open"]
+
+
+def test_dead_public_counts_a_use_from_an_example(tmp_path):
+    files = {"src/pkg/lib.py": "def helper():\n    pass\n",
+             "examples/demo.py": "from pkg.lib import helper\nhelper()\n"}
+    assert dead_names(tmp_path, files) == []
+
+
+def test_dead_public_counts_getattr_and_patch_strings(tmp_path):
+    files = {"src/pkg/lib.py": LIBRARY,
+             "src/pkg/app.py": "import pkg.lib as lib\n"
+                               "getattr(lib, 'used')()\n"
+                               "patch(lib, 'spare', None)\n"
+                               "lib.Box\n"
+                               "getattr(lib.Box(), 'open')\n"}
+    assert dead_names(tmp_path, files) == []
+
+
+def test_dead_public_never_flags_private_or_dunder_defs(tmp_path):
+    files = {"src/pkg/lib.py": "def _helper():\n    pass\n"
+                               "class _Hidden:\n"
+                               "    def _step(self):\n        pass\n"
+                               "class Box:\n"
+                               "    def __len__(self):\n        return 0\n"
+                               "    def _peek(self):\n        pass\n",
+             "src/pkg/app.py": "from pkg.lib import Box\nBox()\n"}
+    assert dead_names(tmp_path, files) == []
+
+
+def test_dead_public_exempts_framework_subclass_callbacks(tmp_path):
+    files = {"src/pkg/net.py": "import abc\nimport asyncio\n"
+                               "class Proto(asyncio.DatagramProtocol):\n"
+                               "    def datagram_received(self, data, addr):\n"
+                               "        pass\n"
+                               "class Local:\n"
+                               "    def hook(self):\n        pass\n"
+                               "class Child(Local):\n"
+                               "    def callback(self):\n        pass\n"
+                               "class Rule(abc.ABC):\n"
+                               "    def verdict(self):\n        pass\n",
+             "src/pkg/app.py": "from pkg.net import Proto, Child, Rule\n"
+                               "Proto()\nChild()\nRule\n"}
+    # Local is defined in the tree, so Child's method is not exempt,
+    # and an abstract-base marker calls nothing by name.
+    assert dead_names(tmp_path, files) == ["Local.hook", "Child.callback",
+                                           "Rule.verdict"]
+
+
+def test_dead_public_reexport_and_import_alone_is_a_finding(tmp_path):
+    files = {"src/pkg/lib.py": "def orphan():\n    pass\n",
+             "src/pkg/__init__.py": "from pkg.lib import orphan\n"
+                                    "__all__ = ['orphan']\n"}
+    assert dead_names(tmp_path, files) == ["orphan"]
+
+
+def test_dead_public_pragma(tmp_path):
+    files = {"src/pkg/lib.py":
+             "# statics: ok(dead-public) — test seam: a fake for tests\n"
+             "def seam():\n    pass\n"
+             "def spare():  # statics: ok(dead-public) — oracle\n"
+             "    pass\n"}
+    result = scan_dead_public(tmp_path, files)
+    assert result.findings == []
+    assert result.suppressed == 2
+
+
+def test_dead_public_report_is_byte_identical_across_runs(tmp_path):
+    files = {"src/pkg/a.py": LIBRARY,
+             "src/pkg/b.py": "def lonely():\n    pass\n",
+             "tests/test_a.py": "from pkg.a import used\nused()\n"}
+    first = render_json(scan_dead_public(tmp_path / "one", files))
+    second = render_json(scan_dead_public(tmp_path / "two", files))
+    assert first == second
+    assert b"Box.open" in first and b"lonely" in first

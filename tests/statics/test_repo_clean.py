@@ -17,7 +17,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def scan_repo():
     baseline = Baseline.load(REPO_ROOT / "statics-baseline.json")
-    return scan_paths([REPO_ROOT / "src", REPO_ROOT / "tests"],
+    return scan_paths([REPO_ROOT / root for root in
+                       ("src", "tests", "examples", "benchmarks")],
                       all_checkers(), baseline=baseline,
                       relative_to=REPO_ROOT)
 
@@ -42,5 +43,5 @@ def test_every_baseline_entry_still_matches_a_real_finding():
         for entry in stale)
 
 
-def test_all_six_checkers_are_active():
-    assert len(all_checkers()) >= 6
+def test_all_seven_checkers_are_active():
+    assert len(all_checkers()) == 7

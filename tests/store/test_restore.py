@@ -12,7 +12,7 @@ import pytest
 
 from repro.fleet import DeviceProfile, DuplicateEnrollmentError, Fleet, \
     FleetVerifier
-from repro.store import JsonlStore, SqliteStore
+from repro.store import JsonlStore, MemoryStore, SqliteStore
 
 FIRMWARE = b"restore-test-firmware" + bytes(100)
 MASTER_SECRET = b"restore-test-master-secret"
@@ -51,7 +51,7 @@ def test_kill_and_restore_reproduces_state_exactly(backend, tmp_path, opened):
         device_id: fleet.verifier._enrollments[device_id].last_seen
         for device_id in fleet.device_ids()}
     times_before = {
-        device_id: fleet.verifier.last_collection_time(device_id)
+        device_id: fleet.verifier._last_collection_time.get(device_id)
         for device_id in fleet.device_ids()}
     assert snapshot_before  # the round checkpointed automatically
 
@@ -64,13 +64,34 @@ def test_kill_and_restore_reproduces_state_exactly(backend, tmp_path, opened):
     for device_id in fleet.device_ids():
         assert restored._enrollments[device_id].last_seen \
             == last_seen_before[device_id]
-        assert restored.last_collection_time(device_id) \
+        assert restored._last_collection_time.get(device_id) \
             == times_before[device_id]
     assert restored.rounds_completed == 1
 
     # Idempotent re-checkpoint: byte-identical snapshot.
     restored.checkpoint()
     assert restored.store.state_bytes() == snapshot_before
+
+
+@pytest.mark.parametrize("backend", ["memory", "jsonl", "sqlite"])
+def test_restore_keeps_provisioning_order(backend, tmp_path, opened):
+    """A round re-saves every enrollment (its last_seen advanced); the
+    restored verifier must still list the devices in provisioning
+    order, not in the order the shards happened to commit them."""
+    store = opened(MemoryStore() if backend == "memory"
+                   else make_store(backend, tmp_path))
+    fleet = opened(Fleet.provision(profile(), 24,
+                                   master_secret=MASTER_SECRET, store=store,
+                                   shards=3))
+    fleet.run_until(600.0)
+    fleet.collect_all()
+    before = fleet.verifier.enrolled_ids()
+    assert before == fleet.device_ids()
+
+    survivor = store if backend == "memory" \
+        else opened(make_store(backend, tmp_path))
+    restored = FleetVerifier.restore(profile().config, survivor)
+    assert restored.enrolled_ids() == before
 
 
 @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
@@ -174,12 +195,12 @@ def test_re_enrollment_clears_collection_time_everywhere(tmp_path, backend,
     device_id = fleet.device_ids()[0]
     fleet.run_until(600.0)
     fleet.collect_all()
-    assert fleet.verifier.last_collection_time(device_id) is not None
+    assert fleet.verifier._last_collection_time.get(device_id) is not None
 
     replace(fleet.verifier, fleet.device(device_id))
-    assert fleet.verifier.last_collection_time(device_id) is None
+    assert fleet.verifier._last_collection_time.get(device_id) is None
     # Crash before any checkpoint: the restore must agree.
     restored = FleetVerifier.restore(
         profile().config, opened(make_store(backend, tmp_path)))
-    assert restored.last_collection_time(device_id) is None
+    assert restored._last_collection_time.get(device_id) is None
     assert restored.last_seen(device_id) is None

@@ -32,8 +32,7 @@ def test_static_swarm_fully_attested_by_all_protocols(swarm):
                      ErasmusSwarmCollection()):
         mobility = make_mobility(names_of(swarm), speed=0.0)
         result = protocol.run(swarm, mobility, gateway="dev0")
-        assert result.complete, protocol.name
-        assert result.coverage == 1.0
+        assert result.coverage == 1.0, protocol.name
         assert not result.failed_ids
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.swarm import QoSALevel, StaggeredSchedule, SwarmAttestationResult, \
     build_swarm
-from repro.swarm.scheduling import round_robin_collection_order
 
 
 def test_group_count_from_busy_fraction():
@@ -21,17 +20,11 @@ def test_phase_offsets_spread_devices():
     assert set(offsets.values()) == {0.0, 15.0, 30.0, 45.0}
 
 
-def test_feasibility_check():
-    schedule = StaggeredSchedule(60.0, max_busy_fraction=0.25)
-    assert schedule.feasible(measurement_runtime=10.0)
-    assert not schedule.feasible(measurement_runtime=20.0)
-
-
 def test_worst_case_busy_fraction_respects_bound():
     devices = build_swarm(32, memory_bytes=10 * 1024)
     runtime = devices[0].compute_time
     schedule = StaggeredSchedule(60.0, max_busy_fraction=0.25)
-    assert schedule.feasible(runtime)
+    assert runtime <= 60.0 / schedule.group_count  # fits one phase slot
     worst = schedule.worst_case_busy_fraction(devices, runtime)
     # 32 devices split exactly into 4 groups of 8: the bound holds.
     assert worst <= 0.25 + 1e-9
@@ -47,16 +40,6 @@ def test_unstaggered_schedule_makes_everyone_busy_at_once():
 def test_busy_fraction_zero_with_no_devices():
     schedule = StaggeredSchedule(60.0, 0.5)
     assert schedule.busy_fraction_at(0.0, [], 5.0) == 0.0
-
-
-def test_round_robin_collection_order():
-    devices = build_swarm(7, memory_bytes=1024)
-    batches = round_robin_collection_order(devices, per_collection=3)
-    assert [len(batch) for batch in batches] == [3, 3, 1]
-    flattened = [name for batch in batches for name in batch]
-    assert flattened == [device.device_id for device in devices]
-    with pytest.raises(ValueError):
-        round_robin_collection_order(devices, per_collection=0)
 
 
 def test_parameter_validation():
@@ -76,7 +59,6 @@ def test_swarm_attestation_result_properties():
                                     devices_attested=7, duration=5.0,
                                     qosa_level=QoSALevel.BINARY)
     assert result.coverage == pytest.approx(0.7)
-    assert not result.complete
     empty = SwarmAttestationResult(protocol="seda", devices_total=0,
                                    devices_attested=0, duration=0.0,
                                    qosa_level=QoSALevel.BINARY)

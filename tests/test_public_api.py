@@ -15,11 +15,16 @@ MODULES = sorted(
     info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
     if info.name.rsplit(".", 1)[-1] != "__main__")
 
-#: Names deleted with the legacy single-device verifiers and the
-#: push/windowed observability surface; no package may export them.
+#: Names deleted with the legacy single-device verifiers, the
+#: push/windowed observability surface, and the definitions only tests
+#: called (the ``dead-public`` rule); no package may export them.
 DELETED = {
     "BaseVerifier", "DEFAULT_RECENT_WINDOW", "ErasmusVerifier",
     "OnDemandProver", "OnDemandVerifier", "RemoteWriteExporter",
+    "AttestationWindowRule", "FleetHealthSink", "FreshnessRule",
+    "MacDescriptor", "PeriodicTimer", "TimerExpiration", "available_macs",
+    "blake2s_digest", "collection_freshness", "detection_curve",
+    "load_trace", "render_rollup_html", "rollup_summaries", "sha1_digest",
 }
 
 
@@ -37,7 +42,8 @@ def test_every_all_name_resolves_once():
 
 
 @pytest.mark.parametrize("package", ["repro.core", "repro.fleet",
-                                     "repro.obs"])
+                                     "repro.obs", "repro.analysis",
+                                     "repro.crypto", "repro.hw"])
 def test_deleted_names_stay_deleted(package):
     module = importlib.import_module(package)
     assert DELETED.isdisjoint(module.__all__)
