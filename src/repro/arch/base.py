@@ -7,7 +7,8 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.crypto.backend import BackendSpec, resolve_backend
+from repro.crypto.backend import get_backend
+from repro.crypto.constant_time import constant_time_compare
 from repro.crypto.mac import get_mac
 from repro.hw.devices import DeviceCostModel
 from repro.hw.memory import AccessContext, DeviceMemory
@@ -19,14 +20,13 @@ _HASH_FOR_MAC: Dict[str, str] = {
 }
 
 
-def hash_for_mac(mac_name: str,
-                 backend: BackendSpec = None) -> Callable[[bytes], bytes]:
+def hash_for_mac(mac_name: str) -> Callable[[bytes], bytes]:
     """Return the hash function ``H`` paired with a MAC choice.
 
     The measurement is ``MAC_K(t, H(mem_t))``; the paper pairs HMAC-SHA1
     with SHA-1, HMAC-SHA256 with SHA-256 and keyed BLAKE2s with
     (unkeyed) BLAKE2s.  The returned callable computes the digest on the
-    selected crypto backend (identical values on every backend).
+    crypto provider resolved now (identical values on every provider).
     """
     try:
         hash_name = _HASH_FOR_MAC[mac_name.lower()]
@@ -34,7 +34,7 @@ def hash_for_mac(mac_name: str,
         known = ", ".join(sorted(_HASH_FOR_MAC))
         raise ValueError(
             f"no hash paired with MAC {mac_name!r}; known: {known}") from exc
-    provider = resolve_backend(backend)
+    provider = get_backend()
     return lambda data: provider.hash_digest(hash_name, data)
 
 
@@ -77,32 +77,21 @@ class SecurityArchitecture(abc.ABC):
 
     Concrete subclasses (SMART+, HYDRA) own the device memory, the key,
     the RROC and the cost model; the core protocol layer only calls the
-    methods defined here.
+    methods defined here.  The crypto provider for measurements and
+    request authentication is the process's, resolved at construction.
     """
 
     def __init__(self, memory: DeviceMemory, cost_model: DeviceCostModel,
-                 mac_name: str, measured_regions: tuple[str, ...],
-                 crypto_backend: BackendSpec = None) -> None:
+                 mac_name: str, measured_regions: tuple[str, ...]) -> None:
         self.memory = memory
         self.cost_model = cost_model
-        self.mac_name = mac_name.lower()
-        self.mac_algorithm = get_mac(self.mac_name)
-        self.use_crypto_backend(crypto_backend)
+        self.mac_name = get_mac(mac_name).name
+        self.crypto_backend = get_backend()
+        self.hash_function = hash_for_mac(self.mac_name)
         self.measured_regions = tuple(measured_regions)
         self.measurements_performed = 0
         self.aborted_measurements = 0
         self._last_request_time: float | None = None
-
-    def use_crypto_backend(self, backend: BackendSpec) -> None:
-        """Select the crypto backend for measurements and request auth.
-
-        Deployments that model reference cycle costs pick ``reference``;
-        everything else uses the resolved default (normally the stdlib
-        ``accelerated`` provider).  Digests and tags are identical
-        either way.
-        """
-        self.crypto_backend = resolve_backend(backend)
-        self.hash_function = hash_for_mac(self.mac_name, self.crypto_backend)
 
     # ------------------------------------------------------------------
     # Clock and key access (architecture-specific)
@@ -155,9 +144,8 @@ class SecurityArchitecture(abc.ABC):
             memory_image = self.read_measured_memory()
             digest = self.hash_function(memory_image)
             key = self._read_key()
-            tag = self.mac_algorithm.mac(
-                key, encode_timestamp(timestamp) + digest,
-                backend=self.crypto_backend)
+            tag = self.crypto_backend.mac(
+                self.mac_name, key, encode_timestamp(timestamp) + digest)
             duration = self.cost_model.measurement_runtime(
                 len(memory_image), self.mac_name)
             self.measurements_performed += 1
@@ -186,9 +174,9 @@ class SecurityArchitecture(abc.ABC):
             return False
         with self._protected_execution():
             key = self._read_key()
-            valid = self.mac_algorithm.verify(
-                key, encode_timestamp(request_time) + payload, tag,
-                backend=self.crypto_backend)
+            valid = constant_time_compare(self.crypto_backend.mac(
+                self.mac_name, key, encode_timestamp(request_time) + payload),
+                tag)
         if valid:
             self._last_request_time = request_time
         return valid

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ScheduleKind(enum.Enum):
@@ -44,13 +44,11 @@ class ErasmusConfig:
     request_freshness_window:
         Acceptance window (seconds) for authenticated verifier requests
         in ERASMUS+OD / on-demand attestation.
-    crypto_backend:
-        Crypto backend name for this deployment's prover, verifier and
-        scheduler (``"reference"`` or ``"accelerated"``), or ``None``
-        to follow the process-wide default (the
-        ``ERASMUS_CRYPTO_BACKEND`` environment variable, falling back
-        to ``accelerated``).  Both backends produce identical bytes;
-        ``reference`` additionally models compression-function work.
+
+    The crypto provider is not part of a deployment: every prover,
+    verifier and scheduler uses the process's provider
+    (:mod:`repro.crypto.backend`), and all providers compute the same
+    bytes.
     """
 
     measurement_interval: float = 60.0
@@ -62,7 +60,6 @@ class ErasmusConfig:
     lenient_window_factor: float = 1.0
     mac_name: str = "keyed-blake2s"
     request_freshness_window: float = 60.0
-    crypto_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.measurement_interval <= 0:
@@ -73,10 +70,6 @@ class ErasmusConfig:
             raise ValueError("the buffer needs at least one slot")
         if self.lenient_window_factor < 1.0:
             raise ValueError("the lenient window factor w must be >= 1")
-        if self.crypto_backend is not None:
-            # Fail fast on typos; resolution itself happens at use time.
-            from repro.crypto.backend import get_backend
-            get_backend(self.crypto_backend)
         if self.schedule is ScheduleKind.IRREGULAR:
             if self.irregular_lower is None:
                 self.irregular_lower = self.measurement_interval / 2

@@ -67,11 +67,6 @@ class ErasmusProver:
         self.architecture = architecture
         self.config = config
         self.device_id = device_id
-        if config.crypto_backend is not None:
-            # The deployment config wins over whatever default the
-            # architecture was built with, so prover-side measurement
-            # crypto and the schedule CSPRNG use the same provider.
-            architecture.use_crypto_backend(config.crypto_backend)
         self.scheduler: MeasurementScheduler = build_scheduler(
             config, key=scheduling_key, device_nonce=device_id.encode())
         # The stateless timestamp-to-slot rule assumes at most one

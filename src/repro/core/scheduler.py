@@ -24,7 +24,6 @@ import abc
 from typing import Optional
 
 from repro.core.config import ErasmusConfig, ScheduleKind
-from repro.crypto.backend import BackendSpec
 from repro.crypto.csprng import HmacDrbg
 
 
@@ -88,15 +87,14 @@ class IrregularScheduler(MeasurementScheduler):
     """
 
     def __init__(self, key: bytes, lower: float, upper: float,
-                 device_nonce: bytes = b"",
-                 backend: BackendSpec = None) -> None:
+                 device_nonce: bytes = b"") -> None:
         if not 0 < lower <= upper:
             raise ValueError("bounds must satisfy 0 < lower <= upper")
         super().__init__(measurement_interval=(lower + upper) / 2)
         self.lower = lower
         self.upper = upper
         self._drbg = HmacDrbg(bytes(key), personalization=b"erasmus-schedule" +
-                              bytes(device_nonce), backend=backend)
+                              bytes(device_nonce))
 
     def next_interval(self, current_time: float) -> float:
         """Draw the next interval from the CSPRNG, mapped into ``[L, U]``."""
@@ -159,8 +157,7 @@ def build_scheduler(config: ErasmusConfig, key: bytes = b"",
         assert config.irregular_upper is not None
         return IrregularScheduler(key, config.irregular_lower,
                                   config.irregular_upper,
-                                  device_nonce=device_nonce,
-                                  backend=config.crypto_backend)
+                                  device_nonce=device_nonce)
     if config.schedule is ScheduleKind.LENIENT:
         return LenientScheduler(config.measurement_interval,
                                 config.lenient_window_factor)

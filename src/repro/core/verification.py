@@ -39,7 +39,8 @@ from repro.arch.base import encode_timestamp
 from repro.core.config import ErasmusConfig
 from repro.core.measurement import Measurement, RecordBatch
 from repro.core.protocol import OnDemandRequest, OnDemandResponse
-from repro.crypto.backend import resolve_backend
+from repro.crypto.backend import get_backend
+from repro.crypto.constant_time import constant_time_compare
 from repro.crypto.mac import get_mac
 
 
@@ -282,13 +283,9 @@ class Enrollment:
             last_seen=None if last_seen is None else float(last_seen))
 
 
-def _empty_report(enrollment: Enrollment, collection_time: float,
-                  expect_nonempty: bool) -> VerificationReport:
+def _empty_report(enrollment: Enrollment,
+                  collection_time: float) -> VerificationReport:
     """The verdict on a collection that carried no records."""
-    if not expect_nonempty:
-        return VerificationReport(device_id=enrollment.device_id,
-                                  collection_time=collection_time,
-                                  status=DeviceStatus.NO_DATA)
     return VerificationReport(device_id=enrollment.device_id,
                               collection_time=collection_time,
                               status=DeviceStatus.TAMPERED,
@@ -314,8 +311,8 @@ class VerificationCore:
         self.config = config
         self.schedule_tolerance = schedule_tolerance
         self.allowed_missing = allowed_missing
-        self.mac_algorithm = get_mac(config.mac_name)
-        self.crypto_backend = resolve_backend(config.crypto_backend)
+        self.mac_name = get_mac(config.mac_name).name
+        self.crypto_backend = get_backend()
 
     # ------------------------------------------------------------------
     # Request authentication material
@@ -323,8 +320,8 @@ class VerificationCore:
     # statics: ok(dead-public) — ERASMUS+OD verifier half (paper Fig. 4)
     def request_tag(self, key: bytes, request_time: float) -> bytes:
         """``MAC_K(t_req)`` for an authenticated ERASMUS+OD request."""
-        return self.mac_algorithm.mac(key, encode_timestamp(request_time),
-                                      backend=self.crypto_backend)
+        return self.crypto_backend.mac(self.mac_name, key,
+                                       encode_timestamp(request_time))
 
     # ------------------------------------------------------------------
     # Per-measurement checks
@@ -332,9 +329,10 @@ class VerificationCore:
     def verdict(self, enrollment: Enrollment, measurement: Measurement,
                 collection_time: float) -> MeasurementVerdict:
         """Judge one measurement: MAC, known-good digest, plausibility."""
-        authentic = self.mac_algorithm.verify(
-            enrollment.key, measurement.mac_input(), measurement.tag,
-            backend=self.crypto_backend)
+        authentic = constant_time_compare(
+            self.crypto_backend.mac(self.mac_name, enrollment.key,
+                                    measurement.mac_input()),
+            measurement.tag)
         # Whitelist membership over public known-good software states;
         # authenticity is decided by the MAC check above, not by this.
         # statics: ok(constant-time)
@@ -391,9 +389,7 @@ class VerificationCore:
     # ------------------------------------------------------------------
     def verify_measurements(self, enrollment: Enrollment,
                             measurements: Sequence[Measurement],
-                            collection_time: float,
-                            expect_nonempty: bool = True
-                            ) -> VerificationReport:
+                            collection_time: float) -> VerificationReport:
         """Verify one measurement history against the enrollment facts.
 
         The reference oracle :class:`DeviceJudge` reports are tested
@@ -402,7 +398,7 @@ class VerificationCore:
         bookkeeping (report history, newest-seen timestamps).
         """
         if not measurements:
-            return _empty_report(enrollment, collection_time, expect_nonempty)
+            return _empty_report(enrollment, collection_time)
         verdicts = [self.verdict(enrollment, measurement, collection_time)
                     for measurement in measurements]
         report = VerificationReport(device_id=enrollment.device_id,
@@ -480,8 +476,7 @@ class VerificationCore:
         if response.fresh is not None:
             measurements = [response.fresh] + measurements
         report = self.verify_measurements(enrollment, measurements,
-                                          collection_time,
-                                          expect_nonempty=True)
+                                          collection_time)
         if response.fresh is None:
             report.anomalies.append("prover returned no fresh measurement")
             report.status = DeviceStatus.TAMPERED
@@ -502,11 +497,11 @@ class VerificationCore:
         """Precompile the per-device fast verification path.
 
         Binds the MAC construction and the device key into one closure
-        through the resolved crypto backend, so a collection pipeline
+        on the core's crypto provider, so a collection pipeline
         verifying thousands of measurements under the same key skips
-        the per-call registry and backend dispatch that
-        :meth:`verdict` pays.  The reference path stays as the ground
-        truth; both produce identical reports.
+        the per-call name dispatch that :meth:`verdict` pays.  The
+        reference path stays as the ground truth; both produce identical
+        reports.
         """
         return DeviceJudge(self, key)
 
@@ -529,24 +524,12 @@ class DeviceJudge:
         self.core = core
         self.key = key
         backend = core.crypto_backend
-        algorithm = core.mac_algorithm
-        try:
-            self._mac = backend.mac_function(algorithm.name, key)
-        except ValueError:
-            # A MAC registered via register_mac() that the backend has
-            # no native construction for (e.g. a custom/truncated MAC):
-            # fall back to the algorithm's own dispatch, which knows
-            # its reference mac_fn — slower, but every enrolled config
-            # that verifies on the reference path verifies here too.
-            self._mac = lambda data: algorithm.mac(key, data,
-                                                   backend=backend)
+        self._mac = backend.mac_function(core.mac_name, key)
         self._compare = backend.compare_digests
 
     def verify_measurements(self, enrollment: Enrollment,
                             measurements: Sequence[Measurement],
-                            collection_time: float,
-                            expect_nonempty: bool = True
-                            ) -> VerificationReport:
+                            collection_time: float) -> VerificationReport:
         """Drop-in fast equivalent of ``core.verify_measurements``.
 
         Judges the records as one :class:`RecordBatch` (a decoded
@@ -556,7 +539,7 @@ class DeviceJudge:
         flag lists.  The report's verdicts are built only if read.
         """
         if not measurements:
-            return _empty_report(enrollment, collection_time, expect_nonempty)
+            return _empty_report(enrollment, collection_time)
         batch = measurements if type(measurements) is RecordBatch \
             else RecordBatch.from_measurements(measurements)
         mac, compare = self._mac, self._compare

@@ -12,33 +12,27 @@ The implementations are bit-exact against the standard test vectors
 compression-function invocations) so that the hardware cost models in
 :mod:`repro.hw` can convert cryptographic work into device cycles.
 
-Since the pluggable backend registry (:mod:`repro.crypto.backend`),
-the from-scratch code is the ``reference`` provider; an ``accelerated``
-provider backed by the stdlib computes identical values much faster
-and is the default for simulations and sweeps.
+The from-scratch code is the ``reference`` crypto provider; an
+``accelerated`` provider backed by the stdlib computes identical values
+much faster and is the default.  One provider serves the whole process
+(:mod:`repro.crypto.backend`): the ``ERASMUS_CRYPTO_BACKEND``
+environment variable names it, and :func:`use_backend` scopes another
+one in tests.
 """
 
 from repro.crypto.backend import (
     AcceleratedBackend,
     CryptoBackend,
     ReferenceBackend,
-    available_backends,
     default_backend_name,
     get_backend,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.crypto.blake2s import Blake2s, keyed_blake2s
 from repro.crypto.constant_time import constant_time_compare
 from repro.crypto.csprng import HmacDrbg
-from repro.crypto.hmac import Hmac, hmac_digest
-from repro.crypto.mac import (
-    MacAlgorithm,
-    get_mac,
-    register_mac,
-)
+from repro.crypto.hmac import Hmac
+from repro.crypto.mac import MacAlgorithm, get_mac
 from repro.crypto.sha1 import Sha1
 from repro.crypto.sha256 import Sha256, sha256_digest
 
@@ -52,17 +46,11 @@ __all__ = [
     "ReferenceBackend",
     "Sha1",
     "Sha256",
-    "available_backends",
     "constant_time_compare",
     "default_backend_name",
     "get_backend",
     "get_mac",
-    "hmac_digest",
     "keyed_blake2s",
-    "register_backend",
-    "register_mac",
-    "resolve_backend",
-    "set_default_backend",
     "sha256_digest",
     "use_backend",
 ]

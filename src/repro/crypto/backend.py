@@ -1,31 +1,26 @@
-"""Pluggable crypto backend registry.
+"""The two crypto providers and the process-wide choice between them.
 
 The reproduction ships two interchangeable crypto providers:
 
 * ``reference`` — the from-scratch, RFC/FIPS-faithful implementations
   in :mod:`repro.crypto.sha1` / :mod:`repro.crypto.sha256` /
-  :mod:`repro.crypto.blake2s` / :mod:`repro.crypto.hmac`.  These expose
-  compression-function work counts for the hardware cost models and are
-  the ground truth the paper's Table 1 code-size figures refer to.
+  :mod:`repro.crypto.blake2s` / :mod:`repro.crypto.hmac`.  They are the
+  ground truth the paper's constructions are checked against.
 * ``accelerated`` — the CPython stdlib (``hashlib`` / ``hmac``), which
   computes bit-for-bit identical digests one to two orders of magnitude
-  faster.  This is the default for simulations, sweeps and benchmarks,
-  where only the *values* matter, not the modelled cycle counts.
+  faster.  This is the default.
 
-Backend selection, in decreasing precedence:
+The provider is a process-wide choice, in decreasing precedence:
 
-1. a per-call / per-object ``backend=`` argument (a name or a
-   :class:`CryptoBackend` instance) anywhere the crypto API accepts one;
-2. :attr:`repro.core.config.ErasmusConfig.crypto_backend`, threaded
-   through the scheduler, prover and verifier;
-3. a process-wide override installed with :func:`set_default_backend`
-   (or temporarily with :func:`use_backend`);
-4. the ``ERASMUS_CRYPTO_BACKEND`` environment variable;
-5. the built-in default, ``accelerated``.
+1. a scope installed with :func:`use_backend` (tests);
+2. the ``ERASMUS_CRYPTO_BACKEND`` environment variable, falling back to
+   ``accelerated``.
 
-The equivalence suite (``tests/crypto/test_backend.py``) pins the two
+Every object that computes digests or tags (architecture, verification
+core, DRBG) resolves the provider once, when it is built.  The
+equivalence suite (``tests/crypto/test_backend.py``) pins the two
 providers to identical outputs on standard test vectors and randomized
-inputs, so switching backends never changes any schedule, digest, MAC
+inputs, so switching providers never changes any schedule, digest, MAC
 or DRBG stream.
 """
 
@@ -36,14 +31,10 @@ import contextlib
 import hashlib
 import hmac as _stdlib_hmac
 import os
-from typing import Callable, Dict, Iterator, Union
+from typing import Callable, Dict, Iterator
 
 ENV_VAR = "ERASMUS_CRYPTO_BACKEND"
 DEFAULT_BACKEND_NAME = "accelerated"
-
-#: Anything that designates a backend: a registered name, an instance,
-#: or ``None`` meaning "use the resolved default".
-BackendSpec = Union[str, "CryptoBackend", None]
 
 _HMAC_HASHES = ("sha1", "sha256")
 
@@ -52,7 +43,7 @@ class CryptoBackend(abc.ABC):
     """One provider of the hash / HMAC / keyed-BLAKE2s primitives.
 
     Subclasses implement the three primitive families; the generic MAC
-    dispatch (:meth:`mac`, :meth:`supports_mac`) is shared.
+    dispatch (:meth:`mac`, :meth:`mac_function`) is shared.
     """
 
     name: str = "abstract"
@@ -88,13 +79,8 @@ class CryptoBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Generic MAC dispatch (the three constructions of paper Table 1)
     # ------------------------------------------------------------------
-    def supports_mac(self, mac_name: str) -> bool:
-        """True when :meth:`mac` can compute the named MAC natively."""
-        return mac_name.lower() in ("hmac-sha1", "hmac-sha256",
-                                    "keyed-blake2s")
-
     def mac(self, mac_name: str, key: bytes, data: bytes) -> bytes:
-        """Compute a registered MAC construction by name."""
+        """Compute one of the paper's MAC constructions by name."""
         lowered = mac_name.lower()
         if lowered == "hmac-sha1":
             return self.hmac_digest("sha1", key, data)
@@ -113,10 +99,10 @@ class CryptoBackend(abc.ABC):
         (the fleet collection pipeline) resolve the construction and the
         key once instead of per call.
         """
-        if not self.supports_mac(mac_name):
+        lowered = mac_name.lower()
+        if lowered not in ("hmac-sha1", "hmac-sha256", "keyed-blake2s"):
             raise ValueError(f"backend {self.name!r} cannot compute MAC "
                              f"{mac_name!r}")
-        lowered = mac_name.lower()
         return lambda data: self.mac(lowered, key, data)
 
     def compare_digests(self, left: bytes, right: bytes) -> bool:
@@ -218,72 +204,42 @@ class AcceleratedBackend(CryptoBackend):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Selection
 # ----------------------------------------------------------------------
-_BACKENDS: Dict[str, CryptoBackend] = {}
-_default_override: str | None = None
-
-
-def register_backend(backend: CryptoBackend) -> None:
-    """Register a backend instance under its (lower-cased) name."""
-    _BACKENDS[backend.name.lower()] = backend
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends, sorted."""
-    return sorted(_BACKENDS)
+_BACKENDS: Dict[str, CryptoBackend] = {
+    backend.name: backend
+    for backend in (ReferenceBackend(), AcceleratedBackend())}
+_scoped: str | None = None
 
 
 def default_backend_name() -> str:
-    """The name the current default resolves to (override > env > builtin)."""
-    if _default_override is not None:
-        return _default_override
+    """The name the default resolves to (:func:`use_backend` > env > builtin)."""
+    if _scoped is not None:
+        return _scoped
     return os.environ.get(ENV_VAR, DEFAULT_BACKEND_NAME).lower()
 
 
-def set_default_backend(name: str | None) -> None:
-    """Install (or with ``None`` clear) the process-wide default backend."""
-    global _default_override
-    if name is None:
-        _default_override = None
-        return
-    lowered = name.lower()
-    if lowered not in _BACKENDS:
-        known = ", ".join(available_backends())
-        raise ValueError(f"unknown crypto backend {name!r}; known: {known}")
-    _default_override = lowered
-
-
-@contextlib.contextmanager
-# statics: ok(dead-public) — test seam: swaps the default crypto backend
-def use_backend(name: str) -> Iterator[CryptoBackend]:
-    """Temporarily make ``name`` the default backend (for tests/sweeps)."""
-    global _default_override
-    previous = _default_override
-    set_default_backend(name)
-    try:
-        yield _BACKENDS[name.lower()]
-    finally:
-        _default_override = previous
-
-
-def get_backend(name: BackendSpec = None) -> CryptoBackend:
-    """Resolve a backend spec (name / instance / ``None``) to an instance."""
-    if isinstance(name, CryptoBackend):
-        return name
+def get_backend(name: str | None = None) -> CryptoBackend:
+    """The provider called ``name``, or the process default for ``None``."""
     if name is None:
         name = default_backend_name()
     try:
         return _BACKENDS[name.lower()]
     except KeyError as exc:
-        known = ", ".join(available_backends())
+        known = ", ".join(sorted(_BACKENDS))
         raise ValueError(
             f"unknown crypto backend {name!r}; known: {known}") from exc
 
 
-#: Alias that reads better at call sites threading optional specs.
-resolve_backend = get_backend
-
-
-register_backend(ReferenceBackend())
-register_backend(AcceleratedBackend())
+@contextlib.contextmanager
+# statics: ok(dead-public) — test seam: swaps the default crypto backend
+def use_backend(name: str) -> Iterator[CryptoBackend]:
+    """Make ``name`` the default provider for objects built in the scope."""
+    global _scoped
+    provider = get_backend(name)
+    previous = _scoped
+    _scoped = provider.name
+    try:
+        yield provider
+    finally:
+        _scoped = previous

@@ -11,10 +11,11 @@ and analysis code can regenerate identical schedules from the same seed
 (the verifier, knowing K, can reconstruct the expected measurement
 times, while schedule-aware malware without K cannot).
 
-The underlying HMAC is supplied by the pluggable backend registry
-(:mod:`repro.crypto.backend`); the output stream is bit-for-bit
-identical under every backend, so schedules regenerate identically no
-matter which provider computed them.  Hot callers (scheduler sweeps,
+The underlying HMAC is computed by the process's crypto provider
+(:mod:`repro.crypto.backend`), resolved once when the generator is
+built; the output stream is bit-for-bit identical under every
+provider, so schedules regenerate identically no matter which one
+computed them.  Hot callers (scheduler sweeps,
 verifier schedule regeneration) should prefer the batched entry points
 :meth:`HmacDrbg.generate_batch` and :meth:`HmacDrbg.uniform_batch`,
 which amortize per-call overhead while producing exactly the stream
@@ -23,7 +24,7 @@ the equivalent sequence of single calls would.
 
 from __future__ import annotations
 
-from repro.crypto.backend import BackendSpec, resolve_backend
+from repro.crypto.backend import get_backend
 
 #: 2**-53 — one ulp of the 53-bit fraction used by :meth:`HmacDrbg.uniform`.
 _FRACTION_ULP = 2.0 ** -53
@@ -41,20 +42,15 @@ class HmacDrbg:
         Optional personalization string mixed into the initial state.
     hash_name:
         Underlying hash for the internal HMAC ("sha256" by default).
-    backend:
-        Crypto backend (name, instance or ``None`` for the default)
-        that computes the internal HMACs.
     """
 
     def __init__(self, seed: bytes, personalization: bytes = b"",
-                 hash_name: str = "sha256",
-                 backend: BackendSpec = None) -> None:
+                 hash_name: str = "sha256") -> None:
         if not seed:
             raise ValueError("HMAC-DRBG requires a non-empty seed")
-        self._hash_name = hash_name
-        self._backend = resolve_backend(backend)
-        self._hmac = self._backend.hmac_function(hash_name)
-        digest_size = self._backend.digest_size(hash_name)
+        backend = get_backend()
+        self._hmac = backend.hmac_function(hash_name)
+        digest_size = backend.digest_size(hash_name)
         self._key = b"\x00" * digest_size
         self._value = b"\x01" * digest_size
         self.reseed_counter = 1

@@ -2,11 +2,10 @@
 
 HMAC-SHA1 and HMAC-SHA256 are two of the three MAC constructions the
 paper evaluates for ERASMUS measurements.  The streaming :class:`Hmac`
-class is always the *reference* implementation (it exposes the
-compression-function work counts the cost models need); the one-shot
-:func:`hmac_digest` helper dispatches through the pluggable backend
-registry (:mod:`repro.crypto.backend`) and is what hot paths should
-call.  The implementation is generic over any hash class exposing the
+class is the ``reference`` provider's HMAC
+(:class:`repro.crypto.backend.ReferenceBackend`); code that only needs
+a tag calls the process's provider instead.  The implementation is
+generic over any hash class exposing the
 ``update``/``digest``/``block_size`` interface of
 :class:`repro.crypto.sha256.Sha256`.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 from typing import Type
 
-from repro.crypto.backend import BackendSpec, resolve_backend
 from repro.crypto.sha1 import Sha1
 from repro.crypto.sha256 import Sha256
 
@@ -98,10 +96,3 @@ class Hmac:
         """
         return self._inner.compressions
 
-
-def hmac_digest(key: bytes, data: bytes, hash_name: str = "sha256",
-                backend: BackendSpec = None) -> bytes:
-    """One-shot HMAC of ``data`` under ``key`` via the selected backend."""
-    if not isinstance(hash_name, str):
-        return Hmac(key, data, hash_name=hash_name).digest()
-    return resolve_backend(backend).hmac_digest(hash_name, key, data)

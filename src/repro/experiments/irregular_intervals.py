@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.adversary.roving import ScheduleAwareMalware
 from repro.analysis.sweep import ParameterSweep
 from repro.core.scheduler import IrregularScheduler, RegularScheduler
-from repro.crypto.backend import BackendSpec
 
 DEFAULT_DWELL_FRACTIONS: Sequence[float] = (0.4, 0.6, 0.8, 0.95, 1.1, 1.4, 1.6)
 
@@ -30,14 +29,13 @@ def run(measurement_interval: float = 60.0,
         dwell_fractions: Sequence[float] = DEFAULT_DWELL_FRACTIONS,
         lower_fraction: float = 0.5, upper_fraction: float = 1.5,
         trials: int = 2000, key: bytes = b"\x42" * 16,
-        seed: int = 11, max_workers: Optional[int] = None,
-        backend: BackendSpec = None) -> List[Dict[str, object]]:
+        seed: int = 11, max_workers: Optional[int] = None
+        ) -> List[Dict[str, object]]:
     """Sweep the adversary dwell time against both schedules.
 
     Each dwell fraction is evaluated independently (fresh schedulers
     seeded from the same key), so the sweep can run on a thread pool
-    via ``max_workers`` without changing any row.  ``backend`` selects
-    the crypto provider for the schedule CSPRNG.
+    via ``max_workers`` without changing any row.
     """
     lower = lower_fraction * measurement_interval
     upper = upper_fraction * measurement_interval
@@ -48,8 +46,8 @@ def run(measurement_interval: float = 60.0,
         regular_result = malware.simulate(
             RegularScheduler(measurement_interval), trials=trials)
         irregular_result = malware.simulate(
-            IrregularScheduler(key, lower=lower, upper=upper,
-                               backend=backend), trials=trials)
+            IrregularScheduler(key, lower=lower, upper=upper),
+            trials=trials)
         return {
             "dwell_over_tm": fraction,
             "regular_evasion": regular_result.evasion_probability,

@@ -6,7 +6,7 @@ attestation as a many-device service rather than a pairwise exchange:
 
 * :mod:`repro.fleet.profiles` — :class:`DeviceProfile`: one-call
   provisioning of SMART+ / HYDRA devices (key, firmware, schedule,
-  MAC, crypto backend);
+  MAC);
 * :mod:`repro.fleet.transport` — :class:`Transport`, the one seam the
   collection pipeline drives (its awaitable ``exchange_many_async``),
   and its implementations (in-process, simulated packet network, swarm

@@ -2,7 +2,7 @@
 
 A :class:`DeviceProfile` captures everything needed to stamp out one
 class of prover — security architecture, measured-memory size, firmware
-image, MAC choice, measurement schedule and crypto backend — so that a
+image, MAC choice and measurement schedule — so that a
 fleet of thousands of homogeneous devices can be provisioned with a
 single call instead of the historical build-architecture / load-image /
 hash-memory / construct-prover / enroll dance.
@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.arch.base import SecurityArchitecture, hash_for_mac
-from repro.core.config import ErasmusConfig, ScheduleKind
+from repro.arch.base import SecurityArchitecture
+from repro.core.config import ErasmusConfig
 from repro.core.prover import ErasmusProver
-from repro.crypto.mac import get_mac
+from repro.crypto.backend import get_backend
 from repro.hydra import build_hydra_architecture
 from repro.smartplus import build_smartplus_architecture
 
@@ -36,8 +36,8 @@ def derive_device_key(master_secret: bytes, device_id: str,
     """Derive one device's shared key ``K`` from the fleet master secret."""
     if not master_secret:
         raise ValueError("the fleet master secret must be non-empty")
-    return get_mac(mac_name).mac(
-        master_secret, _KEY_DERIVATION_LABEL + device_id.encode())
+    return get_backend().mac(
+        mac_name, master_secret, _KEY_DERIVATION_LABEL + device_id.encode())
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ class DeviceProfile:
         Rolling-buffer region size; ``None`` picks the architecture's
         default.
     config:
-        Deployment parameters (``T_M``, ``T_C``, ``n``, schedule, MAC,
-        crypto backend).  The factory classmethods build sensible
-        ones.
+        Deployment parameters (``T_M``, ``T_C``, ``n``, schedule, MAC).
+        The factory classmethods build sensible ones.
     """
 
     architecture: str = SMARTPLUS
@@ -151,9 +150,8 @@ class DeviceProfile:
             key = derive_device_key(master_secret, device_id,
                                     self.config.mac_name)
         architecture = self.build_architecture(key)
-        healthy_digest = hash_for_mac(
-            self.config.mac_name, architecture.crypto_backend)(
-                architecture.read_measured_memory())
+        healthy_digest = architecture.hash_function(
+            architecture.read_measured_memory())
         prover = ErasmusProver(architecture, self.config,
                                device_id=device_id, scheduling_key=key,
                                critical_task_active=critical_task_active)

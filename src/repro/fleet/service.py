@@ -386,8 +386,7 @@ class FleetVerifier:
             judge = self.core.device_judge(enrollment.key)
             self._judges[device_id] = judge
         return judge.verify_measurements(enrollment, measurements,
-                                         collection_time,
-                                         expect_nonempty=True)
+                                         collection_time)
 
     def _verify_payload(self, device_id: str, payload: Optional[bytes],
                         collection_time: float) -> VerificationReport:
@@ -416,17 +415,25 @@ class FleetVerifier:
         :class:`FleetHealth` ``part``, merged once.  If a write fails
         mid-batch, the batch exit still commits the reports written
         before it, and exactly those count; if that commit fails too,
-        none of the batch counts.
+        none of the batch counts, and the in-memory advances it made are
+        undone so the live state matches the rolled-back store.
         """
         store = self.store
         written = 0
         failure: Optional[BaseException] = None
+        # Each touched device's state before the batch, for the undo.
+        before: Dict[str, tuple] = {}
         try:
             with store.batch() if store is not None else nullcontext():
                 try:
                     for report in reports:
                         if store is not None:
                             store.append_report(report)
+                        device_id = report.device_id
+                        if device_id not in before:
+                            before[device_id] = (
+                                self._enrollments.get(device_id),
+                                self._last_collection_time.get(device_id))
                         self._advance_bookkeeping(report)
                         written += 1
                 except BaseException as exc:
@@ -435,11 +442,22 @@ class FleetVerifier:
         except BaseException as exc:
             if exc is not failure:
                 written = 0  # the batch's own commit failed
+                self._undo_advances(before)
             # The part covers the whole batch: record only what landed.
             self._count_committed(reports[:written], None, done)
             raise
         self._count_committed(reports, part, done)
         return reports
+
+    def _undo_advances(self, before: Mapping[str, tuple]) -> None:
+        """Put back each device's enrollment and collection time."""
+        for device_id, (enrollment, collected) in before.items():
+            if enrollment is not None:
+                self._enrollments[device_id] = enrollment
+            if collected is None:
+                self._last_collection_time.pop(device_id, None)
+            else:
+                self._last_collection_time[device_id] = collected
 
     def _count_committed(self, reports: List[VerificationReport],
                          part: Optional[FleetHealth],
@@ -984,7 +1002,6 @@ class Fleet:
                   store: Optional[StateStore] = None,
                   schedule_tolerance: float = 0.25,
                   allowed_missing: int = 0,
-                  name_prefix: str = "dev",
                   stagger: bool = True,
                   start_time: float = 0.0,
                   transport_options: Optional[Mapping[str, object]] = None,
@@ -1070,7 +1087,7 @@ class Fleet:
         # One store unit for the whole fleet's enrollments.
         with verifier.store.batch():
             for index in range(count):
-                device_id = f"{name_prefix}-{index:04d}"
+                device_id = f"dev-{index:04d}"
                 device = profile.provision(device_id,
                                            master_secret=master_secret)
                 offset = start_time

@@ -38,7 +38,7 @@ import itertools
 import socket
 import struct
 import threading
-from typing import Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Set, Tuple
 
 from repro.core.protocol import (
     CollectRequest,

@@ -27,7 +27,7 @@ shape both figures show.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.crypto.mac import get_mac

@@ -30,8 +30,8 @@ class SwarmDevice:
 
 def build_swarm(count: int, memory_bytes: int = 10 * 1024,
                 mac_name: str = "keyed-blake2s",
-                cost_model: DeviceCostModel | None = None,
-                name_prefix: str = "dev") -> List[SwarmDevice]:
+                cost_model: DeviceCostModel | None = None
+                ) -> List[SwarmDevice]:
     """Build a homogeneous swarm of ``count`` devices.
 
     Compute times come from the device cost model (MSP430-class by
@@ -41,6 +41,6 @@ def build_swarm(count: int, memory_bytes: int = 10 * 1024,
         raise ValueError("a swarm needs at least one device")
     model = cost_model if cost_model is not None else MCUModel()
     compute_time = model.measurement_runtime(memory_bytes, mac_name)
-    return [SwarmDevice(device_id=f"{name_prefix}{index}",
+    return [SwarmDevice(device_id=f"dev{index}",
                         compute_time=compute_time)
             for index in range(count)]

@@ -1,8 +1,12 @@
 """Tests for the ERASMUS configuration object."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import ErasmusConfig, ScheduleKind
+from repro.core.verification import VerificationCore
+from repro.crypto.backend import get_backend, use_backend
 
 
 def test_defaults_are_valid():
@@ -44,8 +48,10 @@ def test_invalid_parameters_rejected():
 
 
 def test_crypto_backend_selection():
-    assert ErasmusConfig().crypto_backend is None
-    assert ErasmusConfig(crypto_backend="reference").crypto_backend == \
-        "reference"
-    with pytest.raises(ValueError):
-        ErasmusConfig(crypto_backend="not-a-backend")
+    """The provider is the process's choice, resolved when an object is built."""
+    fields = {field.name for field in dataclasses.fields(ErasmusConfig)}
+    assert "crypto_backend" not in fields
+    with use_backend("reference"):
+        core = VerificationCore(ErasmusConfig())
+    assert core.crypto_backend is get_backend("reference")
+    assert VerificationCore(ErasmusConfig()).crypto_backend is get_backend()

@@ -12,6 +12,7 @@ from repro.core import (
     ScheduleKind,
     build_scheduler,
 )
+from repro.crypto.backend import use_backend
 
 
 class TestRegularScheduler:
@@ -72,12 +73,12 @@ class TestIrregularScheduler:
         assert all(30.0 <= interval < 90.0 for interval in batched)
 
     def test_backends_regenerate_identical_schedules(self):
-        reference = IrregularScheduler(b"key", 30.0, 90.0,
-                                       device_nonce=b"d1",
-                                       backend="reference")
-        accelerated = IrregularScheduler(b"key", 30.0, 90.0,
-                                         device_nonce=b"d1",
-                                         backend="accelerated")
+        with use_backend("reference"):
+            reference = IrregularScheduler(b"key", 30.0, 90.0,
+                                           device_nonce=b"d1")
+        with use_backend("accelerated"):
+            accelerated = IrregularScheduler(b"key", 30.0, 90.0,
+                                             device_nonce=b"d1")
         assert reference.intervals(20) == accelerated.intervals(20)
 
     def test_invalid_bounds(self):

@@ -39,8 +39,8 @@ def enrollment(key):
 def signed(core, key, timestamp):
     """An authentic, healthy record at an arbitrary float timestamp."""
     unsigned = Measurement(timestamp, DIGEST, b"")
-    tag = core.mac_algorithm.mac(key, unsigned.authenticated_payload(),
-                                 backend=core.crypto_backend)
+    tag = core.crypto_backend.mac(core.mac_name, key,
+                                  unsigned.authenticated_payload())
     return Measurement(timestamp, DIGEST, tag)
 
 

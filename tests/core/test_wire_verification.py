@@ -18,14 +18,18 @@ from repro.core import (
 )
 from repro.core.protocol import ProtocolDecodeError
 from repro.core.verification import Enrollment, VerificationCore
-from repro.crypto.mac import get_mac
 
 KEY = b"wire-verification-key"
 DIGEST = b"\x5a" * 32
 CONFIG = ErasmusConfig(measurement_interval=10.0, collection_interval=60.0,
                        buffer_slots=8, mac_name="keyed-blake2s")
 CORE = VerificationCore(CONFIG)
-MAC = get_mac(CONFIG.mac_name)
+
+
+def mac(data: bytes) -> bytes:
+    return CORE.crypto_backend.mac(CONFIG.mac_name, KEY, data)
+
+
 ENROLLMENT = Enrollment.create("dev-wire", KEY, [DIGEST])
 COLLECTION_TIME = 60.0
 TIMES = (60.0, 50.0, 40.0, 30.0, 20.0, 10.0)
@@ -42,7 +46,7 @@ RECORD_ERRORS = (
 
 
 def signed(timestamp: float, digest: bytes = DIGEST) -> Measurement:
-    tag = MAC.mac(KEY, encode_timestamp(timestamp) + digest)
+    tag = mac(encode_timestamp(timestamp) + digest)
     return Measurement(timestamp=timestamp, digest=digest, tag=tag)
 
 
@@ -151,7 +155,7 @@ def test_both_paths_agree_over_the_full_u64_timestamp_range(
     parts = [struct.pack(">BH", 2, len(timestamps_us))]
     for timestamp_us in timestamps_us:
         header = struct.pack(">Q", timestamp_us)
-        tag = MAC.mac(KEY, header + digest)
+        tag = mac(header + digest)
         body = header + struct.pack(">HH", len(digest), len(tag)) + \
             digest + tag
         parts.append(struct.pack(">H", len(body)) + body)

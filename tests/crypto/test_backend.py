@@ -1,6 +1,6 @@
 """Cross-backend equivalence: reference vs accelerated crypto providers.
 
-The pluggable backend registry promises that the two providers are
+The process-wide provider choice promises that the two providers are
 bit-for-bit interchangeable.  This suite pins both to the standard
 FIPS 180 / RFC 2202 / RFC 4231 / RFC 7693 test vectors, fuzzes them
 against each other on randomized keys and messages for every
@@ -16,14 +16,11 @@ from repro.crypto import backend as backend_mod
 from repro.crypto.backend import (
     AcceleratedBackend,
     ReferenceBackend,
-    available_backends,
     default_backend_name,
     get_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.crypto.csprng import HmacDrbg
-from repro.crypto.hmac import hmac_digest
 from repro.crypto.mac import get_mac
 
 REFERENCE = get_backend("reference")
@@ -68,8 +65,7 @@ def test_mac_vectors(provider, mac_name, key, message, expected):
 
 @pytest.mark.parametrize("provider", BACKENDS, ids=lambda b: b.name)
 def test_hmac_digest_helper_matches_backend(provider):
-    tag = hmac_digest(b"\x0b" * 20, b"Hi There", hash_name="sha1",
-                      backend=provider)
+    tag = provider.hmac_digest("sha1", b"\x0b" * 20, b"Hi There")
     assert tag.hex() == "b617318655057264e28bc0b6fb378c8ef146be00"
 
 
@@ -92,12 +88,12 @@ def test_mac_fuzz_equivalence(name):
     max_key_len = 32 if "blake2s" in name else 96
     for key, message in _fuzz_cases(seed=name, count=40,
                                     max_key_len=max_key_len):
-        reference_tag = algorithm.mac(key, message, backend="reference")
-        accelerated_tag = algorithm.mac(key, message, backend="accelerated")
+        reference_tag = REFERENCE.mac(name, key, message)
+        accelerated_tag = ACCELERATED.mac(name, key, message)
         assert reference_tag == accelerated_tag
         assert len(reference_tag) == algorithm.digest_size
-        assert algorithm.verify(key, message, accelerated_tag,
-                                backend="reference")
+        assert REFERENCE.mac_function(name, key)(message) == \
+            ACCELERATED.mac_function(name, key)(message)
 
 
 @pytest.mark.parametrize("hash_name", ["sha1", "sha256", "blake2s"])
@@ -112,10 +108,12 @@ def test_hash_fuzz_equivalence(hash_name):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("hash_name", ["sha1", "sha256"])
 def test_drbg_streams_identical_across_backends(hash_name):
-    reference = HmacDrbg(b"equiv-seed", personalization=b"p",
-                         hash_name=hash_name, backend="reference")
-    accelerated = HmacDrbg(b"equiv-seed", personalization=b"p",
-                           hash_name=hash_name, backend="accelerated")
+    with use_backend("reference"):
+        reference = HmacDrbg(b"equiv-seed", personalization=b"p",
+                             hash_name=hash_name)
+    with use_backend("accelerated"):
+        accelerated = HmacDrbg(b"equiv-seed", personalization=b"p",
+                               hash_name=hash_name)
     for length in (1, 16, 33, 64):
         assert reference.generate(length) == accelerated.generate(length)
     assert reference.uniform(10.0, 20.0) == accelerated.uniform(10.0, 20.0)
@@ -126,23 +124,24 @@ def test_drbg_streams_identical_across_backends(hash_name):
 
 @pytest.mark.parametrize("provider", BACKENDS, ids=lambda b: b.name)
 def test_hash_names_are_case_insensitive(provider):
-    assert HmacDrbg(b"s", hash_name="SHA256",
-                    backend=provider).generate(8) == \
-        HmacDrbg(b"s", hash_name="sha256", backend=provider).generate(8)
+    with use_backend(provider.name):
+        assert HmacDrbg(b"s", hash_name="SHA256").generate(8) == \
+            HmacDrbg(b"s", hash_name="sha256").generate(8)
     assert provider.hash_digest("SHA1", b"abc") == \
         provider.hash_digest("sha1", b"abc")
 
 
 # ----------------------------------------------------------------------
-# Registry and selection semantics
+# Selection semantics
 # ----------------------------------------------------------------------
 def test_both_providers_registered():
-    assert {"reference", "accelerated"} <= set(available_backends())
+    assert REFERENCE.name == "reference"
+    assert ACCELERATED.name == "accelerated"
 
 
-def test_get_backend_accepts_instances_and_names():
-    assert get_backend(REFERENCE) is REFERENCE
+def test_get_backend_resolves_names():
     assert get_backend("Accelerated") is ACCELERATED
+    assert get_backend("REFERENCE") is REFERENCE
     assert isinstance(get_backend("reference"), ReferenceBackend)
     assert isinstance(get_backend("accelerated"), AcceleratedBackend)
 
@@ -151,30 +150,28 @@ def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown crypto backend"):
         get_backend("openssl3")
     with pytest.raises(ValueError, match="unknown crypto backend"):
-        set_default_backend("openssl3")
+        with use_backend("openssl3"):
+            pass
 
 
 def test_builtin_default_is_accelerated(monkeypatch):
     monkeypatch.delenv(backend_mod.ENV_VAR, raising=False)
-    monkeypatch.setattr(backend_mod, "_default_override", None)
+    monkeypatch.setattr(backend_mod, "_scoped", None)
     assert default_backend_name() == "accelerated"
     assert get_backend() is ACCELERATED
 
 
 def test_env_var_selects_default(monkeypatch):
-    monkeypatch.setattr(backend_mod, "_default_override", None)
+    monkeypatch.setattr(backend_mod, "_scoped", None)
     monkeypatch.setenv(backend_mod.ENV_VAR, "REFERENCE")
     assert default_backend_name() == "reference"
     assert get_backend() is REFERENCE
 
 
-def test_set_default_backend_overrides_env(monkeypatch):
+def test_use_backend_overrides_env(monkeypatch):
     monkeypatch.setenv(backend_mod.ENV_VAR, "accelerated")
-    set_default_backend("reference")
-    try:
+    with use_backend("reference"):
         assert get_backend() is REFERENCE
-    finally:
-        set_default_backend(None)
     assert get_backend() is ACCELERATED
 
 
@@ -206,10 +203,11 @@ def test_measurement_identical_across_backends(key, firmware):
 
     outputs = {}
     for name in ("reference", "accelerated"):
-        architecture = build_smartplus_architecture(
-            key, mac_name="keyed-blake2s", application_size=512)
+        with use_backend(name):
+            architecture = build_smartplus_architecture(
+                key, mac_name="keyed-blake2s", application_size=512)
+        assert architecture.crypto_backend is get_backend(name)
         architecture.load_application(firmware)
-        architecture.use_crypto_backend(name)
         output = architecture.perform_measurement()
         outputs[name] = (output.digest, output.tag)
     assert outputs["reference"] == outputs["accelerated"]

@@ -134,33 +134,6 @@ def test_fast_path_judges_garbage_and_silence_like_reference():
         assert report_key(slow) == report_key(fast)
 
 
-def test_device_judge_falls_back_for_custom_registered_macs():
-    """A MAC only the registry knows must not break the fast path."""
-    import hashlib
-
-    from repro.arch.base import encode_timestamp
-    from repro.core import ErasmusConfig, Measurement
-    from repro.core.verification import Enrollment, VerificationCore
-    from repro.crypto.mac import MacAlgorithm, register_mac
-
-    def trunc_mac(key: bytes, data: bytes) -> bytes:
-        return hashlib.blake2s(data, key=key, digest_size=8).digest()
-
-    register_mac(MacAlgorithm("test-trunc-blake8", 64, 8, trunc_mac,
-                              extra_blocks=1))
-    core = VerificationCore(ErasmusConfig(mac_name="test-trunc-blake8"))
-    key, digest = b"judge-key", b"\x07" * 32
-    measurement = Measurement(
-        5.0, digest, trunc_mac(key, encode_timestamp(5.0) + digest))
-    enrollment = Enrollment.create("custom", key, [digest])
-    reference = core.verify_measurements(enrollment, [measurement], 6.0)
-    fast = core.device_judge(key).verify_measurements(
-        enrollment, [measurement], 6.0)
-    assert reference.status is DeviceStatus.HEALTHY
-    assert fast.status is DeviceStatus.HEALTHY
-    assert reference.verdicts == fast.verdicts
-
-
 def test_collect_all_async_is_awaitable():
     fleet = provision_fleet(8)
 

@@ -15,9 +15,8 @@ FIRMWARE = b"profile-test-firmware" + bytes(64)
 def current_digest(device) -> bytes:
     """Digest of the device's currently loaded measured memory."""
     architecture = device.architecture
-    return hash_for_mac(device.profile.config.mac_name,
-                        architecture.crypto_backend)(
-                            architecture.read_measured_memory())
+    return hash_for_mac(device.profile.config.mac_name)(
+        architecture.read_measured_memory())
 
 
 def smart_profile(**overrides) -> DeviceProfile:

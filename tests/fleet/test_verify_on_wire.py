@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import DeviceStatus, Measurement, MeasurementVerdict
 from repro.core.protocol import ProtocolDecodeError, decode_response
-from repro.crypto import resolve_backend
+from repro.crypto import get_backend
 from repro.fleet import Fleet, service
 from tests.fleet.helpers import oracle_report, small_profile
 
@@ -57,7 +57,7 @@ def test_fleet_round_never_re_encodes_a_mac_input(monkeypatch):
     macced = []
     payloads = []
     rebuild = Measurement.authenticated_payload
-    backend_type = type(resolve_backend(None))
+    backend_type = type(get_backend())
     mac_function = backend_type.mac_function
     decode = service.decode_response
 

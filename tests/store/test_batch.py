@@ -219,3 +219,28 @@ def test_failed_batch_commit_counts_none_of_the_batch(tmp_path, opened,
     restored = FleetVerifier.restore(small_profile(FIRMWARE).config,
                                      opened(SqliteStore(path)))
     assert restored.health.to_row() == fleet.health.to_row()
+
+
+def test_failed_batch_commit_rolls_back_the_live_bookkeeping(tmp_path,
+                                                              opened):
+    """After a round whose batch commit failed, the live verifier holds
+    the same last-seen, collection times and health as one restored
+    from the file."""
+    path = tmp_path / "state.sqlite"
+    store = opened(SqliteStore(path))
+    fleet = opened(provision(store, count=4))
+    fleet.run_until(600.0)
+    fleet.collect_all()
+    fleet.run_until(1200.0)
+    store._conn = failing = _FailingCommits(store._conn)
+    failing.armed = True
+    with pytest.raises(sqlite3.OperationalError):
+        fleet.collect_all()
+    live = fleet.verifier
+    restored = FleetVerifier.restore(small_profile(FIRMWARE).config,
+                                     opened(SqliteStore(path)))
+    for device_id in fleet.device_ids():
+        assert live.last_seen(device_id) == restored.last_seen(device_id)
+        assert live._last_collection_time.get(device_id) == \
+            restored._last_collection_time.get(device_id) == 600.0
+    assert live.health.to_row() == restored.health.to_row()

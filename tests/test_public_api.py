@@ -16,8 +16,10 @@ MODULES = sorted(
     if info.name.rsplit(".", 1)[-1] != "__main__")
 
 #: Names deleted with the legacy single-device verifiers, the
-#: push/windowed observability surface, and the definitions only tests
-#: called (the ``dead-public`` rule); no package may export them.
+#: push/windowed observability surface, the definitions only tests
+#: called (the ``dead-public`` rule) and the per-call, per-object and
+#: registry ways of choosing a crypto provider; no package may export
+#: them.
 DELETED = {
     "BaseVerifier", "DEFAULT_RECENT_WINDOW", "ErasmusVerifier",
     "OnDemandProver", "OnDemandVerifier", "RemoteWriteExporter",
@@ -25,6 +27,8 @@ DELETED = {
     "MacDescriptor", "PeriodicTimer", "TimerExpiration", "available_macs",
     "blake2s_digest", "collection_freshness", "detection_curve",
     "load_trace", "render_rollup_html", "rollup_summaries", "sha1_digest",
+    "available_backends", "register_backend", "resolve_backend",
+    "set_default_backend", "hmac_digest", "register_mac",
 }
 
 
