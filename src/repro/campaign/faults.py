@@ -163,9 +163,9 @@ class CrashOnceStore(StateStore):
         self.inner.append_report(report)
         self.reports_appended += 1
 
-    def checkpoint(self, health, last_collection_times,
+    def checkpoint(self, enrollments, health, last_collection_times,
                    rounds_completed: int = 0) -> None:
-        self.inner.checkpoint(health, last_collection_times,
+        self.inner.checkpoint(enrollments, health, last_collection_times,
                               rounds_completed=rounds_completed)
 
     def batch(self):
@@ -177,14 +177,8 @@ class CrashOnceStore(StateStore):
     def restore_state(self):
         return self.inner.restore_state()
 
-    def device_history(self, device_id: str, limit: Optional[int] = None):
-        return self.inner.device_history(device_id, limit=limit)
-
     def state_rows(self):
         return self.inner.state_rows()
-
-    def flush(self) -> None:
-        self.inner.flush()
 
     def close(self) -> None:
         self.inner.close()

@@ -67,7 +67,6 @@ from repro.fleet.sinks import (
     ReportSink,
     RoundStats,
     SinkFanout,
-    report_to_row,
 )
 from repro.fleet.transport import (
     InProcessTransport,
@@ -106,6 +105,5 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "derive_device_key",
-    "report_to_row",
     "serve_request",
 ]

@@ -115,12 +115,13 @@ class FleetVerifier:
     report is streamed to, in each round's device order.
 
     ``store`` selects the :class:`repro.store.StateStore` backend the
-    verifier's state is committed through — every enrollment change is
-    written through, every finished report is journaled, and the
-    aggregate :class:`FleetHealth` is checkpointed at the end of each
-    collection round.  A round commits each shard batch's reports and
-    ``last_seen`` advances as one :meth:`StateStore.batch`, before any
-    of them reaches a sink.  The default :class:`repro.store.
+    verifier's state is committed through — every enrollment and
+    re-enrollment is journaled, every finished report is journaled
+    (its row carries the ``last_seen`` advance it causes), and the
+    enrollments and aggregate :class:`FleetHealth` are checkpointed at
+    the end of each collection round.  A round commits each shard
+    batch's report rows as one :meth:`StateStore.batch`, before any of
+    them reaches a sink.  The default :class:`repro.store.
     MemoryStore` keeps the historical in-process behaviour; pass a
     :class:`repro.store.JsonlStore` or :class:`repro.store.SqliteStore`
     to make the deployment restartable via :meth:`restore`.
@@ -242,12 +243,8 @@ class FleetVerifier:
         :meth:`enroll_device` guards against accidental re-enrollment.
         """
         self._last_collection_time.pop(device_id, None)
-        self._set_enrollment(Enrollment.create(device_id, key,
-                                               healthy_digests))
-
-    def _set_enrollment(self, enrollment: Enrollment) -> None:
-        """Install an enrollment and write it through to the store."""
-        previous = self._enrollments.get(enrollment.device_id)
+        enrollment = Enrollment.create(device_id, key, healthy_digests)
+        previous = self._enrollments.get(device_id)
         key_changed = previous is not None and not \
             self.core.crypto_backend.compare_digests(previous.key,
                                                      enrollment.key)
@@ -257,7 +254,7 @@ class FleetVerifier:
                 # statics: ok(constant-time)
                 or previous.healthy_digests != enrollment.healthy_digests):
             self._enrollment_epoch += 1
-        self._enrollments[enrollment.device_id] = enrollment
+        self._enrollments[device_id] = enrollment
         if self.store is not None:
             self.store.save_enrollment(enrollment)
 
@@ -403,10 +400,12 @@ class FleetVerifier:
                       ) -> List[VerificationReport]:
         """Journal and advance the batch as one store unit, then count it.
 
-        Every report is journaled *before* its enrollment advance, and
-        both go in one :meth:`StateStore.batch`, so the store's write-ahead
-        invariant holds: a report row and its ``last_seen`` advance
-        become durable together, never an advance without its report.
+        Every report is journaled *before* its in-memory advance, inside
+        one :meth:`StateStore.batch`.  The report row is the durable
+        record of the advance: it carries the collection time and the
+        newest timestamp that replay advances ``last_seen`` to, so the
+        batch writes report rows and nothing else, and the store never
+        holds an advance without its report.
         Only once the batch's exit has returned are the reports
         aggregated, observed and appended to ``done``; sinks are fed by
         the caller after that (a round emits in device order).
@@ -475,18 +474,20 @@ class FleetVerifier:
             done.extend(reports)
 
     def _advance_bookkeeping(self, report: VerificationReport) -> None:
-        """Record the collection time and newest-seen timestamp.
+        """Record the collection time and newest-seen timestamp in memory.
 
         Only collections that actually carried measurements advance the
         per-device state — an empty or unanswered round proves nothing
-        about which records already reached the verifier.
+        about which records already reached the verifier.  Nothing is
+        written to the store: the journaled report row already carries
+        the advance, and restore replays it from there.
         """
         if not report.measurement_count:
             return
         enrollment = self._enrollments[report.device_id]
         advanced = self.core.advance_last_seen(report, enrollment.last_seen)
         if advanced is not None:
-            self._set_enrollment(enrollment.advanced(advanced))
+            self._enrollments[report.device_id] = enrollment.advanced(advanced)
         self._last_collection_time[report.device_id] = report.collection_time
 
     def apply_worker_batch(self, report_rows: Iterable[Mapping[str, object]],
@@ -517,7 +518,8 @@ class FleetVerifier:
         snapshots, so it is safe to call at any time.
         """
         if self.store is not None:
-            self.store.checkpoint(self.health, self._last_collection_time,
+            self.store.checkpoint(self._enrollments, self.health,
+                                  self._last_collection_time,
                                   rounds_completed=self.rounds_completed)
 
     def close(self) -> None:

@@ -185,17 +185,6 @@ class MemorySink(ReportSink):
         self.reports.append(report)
 
 
-def report_to_row(report: VerificationReport) -> Dict[str, object]:
-    """Flatten a report into the JSON-friendly row the JSONL sink writes.
-
-    This is the same canonical row
-    :meth:`repro.core.verification.VerificationReport.to_row` produces
-    (and :meth:`~repro.core.verification.VerificationReport.from_row`
-    reverses) — the :mod:`repro.store` journals persist identical rows.
-    """
-    return report.to_row()
-
-
 # perfbench writes its reports through this sink and times its emit.
 # statics: ok(dead-public) — read by perfbench, outside the scanned roots
 class JsonlSink(ReportSink):
@@ -227,7 +216,7 @@ class JsonlSink(ReportSink):
                 "its sinks); attach a fresh sink before collecting again")
         # json.dumps takes the C encoder; json.dump's pure-Python
         # iterencode left cyclic garbage behind on every report.
-        self._stream.write(json.dumps(report_to_row(report),
+        self._stream.write(json.dumps(report.to_row(),
                                       sort_keys=True) + "\n")
         self.lines_written += 1
         if self.flush_every is not None and \

@@ -50,12 +50,6 @@ class ReliableClock:
                 "RROC cannot move backwards (attempted rewind)")
         self._cycles = target
 
-    def advance(self, delta_seconds: float) -> None:
-        """Advance the counter by a positive number of seconds."""
-        if delta_seconds < 0:
-            raise ClockTamperError("RROC cannot move backwards")
-        self._cycles += int(round(delta_seconds * self.frequency_hz))
-
     def write(self, _value: int) -> None:
         """Model of a software write to the counter: always rejected."""
         raise ClockTamperError(

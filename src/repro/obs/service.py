@@ -77,10 +77,10 @@ class ObservedStore(StateStore):
     def append_report(self, report) -> None:
         self._timed("append_report", self.inner.append_report, report)
 
-    def checkpoint(self, health, last_collection_times,
+    def checkpoint(self, enrollments, health, last_collection_times,
                    rounds_completed: int = 0) -> None:
-        self._timed("checkpoint", self.inner.checkpoint, health,
-                    last_collection_times,
+        self._timed("checkpoint", self.inner.checkpoint, enrollments,
+                    health, last_collection_times,
                     rounds_completed=rounds_completed)
 
     def batch(self):
@@ -92,14 +92,8 @@ class ObservedStore(StateStore):
     def restore_state(self):
         return self._timed("restore_state", self.inner.restore_state)
 
-    def device_history(self, device_id: str, limit: Optional[int] = None):
-        return self.inner.device_history(device_id, limit=limit)
-
     def state_rows(self):
         return self.inner.state_rows()
-
-    def flush(self) -> None:
-        self.inner.flush()
 
     def close(self) -> None:
         self.inner.close()

@@ -30,7 +30,7 @@ from repro.statics.engine import (
 
 STORE_METHODS = {
     "save_enrollment", "append_report", "checkpoint", "restore_state",
-    "has_enrollment", "device_history", "state_rows", "flush",
+    "has_enrollment", "state_rows",
 }
 _BLOCKING_SOCKET_OPS = {
     "recv", "recv_bytes", "recv_into", "recvfrom", "send", "send_bytes",

@@ -6,14 +6,18 @@ digests, newest-seen timestamp) and its aggregate
 :class:`~repro.fleet.FleetHealth` *are* the security state.  This
 package makes that state durable behind one pluggable contract:
 
-* :class:`StateStore` — save enrollments, journal verification
-  reports, checkpoint the fleet aggregate, restore after a restart;
-* :class:`MemoryStore` — process-local dicts (the zero-overhead
-  default; behaviour identical to the pre-store verifier);
+* :class:`StateStore` — journal enrollments and verification
+  reports, checkpoint the verifier's state, restore after a restart.
+  Every backend keeps a canonical snapshot plus one ordered journal
+  of ``enrollment`` and ``report`` records, and every backend restores
+  through the same replay; ``last_seen`` advances ride on the report
+  rows, so a round writes no enrollment;
+* :class:`MemoryStore` — the snapshot and journal in process memory
+  (the zero-overhead default);
 * :class:`JsonlStore` — atomic snapshot file plus write-ahead JSONL
   journal, crash-safe via ``os.replace``;
-* :class:`SqliteStore` — single-file database with indexed per-device
-  report history.
+* :class:`SqliteStore` — single-file database: a ``journal`` table
+  and the snapshot in a ``meta`` table.
 
 Resume a deployment with::
 
@@ -30,7 +34,6 @@ from repro.store.base import (
     SNAPSHOT_VERSION,
     StateStore,
     StoreError,
-    apply_report_row,
     encode_snapshot,
     snapshot_document,
     state_from_snapshot,
@@ -47,7 +50,6 @@ __all__ = [
     "SqliteStore",
     "StateStore",
     "StoreError",
-    "apply_report_row",
     "encode_snapshot",
     "snapshot_document",
     "state_from_snapshot",

@@ -1,32 +1,40 @@
-"""The durable-verifier-state contract: snapshots plus a report journal.
+"""The durable-verifier-state contract: a snapshot plus one journal.
 
 For a long-lived unattended deployment the verifier's record of each
 device — enrollment key, healthy digests, newest-seen timestamp — *is*
 the security state: lose it and a rebooted verifier cannot be told
 apart from a rolled-back one.  A :class:`StateStore` is the seam that
-makes that state durable without the verifier caring how:
+makes that state durable without the verifier caring how.  Every
+backend keeps the same two things on a different medium: a canonical
+snapshot and one ordered journal of ``enrollment`` and ``report``
+records.
 
-* :meth:`StateStore.save_enrollment` — write-through for every
-  enrollment change (new device, digest whitelist, last-seen advance);
-* :meth:`StateStore.append_report` — a write-ahead journal of finished
-  :class:`~repro.core.verification.VerificationReport` rows;
-* :meth:`StateStore.checkpoint` — fold everything accepted so far into
-  one canonical snapshot (enrollments, :class:`FleetHealth` aggregate,
-  last collection times, journal position);
-* :meth:`StateStore.restore_state` — snapshot plus journal tail
-  replayed into a :class:`RestoredState`, from which
+* :meth:`StateStore.save_enrollment` — journal an enrollment or a
+  re-enrollment (new device, new key or digest whitelist);
+* :meth:`StateStore.append_report` — journal one finished
+  :class:`~repro.core.verification.VerificationReport` row.  The row
+  carries the report's newest timestamp, so it is also the durable
+  record of the ``last_seen`` advance it caused;
+* :meth:`StateStore.checkpoint` — fold the verifier's enrollments,
+  :class:`FleetHealth` aggregate and last collection times into one
+  canonical snapshot that records its journal position;
+* :meth:`StateStore.restore_state` — parse the snapshot, then replay
+  the journal records after its position, in order, through
+  :func:`replay_record` into a :class:`RestoredState`, from which
   :meth:`repro.fleet.FleetVerifier.restore` resumes a deployment.
 
-What is durable when: outside a :meth:`StateStore.batch`, a write is
+What is durable when: outside a :meth:`StateStore.batch`, a record is
 durable (on the backend's medium) when its call returns.  Inside one,
-the batch's writes become durable together when the outermost batch
+the batch's records become durable together when the outermost batch
 exits, whether it exits normally or by an exception.  The verifier
-commits each shard batch of a round as one such unit, and hands a
-report to its sinks only after that unit's exit has returned.
+commits each shard batch of a round — its report rows, nothing else —
+as one such unit, and hands a report to its sinks only after that
+unit's exit has returned.  A round ends with one checkpoint.
 
-The snapshot document is canonical: enrollments sorted by device id,
-digest sets sorted, JSON emitted with sorted keys.  Checkpointing the
-same logical state therefore always produces the same bytes
+The snapshot document is canonical: enrollments in the verifier's
+enrollment order, digest sets sorted, collection times sorted by
+device id, JSON emitted with sorted keys.  Checkpointing the same
+ordered state therefore always produces the same bytes
 (:meth:`StateStore.state_bytes`), which is what the kill-and-restore
 tests assert.
 """
@@ -37,12 +45,16 @@ import abc
 import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.core.verification import Enrollment, VerificationReport
 
 #: Version tag written into every snapshot document.
 SNAPSHOT_VERSION = 1
+
+#: The two journal record kinds.
+ENROLLMENT = "enrollment"
+REPORT = "report"
 
 Row = Dict[str, object]
 
@@ -84,8 +96,8 @@ def snapshot_document(enrollments: Mapping[str, Enrollment],
         "version": SNAPSHOT_VERSION,
         "journal_seq": journal_seq,
         "rounds_completed": rounds_completed,
-        "enrollments": [enrollment.to_row() for _, enrollment
-                        in sorted(enrollments.items())],
+        "enrollments": [enrollment.to_row()
+                        for enrollment in enrollments.values()],
         "health": None if health is None else health.to_row(),
         "last_collection_times": dict(sorted(
             last_collection_times.items())),
@@ -124,58 +136,40 @@ def state_from_snapshot(document: Optional[Mapping[str, object]]
     return state, int(document.get("journal_seq", 0))
 
 
-def apply_report_row(row: Mapping[str, object], state: RestoredState,
-                     advance: bool = True) -> None:
-    """Replay one journaled report row into a restored state.
+def replay_record(state: RestoredState, kind: str,
+                  row: Mapping[str, object]) -> None:
+    """Fold one journal record into a restored state, in journal order.
 
-    Mirrors exactly what ``FleetVerifier._commit`` did when the report
-    was first accepted: fold it into the health aggregate and, when it
-    carried measurements, advance the device's last-seen timestamp and
-    last collection time.
+    Mirrors what the live verifier did when it wrote the record:
 
-    ``advance=False`` skips the last-seen advance; backends that keep
-    enrollments as an unsequenced live table (SQLite, memory) pass it
-    for reports older than the device's newest enrollment write, so a
-    deliberate re-enrollment reset is never resurrected by replay.
+    * an ``enrollment`` record installs the enrollment; one without a
+      ``last_seen`` (a first enrollment or a deliberate re-enrollment
+      reset) also drops the device's collection time, which belonged
+      to the unit it replaced;
+    * a ``report`` record folds into the health aggregate and, when it
+      carried measurements, sets the device's collection time and
+      advances its ``last_seen`` — the report row is the durable
+      record of that advance.
     """
-    report = VerificationReport.from_row(row)
-    state.health.record(report)
-    if report.measurement_count:
-        state.last_collection_times[report.device_id] = \
-            report.collection_time
-        newest = report.newest_timestamp
-        enrollment = state.enrollments.get(report.device_id)
-        if advance and newest is not None and enrollment is not None:
-            state.enrollments[report.device_id] = \
-                enrollment.advanced(newest)
-    state.replayed_reports += 1
-
-
-def _check_limit(limit: Optional[int]) -> None:
-    """Reject a negative ``device_history`` limit on every backend."""
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-
-
-def _drop_reset_collection_times(state: RestoredState,
-                                 enrollment_seq: Mapping[str, int],
-                                 last_report_seq: Mapping[str, int]) -> None:
-    """Clear collection times voided by a re-enrollment reset.
-
-    For backends whose enrollments live in an unsequenced table (SQLite,
-    memory): a device whose newest enrollment write carries no
-    ``last_seen`` and postdates every replayed report was deliberately
-    reset — its last collection time belongs to the decommissioned unit
-    and must not survive the restore (the live verifier popped it too).
-    ``last_report_seq`` must only count reports that carried
-    measurements, mirroring which reports actually set a collection
-    time in :func:`apply_report_row`.
-    """
-    for device_id, seq in enrollment_seq.items():
-        enrollment = state.enrollments.get(device_id)
-        if enrollment is not None and enrollment.last_seen is None \
-                and seq >= last_report_seq.get(device_id, 0):
-            state.last_collection_times.pop(device_id, None)
+    if kind == ENROLLMENT:
+        enrollment = Enrollment.from_row(row)
+        state.enrollments[enrollment.device_id] = enrollment
+        if enrollment.last_seen is None:
+            state.last_collection_times.pop(enrollment.device_id, None)
+    elif kind == REPORT:
+        report = VerificationReport.from_row(row)
+        state.health.record(report)
+        if report.measurement_count:
+            state.last_collection_times[report.device_id] = \
+                report.collection_time
+            newest = report.newest_timestamp
+            enrollment = state.enrollments.get(report.device_id)
+            if newest is not None and enrollment is not None:
+                state.enrollments[report.device_id] = \
+                    enrollment.advanced(newest)
+        state.replayed_reports += 1
+    else:
+        raise StoreError(f"unknown journal record kind {kind!r}")
 
 
 class StateStore(abc.ABC):
@@ -186,17 +180,22 @@ class StateStore(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def save_enrollment(self, enrollment: Enrollment) -> None:
-        """Upsert one enrollment record (key, digests, last-seen)."""
+        """Journal one enrollment record (key, digests, last-seen)."""
 
     @abc.abstractmethod
     def append_report(self, report: VerificationReport) -> None:
         """Journal one finished verification report."""
 
     @abc.abstractmethod
-    def checkpoint(self, health: Any,
+    def checkpoint(self, enrollments: Mapping[str, Enrollment],
+                   health: Any,
                    last_collection_times: Mapping[str, float],
                    rounds_completed: int = 0) -> None:
-        """Fold all state accepted so far into one durable snapshot."""
+        """Fold the caller's state into one durable snapshot.
+
+        The snapshot covers every record journaled so far; restore
+        replays only the records after it.
+        """
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
@@ -223,25 +222,12 @@ class StateStore(abc.ABC):
         verifier attached to a non-empty durable store must not let a
         careless re-provision silently overwrite persisted enrollments
         (and with them the rollback-detecting ``last_seen`` state).
+        Every backend answers from memory, without reading its medium.
         """
 
     @abc.abstractmethod
     def restore_state(self) -> RestoredState:
         """Snapshot plus journal tail, replayed into a resumable state."""
-
-    @abc.abstractmethod
-    def device_history(self, device_id: str,
-                       limit: Optional[int] = None) -> List[Row]:
-        """Retained report rows for one device, oldest first.
-
-        ``limit`` keeps only the newest ``limit`` rows (``0`` keeps
-        none; a negative limit raises :class:`ValueError`).  How much
-        history is retained is backend-defined: :class:`SqliteStore`
-        keeps everything (indexed), :class:`MemoryStore` keeps a
-        bounded in-RAM window (``max_reports``, 10,000 by default),
-        :class:`JsonlStore` keeps only the journal tail since the last
-        checkpoint.
-        """
 
     @abc.abstractmethod
     def state_rows(self) -> Optional[Row]:
@@ -255,9 +241,6 @@ class StateStore(abc.ABC):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Push buffered writes to the backing medium (default: no-op)."""
-
     def close(self) -> None:
         """Flush and release any resources (default: nothing to do)."""
 

@@ -6,16 +6,17 @@ under one directory:
 * ``snapshot.json`` — the canonical checkpoint document, replaced
   atomically (write temp file, fsync, ``os.replace``) so a crash can
   never leave a half-written snapshot;
-* ``journal.jsonl`` — one JSON line per state change since the last
-  checkpoint: every enrollment upsert and every finished report, each
+* ``journal.jsonl`` — one JSON line per record since the last
+  checkpoint: every enrollment and every finished report, each
   stamped with a monotonically increasing sequence number.
 
-Outside a :meth:`JsonlStore.batch`, a record reaches the OS when its
-flush is due (``flush_every``).  Inside one, the batch's records are
-flushed together when the outermost batch exits.
+Outside a :meth:`JsonlStore.batch`, each record is flushed to the OS
+as it is appended.  Inside one, the batch's records are flushed
+together when the outermost batch exits.
 
 Recovery loads the snapshot, then replays journal records with a
-sequence number beyond the snapshot's; a torn final line (crash mid-
+sequence number beyond the snapshot's through the shared
+:func:`~repro.store.base.replay_record`; a torn final line (crash mid-
 append) is tolerated and simply ends the replay.  Checkpointing folds
 the journal into a fresh snapshot and truncates it, bounding both
 recovery time and disk growth.
@@ -27,57 +28,47 @@ import contextlib
 import json
 import os
 from pathlib import Path
-from typing import (IO, Any, Dict, Iterator, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import IO, Any, Iterator, List, Mapping, Optional, Set, Tuple, \
+    Union
 
 from repro.core.verification import Enrollment, VerificationReport
 from repro.store.base import (
+    ENROLLMENT,
+    REPORT,
     RestoredState,
     Row,
     StateStore,
     StoreError,
-    _check_limit,
-    apply_report_row,
     encode_snapshot,
+    replay_record,
     snapshot_document,
     state_from_snapshot,
 )
-
-_KIND_ENROLLMENT = "enrollment"
-_KIND_REPORT = "report"
 
 
 class JsonlStore(StateStore):
     """Snapshot + journal persistence in a directory of JSON files.
 
-    ``flush_every`` bounds data loss: the journal stream is flushed to
-    the OS after every ``flush_every`` appended records (default 1 —
-    flush each record).  Inside a :meth:`batch` the stream is flushed
-    once, when the outermost batch exits, however many records the
-    batch appended.
+    Each record is flushed to the OS as it is appended; inside a
+    :meth:`batch` the stream is flushed once, when the outermost batch
+    exits, however many records the batch appended.
     """
 
-    def __init__(self, directory: Union[str, os.PathLike],
-                 flush_every: int = 1) -> None:
-        if flush_every <= 0:
-            raise ValueError("flush_every must be positive")
+    def __init__(self, directory: Union[str, os.PathLike]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.snapshot_path = self.directory / "snapshot.json"
         self.journal_path = self.directory / "journal.jsonl"
-        self.flush_every = flush_every
         self._journal: Optional[IO[str]] = None
-        self._unflushed = 0
         self._batch_depth = 0
         self._closed = False
-        # Resume sequence numbering and the enrollment cache from
-        # whatever an earlier process left behind; the replayed state is
-        # kept for the first restore_state call so the open-then-restore
-        # path (FleetVerifier.restore) reads the files only once.
+        # Resume sequence numbering and the enrolled ids from whatever
+        # an earlier process left behind; the replayed state is kept for
+        # the first restore_state call so the open-then-restore path
+        # (FleetVerifier.restore) reads the files only once.
         state, self._seq = self._replay()
-        self._enrollments: Dict[str, Enrollment] = state.enrollments
+        self._enrolled: Set[str] = set(state.enrollments)
         self._opened_state: Optional[RestoredState] = state
-        self._dirty = False
         # A crash mid-append can leave a torn final record; replay
         # tolerates it, but appending onto it would merge two records
         # into one corrupt line — cut it off before the first write.
@@ -94,17 +85,18 @@ class JsonlStore(StateStore):
     def _append(self, kind: str, row: Row) -> None:
         if self._closed:
             raise StoreError(f"JSONL store {self.directory} is closed")
-        self._dirty = True
         self._opened_state = None
         self._seq += 1
         record = {"seq": self._seq, "kind": kind, "row": row}
         stream = self._journal_stream()
         json.dump(record, stream, sort_keys=True, separators=(",", ":"))
         stream.write("\n")
-        self._unflushed += 1
-        if not self._batch_depth and self._unflushed >= self.flush_every:
+        if not self._batch_depth:
             stream.flush()
-            self._unflushed = 0
+
+    def _flush(self) -> None:
+        if self._journal is not None:
+            self._journal.flush()
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
@@ -113,8 +105,8 @@ class JsonlStore(StateStore):
             yield
         finally:
             self._batch_depth -= 1
-            if not self._batch_depth and self._unflushed:
-                self.flush()
+            if not self._batch_depth:
+                self._flush()
 
     def _journal_records(self) -> List[Row]:
         """All complete journal records, tolerating a torn final line."""
@@ -190,44 +182,30 @@ class JsonlStore(StateStore):
         for record in self._journal_records():
             seq = int(record.get("seq", 0))
             newest_seq = max(newest_seq, seq)
-            if seq <= snapshot_seq:
-                continue  # already folded into the snapshot
-            kind = record.get("kind")
-            row = record.get("row", {})
-            if kind == _KIND_ENROLLMENT:
-                enrollment = Enrollment.from_row(row)
-                state.enrollments[enrollment.device_id] = enrollment
-                if enrollment.last_seen is None:
-                    # A last_seen-less write is an initial enrollment or
-                    # a deliberate re-enrollment reset — either way the
-                    # device has no valid collection history any more.
-                    state.last_collection_times.pop(
-                        enrollment.device_id, None)
-            elif kind == _KIND_REPORT:
-                apply_report_row(row, state)
-            else:
-                raise StoreError(f"unknown journal record kind {kind!r}")
+            if seq > snapshot_seq:  # else already in the snapshot
+                replay_record(state, str(record.get("kind")),
+                              record.get("row", {}))
         return state, newest_seq
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def save_enrollment(self, enrollment: Enrollment) -> None:
-        self._enrollments[enrollment.device_id] = enrollment
-        self._append(_KIND_ENROLLMENT, enrollment.to_row())
+        self._append(ENROLLMENT, enrollment.to_row())
+        self._enrolled.add(enrollment.device_id)
 
     def append_report(self, report: VerificationReport) -> None:
-        self._append(_KIND_REPORT, report.to_row())
+        self._append(REPORT, report.to_row())
 
-    def checkpoint(self, health: Any,
+    def checkpoint(self, enrollments: Mapping[str, Enrollment],
+                   health: Any,
                    last_collection_times: Mapping[str, float],
                    rounds_completed: int = 0) -> None:
         if self._closed:
             raise StoreError(f"JSONL store {self.directory} is closed")
-        self._dirty = True
         self._opened_state = None
         document = snapshot_document(
-            self._enrollments, health, last_collection_times,
+            enrollments, health, last_collection_times,
             rounds_completed, journal_seq=self._seq)
         payload = encode_snapshot(document)
         temp_path = self.snapshot_path.with_suffix(".json.tmp")
@@ -247,7 +225,7 @@ class JsonlStore(StateStore):
         if self._journal is not None:
             self._journal.close()
         self._journal = open(self.journal_path, "w", encoding="utf-8")
-        self._unflushed = 0
+        self._enrolled = set(enrollments)
 
     def _fsync_directory(self) -> None:
         """Flush the directory entry (rename durability); best effort."""
@@ -266,31 +244,18 @@ class JsonlStore(StateStore):
     # Reads
     # ------------------------------------------------------------------
     def has_enrollment(self, device_id: str) -> bool:
-        # The cache is authoritative: seeded from snapshot + journal at
-        # open, kept current by every save_enrollment since.
-        return device_id in self._enrollments
+        # Seeded from snapshot + journal at open, kept current by every
+        # save_enrollment and checkpoint since.
+        return device_id in self._enrolled
 
     def restore_state(self) -> RestoredState:
-        if not self._dirty and self._opened_state is not None:
-            # Hand out the open-time replay once; the enrollment dict is
-            # copied so later write-throughs don't alias into it.
-            state, self._opened_state = self._opened_state, None
-            state.enrollments = dict(state.enrollments)
-            return state
-        self.flush()
-        state, _ = self._replay()
+        # The open-time replay is handed out once, if nothing was
+        # written since; otherwise the files are replayed afresh.
+        state, self._opened_state = self._opened_state, None
+        if state is None:
+            self._flush()
+            state, _ = self._replay()
         return state
-
-    def device_history(self, device_id: str,
-                       limit: Optional[int] = None) -> List[Row]:
-        _check_limit(limit)
-        self.flush()
-        rows = [record["row"] for record in self._journal_records()
-                if record.get("kind") == _KIND_REPORT
-                and record["row"].get("device_id") == device_id]
-        if limit is not None:
-            rows = rows[max(len(rows) - limit, 0):]
-        return rows
 
     def state_rows(self) -> Optional[Row]:
         return self._read_snapshot()
@@ -304,14 +269,9 @@ class JsonlStore(StateStore):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        if self._journal is not None:
-            self._journal.flush()
-            self._unflushed = 0
-
     def close(self) -> None:
-        # Reads (restore_state, device_history) keep working on a
-        # closed store — they reopen the files — but writes raise.
+        # Reads (restore_state, state_rows) keep working on a closed
+        # store — they reopen the files — but writes raise.
         self._closed = True
         if self._journal is not None:
             self._journal.flush()

@@ -1,21 +1,21 @@
-"""SQLite state store: one database file, indexed per-device history.
+"""SQLite state store: one database file, one ordered journal table.
 
-Where :class:`~repro.store.jsonl.JsonlStore` optimizes for a grep-able
-recovery log, this backend optimizes for queries: every report ever
-accepted is kept in an indexed ``reports`` table, so per-device history
-(``device_history``) stays fast at millions of rows, and enrollments
-are upserted in place rather than journaled.
-
-The checkpoint document (same canonical bytes as the JSONL snapshot)
-is stored in a ``meta`` table; recovery loads it and replays only the
-reports appended after its journal position, exactly like the JSONL
-backend — the two differ purely in medium.
+The same design as :class:`~repro.store.jsonl.JsonlStore` on a
+different medium: a ``journal`` table of ``enrollment`` and ``report``
+records, each keyed by its sequence number, plus the canonical
+checkpoint document (same bytes as the JSONL snapshot) in a ``meta``
+table.  Recovery loads the snapshot and replays the records after its
+journal position through the shared
+:func:`~repro.store.base.replay_record`.  Unlike the JSONL journal,
+the table keeps its rows after a checkpoint.
 
 Outside a :meth:`SqliteStore.batch` every write is its own transaction,
 committed before the call returns.  Inside one, the writes join a
 single transaction that the outermost exit commits, so a verifier's
-shard batch — its report rows and the ``last_seen`` advances they
-cause — costs one ``COMMIT`` and lands atomically.
+shard batch of report rows costs one ``COMMIT`` and lands atomically.
+
+Files written with the earlier ``enrollments``/``reports`` tables are
+refused with :class:`~repro.store.base.StoreError` rather than misread.
 """
 
 from __future__ import annotations
@@ -24,41 +24,36 @@ import contextlib
 import json
 import os
 import sqlite3
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.verification import Enrollment, VerificationReport
 from repro.store.base import (
+    ENROLLMENT,
+    REPORT,
     RestoredState,
     Row,
     StateStore,
     StoreError,
-    _check_limit,
-    _drop_reset_collection_times,
-    apply_report_row,
     encode_snapshot,
+    replay_record,
     snapshot_document,
     state_from_snapshot,
 )
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS enrollments (
-    device_id TEXT PRIMARY KEY,
-    row       TEXT NOT NULL,
-    -- Report seq at the time of this enrollment write: replay must not
-    -- advance last_seen past a deliberate re-enrollment reset.
-    saved_seq INTEGER NOT NULL DEFAULT 0
+CREATE TABLE IF NOT EXISTS journal (
+    seq  INTEGER PRIMARY KEY AUTOINCREMENT,
+    kind TEXT NOT NULL,
+    row  TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS reports (
-    seq       INTEGER PRIMARY KEY AUTOINCREMENT,
-    device_id TEXT NOT NULL,
-    row       TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_reports_device ON reports (device_id, seq);
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
 """
+
+#: Tables of the earlier layout, which kept enrollments apart.
+_OLD_TABLES = ("enrollments", "reports")
 
 _SNAPSHOT_KEY = "snapshot"
 
@@ -68,10 +63,11 @@ class SqliteStore(StateStore):
 
     A write outside a :meth:`batch` is durable when it returns; inside
     one, when the outermost batch exits.  The store assumes it is the
-    file's only writer: it keeps the newest report ``seq`` in memory
-    (read once at open) and, from the first checkpoint on, a copy of
-    the enrollment table, so neither an enrollment write nor a
-    checkpoint reads back what this connection wrote itself.
+    file's only writer: it replays the file once at open and keeps the
+    newest ``seq`` and the set of enrolled ids in memory, so neither a
+    write nor a checkpoint reads back what this connection wrote
+    itself.  The open-time replay is handed to the first
+    :meth:`restore_state`.
     """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
@@ -86,6 +82,15 @@ class SqliteStore(StateStore):
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open SQLite store {self.path}") from exc
+        old = [name for (name,) in self._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' "
+            "AND name IN (?, ?) ORDER BY name", _OLD_TABLES)]
+        if old:
+            self.close()
+            raise StoreError(
+                f"SQLite store {self.path} uses the old layout (tables "
+                f"{', '.join(old)}); this build reads only the journal "
+                f"layout and refuses to misread verifier state")
         self._conn.executescript(_SCHEMA)
         # WAL keeps append_report a sequential write; NORMAL sync is the
         # standard durability/throughput trade for a recovery log.
@@ -93,10 +98,13 @@ class SqliteStore(StateStore):
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.commit()
         self._batch_depth = 0
-        self._seq = self._newest_seq()
-        # Loaded by the first checkpoint, not here: open-then-restore
-        # must read the table only once.
-        self._enrollments: Optional[Dict[str, Enrollment]] = None
+        try:
+            state, self._seq = self._replay()
+        except BaseException:
+            self.close()  # a corrupt or newer snapshot: release the file
+            raise
+        self._enrolled: Set[str] = set(state.enrollments)
+        self._opened_state: Optional[RestoredState] = state
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
@@ -125,9 +133,10 @@ class SqliteStore(StateStore):
             conn.commit()
         except BaseException:
             conn.rollback()
-            # The in-memory copies may hold rolled-back writes.
-            self._seq = self._newest_seq()
-            self._enrollments = None
+            # The in-memory seq and enrolled ids may hold rolled-back
+            # writes: read both back from the file.
+            state, self._seq = self._replay()
+            self._enrolled = set(state.enrollments)
             raise
 
     def _write_done(self) -> None:
@@ -137,102 +146,58 @@ class SqliteStore(StateStore):
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def save_enrollment(self, enrollment: Enrollment) -> None:
-        # An upsert, not INSERT OR REPLACE: REPLACE deletes and
-        # re-inserts the row, moving a re-saved enrollment to the end
-        # of the rowid order restore lists devices in.
-        self._connection().execute(
-            "INSERT INTO enrollments (device_id, row, saved_seq) "
-            "VALUES (?, ?, ?) ON CONFLICT(device_id) DO UPDATE SET "
-            "row = excluded.row, saved_seq = excluded.saved_seq",
-            (enrollment.device_id,
-             json.dumps(enrollment.to_row(), sort_keys=True), self._seq))
-        self._write_done()
-        if self._enrollments is not None:
-            self._enrollments[enrollment.device_id] = enrollment
-
-    def append_report(self, report: VerificationReport) -> None:
+    def _append(self, kind: str, row: Row) -> None:
+        self._opened_state = None
         cursor = self._connection().execute(
-            "INSERT INTO reports (device_id, row) VALUES (?, ?)",
-            (report.device_id,
-             json.dumps(report.to_row(), sort_keys=True)))
+            "INSERT INTO journal (kind, row) VALUES (?, ?)",
+            (kind, json.dumps(row, sort_keys=True)))
         self._seq = cursor.lastrowid
         self._write_done()
 
-    def checkpoint(self, health: Any,
+    def save_enrollment(self, enrollment: Enrollment) -> None:
+        self._append(ENROLLMENT, enrollment.to_row())
+        self._enrolled.add(enrollment.device_id)
+
+    def append_report(self, report: VerificationReport) -> None:
+        self._append(REPORT, report.to_row())
+
+    def checkpoint(self, enrollments: Mapping[str, Enrollment],
+                   health: Any,
                    last_collection_times: Mapping[str, float],
                    rounds_completed: int = 0) -> None:
-        if self._enrollments is None:
-            self._enrollments = self._load_enrollments()
+        self._opened_state = None
         document = snapshot_document(
-            self._enrollments, health, last_collection_times,
+            enrollments, health, last_collection_times,
             rounds_completed, journal_seq=self._seq)
         self._connection().execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             (_SNAPSHOT_KEY, encode_snapshot(document).decode("utf-8")))
         self._write_done()
+        self._enrolled = set(enrollments)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _newest_seq(self) -> int:
-        row = self._connection().execute(
-            "SELECT COALESCE(MAX(seq), 0) FROM reports").fetchone()
-        return int(row[0])
-
-    def _load_enrollments(self) -> Dict[str, Enrollment]:
-        enrollments: Dict[str, Enrollment] = {}
-        for device_id, payload in self._connection().execute(
-                "SELECT device_id, row FROM enrollments ORDER BY rowid"):
-            enrollments[device_id] = Enrollment.from_row(json.loads(payload))
-        return enrollments
+    def _replay(self) -> Tuple[RestoredState, int]:
+        """Snapshot + journal tail; returns the state and newest seq."""
+        state, newest_seq = state_from_snapshot(self.state_rows())
+        for seq, kind, payload in self._connection().execute(
+                "SELECT seq, kind, row FROM journal WHERE seq > ? "
+                "ORDER BY seq", (newest_seq,)):
+            replay_record(state, kind, json.loads(payload))
+            newest_seq = seq
+        return state, newest_seq
 
     def restore_state(self) -> RestoredState:
-        state, snapshot_seq = state_from_snapshot(self.state_rows())
-        # Enrollments are upserted in place, so the table is always the
-        # freshest copy; the replay below only has to catch the health
-        # aggregate and collection times up past the checkpoint.  A
-        # report older than the device's newest enrollment write must
-        # not advance last_seen — the write already reflects it (or
-        # deliberately reset it via a re-enrollment).
-        state.enrollments = self._load_enrollments()
-        saved_seq = {device_id: int(seq) for device_id, seq
-                     in self._connection().execute(
-                         "SELECT device_id, saved_seq FROM enrollments "
-                         "ORDER BY rowid")}
-        last_report_seq: Dict[str, int] = {}
-        for seq, device_id, payload in self._connection().execute(
-                "SELECT seq, device_id, row FROM reports WHERE seq > ? "
-                "ORDER BY seq", (snapshot_seq,)):
-            row = json.loads(payload)
-            if int(row.get("measurements", 0)):
-                last_report_seq[device_id] = int(seq)
-            apply_report_row(row, state,
-                             advance=int(seq) > saved_seq.get(device_id, 0))
-        _drop_reset_collection_times(state, saved_seq, last_report_seq)
+        # The open-time replay is handed out once, if nothing was
+        # written since; otherwise the file is replayed afresh.
+        state, self._opened_state = self._opened_state, None
+        if state is None:
+            state, _ = self._replay()
         return state
 
     def has_enrollment(self, device_id: str) -> bool:
-        row = self._connection().execute(
-            "SELECT 1 FROM enrollments WHERE device_id = ?",
-            (device_id,)).fetchone()
-        return row is not None
-
-    def device_history(self, device_id: str,
-                       limit: Optional[int] = None) -> List[Row]:
-        _check_limit(limit)
-        if limit is not None:
-            # Let the (device_id, seq) index bound the work: newest
-            # ``limit`` rows, then restored to oldest-first order.
-            newest = self._connection().execute(
-                "SELECT row FROM reports WHERE device_id = ? "
-                "ORDER BY seq DESC LIMIT ?",
-                (device_id, limit)).fetchall()
-            return [json.loads(payload) for (payload,) in reversed(newest)]
-        return [json.loads(payload) for (payload,) in
-                self._connection().execute(
-            "SELECT row FROM reports WHERE device_id = ? ORDER BY seq",
-            (device_id,))]
+        return device_id in self._enrolled
 
     def state_rows(self) -> Optional[Row]:
         row = self._connection().execute(
@@ -255,10 +220,6 @@ class SqliteStore(StateStore):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        if self._conn is not None:
-            self._conn.commit()
-
     def close(self) -> None:
         if self._conn is None:
             return

@@ -13,6 +13,7 @@ from repro.fleet import (
 from repro.sim import SimulationEngine
 from repro.store import MemoryStore, SqliteStore, StoreError
 from tests.fleet.helpers import oracle_round, report_key, small_profile
+from tests.store.helpers import journaled_reports
 
 SECRET = b"campaign-fault-master-secret"
 
@@ -184,10 +185,7 @@ class TestCrashOnceStore:
             fleet.run_until(60.0)
             with pytest.raises(StoreError):
                 fleet.collect_all()
-            device_ids = fleet.device_ids()
-            journaled = sum(
-                len(inner.device_history(d)) for d in device_ids)
-            assert journaled == 2
+            assert len(journaled_reports(inner)) == 2
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):

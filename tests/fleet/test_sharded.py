@@ -20,6 +20,7 @@ from repro.store import MemoryStore, SqliteStore
 from repro.store.base import StoreError
 from tests.fleet.helpers import health_bytes, oracle_report, report_key
 from tests.fleet.helpers import small_profile as _small_profile
+from tests.store.helpers import journaled_reports
 
 FIRMWARE = b"sharded-test-firmware"
 MALWARE = b"sharded-test-implant!"
@@ -305,16 +306,16 @@ def test_sharded_workers_share_one_sqlite_store(tmp_path, worker_mode):
     """Every shard worker commits into the one shared SQLite store."""
     from repro.store import SqliteStore
 
+    store = SqliteStore(tmp_path / "s.db")
     fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
-                            shards=2, store=SqliteStore(tmp_path / "s.db"),
-                            worker_mode=worker_mode)
+                            shards=2, store=store, worker_mode=worker_mode)
     try:
         fleet.run_until(60.0)
         reports = fleet.collect_all()
         assert len(reports) == 8
-        assert fleet.verifier.store.state_bytes()  # checkpoint written
-        for device_id in fleet.device_ids():
-            assert len(fleet.verifier.store.device_history(device_id)) == 1
+        assert store.state_bytes()  # checkpoint written
+        journaled = [row["device_id"] for row in journaled_reports(store)]
+        assert sorted(journaled) == fleet.device_ids()
     finally:
         fleet.close()
 
@@ -349,8 +350,7 @@ def test_failed_sharded_round_emits_every_committed_report(worker_mode):
         fleet.run_until(60.0)
         with pytest.raises(ConnectionError, match="link dropped"):
             fleet.collect_all(batch_size=3)
-        journaled = [device_id for device_id in fleet.device_ids()
-                     if store.device_history(device_id)]
+        journaled = _in_device_order(fleet, journaled_reports(store))
         committed = fleet.health.reports_total
         assert committed == len(journaled) > 0
         if worker_mode == "loop":
@@ -359,6 +359,13 @@ def test_failed_sharded_round_emits_every_committed_report(worker_mode):
         assert [report.device_id for report in sink.reports] == journaled
     finally:
         fleet.close()
+
+
+def _in_device_order(fleet, rows):
+    """The fleet's devices that have a journaled report, in fleet order."""
+    journaled = {row["device_id"] for row in rows}
+    return [device_id for device_id in fleet.device_ids()
+            if device_id in journaled]
 
 
 class _FailOnNthAppend:
@@ -404,8 +411,7 @@ def test_store_failure_mid_batch_emits_the_reports_it_journaled(
             fleet.run_until(60.0)
             with pytest.raises(StoreError, match="disk full"):
                 fleet.collect_all(batch_size=4)
-            journaled = [device_id for device_id in fleet.device_ids()
-                         if store.device_history(device_id)]
+            journaled = _in_device_order(fleet, journaled_reports(store))
             assert len(journaled) >= 6  # the 7th append fails mid-batch
             assert [report.device_id for report in sink.reports] == \
                 journaled
@@ -413,28 +419,37 @@ def test_store_failure_mid_batch_emits_the_reports_it_journaled(
         finally:
             fleet.close()
     with SqliteStore(path) as fresh:
-        rows = [row for device_id in fleet.device_ids()
-                for row in fresh.device_history(device_id)]
+        position = {device_id: index
+                    for index, device_id in enumerate(fleet.device_ids())}
+        rows = sorted(journaled_reports(fresh),
+                      key=lambda row: position[row["device_id"]])
         assert rows == [report.to_row() for report in sink.reports]
         restored = FleetVerifier.restore(small_profile().config, fresh)
         assert restored.health.to_row() == fleet.health.to_row()
 
 
 class _CallOrderStore(MemoryStore):
-    """Records the order of the round's store writes."""
+    """Records the order of the round's store writes, and which devices'
+    reports were appended."""
 
     def __init__(self):
         super().__init__()
         self.calls = []
+        self.appended = []
+
+    def save_enrollment(self, enrollment):
+        self.calls.append("save_enrollment")
+        super().save_enrollment(enrollment)
 
     def append_report(self, report):
         self.calls.append("append_report")
+        self.appended.append(report.device_id)
         super().append_report(report)
 
-    def checkpoint(self, health, last_collection_times,
+    def checkpoint(self, enrollments, health, last_collection_times,
                    rounds_completed=0):
         self.calls.append("checkpoint")
-        super().checkpoint(health, last_collection_times,
+        super().checkpoint(enrollments, health, last_collection_times,
                            rounds_completed=rounds_completed)
 
 
@@ -480,8 +495,9 @@ def test_sharded_collect_all_async_equals_sync_twin(worker_mode):
 def test_process_round_over_a_device_subset_matches_the_oracle():
     """Partitions follow positions in the requested list, so any device
     may reach any slot; every slot mirrors every enrollment."""
+    store = _CallOrderStore()
     fleet = Fleet.provision(small_profile(), 9, master_secret=b"master",
-                            shards=3, worker_mode="process")
+                            shards=3, worker_mode="process", store=store)
     try:
         fleet.run_until(60.0)
         subset = ["dev-0007", "dev-0001", "dev-0004", "dev-0005"]
@@ -498,9 +514,7 @@ def test_process_round_over_a_device_subset_matches_the_oracle():
         assert [report_key(r) for r in reports] == \
             [report_key(r) for r in expected]
         assert {r.status for r in reports} == {DeviceStatus.HEALTHY}
-        for device_id in fleet.device_ids():
-            history = fleet.verifier.store.device_history(device_id)
-            assert len(history) == (1 if device_id in subset else 0)
+        assert sorted(store.appended) == sorted(subset)
     finally:
         fleet.close()
 

@@ -19,19 +19,11 @@ class TestReliableClock:
         clock.advance_to(12.5)
         assert clock.read() == pytest.approx(12.5)
 
-    def test_advance_by_delta(self):
-        clock = ReliableClock(frequency_hz=8_000_000.0)
-        clock.advance(1.0)
-        clock.advance(0.5)
-        assert clock.read() == pytest.approx(1.5)
-
     def test_cannot_move_backwards(self):
         clock = ReliableClock()
         clock.advance_to(100.0)
         with pytest.raises(ClockTamperError):
             clock.advance_to(50.0)
-        with pytest.raises(ClockTamperError):
-            clock.advance(-1.0)
 
     def test_software_write_is_rejected(self):
         clock = ReliableClock()

@@ -12,6 +12,7 @@ from repro.obs import (
     ObservedStore,
 )
 from repro.store import MemoryStore
+from tests.store.helpers import journaled_reports
 
 
 def report(status=DeviceStatus.HEALTHY):
@@ -56,14 +57,12 @@ def test_observed_store_times_writes_without_changing_them():
     r = report()
     store.append_report(r)
     store.append_report(r)
-    store.checkpoint(None, {}, rounds_completed=0)
+    # The wrapped backend received the writes unmodified.
+    assert journaled_reports(store.inner) == [r.to_row(), r.to_row()]
+    store.checkpoint({}, None, {}, rounds_completed=0)
     assert obs.store_ops.value("append_report") == 2
     assert obs.store_ops.value("checkpoint") == 1
     assert obs.store_op_seconds.labels("append_report").count == 2
-    # The wrapped backend received the writes unmodified.
-    assert [row["device_id"] for row in store.inner.device_history("dev")] \
-        == ["dev", "dev"]
-    assert store.device_history("dev") == store.inner.device_history("dev")
 
 
 def test_slo_violations_are_counted_per_rule():

@@ -2,11 +2,12 @@
 
 Outside :meth:`StateStore.batch` a write is durable when it returns;
 inside, the writes become durable together when the outermost batch
-exits.  The verifier commits each shard batch of a round as one store
-batch, before any of its reports reaches a sink.
+exits.  The verifier commits each shard batch of a round — report
+rows only — as one store batch, before any of its reports reaches a
+sink.
 """
 
-import json
+import contextlib
 import sqlite3
 
 import pytest
@@ -16,8 +17,9 @@ from repro.core.verification import DeviceStatus, Enrollment, \
 from repro.fleet import Fleet, FleetVerifier, MemorySink
 from repro.fleet.sinks import FleetHealth
 from repro.obs import Observability
-from repro.store import JsonlStore, SqliteStore
+from repro.store import JsonlStore, MemoryStore, SqliteStore, StoreError
 from tests.fleet.helpers import small_profile
+from tests.store.helpers import journaled_reports
 
 FIRMWARE = b"group-commit-firmware"
 
@@ -34,13 +36,6 @@ def report(device_id, collection_time):
         "freshness": 1.5, "missing_intervals": 0, "anomalies": [],
         "infected_timestamps": [],
         "newest_timestamp": collection_time - 1.5})
-
-
-def committed_rows(path):
-    """Report rows another connection sees, in journal order."""
-    with sqlite3.connect(path) as reader:
-        return [json.loads(row) for (row,) in reader.execute(
-            "SELECT row FROM reports ORDER BY seq")]
 
 
 def count_commits(store):
@@ -69,76 +64,76 @@ class _FailingCommits:
 
 
 def test_sqlite_batch_commits_once_at_the_outermost_exit(tmp_path, opened):
-    path = tmp_path / "state.sqlite"
-    store = opened(SqliteStore(path))
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
     commits = count_commits(store)
     with store.batch():
         store.save_enrollment(enrollment("dev-1"))
         with store.batch():
             store.append_report(report("dev-1", 10.0))
         store.append_report(report("dev-1", 20.0))
-        assert committed_rows(path) == []  # the inner exit committed nothing
-    assert len(committed_rows(path)) == 2
+        # The inner exit committed nothing.
+        assert journaled_reports(store) == []
+    assert len(journaled_reports(store)) == 2
     assert commits() == 1
     # Outside a batch every write is durable when it returns.
     store.append_report(report("dev-1", 30.0))
-    assert len(committed_rows(path)) == 3
+    assert len(journaled_reports(store)) == 3
     assert commits() == 2
 
 
 def test_sqlite_batch_commits_the_writes_before_a_failure(tmp_path, opened):
-    path = tmp_path / "state.sqlite"
-    store = opened(SqliteStore(path))
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
     with pytest.raises(RuntimeError, match="mid-batch"):
         with store.batch():
             store.append_report(report("dev-1", 10.0))
             store.append_report(report("dev-1", 20.0))
             raise RuntimeError("mid-batch")
-    assert len(committed_rows(path)) == 2
+    assert len(journaled_reports(store)) == 2
 
 
 def test_sqlite_failed_batch_commit_rolls_the_batch_back(tmp_path, opened):
     """A failed commit leaves none of the batch behind, in the file or in
-    the store's in-memory seq and enrollment copies."""
-    path = tmp_path / "state.sqlite"
-    store = opened(SqliteStore(path))
+    the store's in-memory seq and enrolled ids."""
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
     store.save_enrollment(enrollment("dev-1"))
     store.append_report(report("dev-1", 10.0))
-    store.checkpoint(FleetHealth(), {})  # loads the enrollment copy
     store._conn = failing = _FailingCommits(store._conn)
     failing.armed = True
     with pytest.raises(sqlite3.OperationalError):
         with store.batch():
             store.append_report(report("dev-1", 20.0))
             store.save_enrollment(enrollment("dev-2"))
-    assert len(committed_rows(path)) == 1
+    assert len(journaled_reports(store)) == 1
     assert not store.has_enrollment("dev-2")
-    store.checkpoint(FleetHealth(), {})
-    document = store.state_rows()
-    assert document["journal_seq"] == 1
-    assert [row["device_id"] for row in document["enrollments"]] == ["dev-1"]
+    store.checkpoint({"dev-1": enrollment("dev-1")}, FleetHealth(), {})
+    assert store.state_rows()["journal_seq"] == 2
 
 
 def test_sqlite_checkpoint_equals_a_reopened_stores(tmp_path, opened):
-    """The in-memory seq and enrollment copy checkpoint exactly what a
-    store reading them back from the file does."""
+    """The in-memory seq checkpoints exactly what a store reading it
+    back from the file does."""
     path = tmp_path / "state.sqlite"
     store = opened(SqliteStore(path))
     health = FleetHealth()
+    enrollments = {f"dev-{index}": enrollment(f"dev-{index}")
+                   for index in range(3)}
     with store.batch():
-        for index in range(3):
-            store.save_enrollment(enrollment(f"dev-{index}"))
-    store.checkpoint(health, {})
+        for record in enrollments.values():
+            store.save_enrollment(record)
+    store.checkpoint(enrollments, health, {})
     with store.batch():
         store.append_report(report("dev-1", 10.0))
-        store.save_enrollment(enrollment("dev-1", last_seen=8.5))
-    store.checkpoint(health, {"dev-1": 10.0}, rounds_completed=1)
+    enrollments["dev-1"] = enrollments["dev-1"].advanced(8.5)
+    store.checkpoint(enrollments, health, {"dev-1": 10.0},
+                     rounds_completed=1)
     store.close()
     reopened = opened(SqliteStore(path))
     before = reopened.state_bytes()
-    reopened.checkpoint(health, {"dev-1": 10.0}, rounds_completed=1)
+    reopened.checkpoint(enrollments, health, {"dev-1": 10.0},
+                        rounds_completed=1)
     assert reopened.state_bytes() == before
-    assert reopened.state_rows()["journal_seq"] == 1
+    assert reopened.state_rows()["journal_seq"] == 4
+    assert reopened.restore_state().enrollments == enrollments
 
 
 def test_jsonl_batch_flushes_once_at_the_outermost_exit(tmp_path, opened):
@@ -148,7 +143,7 @@ def test_jsonl_batch_flushes_once_at_the_outermost_exit(tmp_path, opened):
         with store.batch():
             store.save_enrollment(enrollment("dev-1"))
         store.append_report(report("dev-1", 10.0))
-        assert journal.read_text() == ""  # flush_every=1 waits for the exit
+        assert journal.read_text() == ""  # the flush waits for the exit
     assert len(journal.read_text().splitlines()) == 2
     store.append_report(report("dev-1", 20.0))
     assert len(journal.read_text().splitlines()) == 3
@@ -213,7 +208,7 @@ def test_failed_batch_commit_counts_none_of_the_batch(tmp_path, opened,
     assert fleet.health.reports_total == len(sink.reports)
     position = {device_id: index
                 for index, device_id in enumerate(fleet.device_ids())}
-    on_disk = sorted(committed_rows(path),
+    on_disk = sorted(journaled_reports(store),
                      key=lambda row: position[row["device_id"]])
     assert on_disk == [report.to_row() for report in sink.reports]
     restored = FleetVerifier.restore(small_profile(FIRMWARE).config,
@@ -244,3 +239,64 @@ def test_failed_batch_commit_rolls_back_the_live_bookkeeping(tmp_path,
         assert live._last_collection_time.get(device_id) == \
             restored._last_collection_time.get(device_id) == 600.0
     assert live.health.to_row() == restored.health.to_row()
+
+
+class _FailingEnrollmentWrites(SqliteStore):
+    """A SQLite store whose ``fail_on``-th enrollment write raises once
+    ``fail_on`` is set, counting from then."""
+
+    fail_on = None
+    writes = 0
+
+    def save_enrollment(self, enrollment):
+        if self.fail_on is not None:
+            self.writes += 1
+            if self.writes == self.fail_on:
+                raise StoreError("disk full")
+        super().save_enrollment(enrollment)
+
+
+def test_failing_enrollment_write_cannot_split_live_from_restored(tmp_path,
+                                                                 opened):
+    """An enrollment write that fails during a round leaves the live
+    verifier and one restored from the file agreeing on every device's
+    last-seen, collection time and health.  A round writes only report
+    rows, so the armed failure has nothing to strike."""
+    path = tmp_path / "state.sqlite"
+    store = opened(_FailingEnrollmentWrites(path))
+    fleet = opened(provision(store, count=4))
+    fleet.run_until(600.0)
+    fleet.collect_all()
+    fleet.run_until(1200.0)
+    store.fail_on = 3
+    with contextlib.suppress(StoreError):
+        fleet.collect_all()
+    live = fleet.verifier
+    restored = FleetVerifier.restore(small_profile(FIRMWARE).config,
+                                     opened(SqliteStore(path)))
+    for device_id in fleet.device_ids():
+        assert live.last_seen(device_id) == restored.last_seen(device_id)
+        assert live._last_collection_time.get(device_id) == \
+            restored._last_collection_time.get(device_id)
+    assert live.health.to_row() == restored.health.to_row()
+
+
+@pytest.mark.parametrize("backend", ["memory", "jsonl", "sqlite"])
+def test_round_writes_no_enrollment(tmp_path, opened, backend):
+    """A round journals its report rows and checkpoints; ``last_seen``
+    advances ride on the report rows, so no enrollment is written."""
+    store = opened({"memory": MemoryStore,
+                    "jsonl": lambda: JsonlStore(tmp_path / "state"),
+                    "sqlite": lambda: SqliteStore(tmp_path / "s.sqlite"),
+                    }[backend]())
+    fleet = opened(provision(store, shards=3))
+    fleet.run_until(60.0)
+    writes = []
+    store.save_enrollment = writes.append
+    fleet.collect_all(batch_size=2)
+    assert writes == []
+    restored = store.restore_state()
+    for device_id in fleet.device_ids():
+        assert fleet.verifier.last_seen(device_id) is not None
+        assert restored.enrollments[device_id].last_seen == \
+            fleet.verifier.last_seen(device_id)

@@ -75,18 +75,26 @@ def test_kill_and_restore_reproduces_state_exactly(backend, tmp_path, opened):
 
 @pytest.mark.parametrize("backend", ["memory", "jsonl", "sqlite"])
 def test_restore_keeps_provisioning_order(backend, tmp_path, opened):
-    """A round re-saves every enrollment (its last_seen advanced); the
-    restored verifier must still list the devices in provisioning
-    order, not in the order the shards happened to commit them."""
+    """The restored verifier lists devices in enrollment order — not
+    sorted by id, and not in the order the shards happened to commit
+    them.  A round writes no enrollment (``last_seen`` advances ride
+    on the report rows), so order comes from the enrollment records
+    and the checkpoint alone."""
     store = opened(MemoryStore() if backend == "memory"
                    else make_store(backend, tmp_path))
     fleet = opened(Fleet.provision(profile(), 24,
                                    master_secret=MASTER_SECRET, store=store,
                                    shards=3))
+    late = ["zeta", "alpha", "mid", "beta"]
+    for device_id in late:
+        device = profile().provision(device_id, master_secret=MASTER_SECRET)
+        device.prover.attach(fleet.engine, start_time=0.0)
+        fleet.transport.register(device)
+        fleet.verifier.enroll_device(device)
     fleet.run_until(600.0)
     fleet.collect_all()
     before = fleet.verifier.enrolled_ids()
-    assert before == fleet.device_ids()
+    assert before == fleet.device_ids() + late
 
     survivor = store if backend == "memory" \
         else opened(make_store(backend, tmp_path))

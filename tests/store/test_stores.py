@@ -1,11 +1,13 @@
 """Contract tests: all three StateStore backends behave identically.
 
-Every backend — memory, JSONL snapshot+journal, SQLite — must upsert
-enrollments, journal reports, checkpoint deterministically, and replay
+Every backend — memory, JSONL snapshot+journal, SQLite — must journal
+enrollments and reports, checkpoint deterministically, and replay
 snapshot + journal tail into the same :class:`RestoredState`.
 """
 
+import contextlib
 import json
+import sqlite3
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.store import (
     StoreError,
     encode_snapshot,
 )
+from tests.store.helpers import journaled_reports
 
 BACKENDS = ("memory", "jsonl", "sqlite")
 
@@ -79,7 +82,7 @@ def test_enrollments_round_trip_and_upsert(backend, open_store):
     store.save_enrollment(first)
     store.save_enrollment(enrollment("dev-b"))
     advanced = first.advanced(120.0)
-    store.save_enrollment(advanced)  # upsert, not duplicate
+    store.save_enrollment(advanced)  # replaces, not duplicates
 
     store = reopen(backend, store, open_store)
     state = store.restore_state()
@@ -97,7 +100,8 @@ def test_journal_tail_replayed_after_checkpoint(backend, open_store):
     checkpointed = report("dev-1", 100.0)
     health.record(checkpointed)
     store.append_report(checkpointed)
-    store.checkpoint(health, {"dev-1": 100.0}, rounds_completed=1)
+    store.checkpoint({"dev-1": enrollment("dev-1", last_seen=98.5)},
+                     health, {"dev-1": 100.0}, rounds_completed=1)
 
     # A crash strikes after two more reports but before any checkpoint.
     store.append_report(report("dev-1", 200.0, newest=198.0))
@@ -118,16 +122,21 @@ def test_journal_tail_replayed_after_checkpoint(backend, open_store):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_checkpoint_is_deterministic(backend, open_store):
     store = open_store(backend)
-    for index in range(3):
-        store.save_enrollment(enrollment(f"dev-{index}", last_seen=50.0))
+    enrollments = {f"dev-{index}": enrollment(f"dev-{index}", last_seen=50.0)
+                   for index in (2, 0, 1)}
+    for record in enrollments.values():
+        store.save_enrollment(record)
     health = FleetHealth()
     health.record(report("dev-0", 60.0))
     times = {"dev-0": 60.0}
 
-    store.checkpoint(health, times, rounds_completed=1)
+    store.checkpoint(enrollments, health, times, rounds_completed=1)
     first_bytes = store.state_bytes()
     assert first_bytes  # a checkpoint produced a snapshot
-    store.checkpoint(health, times, rounds_completed=1)
+    # Enrollments stay in the caller's order, not sorted by id.
+    assert [row["device_id"] for row in store.state_rows()["enrollments"]] \
+        == ["dev-2", "dev-0", "dev-1"]
+    store.checkpoint(enrollments, health, times, rounds_completed=1)
     assert store.state_bytes() == first_bytes
     # And the snapshot is the canonical encoding of its own rows.
     assert encode_snapshot(store.state_rows()) == first_bytes
@@ -144,49 +153,22 @@ def test_empty_store_restores_to_blank_state(backend, open_store):
     assert store.state_bytes() == b""
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_device_history_filters_and_limits(backend, open_store):
-    store = open_store(backend)
-    for time in (10.0, 20.0, 30.0):
-        store.append_report(report("dev-a", time))
-        store.append_report(report("dev-b", time + 1.0))
-    rows = store.device_history("dev-a")
-    assert [row["collection_time"] for row in rows] == [10.0, 20.0, 30.0]
-    newest = store.device_history("dev-a", limit=2)
-    assert [row["collection_time"] for row in newest] == [20.0, 30.0]
-    assert store.device_history("dev-missing") == []
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_device_history_limit_zero_is_empty_negative_raises(backend,
-                                                            open_store):
-    """Every backend reads ``limit`` alike: 0 keeps no row, and a
-    negative limit is an error rather than "everything" or "all but"."""
-    store = open_store(backend)
-    for time in (10.0, 20.0, 30.0):
-        store.append_report(report("dev-a", time))
-    sizes = [len(store.device_history("dev-a", limit=limit))
-             for limit in (None, 0, 1, 3, 5)]
-    assert sizes == [3, 0, 1, 3, 3]
-    with pytest.raises(ValueError):
-        store.device_history("dev-a", limit=-1)
-
-
 def test_sqlite_history_survives_checkpoints(tmp_path, opened):
     """SQLite is the full-history backend: checkpoints drop nothing."""
     store = opened(SqliteStore(tmp_path / "state.sqlite"))
     store.save_enrollment(enrollment("dev-1"))
     for time in (10.0, 20.0, 30.0):
         store.append_report(report("dev-1", time))
-        store.checkpoint(FleetHealth(), {})
-    assert len(store.device_history("dev-1")) == 3
+        store.checkpoint({}, FleetHealth(), {})
+    assert len(journaled_reports(store)) == 3
 
 
 def test_jsonl_atomic_snapshot_and_torn_journal_tail(tmp_path, opened):
     store = opened(JsonlStore(tmp_path / "state"))
     store.save_enrollment(enrollment("dev-1"))
     health = FleetHealth()
-    store.checkpoint(health, {}, rounds_completed=1)
+    store.checkpoint({"dev-1": enrollment("dev-1")}, health, {},
+                     rounds_completed=1)
     store.append_report(report("dev-1", 100.0))
     store.close()
 
@@ -222,30 +204,14 @@ def test_jsonl_checkpoint_truncates_journal(tmp_path, opened):
     store = opened(JsonlStore(tmp_path / "state"))
     for index in range(5):
         store.append_report(report("dev-1", float(index)))
-    store.flush()
     journal = tmp_path / "state" / "journal.jsonl"
     assert len(journal.read_text().splitlines()) == 5
-    store.checkpoint(FleetHealth(), {})
+    store.checkpoint({}, FleetHealth(), {})
     assert journal.read_text() == ""
     # Sequence numbering continues past the checkpoint.
     store.append_report(report("dev-1", 99.0))
-    store.flush()
     record = json.loads(journal.read_text().splitlines()[0])
     assert record["seq"] == 6
-
-
-def test_jsonl_flush_every_batches_journal_flushes(tmp_path, opened):
-    store = opened(JsonlStore(tmp_path / "state", flush_every=10))
-    store.append_report(report("dev-1", 1.0))
-    # One record buffered, not yet flushed through to the file.
-    journal = tmp_path / "state" / "journal.jsonl"
-    buffered = journal.read_text() if journal.exists() else ""
-    store.flush()
-    flushed = journal.read_text()
-    assert flushed.endswith("\n")
-    assert len(flushed) >= len(buffered)
-    with pytest.raises(ValueError):
-        JsonlStore(tmp_path / "other", flush_every=0)
 
 
 def test_memory_store_bounds_report_retention():
@@ -255,12 +221,12 @@ def test_memory_store_bounds_report_retention():
         record = report("dev-1", float(index))
         health.record(record)
         store.append_report(record)
-    store.checkpoint(health, {}, rounds_completed=1)
-    # Three more push the first (already checkpointed) reports out of
-    # the window; restore still reproduces the full aggregate.
+    store.checkpoint({}, health, {}, rounds_completed=1)
+    # The checkpoint dropped the records it folded in, so three more
+    # fit the window; restore still reproduces the full aggregate.
     for index in range(3, 6):
         store.append_report(report("dev-1", float(index)))
-    assert len(store.device_history("dev-1")) == 4
+    assert len(journaled_reports(store)) == 3
     state = store.restore_state()
     assert state.health.reports_total == 6
     assert state.replayed_reports == 3
@@ -362,7 +328,8 @@ def test_measurement_free_report_does_not_shield_a_reset(backend, open_store):
     first = report("dev-1", 100.0, newest=100.0)
     health.record(first)
     store.append_report(first)
-    store.checkpoint(health, {"dev-1": 100.0}, rounds_completed=1)
+    store.checkpoint({"dev-1": enrollment("dev-1", last_seen=100.0)},
+                     health, {"dev-1": 100.0}, rounds_completed=1)
 
     # Deliberate reset (live verifier popped the time), then the new
     # unit fails to answer a round; crash before any checkpoint.
@@ -381,7 +348,7 @@ def test_measurement_free_report_does_not_shield_a_reset(backend, open_store):
 def test_future_snapshot_version_is_rejected(tmp_path, opened):
     store = opened(JsonlStore(tmp_path / "state"))
     store.save_enrollment(enrollment("dev-1"))
-    store.checkpoint(FleetHealth(), {})
+    store.checkpoint({"dev-1": enrollment("dev-1")}, FleetHealth(), {})
     store.close()
     snapshot = tmp_path / "state" / "snapshot.json"
     document = json.loads(snapshot.read_text())
@@ -399,7 +366,7 @@ def test_writes_after_close_raise_store_error(backend, open_store):
     with pytest.raises(StoreError):
         store.append_report(report("dev-1", 10.0))
     with pytest.raises(StoreError):
-        store.checkpoint(FleetHealth(), {})
+        store.checkpoint({}, FleetHealth(), {})
 
 
 def test_jsonl_tail_torn_inside_multibyte_character(tmp_path, opened):
@@ -419,3 +386,17 @@ def test_jsonl_tail_torn_inside_multibyte_character(tmp_path, opened):
     reopened.close()
     state = opened(JsonlStore(tmp_path / "state")).restore_state()
     assert set(state.enrollments) == {"dev-1", "dev-é"}
+
+
+def test_sqlite_refuses_the_old_layout(tmp_path):
+    """A file with the earlier enrollments/reports tables is never
+    misread as an empty journal."""
+    path = tmp_path / "old.sqlite"
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        conn.executescript(
+            "CREATE TABLE enrollments (device_id TEXT PRIMARY KEY, "
+            "row TEXT NOT NULL, saved_seq INTEGER NOT NULL DEFAULT 0);"
+            "CREATE TABLE reports (seq INTEGER PRIMARY KEY AUTOINCREMENT, "
+            "device_id TEXT NOT NULL, row TEXT NOT NULL);")
+    with pytest.raises(StoreError, match="old layout"):
+        SqliteStore(path)

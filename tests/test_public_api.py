@@ -18,8 +18,9 @@ MODULES = sorted(
 #: Names deleted with the legacy single-device verifiers, the
 #: push/windowed observability surface, the definitions only tests
 #: called (the ``dead-public`` rule) and the per-call, per-object and
-#: registry ways of choosing a crypto provider; no package may export
-#: them.
+#: registry ways of choosing a crypto provider, and the store replay
+#: and row helpers the one journal replay replaced; no package may
+#: export them.
 DELETED = {
     "BaseVerifier", "DEFAULT_RECENT_WINDOW", "ErasmusVerifier",
     "OnDemandProver", "OnDemandVerifier", "RemoteWriteExporter",
@@ -29,6 +30,7 @@ DELETED = {
     "load_trace", "render_rollup_html", "rollup_summaries", "sha1_digest",
     "available_backends", "register_backend", "resolve_backend",
     "set_default_backend", "hmac_digest", "register_mac",
+    "apply_report_row", "report_to_row",
 }
 
 
@@ -47,7 +49,8 @@ def test_every_all_name_resolves_once():
 
 @pytest.mark.parametrize("package", ["repro.core", "repro.fleet",
                                      "repro.obs", "repro.analysis",
-                                     "repro.crypto", "repro.hw"])
+                                     "repro.crypto", "repro.hw",
+                                     "repro.store"])
 def test_deleted_names_stay_deleted(package):
     module = importlib.import_module(package)
     assert DELETED.isdisjoint(module.__all__)
