@@ -294,7 +294,7 @@ class FleetTamperingMalware(FleetAdversary):
                     continue
                 engine.schedule(
                     time,
-                    lambda _event, d=device_id: self._tamper(d, engine.now))
+                    lambda d=device_id: self._tamper(d, engine.now))
 
     def ground_truth(self) -> Dict[str, List[Infection]]:
         return {device_id: list(infections)

@@ -33,7 +33,6 @@ from repro.core.protocol import (
 from repro.core.scheduler import MeasurementScheduler, build_scheduler
 from repro.core.storage import MeasurementStore
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, EventKind
 
 
 class ErasmusProver:
@@ -118,10 +117,9 @@ class ErasmusProver:
         self._engine = engine
         self._window_start = start_time
         first = self.scheduler.next_time(start_time)
-        engine.schedule(first, self._on_measurement_due,
-                        EventKind.MEASUREMENT, payload=self.device_id)
+        engine.schedule(first, self._on_measurement_due)
 
-    def _on_measurement_due(self, event: Event) -> None:
+    def _on_measurement_due(self) -> None:
         assert self._engine is not None
         time = self._engine.now
         measurement = self.take_measurement(time)
@@ -131,15 +129,12 @@ class ErasmusProver:
             retry = self.scheduler.reschedule_after_abort(
                 time, self._window_start)
             if retry is not None and retry > time:
-                self._engine.schedule(retry, self._on_measurement_due,
-                                      EventKind.MEASUREMENT,
-                                      payload=self.device_id)
+                self._engine.schedule(retry, self._on_measurement_due)
                 return
             self.measurements_missed += 1
         self._window_start = time
         next_time = self.scheduler.next_time(time)
-        self._engine.schedule(next_time, self._on_measurement_due,
-                              EventKind.MEASUREMENT, payload=self.device_id)
+        self._engine.schedule(next_time, self._on_measurement_due)
 
     # ------------------------------------------------------------------
     # Collection phase (Figure 2)

@@ -187,7 +187,7 @@ class FleetVerifier:
         self.core = VerificationCore(config,
                                      schedule_tolerance=schedule_tolerance,
                                      allowed_missing=allowed_missing)
-        self.store = store if store is not None else MemoryStore()
+        self.store: StateStore = store if store is not None else MemoryStore()
         self._enrollments: Dict[str, Enrollment] = {}
         self._last_collection_time: Dict[str, float] = {}
         # Bumped whenever a device's key or digest whitelist changes (not
@@ -255,8 +255,7 @@ class FleetVerifier:
                 or previous.healthy_digests != enrollment.healthy_digests):
             self._enrollment_epoch += 1
         self._enrollments[device_id] = enrollment
-        if self.store is not None:
-            self.store.save_enrollment(enrollment)
+        self.store.save_enrollment(enrollment)
 
     def enroll_device(self, device: ProvisionedDevice, *,
                       re_enroll: bool = False) -> None:
@@ -273,8 +272,7 @@ class FleetVerifier:
         (e.g. after re-provisioning the physical unit).
         """
         already = self.is_enrolled(device.device_id) or \
-            (self.store is not None and
-             self.store.has_enrollment(device.device_id))
+            self.store.has_enrollment(device.device_id)
         if already and not re_enroll:
             raise DuplicateEnrollmentError(
                 f"device {device.device_id!r} is already enrolled (in this "
@@ -423,11 +421,10 @@ class FleetVerifier:
         # Each touched device's state before the batch, for the undo.
         before: Dict[str, tuple] = {}
         try:
-            with store.batch() if store is not None else nullcontext():
+            with store.batch():
                 try:
                     for report in reports:
-                        if store is not None:
-                            store.append_report(report)
+                        store.append_report(report)
                         device_id = report.device_id
                         if device_id not in before:
                             before[device_id] = (
@@ -517,10 +514,9 @@ class FleetVerifier:
         Checkpointing the same state twice produces byte-identical
         snapshots, so it is safe to call at any time.
         """
-        if self.store is not None:
-            self.store.checkpoint(self._enrollments, self.health,
-                                  self._last_collection_time,
-                                  rounds_completed=self.rounds_completed)
+        self.store.checkpoint(self._enrollments, self.health,
+                              self._last_collection_time,
+                              rounds_completed=self.rounds_completed)
 
     def close(self) -> None:
         """Close the worker pool, every sink and the store (idempotent).
@@ -544,12 +540,11 @@ class FleetVerifier:
         except Exception as exc:
             if first_error is None:
                 first_error = exc
-        if self.store is not None:
-            try:
-                self.store.close()
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
+        try:
+            self.store.close()
+        except Exception as exc:
+            if first_error is None:
+                first_error = exc
         if first_error is not None:
             raise first_error
 

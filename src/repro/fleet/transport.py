@@ -612,7 +612,7 @@ class SwarmRelayTransport(SimulatedNetworkTransport):
         self._rewire_timer_armed = True
         self.engine.schedule_in(self.rewire_interval, self._rewire_tick)
 
-    def _rewire_tick(self, _event) -> None:
+    def _rewire_tick(self) -> None:
         self._rewire_timer_armed = False
         if not self._pending:
             # No round in flight: stop ticking until the next round.

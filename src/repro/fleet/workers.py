@@ -205,12 +205,13 @@ def _worker_main(conn, config: Optional[ErasmusConfig],
                 os._exit(CRASH_EXIT_CODE)
             if opcode == OP_ENROLL:
                 if verifier is None:
+                    # The mirror is scratch state: it only judges
+                    # payloads (``_verify_payload``) and never journals,
+                    # so it makes no call on its default store.
                     verifier = FleetVerifier(
                         config if config is not None else ErasmusConfig(),
                         schedule_tolerance=schedule_tolerance,
                         allowed_missing=allowed_missing)
-                    # The mirror is scratch state: never journal it.
-                    verifier.store = None
                 verifier._enrollments = {
                     str(row["device_id"]): Enrollment.from_row(row)
                     for row in json.loads(bytes(body))}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Union
 
 
 class RegionKind(enum.Enum):
@@ -87,14 +87,19 @@ class AccessPolicy:
 
 @dataclass
 class MemoryRegion:
-    """A contiguous, named region of device memory."""
+    """A contiguous, named region of device memory.
+
+    ``data`` is a ``bytearray`` unless no context may write the region:
+    then it may be an immutable ``bytes`` image shared between devices
+    (SMART+ ROM), since the policy check rejects every write first.
+    """
 
     name: str
     base: int
     size: int
     kind: RegionKind
     policy: AccessPolicy = field(default_factory=AccessPolicy.open)
-    data: bytearray = field(default_factory=bytearray)
+    data: Union[bytes, bytearray] = field(default_factory=bytearray)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -113,10 +118,6 @@ class MemoryRegion:
         """First address past the region."""
         return self.base + self.size
 
-    def contains(self, address: int, length: int = 1) -> bool:
-        """True when ``[address, address+length)`` lies inside the region."""
-        return self.base <= address and address + length <= self.end
-
     def overlaps(self, other: "MemoryRegion") -> bool:
         """True when the two regions share any address."""
         return self.base < other.end and other.base < self.end
@@ -125,9 +126,9 @@ class MemoryRegion:
 class DeviceMemory:
     """A full device memory map with access-controlled reads and writes.
 
-    The map is a collection of non-overlapping :class:`MemoryRegion`
-    objects.  Reads and writes are routed to the containing region and
-    checked against its policy under the caller's
+    The map is a collection of non-overlapping, named
+    :class:`MemoryRegion` objects.  Reads and writes name their region
+    and are checked against its policy under the caller's
     :class:`AccessContext`.
     """
 
@@ -159,40 +160,21 @@ class DeviceMemory:
         """All regions, sorted by base address."""
         return sorted(self._regions.values(), key=lambda region: region.base)
 
-    def _find(self, address: int, length: int) -> MemoryRegion:
-        for region in self._regions.values():
-            if region.contains(address, length):
-                return region
-        raise AccessViolation(
-            f"access to unmapped address 0x{address:x} (+{length})")
-
-    def read(self, address: int, length: int,
-             context: AccessContext = AccessContext.NORMAL) -> bytes:
-        """Read ``length`` bytes starting at ``address``."""
-        region = self._find(address, length)
-        if context not in region.policy.readable:
-            self.violations.append((region.name, context, "read"))
+    def _check(self, region: MemoryRegion, context: AccessContext,
+               access: str, allowed: frozenset[AccessContext]) -> None:
+        """Record and raise a violation unless ``context`` is allowed."""
+        if context not in allowed:
+            self.violations.append((region.name, context, access))
             raise AccessViolation(
-                f"{context.value} context may not read region {region.name!r}")
-        offset = address - region.base
-        return bytes(region.data[offset:offset + length])
-
-    def write(self, address: int, payload: bytes,
-              context: AccessContext = AccessContext.NORMAL) -> None:
-        """Write ``payload`` starting at ``address``."""
-        region = self._find(address, len(payload))
-        if context not in region.policy.writable:
-            self.violations.append((region.name, context, "write"))
-            raise AccessViolation(
-                f"{context.value} context may not write region {region.name!r}")
-        offset = address - region.base
-        region.data[offset:offset + len(payload)] = payload
+                f"{context.value} context may not {access} "
+                f"region {region.name!r}")
 
     def read_region(self, name: str,
                     context: AccessContext = AccessContext.NORMAL) -> bytes:
         """Read an entire region by name."""
         region = self.region(name)
-        return self.read(region.base, region.size, context)
+        self._check(region, context, "read", region.policy.readable)
+        return bytes(region.data)
 
     def write_region(self, name: str, payload: bytes,
                      context: AccessContext = AccessContext.NORMAL,
@@ -203,4 +185,5 @@ class DeviceMemory:
             raise ValueError(
                 f"write of {len(payload)} bytes at offset {offset} exceeds "
                 f"region {name!r} of size {region.size}")
-        self.write(region.base + offset, payload, context)
+        self._check(region, context, "write", region.policy.writable)
+        region.data[offset:offset + len(payload)] = payload

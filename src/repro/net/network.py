@@ -11,7 +11,6 @@ from repro.net.link import Link
 from repro.net.node import NetworkNode
 from repro.net.packet import Packet
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import EventKind
 
 
 class Network:
@@ -193,7 +192,7 @@ class Network:
             return
         arrival = time + link.transfer_delay(packet)
 
-        def _arrive(_event) -> None:
+        def _arrive() -> None:
             if hop_index + 2 >= len(route):
                 destination = self._nodes.get(route[-1])
                 if destination is None:
@@ -211,5 +210,4 @@ class Network:
                 self._schedule_hop(packet, route, hop_index + 1,
                                    self.engine.now)
 
-        self.engine.schedule(arrival, _arrive, EventKind.PACKET_DELIVERY,
-                             payload=packet.kind)
+        self.engine.schedule(arrival, _arrive)

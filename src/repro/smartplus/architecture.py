@@ -73,17 +73,20 @@ class SmartPlusArchitecture(SecurityArchitecture):
     @staticmethod
     def _build_memory_map(rom_image: RomImage, application_size: int,
                           measurement_buffer_size: int) -> DeviceMemory:
+        # No context may write either ROM region, so both hold the
+        # image's immutable bytes as they are: devices built from one
+        # configuration share a single code image.
         memory = DeviceMemory()
         cursor = 0
         memory.add_region(MemoryRegion(
             name=ROM_CODE_REGION, base=cursor, size=len(rom_image.code),
             kind=RegionKind.ROM, policy=AccessPolicy.rom_code(),
-            data=bytearray(rom_image.code)))
+            data=rom_image.code))
         cursor += len(rom_image.code)
         memory.add_region(MemoryRegion(
             name=ROM_KEY_REGION, base=cursor, size=len(rom_image.key),
             kind=RegionKind.ROM, policy=AccessPolicy.secret_key(),
-            data=bytearray(rom_image.key)))
+            data=rom_image.key))
         cursor += len(rom_image.key)
         memory.add_region(MemoryRegion(
             name=APPLICATION_REGION, base=cursor, size=application_size,

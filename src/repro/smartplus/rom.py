@@ -11,6 +11,7 @@ HYDRA's counterpart).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.sha256 import sha256_digest
 from repro.hw.codesize import CodeSizeModel
@@ -26,6 +27,18 @@ class RomImage:
     variant: str
 
 
+@lru_cache(maxsize=None)
+def _rom_code(seed: str, size_bytes: int) -> bytes:
+    """The synthetic code bytes for one configuration, built once.
+
+    Every device of one variant and MAC shares this one ``bytes``
+    object as its ROM code region.
+    """
+    pattern = sha256_digest(seed.encode())
+    repetitions = size_bytes // len(pattern) + 1
+    return (pattern * repetitions)[:size_bytes]
+
+
 def build_rom_image(key: bytes, mac_name: str = "keyed-blake2s",
                     variant: str = "erasmus",
                     code_size_model: CodeSizeModel | None = None) -> RomImage:
@@ -39,9 +52,6 @@ def build_rom_image(key: bytes, mac_name: str = "keyed-blake2s",
         raise ValueError("the attestation key K must be non-empty")
     model = code_size_model if code_size_model is not None else CodeSizeModel()
     size_bytes = model.report("smart+", variant, mac_name).total_bytes
-    seed = f"smart+/{variant}/{mac_name}".encode()
-    pattern = sha256_digest(seed)
-    repetitions = size_bytes // len(pattern) + 1
-    code = (pattern * repetitions)[:size_bytes]
+    code = _rom_code(f"smart+/{variant}/{mac_name}", size_bytes)
     return RomImage(code=code, key=bytes(key), mac_name=mac_name.lower(),
                     variant=variant.lower())

@@ -210,7 +210,7 @@ def test_sync_round_deregisters_even_when_a_stepped_event_raises(profile):
     provision_into(transport, profile, engine, 1)
     engine.run(until=30.0)
 
-    def explode(_event):
+    def explode():
         raise RuntimeError("handler died mid-round")
 
     engine.schedule(engine.now + 0.001, explode)

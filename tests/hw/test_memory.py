@@ -59,44 +59,37 @@ def test_initial_data_length_must_match():
 
 def test_normal_read_write_on_open_region():
     memory = build_memory()
-    memory.write(80, b"hello", AccessContext.NORMAL)
-    assert memory.read(80, 5, AccessContext.NORMAL) == b"hello"
+    memory.write_region("ram", b"hello", AccessContext.NORMAL)
+    assert memory.read_region("ram", AccessContext.NORMAL)[:5] == b"hello"
 
 
 def test_rom_is_not_writable_by_anyone():
     memory = build_memory()
     for context in AccessContext:
         with pytest.raises(AccessViolation):
-            memory.write(0, b"\x00", context)
+            memory.write_region("rom", b"\x00", context)
+    assert memory.read_region("rom") == b"\xAA" * 64
 
 
 def test_key_readable_only_from_attestation_context():
     memory = build_memory()
-    assert memory.read(64, 16, AccessContext.ATTESTATION) == b"\x11" * 16
+    assert memory.read_region("key", AccessContext.ATTESTATION) == \
+        b"\x11" * 16
     with pytest.raises(AccessViolation):
-        memory.read(64, 16, AccessContext.NORMAL)
+        memory.read_region("key", AccessContext.NORMAL)
     with pytest.raises(AccessViolation):
-        memory.read(64, 16, AccessContext.DMA)
+        memory.read_region("key", AccessContext.DMA)
 
 
 def test_violations_are_recorded():
     memory = build_memory()
     with pytest.raises(AccessViolation):
-        memory.read(64, 16, AccessContext.NORMAL)
-    assert ("key", AccessContext.NORMAL, "read") in memory.violations
-
-
-def test_unmapped_access_raises():
-    memory = build_memory()
-    with pytest.raises(AccessViolation, match="unmapped"):
-        memory.read(10_000, 1)
-
-
-def test_cross_region_access_raises():
-    # A read spanning the rom/key boundary is not contained in either region.
-    memory = build_memory()
+        memory.read_region("key", AccessContext.NORMAL)
     with pytest.raises(AccessViolation):
-        memory.read(60, 8, AccessContext.ATTESTATION)
+        memory.write_region("rom", b"\x00", AccessContext.ATTESTATION)
+    assert memory.violations == [
+        ("key", AccessContext.NORMAL, "read"),
+        ("rom", AccessContext.ATTESTATION, "write")]
 
 
 def test_read_write_region_by_name():

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.sim import Event, EventKind, SimulationEngine, SimulationError
+from repro.sim import SimulationEngine, SimulationError
 
 
 def test_events_fire_in_time_order():
     engine = SimulationEngine()
     order = []
-    engine.schedule(5.0, lambda event: order.append("b"))
-    engine.schedule(1.0, lambda event: order.append("a"))
-    engine.schedule(9.0, lambda event: order.append("c"))
+    engine.schedule(5.0, lambda: order.append("b"))
+    engine.schedule(1.0, lambda: order.append("a"))
+    engine.schedule(9.0, lambda: order.append("c"))
     engine.run()
     assert order == ["a", "b", "c"]
     assert engine.now == pytest.approx(9.0)
@@ -19,8 +19,8 @@ def test_events_fire_in_time_order():
 def test_simultaneous_events_fire_in_scheduling_order():
     engine = SimulationEngine()
     order = []
-    engine.schedule(3.0, lambda event: order.append("first"))
-    engine.schedule(3.0, lambda event: order.append("second"))
+    engine.schedule(3.0, lambda: order.append("first"))
+    engine.schedule(3.0, lambda: order.append("second"))
     engine.run()
     assert order == ["first", "second"]
 
@@ -28,8 +28,8 @@ def test_simultaneous_events_fire_in_scheduling_order():
 def test_run_until_stops_before_future_events():
     engine = SimulationEngine()
     fired = []
-    engine.schedule(2.0, lambda event: fired.append(2.0))
-    engine.schedule(8.0, lambda event: fired.append(8.0))
+    engine.schedule(2.0, lambda: fired.append(2.0))
+    engine.schedule(8.0, lambda: fired.append(8.0))
     processed = engine.run(until=5.0)
     assert processed == 1
     assert fired == [2.0]
@@ -40,80 +40,60 @@ def test_run_until_stops_before_future_events():
 
 def test_schedule_in_uses_relative_delay():
     engine = SimulationEngine()
-    engine.schedule(4.0, lambda event: engine.schedule_in(
-        3.0, lambda inner: None))
+    engine.schedule(4.0, lambda: engine.schedule_in(3.0, lambda: None))
     engine.run()
     assert engine.now == pytest.approx(7.0)
 
 
 def test_scheduling_in_the_past_rejected():
     engine = SimulationEngine()
-    engine.schedule(10.0, lambda event: None)
+    engine.schedule(10.0, lambda: None)
     engine.run()
     with pytest.raises(SimulationError):
-        engine.schedule(5.0, lambda event: None)
+        engine.schedule(5.0, lambda: None)
     with pytest.raises(SimulationError):
-        engine.schedule_in(-1.0, lambda event: None)
-
-
-def test_cancelled_events_do_not_fire():
-    engine = SimulationEngine()
-    fired = []
-    event = engine.schedule(3.0, lambda ev: fired.append("cancelled"))
-    engine.schedule(4.0, lambda ev: fired.append("kept"))
-    engine.cancel(event)
-    engine.run()
-    assert fired == ["kept"]
+        engine.schedule_in(-1.0, lambda: None)
 
 
 def test_events_can_schedule_more_events():
     engine = SimulationEngine()
     times = []
 
-    def chain(event: Event) -> None:
+    def chain() -> None:
         times.append(engine.now)
         if len(times) < 5:
-            engine.schedule_in(1.0, chain, EventKind.TIMER)
+            engine.schedule_in(1.0, chain)
 
-    engine.schedule(1.0, chain, EventKind.TIMER)
+    engine.schedule(1.0, chain)
     engine.run(until=100.0)
     assert times == [pytest.approx(t) for t in (1.0, 2.0, 3.0, 4.0, 5.0)]
 
 
-def test_max_events_limit():
+def test_step_fires_one_event_and_reports_idle():
     engine = SimulationEngine()
-    for index in range(10):
-        engine.schedule(float(index), lambda event: None)
-    processed = engine.run(max_events=4)
-    assert processed == 4
-    assert engine.run() == 6
-
-
-def test_step_returns_event_and_none_when_idle():
-    engine = SimulationEngine()
-    engine.schedule(1.0, lambda event: None, EventKind.COLLECTION)
-    event = engine.step()
-    assert event is not None
-    assert event.kind is EventKind.COLLECTION
-    assert engine.step() is None
+    fired = []
+    engine.schedule(1.0, lambda: fired.append(engine.now))
+    assert engine.step() is True
+    assert fired == [1.0]
+    assert engine.events_processed == 1
+    assert engine.step() is False
 
 
 def test_events_processed_counter():
     engine = SimulationEngine()
     for index in range(3):
-        engine.schedule(float(index + 1), lambda event: None)
+        engine.schedule(float(index + 1), lambda: None)
     engine.run()
     assert engine.events_processed == 3
 
 
-def test_truncated_run_does_not_jump_clock_past_pending_events():
-    """A max_events-capped drain must not strand queued events behind now."""
+def test_reentrant_run_rejected():
     engine = SimulationEngine()
-    engine.schedule(5.0, lambda event: None)
-    engine.schedule(10.0, lambda event: None)
-    processed = engine.run(until=100.0, max_events=1)
-    assert processed == 1
-    assert engine.now == 5.0  # not 100.0: the t=10 event is still queued
-    engine.schedule(50.0, lambda event: None)  # must not be "in the past"
-    engine.run(until=100.0)
-    assert engine.now == 100.0
+
+    def nested() -> None:
+        with pytest.raises(SimulationError, match="re-entrant"):
+            engine.run()
+
+    engine.schedule(1.0, nested)
+    engine.run()
+    assert engine.events_processed == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch.base import ArchitectureError
+from repro.fleet.profiles import DeviceProfile
 from repro.hw.memory import AccessContext, AccessViolation
 from repro.smartplus import build_rom_image, build_smartplus_architecture
 from repro.smartplus.architecture import (
@@ -32,9 +33,24 @@ def test_key_region_unreadable_from_normal_world(smartplus_arch):
 
 
 def test_rom_code_immutable(smartplus_arch):
-    with pytest.raises(AccessViolation):
-        smartplus_arch.memory.write_region(ROM_CODE_REGION, b"patched",
-                                           context=AccessContext.NORMAL)
+    """Neither ROM region (code or ``K``) takes a write from any context."""
+    memory = smartplus_arch.memory
+    for name in (ROM_CODE_REGION, ROM_KEY_REGION):
+        before = memory.read_region(name, AccessContext.ATTESTATION)
+        for context in AccessContext:
+            with pytest.raises(AccessViolation):
+                memory.write_region(name, b"patched", context=context)
+        assert memory.read_region(name, AccessContext.ATTESTATION) == before
+
+
+def test_devices_of_one_profile_share_one_rom_code_image():
+    profile = DeviceProfile.smartplus()
+    first = profile.provision("rom-a", master_secret=b"master")
+    second = profile.provision("rom-b", master_secret=b"master")
+    first_code = first.architecture.memory.region(ROM_CODE_REGION).data
+    second_code = second.architecture.memory.region(ROM_CODE_REGION).data
+    assert first_code is second_code
+    assert isinstance(first_code, bytes)
 
 
 def test_measurement_buffer_is_open_to_normal_world(smartplus_arch):

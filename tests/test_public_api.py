@@ -18,9 +18,10 @@ MODULES = sorted(
 #: Names deleted with the legacy single-device verifiers, the
 #: push/windowed observability surface, the definitions only tests
 #: called (the ``dead-public`` rule) and the per-call, per-object and
-#: registry ways of choosing a crypto provider, and the store replay
-#: and row helpers the one journal replay replaced; no package may
-#: export them.
+#: registry ways of choosing a crypto provider, the store replay
+#: and row helpers the one journal replay replaced, and the
+#: simulation event object the ``(time, seq, callback)`` heap
+#: replaced; no package may export them.
 DELETED = {
     "BaseVerifier", "DEFAULT_RECENT_WINDOW", "ErasmusVerifier",
     "OnDemandProver", "OnDemandVerifier", "RemoteWriteExporter",
@@ -30,7 +31,7 @@ DELETED = {
     "load_trace", "render_rollup_html", "rollup_summaries", "sha1_digest",
     "available_backends", "register_backend", "resolve_backend",
     "set_default_backend", "hmac_digest", "register_mac",
-    "apply_report_row", "report_to_row",
+    "apply_report_row", "report_to_row", "Event", "EventKind",
 }
 
 
@@ -50,7 +51,7 @@ def test_every_all_name_resolves_once():
 @pytest.mark.parametrize("package", ["repro.core", "repro.fleet",
                                      "repro.obs", "repro.analysis",
                                      "repro.crypto", "repro.hw",
-                                     "repro.store"])
+                                     "repro.sim", "repro.store"])
 def test_deleted_names_stay_deleted(package):
     module = importlib.import_module(package)
     assert DELETED.isdisjoint(module.__all__)
