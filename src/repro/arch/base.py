@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import abc
 import struct
-from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, NamedTuple
 
 from repro.crypto.backend import get_backend
 from repro.crypto.constant_time import constant_time_compare
@@ -25,8 +24,10 @@ def hash_for_mac(mac_name: str) -> Callable[[bytes], bytes]:
 
     The measurement is ``MAC_K(t, H(mem_t))``; the paper pairs HMAC-SHA1
     with SHA-1, HMAC-SHA256 with SHA-256 and keyed BLAKE2s with
-    (unkeyed) BLAKE2s.  The returned callable computes the digest on the
-    crypto provider resolved now (identical values on every provider).
+    (unkeyed) BLAKE2s.  The returned callable is the crypto provider's
+    resolved hash (:meth:`~repro.crypto.backend.CryptoBackend.hash_function`),
+    shared by every caller on that provider; all providers compute
+    identical values.
     """
     try:
         hash_name = _HASH_FOR_MAC[mac_name.lower()]
@@ -34,8 +35,7 @@ def hash_for_mac(mac_name: str) -> Callable[[bytes], bytes]:
         known = ", ".join(sorted(_HASH_FOR_MAC))
         raise ValueError(
             f"no hash paired with MAC {mac_name!r}; known: {known}") from exc
-    provider = get_backend()
-    return lambda data: provider.hash_digest(hash_name, data)
+    return get_backend().hash_function(hash_name)
 
 
 class ArchitectureError(Exception):
@@ -46,8 +46,7 @@ class MeasurementAborted(Exception):
     """A measurement was aborted before completion (Section 5 variant)."""
 
 
-@dataclass(frozen=True)
-class MeasurementOutput:
+class MeasurementOutput(NamedTuple):
     """Raw output of one self-measurement performed by the architecture.
 
     ``timestamp`` comes from the RROC, ``digest`` is ``H(mem_t)``,
@@ -62,6 +61,9 @@ class MeasurementOutput:
     memory_bytes: int
 
 
+_TIMESTAMP = struct.Struct(">Q")
+
+
 def encode_timestamp(timestamp: float) -> bytes:
     """Canonical byte encoding of a timestamp for MAC computation.
 
@@ -69,7 +71,31 @@ def encode_timestamp(timestamp: float) -> bytes:
     fixed-point 64-bit integer of microseconds so that prover and
     verifier always MAC exactly the same bytes.
     """
-    return struct.pack(">Q", int(round(timestamp * 1_000_000)))
+    return _TIMESTAMP.pack(round(timestamp * 1_000_000))
+
+
+class _AtomicGuard:
+    """The architecture's protected-execution context, entered with ``with``.
+
+    Entry fails if the architecture is already inside (atomic code
+    cannot be re-entered) or if its own entry checks fail; the flag is
+    cleared on every exit, including one by exception.
+    """
+
+    __slots__ = ("_architecture",)
+
+    def __init__(self, architecture: "SecurityArchitecture") -> None:
+        self._architecture = architecture
+
+    def __enter__(self) -> None:
+        architecture = self._architecture
+        if architecture._in_protected_execution:
+            raise ArchitectureError(architecture._NESTED_ENTRY_ERROR)
+        architecture._check_entry()
+        architecture._in_protected_execution = True
+
+    def __exit__(self, *exc_info) -> None:
+        self._architecture._in_protected_execution = False
 
 
 class SecurityArchitecture(abc.ABC):
@@ -77,21 +103,39 @@ class SecurityArchitecture(abc.ABC):
 
     Concrete subclasses (SMART+, HYDRA) own the device memory, the key,
     the RROC and the cost model; the core protocol layer only calls the
-    methods defined here.  The crypto provider for measurements and
-    request authentication is the process's, resolved at construction.
+    methods defined here.
+
+    Everything a measurement needs that depends only on the device's
+    fixed configuration is resolved at construction: the process's
+    crypto provider, its hash ``H`` and keyed MAC for ``mac_name``, the
+    one measured region (``measured_region``) and the modelled
+    measurement run-time (region sizes never change: writes replace
+    equal-length slices).  What the paper protects is still checked on
+    every measurement: the atomic guard, the subclass's entry checks,
+    the region access policies and the read of ``K`` from inside the
+    protected context.
     """
 
+    #: Each architecture's message for a nested protected entry.
+    _NESTED_ENTRY_ERROR: str
+
     def __init__(self, memory: DeviceMemory, cost_model: DeviceCostModel,
-                 mac_name: str, measured_regions: tuple[str, ...]) -> None:
+                 mac_name: str, measured_region: str) -> None:
         self.memory = memory
         self.cost_model = cost_model
         self.mac_name = get_mac(mac_name).name
         self.crypto_backend = get_backend()
         self.hash_function = hash_for_mac(self.mac_name)
-        self.measured_regions = tuple(measured_regions)
+        self._keyed_mac = self.crypto_backend.keyed_mac(self.mac_name)
+        self.measured_region = measured_region
+        self._measured_bytes = self.measured_memory_bytes()
+        self._measurement_duration = cost_model.measurement_runtime(
+            self._measured_bytes, self.mac_name)
         self.measurements_performed = 0
         self.aborted_measurements = 0
         self._last_request_time: float | None = None
+        self._in_protected_execution = False
+        self._guard = _AtomicGuard(self)
 
     # ------------------------------------------------------------------
     # Clock and key access (architecture-specific)
@@ -108,23 +152,23 @@ class SecurityArchitecture(abc.ABC):
     def _read_key(self) -> bytes:
         """Read ``K`` from within the attestation context.
 
-        Only the architecture's own protected code paths call this;
-        anything else reading the key region raises an access violation.
+        Only the architecture's own protected code paths call this; it
+        raises :class:`ArchitectureError` outside protected execution,
+        and anything else reading the key region raises an access
+        violation.
         """
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
     def measured_memory_bytes(self) -> int:
-        """Total size of the memory covered by a measurement."""
-        return sum(self.memory.region(name).size
-                   for name in self.measured_regions)
+        """Size of the memory covered by a measurement."""
+        return self.memory.region(self.measured_region).size
 
     def read_measured_memory(self) -> bytes:
-        """Read the measured regions from the attestation context."""
-        chunks = [self.memory.read_region(name, AccessContext.ATTESTATION)
-                  for name in self.measured_regions]
-        return b"".join(chunks)
+        """Read the measured region from the attestation context."""
+        return self.memory.read_region(self.measured_region,
+                                       AccessContext.ATTESTATION)
 
     def perform_measurement(self, abort: bool = False) -> MeasurementOutput:
         """Compute one self-measurement ``<t, H(mem_t), MAC_K(t, H(mem_t))>``.
@@ -134,24 +178,21 @@ class SecurityArchitecture(abc.ABC):
         models the Section 5 situation where a time-critical task
         pre-empts the measurement: the architecture cleans up and raises
         :class:`MeasurementAborted` without producing a record.
+        ``duration`` is the run-time resolved at construction.
         """
-        with self._protected_execution():
+        with self._guard:
             if abort:
                 self.aborted_measurements += 1
                 raise MeasurementAborted(
                     "measurement aborted by a time-critical task")
             timestamp = self.read_clock()
-            memory_image = self.read_measured_memory()
-            digest = self.hash_function(memory_image)
-            key = self._read_key()
-            tag = self.crypto_backend.mac(
-                self.mac_name, key, encode_timestamp(timestamp) + digest)
-            duration = self.cost_model.measurement_runtime(
-                len(memory_image), self.mac_name)
+            digest = self.hash_function(self.read_measured_memory())
+            tag = self._keyed_mac(self._read_key(),
+                                  encode_timestamp(timestamp) + digest)
             self.measurements_performed += 1
-            return MeasurementOutput(timestamp=timestamp, digest=digest,
-                                     tag=tag, duration=duration,
-                                     memory_bytes=len(memory_image))
+            return MeasurementOutput(timestamp, digest, tag,
+                                     self._measurement_duration,
+                                     self._measured_bytes)
 
     # ------------------------------------------------------------------
     # Verifier-request authentication (on-demand / ERASMUS+OD only)
@@ -172,10 +213,9 @@ class SecurityArchitecture(abc.ABC):
             return False
         if abs(now - request_time) > freshness_window:
             return False
-        with self._protected_execution():
-            key = self._read_key()
-            valid = constant_time_compare(self.crypto_backend.mac(
-                self.mac_name, key, encode_timestamp(request_time) + payload),
+        with self._guard:
+            valid = constant_time_compare(self._keyed_mac(
+                self._read_key(), encode_timestamp(request_time) + payload),
                 tag)
         if valid:
             self._last_request_time = request_time
@@ -188,13 +228,21 @@ class SecurityArchitecture(abc.ABC):
     # ------------------------------------------------------------------
     # Protected execution
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _protected_execution(self):
-        """Context manager for the architecture's protected execution mode.
+    def _protected_execution(self) -> _AtomicGuard:
+        """The guard of the architecture's protected execution mode.
 
-        SMART+ models ROM execution with interrupts disabled; HYDRA
-        models the PrAtt process running at the highest priority with
-        exclusive capabilities.
+        One guard per device: entering it while inside raises
+        :class:`ArchitectureError` with :attr:`_NESTED_ENTRY_ERROR`,
+        then runs :meth:`_check_entry`.  SMART+ models ROM execution
+        with interrupts disabled; HYDRA models the PrAtt process running
+        at the highest priority with exclusive capabilities.
+        """
+        return self._guard
+
+    def _check_entry(self) -> None:
+        """Architecture-specific conditions checked on every protected entry.
+
+        Raise :class:`ArchitectureError` to refuse entry; none by default.
         """
 
     # ------------------------------------------------------------------

@@ -74,9 +74,17 @@ class Measurement:
 
     @classmethod
     def from_output(cls, output: MeasurementOutput) -> "Measurement":
-        """Build a record from the architecture's raw measurement output."""
-        return cls(timestamp=output.timestamp, digest=output.digest,
-                   tag=output.tag, duration=output.duration)
+        """Build a record from the architecture's raw measurement output.
+
+        Sets the fields the way :func:`_received_record` does, so the
+        result is frozen, equal and hashes like ``Measurement(...)``.
+        """
+        record = _new(cls)
+        _set(record, "timestamp", output.timestamp)
+        _set(record, "digest", output.digest)
+        _set(record, "tag", output.tag)
+        _set(record, "duration", output.duration)
+        return record
 
     def authenticated_payload(self) -> bytes:
         """The bytes the MAC covers: canonical timestamp followed by digest."""

@@ -123,8 +123,9 @@ class ErasmusProver:
         assert self._engine is not None
         time = self._engine.now
         measurement = self.take_measurement(time)
-        for listener in list(self.measurement_listeners):
-            listener(self.device_id, time, measurement)
+        if self.measurement_listeners:
+            for listener in list(self.measurement_listeners):
+                listener(self.device_id, time, measurement)
         if measurement is None:
             retry = self.scheduler.reschedule_after_abort(
                 time, self._window_start)

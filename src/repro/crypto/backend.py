@@ -17,11 +17,16 @@ The provider is a process-wide choice, in decreasing precedence:
    ``accelerated``.
 
 Every object that computes digests or tags (architecture, verification
-core, DRBG) resolves the provider once, when it is built.  The
-equivalence suite (``tests/crypto/test_backend.py``) pins the two
-providers to identical outputs on standard test vectors and randomized
-inputs, so switching providers never changes any schedule, digest, MAC
-or DRBG stream.
+core, DRBG) resolves the provider once, when it is built.  Hot loops
+also resolve the primitive: :meth:`CryptoBackend.hash_function` returns
+a ``data -> digest`` callable and :meth:`CryptoBackend.keyed_mac` a
+``(key, data) -> tag`` callable for one of the paper's three MACs.
+Each is bound once per provider and name and shared by every caller,
+so a device holds a reference, not a closure of its own.  The
+equivalence suite (``tests/crypto/test_backend.py``) pins
+the two providers to identical outputs on standard test vectors and
+randomized inputs, so switching providers never changes any schedule,
+digest, MAC or DRBG stream.
 """
 
 from __future__ import annotations
@@ -36,17 +41,25 @@ from typing import Callable, Dict, Iterator
 ENV_VAR = "ERASMUS_CRYPTO_BACKEND"
 DEFAULT_BACKEND_NAME = "accelerated"
 
-_HMAC_HASHES = ("sha1", "sha256")
+_HASHES = ("sha1", "sha256", "blake2s")
+#: The hash under each of the paper's HMAC constructions.
+_HMAC_HASHES = {"hmac-sha1": "sha1", "hmac-sha256": "sha256"}
 
 
 class CryptoBackend(abc.ABC):
     """One provider of the hash / HMAC / keyed-BLAKE2s primitives.
 
-    Subclasses implement the three primitive families; the generic MAC
-    dispatch (:meth:`mac`, :meth:`mac_function`) is shared.
+    Subclasses implement the three primitive families and may bind
+    faster resolved callables (:meth:`_bind_hash`, :meth:`_bind_mac`);
+    the generic MAC dispatch (:meth:`mac`, :meth:`mac_function`) and the
+    per-provider resolution cache are shared.
     """
 
     name: str = "abstract"
+
+    def __init__(self) -> None:
+        self._hash_functions: Dict[str, Callable[[bytes], bytes]] = {}
+        self._keyed_macs: Dict[str, Callable[[bytes, bytes], bytes]] = {}
 
     @abc.abstractmethod
     def hash_digest(self, hash_name: str, data: bytes) -> bytes:
@@ -65,31 +78,60 @@ class CryptoBackend(abc.ABC):
     def digest_size(self, hash_name: str) -> int:
         """Digest size in bytes of the named hash."""
 
-    def hmac_function(self, hash_name: str) -> Callable[[bytes, bytes], bytes]:
-        """A fast ``(key, data) -> tag`` closure for hot loops.
+    # ------------------------------------------------------------------
+    # Resolved primitives for hot loops
+    # ------------------------------------------------------------------
+    def hash_function(self, hash_name: str) -> Callable[[bytes], bytes]:
+        """The ``data -> digest`` callable for ``sha1``/``sha256``/``blake2s``.
 
-        Resolving the hash name once lets callers like the HMAC-DRBG
-        avoid per-call dispatch overhead.
+        Resolved once per provider and name; every caller shares it.
+        An unknown name raises :class:`ValueError` here, not per call.
         """
-        hash_name = hash_name.lower()
-        if hash_name not in _HMAC_HASHES:
-            raise ValueError(f"unknown HMAC hash: {hash_name!r}")
-        return lambda key, data: self.hmac_digest(hash_name, key, data)
+        lowered = hash_name.lower()
+        function = self._hash_functions.get(lowered)
+        if function is None:
+            if lowered not in _HASHES:
+                raise ValueError(f"unknown hash: {hash_name!r}")
+            function = self._hash_functions[lowered] = \
+                self._bind_hash(lowered)
+        return function
+
+    def keyed_mac(self, mac_name: str) -> Callable[[bytes, bytes], bytes]:
+        """The ``(key, data) -> tag`` callable for one of the paper's MACs.
+
+        Resolved once per provider and name; every caller shares it.
+        The key is an argument, never bound: callers that model a
+        protected key read it on every call.  An unknown name raises
+        :class:`ValueError` here, not per call.
+        """
+        lowered = mac_name.lower()
+        function = self._keyed_macs.get(lowered)
+        if function is None:
+            if lowered != "keyed-blake2s" and lowered not in _HMAC_HASHES:
+                raise ValueError(f"backend {self.name!r} cannot compute "
+                                 f"MAC {mac_name!r}")
+            function = self._keyed_macs[lowered] = self._bind_mac(lowered)
+        return function
+
+    def _bind_hash(self, hash_name: str) -> Callable[[bytes], bytes]:
+        """Bind a known, lower-cased hash name to its digest callable."""
+        hash_digest = self.hash_digest
+        return lambda data: hash_digest(hash_name, data)
+
+    def _bind_mac(self, mac_name: str) -> Callable[[bytes, bytes], bytes]:
+        """Bind a known, lower-cased MAC name to its tag callable."""
+        if mac_name == "keyed-blake2s":
+            return self.keyed_blake2s
+        hash_name = _HMAC_HASHES[mac_name]
+        hmac_digest = self.hmac_digest
+        return lambda key, data: hmac_digest(hash_name, key, data)
 
     # ------------------------------------------------------------------
     # Generic MAC dispatch (the three constructions of paper Table 1)
     # ------------------------------------------------------------------
     def mac(self, mac_name: str, key: bytes, data: bytes) -> bytes:
         """Compute one of the paper's MAC constructions by name."""
-        lowered = mac_name.lower()
-        if lowered == "hmac-sha1":
-            return self.hmac_digest("sha1", key, data)
-        if lowered == "hmac-sha256":
-            return self.hmac_digest("sha256", key, data)
-        if lowered == "keyed-blake2s":
-            return self.keyed_blake2s(key, data)
-        raise ValueError(f"backend {self.name!r} cannot compute MAC "
-                         f"{mac_name!r}")
+        return self.keyed_mac(mac_name)(key, data)
 
     def mac_function(self, mac_name: str, key: bytes
                      ) -> Callable[[bytes], bytes]:
@@ -99,11 +141,8 @@ class CryptoBackend(abc.ABC):
         (the fleet collection pipeline) resolve the construction and the
         key once instead of per call.
         """
-        lowered = mac_name.lower()
-        if lowered not in ("hmac-sha1", "hmac-sha256", "keyed-blake2s"):
-            raise ValueError(f"backend {self.name!r} cannot compute MAC "
-                             f"{mac_name!r}")
-        return lambda data: self.mac(lowered, key, data)
+        tag = self.keyed_mac(mac_name)
+        return lambda data: tag(key, data)
 
     def compare_digests(self, left: bytes, right: bytes) -> bool:
         """Constant-time tag comparison, provider-matched.
@@ -177,10 +216,15 @@ class AcceleratedBackend(CryptoBackend):
         except ValueError as exc:
             raise ValueError(f"unknown hash: {hash_name!r}") from exc
 
-    def hmac_function(self, hash_name: str) -> Callable[[bytes, bytes], bytes]:
-        hash_name = hash_name.lower()
-        if hash_name not in _HMAC_HASHES:
-            raise ValueError(f"unknown HMAC hash: {hash_name!r}")
+    def _bind_hash(self, hash_name: str) -> Callable[[bytes], bytes]:
+        constructor = getattr(hashlib, hash_name)
+        return lambda data: constructor(data).digest()
+
+    def _bind_mac(self, mac_name: str) -> Callable[[bytes, bytes], bytes]:
+        if mac_name == "keyed-blake2s":
+            blake2s = hashlib.blake2s
+            return lambda key, data: blake2s(data, key=key).digest()
+        hash_name = _HMAC_HASHES[mac_name]
         digest = _stdlib_hmac.digest
         return lambda key, data: digest(key, data, hash_name)
 

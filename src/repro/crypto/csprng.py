@@ -49,7 +49,7 @@ class HmacDrbg:
         if not seed:
             raise ValueError("HMAC-DRBG requires a non-empty seed")
         backend = get_backend()
-        self._hmac = backend.hmac_function(hash_name)
+        self._hmac = backend.keyed_mac("hmac-" + hash_name)
         digest_size = backend.digest_size(hash_name)
         self._key = b"\x00" * digest_size
         self._value = b"\x01" * digest_size

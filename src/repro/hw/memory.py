@@ -160,20 +160,20 @@ class DeviceMemory:
         """All regions, sorted by base address."""
         return sorted(self._regions.values(), key=lambda region: region.base)
 
-    def _check(self, region: MemoryRegion, context: AccessContext,
-               access: str, allowed: frozenset[AccessContext]) -> None:
-        """Record and raise a violation unless ``context`` is allowed."""
-        if context not in allowed:
-            self.violations.append((region.name, context, access))
-            raise AccessViolation(
-                f"{context.value} context may not {access} "
-                f"region {region.name!r}")
+    def _violation(self, region: MemoryRegion, context: AccessContext,
+                   access: str) -> AccessViolation:
+        """Record a denied access and return the error to raise."""
+        self.violations.append((region.name, context, access))
+        return AccessViolation(
+            f"{context.value} context may not {access} "
+            f"region {region.name!r}")
 
     def read_region(self, name: str,
                     context: AccessContext = AccessContext.NORMAL) -> bytes:
         """Read an entire region by name."""
         region = self.region(name)
-        self._check(region, context, "read", region.policy.readable)
+        if context not in region.policy.readable:
+            raise self._violation(region, context, "read")
         return bytes(region.data)
 
     def write_region(self, name: str, payload: bytes,
@@ -185,5 +185,6 @@ class DeviceMemory:
             raise ValueError(
                 f"write of {len(payload)} bytes at offset {offset} exceeds "
                 f"region {name!r} of size {region.size}")
-        self._check(region, context, "write", region.policy.writable)
+        if context not in region.policy.writable:
+            raise self._violation(region, context, "write")
         region.data[offset:offset + len(payload)] = payload

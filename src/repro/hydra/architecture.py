@@ -9,8 +9,6 @@ the EPIT periodic timer.
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.arch.base import ArchitectureError, SecurityArchitecture
 from repro.hw.clock import SoftwareClock, WrappingCounter
 from repro.hw.codesize import CodeSizeModel
@@ -54,6 +52,9 @@ class HydraArchitecture(SecurityArchitecture):
         i.MX6-class cost model (defaults to the calibrated one).
     """
 
+    _NESTED_ENTRY_ERROR = \
+        "PrAtt is single-threaded; nested measurement is impossible"
+
     def __init__(self, key: bytes, mac_name: str = "keyed-blake2s",
                  application_size: int = 10 * 1024 * 1024,
                  measurement_buffer_size: int = 64 * 1024,
@@ -78,7 +79,7 @@ class HydraArchitecture(SecurityArchitecture):
             cost_model=cost_model if cost_model is not None
             else ApplicationCPUModel(),
             mac_name=mac_name,
-            measured_regions=(APPLICATION_REGION,),
+            measured_region=APPLICATION_REGION,
         )
 
         # Secure boot: verify the kernel and PrAtt images, then bring up
@@ -96,7 +97,6 @@ class HydraArchitecture(SecurityArchitecture):
         self.pratt = PrAttProcess.boot(self.kernel)
         self.clock = SoftwareClock(
             WrappingCounter(frequency_hz=_GPT_FREQUENCY_HZ, width_bits=32))
-        self._in_pratt = False
 
     @staticmethod
     def _synthetic_image(seed: bytes, size: int) -> bytes:
@@ -144,28 +144,20 @@ class HydraArchitecture(SecurityArchitecture):
         self.clock.advance_to(time_seconds, trusted=True)
 
     def _read_key(self) -> bytes:
-        if not self._in_pratt:
+        if not self._in_protected_execution:
             raise ArchitectureError(
                 "K may only be read by the PrAtt process")
         self.kernel.require_access(self.pratt.name, KEY_OBJECT, Right.READ)
         return self.memory.read_region(KEY_REGION, AccessContext.ATTESTATION)
 
-    @contextlib.contextmanager
-    def _protected_execution(self):
-        if self._in_pratt:
-            raise ArchitectureError(
-                "PrAtt is single-threaded; nested measurement is impossible")
+    def _check_entry(self) -> None:
+        """PrAtt must still run at the top priority with the key to itself."""
         if not self.pratt.is_highest_priority():
             raise ArchitectureError(
                 "PrAtt lost its scheduling priority; atomicity is broken")
         if not self.pratt.has_exclusive_key_access():
             raise ArchitectureError(
                 "key capability leaked; exclusive access is broken")
-        self._in_pratt = True
-        try:
-            yield
-        finally:
-            self._in_pratt = False
 
     # ------------------------------------------------------------------
     # HYDRA-specific behaviour

@@ -4,7 +4,8 @@ HYDRA relies on secure boot to guarantee the integrity of the seL4
 kernel image and the PrAtt process image at system initialization time;
 everything after that is enforced by seL4's (formally verified)
 capability system.  The model keeps a table of expected image digests
-and refuses to boot when any measured image deviates.
+and refuses to boot when any measured image deviates.  Digests are
+SHA-256 on the process's crypto provider.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.crypto.backend import get_backend
 from repro.crypto.constant_time import constant_time_compare
-from repro.crypto.sha256 import sha256_digest
+
+
+def _sha256(image: bytes) -> bytes:
+    return get_backend().hash_function("sha256")(image)
 
 
 class SecureBootError(Exception):
@@ -31,7 +36,7 @@ class SecureBoot:
     def provision(cls, images: Dict[str, bytes]) -> "SecureBoot":
         """Record the digests of known-good images (factory provisioning)."""
         return cls(expected_digests={
-            name: sha256_digest(image) for name, image in images.items()})
+            name: _sha256(image) for name, image in images.items()})
 
     def verify_image(self, name: str, image: bytes) -> bool:
         """Check one image against its provisioned digest.
@@ -43,7 +48,7 @@ class SecureBoot:
         expected = self.expected_digests.get(name)
         if expected is None:
             return False
-        return constant_time_compare(sha256_digest(image), expected)
+        return constant_time_compare(_sha256(image), expected)
 
     def boot(self, images: Dict[str, bytes]) -> None:
         """Verify every provisioned image and mark the device booted.

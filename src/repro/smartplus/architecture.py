@@ -9,14 +9,12 @@ Reproduces the memory organization of the paper's Figure 5(b):
   — the normal world, and hence malware, may read and write it);
 * peripherals: I/O, timer, and the RROC.
 
-Atomic execution is modelled by a context manager that rejects nested or
-interrupted entry, mirroring SMART's "starts at the first instruction,
-exits at the last, interrupts disabled" rule.
+Atomic execution is modelled by the base class's guard, which rejects
+nested or interrupted entry, mirroring SMART's "starts at the first
+instruction, exits at the last, interrupts disabled" rule.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 from repro.arch.base import ArchitectureError, SecurityArchitecture
 from repro.hw.clock import ReliableClock
@@ -53,6 +51,9 @@ class SmartPlusArchitecture(SecurityArchitecture):
         MSP430-class cycle cost model (defaults to the calibrated one).
     """
 
+    _NESTED_ENTRY_ERROR = \
+        "attestation code is atomic; nested entry is impossible"
+
     def __init__(self, rom_image: RomImage, application_size: int = 10 * 1024,
                  measurement_buffer_size: int = 2048,
                  cost_model: MCUModel | None = None) -> None:
@@ -64,11 +65,10 @@ class SmartPlusArchitecture(SecurityArchitecture):
             memory=memory,
             cost_model=cost_model if cost_model is not None else MCUModel(),
             mac_name=rom_image.mac_name,
-            measured_regions=(APPLICATION_REGION,),
+            measured_region=APPLICATION_REGION,
         )
         self.rom_image = rom_image
         self.clock = ReliableClock(frequency_hz=self.cost_model.clock_hz)
-        self._in_attestation = False
 
     @staticmethod
     def _build_memory_map(rom_image: RomImage, application_size: int,
@@ -110,22 +110,11 @@ class SmartPlusArchitecture(SecurityArchitecture):
         self.clock.advance_to(time_seconds)
 
     def _read_key(self) -> bytes:
-        if not self._in_attestation:
+        if not self._in_protected_execution:
             raise ArchitectureError(
                 "K may only be read from within the ROM attestation code")
         return self.memory.read_region(ROM_KEY_REGION,
                                        AccessContext.ATTESTATION)
-
-    @contextlib.contextmanager
-    def _protected_execution(self):
-        if self._in_attestation:
-            raise ArchitectureError(
-                "attestation code is atomic; nested entry is impossible")
-        self._in_attestation = True
-        try:
-            yield
-        finally:
-            self._in_attestation = False
 
     # ------------------------------------------------------------------
     # SMART+-specific behaviour

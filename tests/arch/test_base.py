@@ -97,3 +97,60 @@ def test_request_authentication_rejects_stale_request(key, smartplus_arch):
 def test_key_unreachable_outside_protected_execution(smartplus_arch):
     with pytest.raises(ArchitectureError):
         smartplus_arch._read_key()
+
+
+# ----------------------------------------------------------------------
+# The atomic guard, on both architectures
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["smartplus", "hydra"])
+def architecture(request):
+    return request.getfixturevalue(f"{request.param}_arch")
+
+
+def test_guard_released_after_abort(architecture):
+    with pytest.raises(MeasurementAborted):
+        architecture.perform_measurement(abort=True)
+    with pytest.raises(ArchitectureError):
+        architecture._read_key()
+    architecture.advance_clock(1.0)
+    assert architecture.perform_measurement().timestamp == pytest.approx(1.0)
+    assert architecture.measurements_performed == 1
+    with pytest.raises(ArchitectureError):
+        architecture._read_key()
+
+
+def test_guard_released_when_hash_raises(architecture, monkeypatch):
+    def failing_hash(data):
+        raise RuntimeError("hash fault")
+
+    monkeypatch.setattr(architecture, "hash_function", failing_hash)
+    with pytest.raises(RuntimeError, match="hash fault"):
+        architecture.perform_measurement()
+    with pytest.raises(ArchitectureError):
+        architecture._read_key()
+    monkeypatch.undo()
+    architecture.advance_clock(2.0)
+    assert architecture.perform_measurement().timestamp == pytest.approx(2.0)
+    assert architecture.measurements_performed == 1
+
+
+def test_nested_protected_entry_rejected(key, architecture):
+    with architecture._protected_execution():
+        with pytest.raises(ArchitectureError, match="nested"):
+            with architecture._protected_execution():
+                pass
+        with pytest.raises(ArchitectureError, match="nested"):
+            architecture.perform_measurement()
+        # The failed inner entry leaves the outer one in force.
+        assert architecture._read_key() == key
+    with pytest.raises(ArchitectureError):
+        architecture._read_key()
+    assert architecture.measurements_performed == 0
+
+
+def test_duration_is_the_modelled_runtime(architecture):
+    output = architecture.perform_measurement()
+    assert output.duration == architecture.cost_model.measurement_runtime(
+        architecture.measured_memory_bytes(), architecture.mac_name)
+    assert output.memory_bytes == architecture.measured_memory_bytes() == \
+        len(architecture.read_measured_memory())

@@ -59,6 +59,17 @@ def test_from_output_copies_fields(smartplus_arch):
     assert measurement.digest == output.digest
     assert measurement.tag == output.tag
     assert measurement.duration == output.duration
+    # Built without the generated __init__, yet equal, hashing and
+    # frozen like a directly constructed record.
+    direct = Measurement(timestamp=output.timestamp, digest=output.digest,
+                         tag=output.tag, duration=output.duration)
+    assert measurement == direct
+    assert hash(measurement) == hash(direct)
+    assert measurement.mac_input() == direct.authenticated_payload()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        measurement.tag = b"forged"
+    with pytest.raises(AttributeError):
+        output.tag = b"forged"
 
 
 @settings(max_examples=60, deadline=None)

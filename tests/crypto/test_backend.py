@@ -55,12 +55,14 @@ MAC_VECTORS = [
 @pytest.mark.parametrize("provider", BACKENDS, ids=lambda b: b.name)
 def test_hash_vectors(provider, hash_name, message, expected):
     assert provider.hash_digest(hash_name, message).hex() == expected
+    assert provider.hash_function(hash_name)(message).hex() == expected
 
 
 @pytest.mark.parametrize("mac_name,key,message,expected", MAC_VECTORS)
 @pytest.mark.parametrize("provider", BACKENDS, ids=lambda b: b.name)
 def test_mac_vectors(provider, mac_name, key, message, expected):
     assert provider.mac(mac_name, key, message).hex() == expected
+    assert provider.keyed_mac(mac_name)(key, message).hex() == expected
 
 
 @pytest.mark.parametrize("provider", BACKENDS, ids=lambda b: b.name)
@@ -94,13 +96,42 @@ def test_mac_fuzz_equivalence(name):
         assert len(reference_tag) == algorithm.digest_size
         assert REFERENCE.mac_function(name, key)(message) == \
             ACCELERATED.mac_function(name, key)(message)
+        assert REFERENCE.keyed_mac(name)(key, message) == \
+            ACCELERATED.keyed_mac(name)(key, message) == reference_tag
 
 
 @pytest.mark.parametrize("hash_name", ["sha1", "sha256", "blake2s"])
 def test_hash_fuzz_equivalence(hash_name):
     for _, message in _fuzz_cases(seed=hash_name, count=40):
         assert REFERENCE.hash_digest(hash_name, message) == \
-            ACCELERATED.hash_digest(hash_name, message)
+            ACCELERATED.hash_digest(hash_name, message) == \
+            REFERENCE.hash_function(hash_name)(message) == \
+            ACCELERATED.hash_function(hash_name)(message)
+
+
+# ----------------------------------------------------------------------
+# Resolved primitives: one shared callable per provider and name
+# ----------------------------------------------------------------------
+PAPER_HASHES = ["sha1", "sha256", "blake2s"]
+PAPER_MACS = ["hmac-sha1", "hmac-sha256", "keyed-blake2s"]
+
+
+@pytest.mark.parametrize("provider", BACKENDS, ids=lambda b: b.name)
+def test_resolved_callables_are_shared(provider):
+    for hash_name in PAPER_HASHES:
+        assert provider.hash_function(hash_name) is \
+            provider.hash_function(hash_name.upper())
+    for mac_name in PAPER_MACS:
+        assert provider.keyed_mac(mac_name) is provider.keyed_mac(mac_name)
+
+
+def test_architectures_share_the_resolved_callables(key):
+    from repro.smartplus import build_smartplus_architecture
+
+    first, second = (build_smartplus_architecture(key, application_size=64)
+                     for _ in range(2))
+    assert first.hash_function is second.hash_function
+    assert first._keyed_mac is second._keyed_mac
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +223,11 @@ def test_unknown_primitives_rejected():
         with pytest.raises(ValueError):
             provider.mac("cmac-aes", b"k", b"m")
         with pytest.raises(ValueError):
-            provider.hmac_function("blake2s")
+            provider.hash_function("md5-but-wrong")
+        with pytest.raises(ValueError):
+            provider.keyed_mac("cmac-aes")
+        with pytest.raises(ValueError):
+            provider.keyed_mac("hmac-blake2s")
 
 
 # ----------------------------------------------------------------------

@@ -111,3 +111,19 @@ def test_policy_factories():
     secret = AccessPolicy.secret_key()
     assert secret.readable == frozenset({AccessContext.ATTESTATION})
     assert not secret.writable
+
+
+def test_denied_key_read_records_one_violation_and_keeps_data():
+    memory = build_memory()
+    with pytest.raises(AccessViolation, match="normal context may not read"):
+        memory.read_region("key", AccessContext.NORMAL)
+    assert memory.violations == [("key", AccessContext.NORMAL, "read")]
+    assert memory.region("key").data == b"\x11" * 16
+
+
+def test_allowed_reads_record_no_violation():
+    memory = build_memory()
+    memory.read_region("key", AccessContext.ATTESTATION)
+    memory.read_region("ram", AccessContext.NORMAL)
+    memory.read_region("rom", AccessContext.DMA)
+    assert memory.violations == []

@@ -94,3 +94,24 @@ def test_load_application_rejects_oversized_image(hydra_arch):
 def test_empty_key_rejected():
     with pytest.raises(ValueError):
         build_hydra_architecture(b"", application_size=1024)
+
+
+def test_pratt_demotion_after_a_measurement_stops_the_next(hydra_arch):
+    hydra_arch.perform_measurement()
+    hydra_arch.kernel.process("pratt").priority = 254
+    hydra_arch.kernel._add_process("rogue", 255, [], parent=None)
+    with pytest.raises(ArchitectureError, match="priority"):
+        hydra_arch.perform_measurement()
+    assert hydra_arch.measurements_performed == 1
+
+
+def test_key_leak_after_a_measurement_stops_the_next(hydra_arch):
+    hydra_arch.perform_measurement()
+    hydra_arch.kernel._add_process(
+        "evil", 10, [Capability(KEY_OBJECT, Right.READ)], parent="pratt")
+    with pytest.raises(ArchitectureError, match="exclusive"):
+        hydra_arch.perform_measurement()
+    assert hydra_arch.measurements_performed == 1
+    # The refused entry left the guard free.
+    with pytest.raises(ArchitectureError, match="PrAtt"):
+        hydra_arch._read_key()

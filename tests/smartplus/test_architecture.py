@@ -99,3 +99,12 @@ def test_measurements_update_counter(smartplus_arch):
     smartplus_arch.advance_clock(10.0)
     smartplus_arch.perform_measurement()
     assert smartplus_arch.measurements_performed == 2
+
+
+def test_key_readable_only_inside_the_attestation_guard(key, smartplus_arch):
+    with pytest.raises(ArchitectureError, match="ROM attestation code"):
+        smartplus_arch._read_key()
+    with smartplus_arch._protected_execution():
+        assert smartplus_arch._read_key() == key
+    with pytest.raises(ArchitectureError, match="ROM attestation code"):
+        smartplus_arch._read_key()
