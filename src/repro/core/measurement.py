@@ -4,8 +4,10 @@ Measurements are produced by the security architecture
 (:meth:`repro.arch.SecurityArchitecture.perform_measurement`), stored in
 the prover's insecure rolling buffer and later shipped to the verifier
 unencrypted (they are authenticated by the MAC and contain no secrets;
-Section 3.2).  This module defines the record and a compact, canonical
-wire encoding used both for buffer storage and for network transfer.
+Section 3.2).  This module defines the record and its compact,
+canonical wire encoding for network transfer; the buffer
+(:class:`repro.core.storage.MeasurementStore`) keeps the
+:class:`Measurement` objects themselves.
 
 A received record list decodes into one :class:`RecordBatch`: four
 columns (timestamps, MAC inputs as received, digests, tags) rather

@@ -19,7 +19,7 @@ benchmarks use.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.arch.base import MeasurementAborted, SecurityArchitecture
 from repro.core.config import ErasmusConfig, ScheduleKind
@@ -32,7 +32,9 @@ from repro.core.protocol import (
 )
 from repro.core.scheduler import MeasurementScheduler, build_scheduler
 from repro.core.storage import MeasurementStore
-from repro.sim.engine import SimulationEngine
+
+if TYPE_CHECKING:  # pragma: no cover — annotation only; verifiers skip sim
+    from repro.sim.engine import SimulationEngine
 
 
 class ErasmusProver:

@@ -12,6 +12,9 @@ its reference:
   authentic, known-good digest, dated in the future); no per-record
   object is built, and a report's :attr:`VerificationReport.verdicts`
   are made from the batch and the flags only when someone reads them;
+* :class:`DeviceJudges` keeps each device's judge and decodes a raw
+  response before judging it; the in-process verifier and every
+  process worker judge through one;
 * :meth:`VerificationCore.verify_measurements` is the reference oracle
   the judge is tested against, one :class:`MeasurementVerdict` per
   record, and :meth:`VerificationCore.verify_ondemand` the only judge
@@ -38,7 +41,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.arch.base import encode_timestamp
 from repro.core.config import ErasmusConfig
 from repro.core.measurement import Measurement, RecordBatch
-from repro.core.protocol import OnDemandRequest, OnDemandResponse
+from repro.core.protocol import (
+    OnDemandRequest,
+    OnDemandResponse,
+    ProtocolDecodeError,
+    decode_response,
+)
 from repro.crypto.backend import get_backend
 from repro.crypto.constant_time import constant_time_compare
 from repro.crypto.mac import get_mac
@@ -564,3 +572,65 @@ class DeviceJudge:
         return self.core._assess(report, enrollment, collection_time,
                                  batch.timestamps, authentic, healthy,
                                  from_future)
+
+
+class DeviceJudges:
+    """Decode-and-judge over one cached :class:`DeviceJudge` per device.
+
+    The one path from a raw transport payload to a report:
+    :class:`repro.fleet.FleetVerifier` keeps one for its inline rounds,
+    and each process worker (:mod:`repro.worker.process`) keeps one for
+    the payloads shipped to it.  A device's judge is rebuilt when a
+    re-enrollment changed its key.
+    """
+
+    __slots__ = ("core", "_judges")
+
+    def __init__(self, core: VerificationCore) -> None:
+        self.core = core
+        self._judges: Dict[str, DeviceJudge] = {}
+
+    def judge(self, enrollment: Enrollment,
+              measurements: Sequence[Measurement],
+              collection_time: float) -> VerificationReport:
+        """Judge one decoded history through the device's judge."""
+        judge = self._judges.get(enrollment.device_id)
+        if judge is None or not self.core.crypto_backend.compare_digests(
+                judge.key, enrollment.key):
+            judge = self.core.device_judge(enrollment.key)
+            self._judges[enrollment.device_id] = judge
+        return judge.verify_measurements(enrollment, measurements,
+                                         collection_time)
+
+    def verify_payload(self, enrollment: Enrollment, payload,
+                       collection_time: float,
+                       decode=decode_response) -> VerificationReport:
+        """Judge one raw transport response (``None`` = never answered).
+
+        A missing answer is NO_DATA; an undecodable one, or an
+        ERASMUS+OD response to a plain collection, is TAMPERED.
+        ``decode`` is the response parser.  The fleet verifier passes
+        its own module's ``decode_response``, so a timing wrapper
+        installed there (``perfbench/spans.py``) sees every decode.
+        """
+        device_id = enrollment.device_id
+        if payload is None:
+            return VerificationReport(
+                device_id=device_id, collection_time=collection_time,
+                status=DeviceStatus.NO_DATA,
+                anomalies=["no response received"])
+        try:
+            response = decode(payload)
+        except ProtocolDecodeError as exc:
+            return VerificationReport(
+                device_id=device_id, collection_time=collection_time,
+                status=DeviceStatus.TAMPERED,
+                anomalies=[f"response could not be decoded: {exc}"])
+        if isinstance(response, OnDemandResponse):
+            return VerificationReport(
+                device_id=device_id, collection_time=collection_time,
+                status=DeviceStatus.TAMPERED,
+                anomalies=["unexpected on-demand response to a plain "
+                           "collection"])
+        return self.judge(enrollment, response.measurements,
+                          collection_time)

@@ -18,8 +18,11 @@ attestation as a many-device service rather than a pairwise exchange:
   rounds as N concurrent partitions, and
   ``FleetVerifier(worker_mode="process")`` verifies them in worker
   processes) and the :class:`Fleet` facade;
-* :mod:`repro.fleet.sinks` — pluggable report sinks (in-memory, JSONL,
-  :class:`FleetHealth` aggregation) and per-round :class:`RoundStats`.
+* :mod:`repro.fleet.sinks` — pluggable report sinks (in-memory, JSONL)
+  and per-round :class:`RoundStats`; the :class:`FleetHealth` aggregate
+  lives in :mod:`repro.worker.health`, beside the worker loop
+  (:mod:`repro.worker.process`) that process workers run without this
+  package.
 
 Verifier state can be made durable by passing a
 :class:`repro.store.StateStore` backend (``store=``) to
@@ -61,7 +64,6 @@ from repro.fleet.service import (
 )
 from repro.core.verification import DuplicateEnrollmentError
 from repro.fleet.sinks import (
-    FleetHealth,
     JsonlSink,
     MemorySink,
     ReportSink,
@@ -77,6 +79,7 @@ from repro.fleet.transport import (
     serve_request,
 )
 from repro.fleet.workers import WorkerCrashed, WorkerError, WorkerPool
+from repro.worker.health import FleetHealth
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",

@@ -12,7 +12,9 @@ This is the canonical public API for running ERASMUS at fleet scale:
 
 Every collection is judged by the device's precompiled
 :class:`repro.core.verification.DeviceJudge` over the stateless
-:class:`repro.core.verification.VerificationCore`.
+:class:`repro.core.verification.VerificationCore`, through the
+:class:`repro.core.verification.DeviceJudges` decode-and-judge path a
+process worker runs too.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ from repro.core.config import ErasmusConfig
 from repro.core.protocol import (
     CollectRequest,
     CollectResponse,
-    OnDemandResponse,
-    ProtocolDecodeError,
     decode_response,
 )
 from repro.core.verification import (
-    DeviceJudge,
+    DeviceJudges,
     DeviceStatus,
     DuplicateEnrollmentError,
     Enrollment,
@@ -49,7 +49,7 @@ from repro.core.verification import (
     VerificationReport,
 )
 from repro.fleet.profiles import DeviceProfile, ProvisionedDevice
-from repro.fleet.sinks import FleetHealth, ReportSink, RoundStats, SinkFanout
+from repro.fleet.sinks import ReportSink, RoundStats, SinkFanout
 from repro.fleet.transport import (
     InProcessTransport,
     SimulatedNetworkTransport,
@@ -57,9 +57,11 @@ from repro.fleet.transport import (
     SwarmRelayTransport,
     Transport,
 )
-from repro.fleet.workers import WorkerCrashed, WorkerPool, decode_result
+from repro.fleet.workers import WorkerCrashed, WorkerPool
 from repro.sim.engine import SimulationEngine
 from repro.store import MemoryStore, StateStore
+from repro.worker.health import FleetHealth
+from repro.worker.process import decode_result
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle broken at runtime
     from repro.obs.service import Observability
@@ -94,6 +96,12 @@ class RoundReports(List[VerificationReport]):
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.stats = RoundStats()
+
+    def __repr__(self) -> str:
+        # Kept short: asyncio.run formats the finished round task, its
+        # result included, each time it restores the SIGINT handler.
+        # A list repr there would format every report of the round.
+        return f"<RoundReports: {len(self)} report(s)>"
 
 
 def _ensure_no_running_loop(hint: str) -> None:
@@ -199,9 +207,9 @@ class FleetVerifier:
         self.rounds_completed = 0
         self.obs = obs if obs is not None else _default_obs()
         # Per-device precompiled fast verification paths (see
-        # DeviceJudge); rebuilt transparently if a re-enrollment
+        # DeviceJudges); rebuilt transparently if a re-enrollment
         # replaces a device's key.
-        self._judges: Dict[str, DeviceJudge] = {}
+        self._judges = DeviceJudges(self.core)
         self._closed = False
 
     @classmethod
@@ -330,67 +338,19 @@ class FleetVerifier:
         Judged by the device's :class:`DeviceJudge`, the path a round
         takes, and committed like a one-report round shard.
         """
-        report = self._judge(device_id, response.measurements,
-                             collection_time)
+        report = self._judges.judge(self._enrollment_for(device_id),
+                                    response.measurements, collection_time)
         self._commit_batch([report])
         for sink in self.sinks:
             sink.emit(report)
         return report
 
-    def _decode_collection(self, device_id: str, payload: Optional[bytes],
-                           collection_time: float):
-        """Decode one raw transport response.
-
-        Returns ``(report, None)`` when the payload already determines
-        the outcome (no answer, undecodable, wrong response type) and
-        ``(None, measurements)`` when the measurement history still
-        needs judging.
-        """
-        if payload is None:
-            return VerificationReport(
-                device_id=device_id, collection_time=collection_time,
-                status=DeviceStatus.NO_DATA,
-                anomalies=["no response received"]), None
-        try:
-            response = decode_response(payload)
-        except ProtocolDecodeError as exc:
-            return VerificationReport(
-                device_id=device_id, collection_time=collection_time,
-                status=DeviceStatus.TAMPERED,
-                anomalies=[f"response could not be decoded: {exc}"]), None
-        if isinstance(response, OnDemandResponse):
-            return VerificationReport(
-                device_id=device_id, collection_time=collection_time,
-                status=DeviceStatus.TAMPERED,
-                anomalies=["unexpected on-demand response to a plain "
-                           "collection"]), None
-        return None, response.measurements
-
-    def _judge(self, device_id: str, measurements, collection_time: float
-               ) -> VerificationReport:
-        """Judge one history through the device's cached :class:`DeviceJudge`.
-
-        The judge is rebuilt when a re-enrollment changed the key; its
-        reports equal the reference :meth:`VerificationCore.
-        verify_measurements` verdicts.
-        """
-        enrollment = self._enrollment_for(device_id)
-        judge = self._judges.get(device_id)
-        if judge is None or not self.core.crypto_backend.compare_digests(
-                judge.key, enrollment.key):
-            judge = self.core.device_judge(enrollment.key)
-            self._judges[device_id] = judge
-        return judge.verify_measurements(enrollment, measurements,
-                                         collection_time)
-
     def _verify_payload(self, device_id: str, payload: Optional[bytes],
                         collection_time: float) -> VerificationReport:
         """Judge one raw transport response (``None`` = never answered)."""
-        report, measurements = self._decode_collection(
-            device_id, payload, collection_time)
-        if report is not None:
-            return report
-        return self._judge(device_id, measurements, collection_time)
+        return self._judges.verify_payload(self._enrollment_for(device_id),
+                                           payload, collection_time,
+                                           decode_response)
 
     def _commit_batch(self, reports: List[VerificationReport],
                       part: Optional[FleetHealth] = None,

@@ -588,7 +588,7 @@ class SwarmRelayTransport(SimulatedNetworkTransport):
             raise RuntimeError("rewire requires a mobility model")
         if time is None:
             time = self.engine.now
-        known = self.network.graph.nodes
+        known = self.network.adjacency
         links = [Link(link.node_a, link.node_b, latency=link.latency,
                       bandwidth_bps=link.bandwidth_bps,
                       loss_probability=self.loss_probability)

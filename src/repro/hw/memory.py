@@ -46,6 +46,13 @@ class AccessContext(enum.Enum):
     NORMAL = "normal"
     DMA = "dma"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ``==``.  It is computed in C, where Enum's
+    # ``hash(self._name_)`` is a Python call on every policy check.
+    # Policy sets are only ever tested for membership, never iterated
+    # into an output, so their (hash-dependent) order is never seen.
+    __hash__ = object.__hash__
+
 
 class AccessViolation(Exception):
     """A memory access violated the hardware access-control rules."""

@@ -7,8 +7,9 @@ whose topology may change quickly.  This package provides:
 * :mod:`repro.net.packet` — datagrams with realistic sizes;
 * :mod:`repro.net.link` — point-to-point links with latency and loss;
 * :mod:`repro.net.node` — protocol endpoints attached to the simulator;
-* :mod:`repro.net.network` — a topology of nodes and links built on
-  :mod:`networkx` graphs, with delivery through the event engine;
+* :mod:`repro.net.network` — a topology of nodes and links with
+  latency-shortest-path routing (a small Dijkstra over an
+  insertion-ordered adjacency) and delivery through the event engine;
 * :mod:`repro.net.mobility` — mobility models that rewire the topology
   over time (the "highly mobile swarm" setting).
 """

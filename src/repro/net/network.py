@@ -2,15 +2,46 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
-from typing import Dict, Iterable, Optional
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.net.link import Link
 from repro.net.node import NetworkNode
 from repro.net.packet import Packet
 from repro.sim.engine import SimulationEngine
+
+
+def _shortest_paths(adjacency: Dict[str, Dict[str, Link]],
+                    source: str) -> Dict[str, List[str]]:
+    """Dijkstra by link latency: the path from ``source`` to each node.
+
+    Ties resolve deterministically: equal tentative distances leave
+    the heap in push order, and a path is replaced only by a strictly
+    shorter one, so among equal-latency routes the first one reached
+    through the insertion-ordered adjacency wins (the order
+    ``networkx.single_source_dijkstra_path`` resolves them in).
+    """
+    settled: Set[str] = set()
+    tentative: Dict[str, float] = {source: 0}
+    paths: Dict[str, List[str]] = {source: [source]}
+    pushes = itertools.count()
+    fringe = [(0, next(pushes), source)]
+    while fringe:
+        distance, _, node = heapq.heappop(fringe)
+        if node in settled:
+            continue
+        settled.add(node)
+        for neighbour, link in adjacency[node].items():
+            if neighbour in settled:
+                continue
+            candidate = distance + link.latency
+            if neighbour not in tentative or candidate < tentative[neighbour]:
+                tentative[neighbour] = candidate
+                heapq.heappush(fringe, (candidate, next(pushes), neighbour))
+                paths[neighbour] = paths[node] + [neighbour]
+    return paths
 
 
 class Network:
@@ -21,11 +52,15 @@ class Network:
     (mobility) simply rewire the underlying graph — packets already "in
     flight" on a removed link are lost, which is exactly the behaviour
     that breaks on-demand swarm attestation in high-mobility settings.
+
+    :attr:`adjacency` is the undirected graph as insertion-ordered
+    ``{node: {neighbour: link}}``; each link appears under both of its
+    endpoints.
     """
 
     def __init__(self, engine: SimulationEngine, seed: int = 0) -> None:
         self.engine = engine
-        self.graph = nx.Graph()
+        self.adjacency: Dict[str, Dict[str, Link]] = {}
         self._nodes: Dict[str, NetworkNode] = {}
         self._random = random.Random(seed)
         # Shortest-path trees cached per topology version: one Dijkstra
@@ -61,7 +96,7 @@ class Network:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         node.network = self
-        self.graph.add_node(node.name)
+        self.adjacency[node.name] = {}
         return node
 
     def node(self, name: str) -> NetworkNode:
@@ -70,10 +105,6 @@ class Network:
             return self._nodes[name]
         except KeyError as exc:
             raise KeyError(f"no node named {name!r}") from exc
-
-    def nodes(self) -> list[NetworkNode]:
-        """All attached nodes."""
-        return list(self._nodes.values())
 
     def remove_node(self, name: str) -> None:
         """Detach a node and every link incident to it.
@@ -85,7 +116,9 @@ class Network:
         if node is None:
             return
         node.network = None
-        self.graph.remove_node(name)
+        for neighbour in self.adjacency.pop(name):
+            if neighbour != name:
+                del self.adjacency[neighbour][name]
         self._topology_version += 1
 
     def add_link(self, link: Link) -> Link:
@@ -93,15 +126,15 @@ class Network:
         for endpoint in link.endpoints():
             if endpoint not in self._nodes:
                 raise KeyError(f"link endpoint {endpoint!r} is not a node")
-        self.graph.add_edge(link.node_a, link.node_b, link=link)
+        self.adjacency[link.node_a][link.node_b] = link
+        self.adjacency[link.node_b][link.node_a] = link
         self._topology_version += 1
         return link
 
     def link_between(self, first: str, second: str) -> Optional[Link]:
         """The link joining two nodes, if any."""
-        if not self.graph.has_edge(first, second):
-            return None
-        return self.graph.edges[first, second]["link"]
+        neighbours = self.adjacency.get(first)
+        return None if neighbours is None else neighbours.get(second)
 
     def set_links(self, links: Iterable[Link]) -> None:
         """Replace the entire set of links (used by mobility models).
@@ -112,14 +145,11 @@ class Network:
         — when it reaches the gap.  No packet is ever re-admitted or
         settled twice, however many rewires happen while it travels.
         """
-        self.graph.remove_edges_from(list(self.graph.edges))
+        for neighbours in self.adjacency.values():
+            neighbours.clear()
         self._topology_version += 1
         for link in links:
             self.add_link(link)
-
-    def neighbors(self, name: str) -> list[str]:
-        """Names of the node's current one-hop neighbours."""
-        return list(self.graph.neighbors(name))
 
     # ------------------------------------------------------------------
     # Packet delivery
@@ -134,7 +164,7 @@ class Network:
         response packets costs a single Dijkstra run.
         """
         if source == destination:
-            return [source] if source in self.graph else None
+            return [source] if source in self.adjacency else None
         if self._path_cache_version != self._topology_version:
             self._path_cache = {}
             self._path_cache_version = self._topology_version
@@ -145,11 +175,9 @@ class Network:
                 reverse = reverse_tree.get(source)
                 return list(reversed(reverse)) if reverse is not None \
                     and len(reverse) >= 2 else None
-            if source not in self.graph:
+            if source not in self.adjacency:
                 return None
-            tree = nx.single_source_dijkstra_path(
-                self.graph, source,
-                weight=lambda u, v, data: data["link"].latency)
+            tree = _shortest_paths(self.adjacency, source)
             self._path_cache[source] = tree
         route = tree.get(destination)
         return list(route) if route is not None and len(route) >= 2 else None

@@ -1,6 +1,6 @@
 """Streaming SLO evaluation: health verdicts *while* a round runs.
 
-The fleet's :class:`~repro.fleet.sinks.FleetHealth` is an aggregate
+The fleet's :class:`~repro.fleet.FleetHealth` is an aggregate
 computed as reports commit and examined after the round returns.  For
 a live deployment that is too late: "95% of the fleet must attest" is
 an SLO you want to hear about the moment it becomes unmeetable, not at
@@ -15,7 +15,7 @@ Rules have two evaluation paths that must agree:
 * **streaming** — :meth:`SloRule.observe` per report, then
   :meth:`SloRule.end_of_round` when the round's sink flush arrives;
 * **post-hoc** — :meth:`SloRule.violated_by` over a finished
-  :class:`~repro.fleet.sinks.FleetHealth` aggregate.
+  :class:`~repro.fleet.FleetHealth` aggregate.
 
 The agreement is load-bearing: process workers' health parts are
 merged into the verifier's aggregate after the fact, and the
@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.core.verification import DeviceStatus, VerificationReport
-from repro.fleet.sinks import FleetHealth, ReportSink
+from repro.fleet.sinks import ReportSink
+from repro.worker.health import FleetHealth
 
 
 @dataclass

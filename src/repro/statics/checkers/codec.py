@@ -1,6 +1,6 @@
 """Rule ``codec``: every opcode has both arms; decode never mutates.
 
-The worker-pipe frame codec (:mod:`repro.fleet.workers`) dispatches on
+The worker-pipe frame codec (:mod:`repro.worker.process`) dispatches on
 module-level ``OP_*`` opcode constants.  A constant with a decode arm
 but no encode site is dead protocol (or a sender someone forgot);
 encode without decode is a frame the peer will reject as unknown.

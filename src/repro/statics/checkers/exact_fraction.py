@@ -1,6 +1,6 @@
 """Rule ``exact-fraction``: health/freshness math stays rational.
 
-:class:`repro.fleet.sinks.FleetHealth` accumulates freshness as an
+:class:`repro.worker.health.FleetHealth` accumulates freshness as an
 exact :class:`~fractions.Fraction` so that merging per-shard (or
 per-process) aggregates is associative — the sharded twin serializes
 byte-identically to the single verifier.  The SLO rules mirror the

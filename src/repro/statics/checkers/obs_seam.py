@@ -10,7 +10,7 @@ acquisitions) even when observability is off, and their metrics never
 reach the fleet's registry, exposition or campaign absorption.
 
 Flagged inside the hot-path packages (fleet, core, crypto, net, sim,
-store): imports from ``repro.obs.metrics`` / ``repro.obs.tracing``,
+store, worker): imports from ``repro.obs.metrics`` / ``repro.obs.tracing``,
 and direct construction of the primitive classes.  Importing the seam
 itself (``repro.obs.service``: ``Observability``,
 ``NULL_OBSERVABILITY``) stays legal, as do the experiments/examples
@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.statics.engine import Checker, FileContext, Finding, terminal_name
 
 _HOT_MARKERS = ("repro/fleet/", "repro/core/", "repro/crypto/",
-                "repro/net/", "repro/sim/", "repro/store/")
+                "repro/net/", "repro/sim/", "repro/store/", "repro/worker/")
 _PRIMITIVE_MODULES = ("repro.obs.metrics", "repro.obs.tracing")
 _PRIMITIVE_NAMES = {"MetricsRegistry", "SpanTracer", "Counter", "Gauge",
                     "Histogram"}

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.core.verification import Enrollment, VerificationReport
+from repro.worker.health import FleetHealth
 
 #: Version tag written into every snapshot document.
 SNAPSHOT_VERSION = 1
@@ -63,27 +64,15 @@ class StoreError(RuntimeError):
     """A state store could not read or write its backing medium."""
 
 
-def _new_health():
-    # Imported lazily: repro.fleet.sinks imports repro.core.verification,
-    # and importing it at module scope here would close an import cycle
-    # through repro.fleet.service.
-    from repro.fleet.sinks import FleetHealth
-    return FleetHealth()
-
-
 @dataclass
 class RestoredState:
     """Everything a verifier needs to resume a deployment."""
 
     enrollments: Dict[str, Enrollment] = field(default_factory=dict)
-    health: Any = None
+    health: FleetHealth = field(default_factory=FleetHealth)
     last_collection_times: Dict[str, float] = field(default_factory=dict)
     rounds_completed: int = 0
     replayed_reports: int = 0
-
-    def __post_init__(self) -> None:
-        if self.health is None:
-            self.health = _new_health()
 
 
 def snapshot_document(enrollments: Mapping[str, Enrollment],
@@ -127,7 +116,6 @@ def state_from_snapshot(document: Optional[Mapping[str, object]]
         state.enrollments[enrollment.device_id] = enrollment
     health_row = document.get("health")
     if health_row is not None:
-        from repro.fleet.sinks import FleetHealth
         state.health = FleetHealth.from_row(health_row)
     state.last_collection_times = {
         str(device_id): float(value) for device_id, value

@@ -142,8 +142,10 @@ def test_rewire_tracks_the_mobility_model_each_round(profile):
         transport.exchange_many(
             {f"t-{index}": request for index in range(count)})
         edges_per_round.append(
-            frozenset(tuple(sorted(edge))
-                      for edge in transport.network.graph.edges))
+            frozenset(tuple(sorted((node, neighbour)))
+                      for node, neighbours
+                      in transport.network.adjacency.items()
+                      for neighbour in neighbours))
         engine.run(until=engine.now + 20.0)  # let the swarm move
     assert transport.rewires >= 3
     # A fast swarm does not keep the same topology for three rounds.

@@ -40,6 +40,26 @@ def test_collect_all_produces_one_report_per_device(fleet):
     assert fleet.verifier.rounds_completed == 1
 
 
+def test_collect_all_formats_no_report(fleet, monkeypatch):
+    """A round's result is formatted whole by asyncio.run's SIGINT
+    bookkeeping; its repr must not walk the reports."""
+    from repro.core.verification import VerificationReport
+
+    formatted = []
+    original = VerificationReport.__repr__
+
+    def counting_repr(report):
+        formatted.append(report.device_id)
+        return original(report)
+
+    monkeypatch.setattr(VerificationReport, "__repr__", counting_repr)
+    fleet.run_until(60.0)
+    reports = fleet.collect_all()
+    assert len(reports) == 20
+    assert formatted == []
+    assert repr(reports) == "<RoundReports: 20 report(s)>"
+
+
 def test_staggered_schedules_spread_measurements(fleet):
     fleet.run_until(60.0)
     timestamps = set()

@@ -174,8 +174,8 @@ def test_failed_register_leaves_tree_shape_unchanged(profile):
     for index in range(7):
         assert transport.depth_of(f"t-{index}") == \
             control.depth_of(f"t-{index}")
-    assert transport.network.neighbors(f"t-0") == \
-        control.network.neighbors(f"t-0")
+    assert list(transport.network.adjacency["t-0"]) == \
+        list(control.network.adjacency["t-0"])
 
 
 def test_stale_response_from_timed_out_round_is_discarded(profile):

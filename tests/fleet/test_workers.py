@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.core import DeviceStatus
 from repro.fleet import Fleet, FleetVerifier, WorkerCrashed, WorkerError, \
     WorkerPool
-from repro.fleet.workers import (
+from repro.worker.process import (
+    _FRAME,
     decode_result,
     decode_task,
     encode_result,
@@ -250,7 +251,8 @@ def test_worker_rejects_unknown_opcode_and_keeps_serving():
     try:
         pool.ensure_worker(0)
         pool.sync_enrollments(0, [enrollment.to_row()]).result(timeout=30)
-        future = pool._submit(0, 7, b"{}")
+        rid = next(pool._rids)
+        future = pool._submit(0, rid, _FRAME.pack(7, rid) + b"{}")
         with pytest.raises(WorkerError, match="unknown opcode 7"):
             future.result(timeout=30)
         body = pool.submit_task(0, 60.0, [(device.device_id, payload, None)]
@@ -346,7 +348,7 @@ def test_drain_rejects_frames_with_unknown_opcodes():
     import threading
     from concurrent.futures import Future
 
-    from repro.fleet.workers import _FRAME, _WorkerHandle
+    from repro.fleet.workers import _WorkerHandle
 
     parent_end, worker_end = multiprocessing.Pipe(duplex=True)
     pool = WorkerPool(1, config=small_profile().config)
@@ -393,3 +395,73 @@ def test_send_failure_after_reader_orphaned_the_future_is_worker_crashed():
     finally:
         pool._handles[0] = None
         pool.close()
+
+
+#: Runs in a spawned child: the worker loop itself, then a report of
+#: every module the child loaded by the time the loop returned.
+_MODULE_PROBE = ("import sys\n"
+                 "from repro.worker.process import worker_main\n"
+                 "worker_main(conn, config, 0.25, 0)\n"
+                 "report.send(sorted(sys.modules))\n")
+
+
+def test_spawned_worker_loads_no_fleet_stack():
+    """A worker imports the verification core only: no networkx, no
+    network, no simulator, nothing from ``repro.fleet``."""
+    import multiprocessing
+
+    from repro.core.protocol import CollectRequest
+    from repro.core.verification import Enrollment
+    from repro.fleet import serve_request, workers
+    from repro.sim.engine import SimulationEngine
+    from repro.worker import process as worker_process
+
+    profile = small_profile()
+    device = profile.provision("dev-0000", master_secret=b"master")
+    engine = SimulationEngine()
+    device.prover.attach(engine, start_time=0.0)
+    engine.run(until=60.0)
+    payload = serve_request(device.prover, CollectRequest(
+        k=profile.config.measurements_per_collection).encode())
+    enrollment = Enrollment.create(device.device_id, device.key,
+                                   [device.healthy_digest])
+
+    # The pool spawns exactly this entry point.
+    assert workers.worker_main is worker_process.worker_main
+    context = multiprocessing.get_context("spawn")
+    conn, child_conn = context.Pipe(duplex=True)
+    report, child_report = context.Pipe(duplex=False)
+    process = context.Process(
+        target=exec, args=(_MODULE_PROBE, {"conn": child_conn,
+                                           "report": child_report,
+                                           "config": profile.config}),
+        daemon=True)
+    process.start()
+    child_conn.close()
+    child_report.close()
+    try:
+        conn.send_bytes(worker_process.enroll_frame(
+            1, [enrollment.to_row()]))
+        assert worker_process.decode_reply(conn.recv_bytes())[2] is None
+        conn.send_bytes(worker_process.task_frame(
+            2, worker_process.encode_task(
+                60.0, [(device.device_id, payload, None)])))
+        _, body, error = worker_process.decode_reply(conn.recv_bytes())
+        assert error is None
+        rows, _, _ = decode_result(body)
+        assert rows[0]["status"] == DeviceStatus.HEALTHY.value
+        conn.send_bytes(worker_process.shutdown_frame(3))
+        assert report.poll(30)
+        modules = report.recv()
+    finally:
+        process.join(timeout=30)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=5)
+        conn.close()
+        report.close()
+    assert "repro.worker.process" in modules
+    assert [name for name in modules
+            if name.split(".")[0] == "networkx"
+            or name.startswith(("repro.net", "repro.sim", "repro.fleet"))
+            ] == []

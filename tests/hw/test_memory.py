@@ -127,3 +127,33 @@ def test_allowed_reads_record_no_violation():
     memory.read_region("ram", AccessContext.NORMAL)
     memory.read_region("rom", AccessContext.DMA)
     assert memory.violations == []
+
+
+def test_access_context_hash_is_the_identity_hash():
+    assert AccessContext.__hash__ is object.__hash__
+    assert len({context: None for context in AccessContext}) == 3
+
+
+@pytest.mark.parametrize("factory, readers, writers", [
+    (AccessPolicy.open, set(AccessContext), set(AccessContext)),
+    (AccessPolicy.rom_code, set(AccessContext), set()),
+    (AccessPolicy.secret_key, {AccessContext.ATTESTATION}, set()),
+    (AccessPolicy.attestation_private, {AccessContext.ATTESTATION},
+     {AccessContext.ATTESTATION}),
+])
+def test_every_policy_check_still_denies_outsiders(factory, readers,
+                                                   writers):
+    memory = DeviceMemory()
+    memory.add_region(MemoryRegion("region", 0, 8, RegionKind.RAM,
+                                   factory()))
+    for context in AccessContext:
+        if context in readers:
+            assert len(memory.read_region("region", context)) == 8
+        else:
+            with pytest.raises(AccessViolation):
+                memory.read_region("region", context)
+        if context in writers:
+            memory.write_region("region", b"\x01", context)
+        else:
+            with pytest.raises(AccessViolation):
+                memory.write_region("region", b"\x01", context)

@@ -101,7 +101,7 @@ def test_set_links_rewires_topology():
     assert network.path("a", "c") is None
     network.set_links([Link("a", "c"), Link("c", "b")])
     assert network.path("a", "b") == ["a", "c", "b"]
-    assert network.neighbors("a") == ["c"]
+    assert list(network.adjacency["a"]) == ["c"]
     del engine
 
 
