@@ -1,9 +1,9 @@
 """Benchmark: report generation on the 1k-device trace.
 
 Synthesizes the 1k-device, 4-shard, 2-round span trace (plus a
-matching exposition) once in setup, then times the full analysis —
-tree reconstruction, critical paths, skew, quantile recomputation,
-JSON summary and HTML flame rendering.  CI exports the
+matching metrics registry) once in setup, then times the full
+analysis — tree reconstruction, critical paths, skew, the registry's
+verify-latency quantiles, JSON summary and HTML flame rendering.  CI exports the
 pytest-benchmark JSON as ``BENCH_obs_report.json``; the hard gate
 keeps the analysis layer orders of magnitude cheaper than the round
 it analyzes (a 1k-device round takes seconds; its report must take a
@@ -26,12 +26,11 @@ MAX_REPORT_SECONDS = 5.0
 def test_obs_report_generation(benchmark):
     trace = obs_report.build_trace(devices=DEVICES, rounds=ROUNDS,
                                    shards=SHARDS)
-    exposition = obs_report.build_exposition(devices=DEVICES,
-                                             shards=SHARDS)
+    registry = obs_report.build_registry(devices=DEVICES, shards=SHARDS)
     row = benchmark.pedantic(
         obs_report.run_report,
         kwargs={"devices": DEVICES, "rounds": ROUNDS, "shards": SHARDS,
-                "trace": trace, "exposition": exposition},
+                "trace": trace, "registry": registry},
         rounds=3, iterations=1)
     assert row["summary_rounds"] == ROUNDS
     assert row["summary_verifies"] == DEVICES * ROUNDS

@@ -16,10 +16,11 @@ subsystem on a 1,000-device, 4-shard fleet:
 3. **deterministic span traces** — the round → shard → device-verify
    span tree is exported as JSONL, byte-identical across two runs of
    the same seeded scenario;
-4. **analysis reports** — the trace + final exposition feed
+4. **analysis reports** — the trace + the metrics registry feed
    :class:`repro.obs.ObsReport`, which writes the self-contained HTML
    flame/timeline view and the byte-stable JSON summary (per-round
-   critical paths, shard skew, verify breakdowns).
+   critical paths, shard skew, verify breakdowns, and per-shard
+   verify-latency quantiles read from the registry).
 
 Run with:  python examples/observed_fleet.py
 The span trace lands in ``obs-trace.jsonl``, the report in
@@ -164,8 +165,18 @@ def main() -> None:
               f"{round_row['shard_skew']:.3f}s, critical path {chain}")
     print(f"flame report written to {REPORT_HTML}, summary to "
           f"{SUMMARY_JSON}")
+    # The summary's metrics section is read from the registry: one
+    # verify-latency row per shard, each with a median estimate.
+    with open(SUMMARY_JSON, "r", encoding="utf-8") as stream:
+        latency = json.load(stream)["metrics"]["verify_latency"]
+    assert sorted(row["labels"]["shard"] for row in latency) == \
+        [str(shard) for shard in range(SHARDS)], latency
+    assert all(row["quantiles"]["p50"] is not None for row in latency)
+    for row in latency:
+        print(f"  shard {row['labels']['shard']}: {row['count']:.0f} "
+              f"verifies, p50 {row['quantiles']['p50'] * 1e6:.1f} us")
     # The trace-derived summary is as reproducible as the trace itself
-    # (the scraped-metrics section is wall-clock and excluded).
+    # (the metrics section is wall-clock and excluded).
     from repro.obs.report import build_summary, summary_json
     ours = summary_json(build_summary(obs.tracer.export_rows(),
                                       title="observed-fleet"))

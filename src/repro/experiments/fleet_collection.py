@@ -204,9 +204,9 @@ def run_store_comparison(device_count: int = 300,
 
     Each backend row is the best of ``repeats`` attempts (fresh store
     per attempt, so no backend ever replays a previous attempt's
-    state); ``baseline`` is the plain provision path the PR 2
-    throughput benchmark measured, i.e. the :class:`MemoryStore`
-    default.
+    state), the backends interleaved; ``baseline`` is the plain
+    provision path the PR 2 throughput benchmark measured, i.e. the
+    :class:`MemoryStore` default.
     """
     if repeats <= 0:
         raise ValueError("repeats must be positive")
@@ -227,22 +227,37 @@ def run_store_comparison(device_count: int = 300,
         shutil.rmtree(base, ignore_errors=True)
 
 
+def _best_interleaved(variants: Sequence[str], repeats: int,
+                      attempt: Callable[[str, int], Dict[str, object]]
+                      ) -> List[Dict[str, object]]:
+    """Fastest-wall-time row per variant, attempts run A B C A B C ...
+
+    Interleaving spreads slow stretches of a shared host over every
+    variant instead of charging them to whichever ran during one, and
+    the ``gc.collect()`` before each attempt keeps an earlier attempt's
+    garbage out of the next one's round.
+    """
+    best: Dict[str, Dict[str, object]] = {}
+    for index in range(repeats):
+        for variant in variants:
+            gc.collect()
+            row = attempt(variant, index)
+            if variant not in best or \
+                    row["wall_time_s"] < best[variant]["wall_time_s"]:
+                best[variant] = row
+    return [best[variant] for variant in variants]
+
+
 def _compare_backends(base: Path, device_count: int, repeats: int,
                       backends: Sequence[str]) -> List[Dict[str, object]]:
     """Best-of-``repeats`` in-process round per store backend."""
-    rows: List[Dict[str, object]] = []
-    for backend in backends:
-        best: Optional[Dict[str, object]] = None
-        for attempt in range(repeats):
-            factory = _store_factory(backend, base / backend, attempt)
-            row = run_round("in-process", device_count,
-                            store_factory=factory)
-            if best is None or row["wall_time_s"] < best["wall_time_s"]:
-                best = row
-        assert best is not None
-        best["store"] = backend
-        rows.append(best)
-    return rows
+    def attempt(backend: str, index: int) -> Dict[str, object]:
+        factory = _store_factory(backend, base / backend, index)
+        row = run_round("in-process", device_count, store_factory=factory)
+        row["store"] = backend
+        return row
+
+    return _best_interleaved(backends, repeats, attempt)
 
 
 def format_store_table(rows: List[Dict[str, object]]) -> str:
@@ -290,23 +305,19 @@ def run_obs_comparison(device_count: int = 1000,
     while ``observed`` pays the real metric/trace/store-wrap cost of a
     fully enabled :class:`repro.obs.Observability`.  Each row is the
     best of ``repeats`` attempts with a fresh observability object, the
-    same best-of policy as :func:`run_store_comparison`.
+    modes interleaved, the same best-of policy as
+    :func:`run_store_comparison`.
     """
     if repeats <= 0:
         raise ValueError("repeats must be positive")
     asyncio.run(asyncio.sleep(0))  # one-time loop bootstrap, unmeasured
-    rows: List[Dict[str, object]] = []
-    for mode in modes:
-        best: Optional[Dict[str, object]] = None
-        for _ in range(repeats):
-            row = run_round(transport, device_count,
-                            obs=_obs_for_mode(mode))
-            if best is None or row["wall_time_s"] < best["wall_time_s"]:
-                best = row
-        assert best is not None
-        best["obs"] = mode
-        rows.append(best)
-    return rows
+
+    def attempt(mode: str, _index: int) -> Dict[str, object]:
+        row = run_round(transport, device_count, obs=_obs_for_mode(mode))
+        row["obs"] = mode
+        return row
+
+    return _best_interleaved(modes, repeats, attempt)
 
 
 def format_obs_table(rows: List[Dict[str, object]]) -> str:

@@ -655,8 +655,13 @@ class FleetVerifier:
                 if rows is None:
                     rows = [enrollment.to_row()
                             for enrollment in self._enrollments.values()]
-                waits.append(asyncio.wrap_future(
-                    pool.sync_enrollments(slot, rows)))
+                try:
+                    waits.append(asyncio.wrap_future(
+                        pool.sync_enrollments(slot, rows)))
+                except WorkerCrashed:
+                    # Died between spawn and sync: as an unacked sync.
+                    self._worker_sync[slot] = None
+                    continue
                 slots.append(slot)
                 self._worker_sync[slot] = key
         results = await asyncio.gather(*waits, return_exceptions=True)

@@ -5,8 +5,9 @@ delivered as cooperating pieces:
 
 * :mod:`repro.obs.metrics` — a dependency-free metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram` with labels
-  and fixed buckets, and bucket-derived quantile estimation) rendered in the Prometheus text format and served over a
-  stdlib HTTP endpoint (:mod:`repro.obs.server`);
+  and fixed buckets, and bucket-derived quantile estimation) rendered
+  in the Prometheus text format and served over a stdlib HTTP endpoint
+  (:mod:`repro.obs.server`);
 * :mod:`repro.obs.tracing` — span traces of every collection round
   (``round`` → ``shard`` → ``device_verify``) with ids *derived* from
   their coordinates, so identically-seeded runs export byte-identical
@@ -16,8 +17,9 @@ delivered as cooperating pieces:
   violation events mid-round instead of post-hoc;
 * :mod:`repro.obs.report` — the analysis layer: rebuilds the span tree
   into per-round critical paths, shard skew and verify breakdowns,
-  rendered as a self-contained HTML flame/timeline plus a
-  byte-stable JSON summary (:class:`ObsReport`).
+  reads counters and verify-latency quantiles from the registry, and
+  renders a self-contained HTML flame/timeline plus a byte-stable JSON
+  summary (:class:`ObsReport`).
 
 One :class:`Observability` object threads through
 ``Fleet.provision(obs=...)`` and lights up the whole stack —
@@ -31,20 +33,13 @@ See ``MONITORING.md`` for the metric catalog and scrape examples.
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_ROUND_BUCKETS,
+    SUMMARY_QUANTILES,
     MetricError,
     MetricsRegistry,
 )
-from repro.obs.report import (
-    MetricFamily,
-    ObsReport,
-    build_summary,
-    histogram_quantiles,
-    parse_exposition,
-    render_html,
-)
+from repro.obs.report import ObsReport, build_summary, render_html
 from repro.obs.server import MetricsServer
 from repro.obs.service import (
-    DEFAULT_SUMMARY_QUANTILES,
     NULL_OBSERVABILITY,
     NullObservability,
     Observability,
@@ -68,10 +63,8 @@ __all__ = [
     "CoverageRule",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_ROUND_BUCKETS",
-    "DEFAULT_SUMMARY_QUANTILES",
     "LostBudgetRule",
     "MetricError",
-    "MetricFamily",
     "MetricsRegistry",
     "MetricsServer",
     "NULL_OBSERVABILITY",
@@ -79,6 +72,7 @@ __all__ = [
     "ObsReport",
     "Observability",
     "ObservedStore",
+    "SUMMARY_QUANTILES",
     "SloRule",
     "SloViolation",
     "Span",
@@ -87,7 +81,5 @@ __all__ = [
     "build_summary",
     "derive_child_seed",
     "derive_span_id",
-    "histogram_quantiles",
-    "parse_exposition",
     "render_html",
 ]

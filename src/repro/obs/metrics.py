@@ -14,10 +14,9 @@ computed from the plain counters.
 
 Histograms additionally estimate quantiles from their bucket counts
 (:meth:`_HistogramChild.quantile`, never off by more than the
-quantile's bucket width), and a registry constructed
-with ``summary_quantiles=(0.5, 0.9, 0.99)`` renders one
-``<name>_summary{quantile="..."}`` gauge family per histogram next to
-its bucket series.
+quantile's bucket width), and every histogram renders one
+``<name>_summary{quantile="..."}`` gauge family of the
+:data:`SUMMARY_QUANTILES` estimates next to its bucket series.
 
 Every instrument supports labels: ``registry.counter("x", labels=
 ("status",))`` returns a parent whose :meth:`Metric.labels` call
@@ -39,7 +38,7 @@ byte-identical expositions (the obs test-suite pins this).
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.statics.runtime import named_lock
 
@@ -53,6 +52,10 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 DEFAULT_ROUND_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0)
+
+#: Quantiles every histogram renders as ``_summary`` lines (and the
+#: analysis report tabulates).
+SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
 class MetricError(ValueError):
@@ -80,7 +83,7 @@ def _escape_help(text: str) -> str:
 
 
 def _cell_rename(name: str) -> str:
-    """Default family rename for absorbed per-cell registries.
+    """Family rename for absorbed per-cell registries.
 
     ``repro_reports_total`` → ``repro_cell_reports_total``; names
     outside the ``repro_`` namespace get a plain ``cell_`` prefix.
@@ -226,14 +229,12 @@ class Metric:
 
     def __init__(self, name: str, kind: str, help: str = "",
                  label_names: Sequence[str] = (),
-                 buckets: Tuple[float, ...] = (),
-                 summary_quantiles: Tuple[float, ...] = ()) -> None:
+                 buckets: Tuple[float, ...] = ()) -> None:
         self.name = name
         self.kind = kind
         self.help = help
         self.label_names: Tuple[str, ...] = tuple(label_names)
         self.buckets = buckets
-        self.summary_quantiles = summary_quantiles
         # Children mutate under the GIL; the creation lock only guards
         # the insert of a *new* child (reads never take it).
         self._children: Dict[Tuple[str, ...], object] = {}
@@ -330,7 +331,7 @@ class Metric:
                 lines.append(
                     f"{self.name}{_label_pairs(self.label_names, key)} "
                     f"{_format_value(child.value)}")
-        if self.kind == "histogram" and self.summary_quantiles:
+        if self.kind == "histogram":
             lines.extend(self._render_summary())
         return lines
 
@@ -347,7 +348,7 @@ class Metric:
         for key, child in self.child_items():
             if child.count == 0:
                 continue
-            for q in self.summary_quantiles:
+            for q in SUMMARY_QUANTILES:
                 estimate = child.quantile(q)
                 labels = _label_pairs(names, key + (_format_value(q),))
                 samples.append(f"{self.name}_summary{labels} "
@@ -386,21 +387,11 @@ class MetricsRegistry:
     labels and buckets) so independently-constructed components can
     share instrument definitions; a mismatched re-registration raises
     :class:`MetricError` rather than silently splitting a series.
-
-    ``summary_quantiles`` (e.g. ``(0.5, 0.9, 0.99)``) makes every
-    histogram family also render a ``<name>_summary`` gauge family of
-    bucket-derived quantile estimates.
     """
 
-    def __init__(self, summary_quantiles: Sequence[float] = ()) -> None:
+    def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
         self._lock = named_lock("obs.registry")
-        self.summary_quantiles: Tuple[float, ...] = \
-            tuple(float(q) for q in summary_quantiles)
-        for q in self.summary_quantiles:
-            if not 0.0 <= q <= 1.0:
-                raise MetricError(
-                    f"summary quantiles must be within [0, 1], got {q}")
 
     def _register(self, name: str, kind: str, help: str,
                   labels: Sequence[str],
@@ -417,8 +408,7 @@ class MetricsRegistry:
                         f"{list(existing.label_names)}")
                 return existing
             metric = Metric(name, kind, help=help, label_names=labels,
-                            buckets=buckets,
-                            summary_quantiles=self.summary_quantiles)
+                            buckets=buckets)
             self._metrics[name] = metric
             return metric
 
@@ -444,26 +434,24 @@ class MetricsRegistry:
         return self._register(name, "histogram", help, labels,
                               buckets=boundaries)
 
-    def absorb(self, other: "MetricsRegistry", label: str, value: str,
-               rename: Optional[Callable[[str], str]] = None) -> None:
+    def absorb(self, other: "MetricsRegistry", label: str,
+               value: str) -> None:
         """Fold another registry's series into this one under a label.
 
         Every family in ``other`` is re-registered here with ``label``
         appended to its label names and every series merged in under
         ``value`` — counters add, gauges set,
-        histograms merge bucket-by-bucket.  The default ``rename``
-        marks the absorbed families as per-cell aggregates
-        (``repro_x_total`` → ``repro_cell_x_total``) so they can never
-        collide with this registry's own top-level families.  Absorb
-        each child registry **once**: a second absorb of the same
-        ``value`` adds counts again.
+        histograms merge bucket-by-bucket.  The absorbed families are
+        renamed as per-cell aggregates (``repro_x_total`` →
+        ``repro_cell_x_total``) so they can never collide with this
+        registry's own top-level families.  Absorb each child registry
+        **once**: a second absorb of the same ``value`` adds counts
+        again.
         """
-        if rename is None:
-            rename = _cell_rename
         for name in other.names():
             family = other._metrics[name]
             target = self._register(
-                rename(name), family.kind, family.help,
+                _cell_rename(name), family.kind, family.help,
                 labels=family.label_names + (label,),
                 buckets=family.buckets)
             for key, child in family.child_items():

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time as _time
 from contextlib import nullcontext
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -40,9 +40,6 @@ from repro.obs.server import MetricsServer
 from repro.obs.slo import SloRule, SloViolation, StreamingHealthSink
 from repro.obs.tracing import Span, SpanTracer, derive_child_seed
 from repro.store.base import StateStore
-
-#: Quantiles every histogram family renders as ``_summary`` lines.
-DEFAULT_SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
 class ObservedStore(StateStore):
@@ -109,11 +106,6 @@ class Observability:
     * ``slo_rules`` are streamed over the report fanout; each fired
       violation increments ``repro_slo_violations_total{rule=...}``
       and reaches every ``on_violation`` callback mid-round;
-    * ``trace_devices=False`` keeps round/shard spans but drops the
-      per-device rows (for very large fleets where the trace itself
-      would dominate the artifact);
-    * ``summary_quantiles`` renders every histogram's bucket-derived
-      quantile estimates as ``_summary`` exposition lines;
     * ``cell`` names this instance as one campaign cell's child
       observability — usually set through :meth:`for_cell`, not
       directly.
@@ -126,13 +118,9 @@ class Observability:
                  slo_rules: Iterable[SloRule] = (),
                  on_violation: Sequence[Callable[[SloViolation], None]]
                  = (),
-                 trace_devices: bool = True,
-                 summary_quantiles: Sequence[float]
-                 = DEFAULT_SUMMARY_QUANTILES,
                  cell: Optional[str] = None) -> None:
-        self.registry = MetricsRegistry(summary_quantiles=summary_quantiles)
+        self.registry = MetricsRegistry()
         self.tracer = SpanTracer(seed=seed)
-        self.trace_devices = trace_devices
         self.cell = cell
         r = self.registry
         # -- collection pipeline ---------------------------------------
@@ -304,8 +292,7 @@ class Observability:
     def record_device_verify(self, shard_span: Span, device_id: str,
                              status: str) -> None:
         """One device verified under an open shard span (lean append)."""
-        if self.trace_devices:
-            self.tracer.record_device_verify(shard_span, device_id, status)
+        self.tracer.record_device_verify(shard_span, device_id, status)
 
     def report_committed(self, report) -> None:
         """Count one committed report by status."""
@@ -350,10 +337,7 @@ class Observability:
         numbers back with :meth:`absorb_cell` once the cell finishes.
         """
         return Observability(
-            seed=derive_child_seed(self.tracer.seed, cell),
-            trace_devices=self.trace_devices,
-            summary_quantiles=self.registry.summary_quantiles,
-            cell=cell)
+            seed=derive_child_seed(self.tracer.seed, cell), cell=cell)
 
     def absorb_cell(self, child: "Observability") -> None:
         """Aggregate one finished cell's metrics into this registry.
@@ -379,19 +363,16 @@ class Observability:
                                          port=port, health=self._slo_sink)
         return self._server
 
-    def render_metrics(self) -> str:
-        """The current Prometheus text exposition."""
-        return self.registry.render()
-
     def write_trace(self, path: str) -> int:
         """Export the span trace as JSONL; returns the row count."""
         return self.tracer.write_jsonl(path)
 
     def report(self, title: str = "trace"):
-        """Analyze this instance's trace + exposition as an
+        """Analyze this instance's trace and registry as an
         :class:`~repro.obs.report.ObsReport`."""
         from repro.obs.report import ObsReport
-        return ObsReport.from_observability(self, title=title)
+        return ObsReport(self.tracer.export_rows(), registry=self.registry,
+                         title=title)
 
     def close(self) -> None:
         """Stop the scrape endpoint (idempotent)."""
@@ -475,9 +456,6 @@ class NullObservability(Observability):
         raise RuntimeError(
             "NullObservability has nothing to serve; construct a real "
             "Observability() and pass it to Fleet.provision(obs=...)")
-
-    def render_metrics(self) -> str:
-        return ""
 
     def write_trace(self, path: str) -> int:
         del path

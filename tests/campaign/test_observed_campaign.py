@@ -56,7 +56,7 @@ def test_concurrent_cells_get_disjoint_correctly_parented_trees():
     for result in results:
         assert result.obs.rounds_total.value() == 3
     # ...and the parent exposition carries them under the cell label.
-    text = obs.render_metrics()
+    text = obs.registry.render()
     assert 'repro_cell_rounds_total{cell="cell-a"} 3' in text
     assert 'repro_cell_rounds_total{cell="cell-b"} 3' in text
     assert obs.campaign_cells_total.value() == 2

@@ -203,6 +203,44 @@ def test_crash_round_health_counts_shard_devices_unseen():
         fleet.close()
 
 
+def test_slot_dead_before_enrollment_sync_loses_only_its_partition(
+        monkeypatch):
+    """A slot that dies between spawn and sync makes ``sync_enrollments``
+    raise synchronously; the round still commits, its partition NO_DATA
+    and counted lost, and the slot rejoins the next round."""
+    spawn = WorkerPool.ensure_worker
+    doomed = {0}
+
+    def spawn_then_kill(pool, index):
+        generation = spawn(pool, index)
+        if index in doomed:
+            doomed.discard(index)
+            pool.kill(index)
+            assert pool._handles[index].dead.wait(timeout=10)
+        return generation
+
+    monkeypatch.setattr(WorkerPool, "ensure_worker", spawn_then_kill)
+    fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
+                            shards=2, worker_mode="process",
+                            allowed_missing=8)
+    try:
+        verifier = fleet.verifier
+        shard0 = set(verifier.enrolled_ids()[0::2])
+        fleet.run_until(60.0)
+        reports = fleet.collect_all()
+        assert {r.device_id for r in reports
+                if r.status is DeviceStatus.NO_DATA} == shard0
+        assert reports.stats.responses_lost == len(shard0)
+        assert verifier._worker_sync[0] is None
+
+        fleet.run_until(120.0)
+        again = fleet.collect_all()
+        assert all(r.status is DeviceStatus.HEALTHY for r in again)
+        assert verifier._pool.restarts == [1, 0]
+    finally:
+        fleet.close()
+
+
 # ----------------------------------------------------------------------
 # Pool mechanics
 # ----------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_thousand_device_sharded_round_is_scrapeable_mid_round():
         assert marker in body
     assert "repro_reports_total" in body
     # After the round: fleet-wide totals landed.
-    text = obs.render_metrics()
+    text = obs.registry.render()
     assert "repro_rounds_total 1" in text
     assert "repro_requests_sent_total 1000" in text
     assert obs.reports_total.value("healthy") == 1000
@@ -182,7 +182,7 @@ def test_provision_without_obs_is_null_and_unchanged():
     finally:
         fleet.close()
     assert len(reports) == 8
-    assert NULL_OBSERVABILITY.render_metrics() == ""
+    assert not hasattr(NULL_OBSERVABILITY, "registry")
 
 
 def test_observed_and_null_rounds_produce_identical_reports():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs import MetricError, MetricsRegistry
+from repro.obs import SUMMARY_QUANTILES, MetricError, MetricsRegistry
 
 
 def test_counter_counts_and_renders():
@@ -196,23 +196,19 @@ def test_quantile_empty_and_invalid():
 
 
 def test_summary_lines_render_for_nonempty_series_only():
-    registry = MetricsRegistry(summary_quantiles=(0.5, 0.99))
+    registry = MetricsRegistry()
     hist = registry.histogram("lat", labels=("shard",), buckets=(1.0, 2.0))
     hist.labels("0").observe(0.5)
     hist.labels("1")  # touched but empty: no summary sample
     text = registry.render()
     assert "# TYPE lat_summary gauge" in text
-    assert 'lat_summary{shard="0",quantile="0.5"}' in text
+    for q in SUMMARY_QUANTILES:
+        assert f'lat_summary{{shard="0",quantile="{q}"}}' in text
     assert 'lat_summary{shard="1"' not in text
-    # Without summary quantiles no summary family appears at all.
-    plain = MetricsRegistry()
-    plain.histogram("lat", buckets=(1.0,)).observe(0.5)
-    assert "_summary" not in plain.render()
-
-
-def test_summary_quantiles_validated():
-    with pytest.raises(MetricError):
-        MetricsRegistry(summary_quantiles=(1.5,))
+    # A histogram with no non-empty series renders no summary family.
+    idle = MetricsRegistry()
+    idle.histogram("lat", buckets=(1.0,)).labels()
+    assert "_summary" not in idle.render()
 
 
 def test_absorb_merges_under_cell_label_with_rename():

@@ -100,13 +100,14 @@ def test_mid_round_fire_is_never_retracted_by_the_boundary(stream,
 # Property: the exposition round-trips through the text-format parser
 # ----------------------------------------------------------------------
 #
-# ``repro.obs.report.parse_exposition`` is a minimal Prometheus
+# ``tests.obs.exposition.parse_exposition`` is a minimal Prometheus
 # text-format reader; rendering any registry and parsing the text back
 # must recover every family (name, TYPE), every sample's labels —
 # escaping included — and every value exactly, with histogram bucket
 # series cumulative and monotone.
 
-from repro.obs import MetricsRegistry, parse_exposition
+from repro.obs import MetricsRegistry
+from tests.obs.exposition import parse_exposition
 
 _label_names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
 # Label values exercise the escapes (backslash, quote, newline) plus

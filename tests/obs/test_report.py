@@ -1,25 +1,30 @@
-"""The analysis layer: exposition parsing, trace summaries, reports."""
+"""The analysis layer: the exposition oracle, trace summaries, reports."""
 
 import json
+import random
 
 import pytest
 
 from tests.obs import trace_harness as harness
+from tests.obs.exposition import (
+    ExpositionParseError,
+    histogram_quantiles,
+    metrics_section,
+    parse_exposition,
+)
 from repro.obs import (
     MetricsRegistry,
     Observability,
     ObsReport,
     build_summary,
-    histogram_quantiles,
-    parse_exposition,
     render_html,
 )
-from repro.obs.report import ExpositionParseError, summary_json
+from repro.obs.report import _REPORT_COUNTERS, summary_json
 from repro.obs.tracing import SpanTracer
 
 
 # ----------------------------------------------------------------------
-# parse_exposition
+# parse_exposition (the test-side exposition oracle)
 # ----------------------------------------------------------------------
 
 def test_parse_exposition_families_and_values():
@@ -159,16 +164,71 @@ def test_summary_is_byte_identical_for_same_seed_traces():
         summary_json(build_summary(one, title="x"))
 
 
-def test_metrics_section_appears_only_with_an_exposition():
+def test_metrics_section_appears_only_with_a_registry():
     rows = _scripted_trace()
     assert "metrics" not in build_summary(rows)
-    exposition = harness.build_exposition(devices=40, shards=2)
-    summary = build_summary(rows, exposition=exposition)
+    registry = harness.build_registry(devices=40, shards=2)
+    summary = build_summary(rows, registry=registry)
     assert summary["metrics"]["counters"]["repro_rounds_total"]["_"] == 2
     latency = summary["metrics"]["verify_latency"]
     assert {row["labels"]["shard"] for row in latency} == {"0", "1"}
     for row in latency:
         assert row["quantiles"]["p50"] is not None
+
+
+# Label values that exercise every exposition escape plus the characters
+# a naive label splitter would trip over.
+_LABEL_VALUES = ("0", "1", "a\"b", "back\\slash", "new\nline", "x,y=z",
+                 "{}", "")
+_BUCKET_SETS = ((0.1, 1.0, 10.0), (1.0,), (0.0, 10.0), (-1.0, 0.5, 2.0),
+                (0.000025, 0.0001, 0.001, 0.25), (5.0, 6.0, 7.0))
+
+
+def _random_registry(rng: random.Random,
+                     cells: bool = True) -> MetricsRegistry:
+    """A registry shaped like an ``Observability`` one, drawn from rng;
+    with ``cells``, sometimes a campaign parent with absorbed cells."""
+    registry = MetricsRegistry()
+    for name in _REPORT_COUNTERS:
+        if rng.random() < 0.2:
+            continue  # never registered
+        labels = rng.choice(((), ("status",), ("rule", "cell")))
+        counter = registry.counter(name, "A counter.", labels=labels)
+        for _ in range(rng.randrange(4) if labels else 1):
+            child = counter.labels(*(rng.choice(_LABEL_VALUES)
+                                     for _ in labels))
+            if rng.random() < 0.8:  # else touched but zero
+                child.inc(rng.choice((1, 7, 0.5, 1e-7, 2.0 ** 60,
+                                      rng.uniform(0.0, 1e6))))
+    if rng.random() < 0.9:
+        labels = rng.choice(((), ("shard",), ("zone", "shard")))
+        buckets = rng.choice(_BUCKET_SETS)
+        verify = registry.histogram("repro_device_verify_seconds",
+                                    "Verify latency.", labels=labels,
+                                    buckets=buckets)
+        for _ in range(rng.randrange(5) if labels else 1):
+            child = verify.labels(*(rng.choice(_LABEL_VALUES)
+                                    for _ in labels))
+            for _ in range(rng.choice((0, 0, 1, 3, 40))):
+                child.observe(rng.choice((
+                    rng.uniform(-2.0, 12.0), rng.choice(buckets),
+                    rng.uniform(0.0, 0.002))))
+    if cells and rng.random() < 0.4:
+        child = _random_registry(random.Random(rng.random()), cells=False)
+        for cell in range(rng.randrange(1, 3)):
+            registry.absorb(child, "cell", rng.choice(_LABEL_VALUES)
+                            + str(cell))
+    return registry
+
+
+def test_metrics_section_matches_the_exposition_oracle():
+    """Read from the registry, the section equals the one the oracle
+    parses back out of the rendered exposition, byte for byte."""
+    for seed in range(300):
+        registry = _random_registry(random.Random(seed))
+        ours = summary_json(build_summary([], registry=registry)["metrics"])
+        oracle = summary_json(metrics_section(registry.render()))
+        assert ours == oracle, f"seed {seed}"
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +237,8 @@ def test_metrics_section_appears_only_with_an_exposition():
 
 def test_obs_report_write_round_trip(tmp_path):
     report = ObsReport(_scripted_trace(),
-                       exposition=harness.build_exposition(devices=10,
-                                                           shards=2),
+                       registry=harness.build_registry(devices=10,
+                                                       shards=2),
                        title="written")
     assert report.summary["totals"]["device_verifies"] == 3
     assert "verify_latency" in report.summary["metrics"]
@@ -209,4 +269,4 @@ def test_observability_report_facade():
             obs.record_device_verify(shard, "dev-a", "healthy")
     report = obs.report(title="facade")
     assert report.summary["totals"]["device_verifies"] == 1
-    assert "metrics" in report.summary  # exposition included
+    assert "metrics" in report.summary  # registry included

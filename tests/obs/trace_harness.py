@@ -1,8 +1,8 @@
 """Synthetic span traces for the obs analysis layer, and its timing.
 
 This harness characterizes :mod:`repro.obs.report` itself: how long
-it takes to turn a 1k-device span trace (plus a matching exposition)
-into the JSON summary and the self-contained HTML flame view.  It backs the
+it takes to turn a 1k-device span trace (plus a matching metrics
+registry) into the JSON summary and the self-contained HTML flame view.  It backs the
 ``benchmarks/test_obs_report.py`` gate, so the analysis layer cannot
 quietly become slower than the rounds it analyzes.
 
@@ -73,10 +73,10 @@ def build_trace(devices: int = 1000, rounds: int = 2, shards: int = 4,
     return tracer.export_rows()
 
 
-def build_exposition(devices: int = 1000, shards: int = 4,
-                     seed: int = 17) -> str:
-    """A matching synthetic exposition: per-shard verify histograms."""
-    registry = MetricsRegistry(summary_quantiles=(0.5, 0.9, 0.99))
+def build_registry(devices: int = 1000, shards: int = 4,
+                   seed: int = 17) -> MetricsRegistry:
+    """A matching synthetic registry: per-shard verify histograms."""
+    registry = MetricsRegistry()
     verify = registry.histogram(
         "repro_device_verify_seconds",
         "Per-device verification latency, by shard worker.",
@@ -89,26 +89,26 @@ def build_exposition(devices: int = 1000, shards: int = 4,
         # A deterministic latency spread across three decades.
         latency = 0.00005 * (1 + (index * 7 + seed) % 100)
         verify.labels(str(worker)).observe(latency)
-    return registry.render()
+    return registry
 
 
 def run_report(devices: int = 1000, rounds: int = 2, shards: int = 4,
                seed: int = 17,
                trace: Optional[List[Dict[str, object]]] = None,
-               exposition: Optional[str] = None) -> Dict[str, object]:
+               registry: Optional[MetricsRegistry] = None
+               ) -> Dict[str, object]:
     """Generate the full report once; returns a timing/size row.
 
-    ``trace``/``exposition`` let the benchmark synthesize inputs once
-    in setup and time only the analysis.
+    ``trace``/``registry`` let the benchmark synthesize inputs once in
+    setup and time only the analysis.
     """
     if trace is None:
         trace = build_trace(devices=devices, rounds=rounds,
                             shards=shards, seed=seed)
-    if exposition is None:
-        exposition = build_exposition(devices=devices, shards=shards,
-                                      seed=seed)
+    if registry is None:
+        registry = build_registry(devices=devices, shards=shards, seed=seed)
     started = time.perf_counter()
-    report = ObsReport(trace, exposition=exposition, title="bench")
+    report = ObsReport(trace, registry=registry, title="bench")
     summary_s = time.perf_counter() - started
     json_text = report.to_json()
     html_started = time.perf_counter()
