@@ -13,9 +13,9 @@ Two pins, per the campaign-engine acceptance bar:
   verifier, and still detect a majority of the long-dwell infections.
 
 The whole campaign (sweep + flagship) is serialized to one JSON
-artifact (``CAMPAIGN_ARTIFACT`` env var, default
-``campaign_detection.json``) that CI uploads, and the campaign
-engine's orchestration overhead is recorded against a clean
+artifact at ``CAMPAIGN_ARTIFACT`` (CI sets it and uploads the file;
+unset, the artifact goes to the test's ``tmp_path``), and the
+campaign engine's orchestration overhead is recorded against a clean
 manually-driven fleet round of the same size.
 """
 
@@ -32,8 +32,6 @@ _DEVICES = 120
 _HORIZON = 4 * 3600.0
 _FRACTIONS = (0.25, 0.5, 1.0, 2.0)
 _TOLERANCE = 0.15
-ARTIFACT_PATH = os.environ.get("CAMPAIGN_ARTIFACT",
-                               "campaign_detection.json")
 
 
 def test_campaign_dwell_sweep_matches_analytic_curve(benchmark):
@@ -86,7 +84,7 @@ def flagship(devices: int = 1000,
         mobility_area=400.0, store_crash_round=2, seed=seed)
 
 
-def test_flagship_1k_campaign_with_faults(benchmark):
+def test_flagship_1k_campaign_with_faults(benchmark, tmp_path):
     scenario = flagship(devices=1000, horizon=3600.0)
     result = benchmark.pedantic(run_scenario, args=(scenario,),
                                 rounds=1, iterations=1)
@@ -111,9 +109,11 @@ def test_flagship_1k_campaign_with_faults(benchmark):
         name="campaign-detection", max_workers=4)
     sweep.run()
     sweep.results.append(result)
-    sweep.write_artifact(ARTIFACT_PATH)
-    assert json.load(open(ARTIFACT_PATH))["cell_count"] == \
-        2 * len(_FRACTIONS) + 1
+    artifact = os.environ.get("CAMPAIGN_ARTIFACT",
+                              str(tmp_path / "campaign_detection.json"))
+    sweep.write_artifact(artifact)
+    with open(artifact) as handle:
+        assert json.load(handle)["cell_count"] == 2 * len(_FRACTIONS) + 1
 
 
 def test_campaign_engine_overhead_vs_clean_round(benchmark):

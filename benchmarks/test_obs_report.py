@@ -3,8 +3,8 @@
 Synthesizes the 1k-device, 4-shard, 2-round span trace (plus a
 matching metrics registry) once in setup, then times the full
 analysis — tree reconstruction, critical paths, skew, the registry's
-verify-latency quantiles, JSON summary and HTML flame rendering.  CI exports the
-pytest-benchmark JSON as ``BENCH_obs_report.json``; the hard gate
+verify-latency quantiles, JSON summary and HTML flame rendering.  CI
+exports the pytest-benchmark JSON as ``obs-report.json``; the hard gate
 keeps the analysis layer orders of magnitude cheaper than the round
 it analyzes (a 1k-device round takes seconds; its report must take a
 fraction of one).

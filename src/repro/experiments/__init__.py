@@ -3,8 +3,9 @@
 Every module exposes a ``run(...)`` function returning plain rows
 (lists of dicts) and a ``format_table(rows)`` helper that renders the
 same rows the paper reports.  The benchmark suite under ``benchmarks/``
-wraps these harnesses with pytest-benchmark; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+wraps these harnesses with pytest-benchmark and asserts that each
+regenerated result keeps the paper's shape; the shared checks live in
+``tests/experiments/paper_checks.py``.
 
 | Module | Paper artifact |
 |---------------------------|--------------------------------------------|
@@ -19,7 +20,9 @@ paper-vs-measured comparison.
 | ``availability``          | Section 5 — availability / lenient windows |
 | ``swarm_mobility``        | Section 6 — swarm attestation & mobility   |
 | ``swarm_mobility_fleet``  | Section 6 on real provers (mobile relay)   |
-| ``fleet_collection``      | (repro-own) fleet collection throughput    |
+| ``fleet_collection``      | (repro-own) fleet round devices/second per |
+|                           | transport, and interleaved paired ratios   |
+|                           | for collection path, store and obs mode    |
 """
 
 from repro.experiments import (

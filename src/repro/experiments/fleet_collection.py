@@ -1,33 +1,45 @@
-"""Fleet-collection throughput: devices per second across transports.
+"""Fleet-collection throughput: devices per second per collection setup.
 
 Not a paper artifact — this harness characterizes the reproduction's
 own fleet service (:mod:`repro.fleet`): how fast one batched
 ``collect_all`` round (provision → schedule → collect → verify) runs
-for a given fleet size over each transport.  It backs the
-``benchmarks/test_fleet_collection.py`` throughput benchmark and gives
-scaling PRs a fixed yardstick.
+for a given fleet size, per transport, and how the round's
+devices/second move with the collection path (single verifier,
+sharded loop, worker processes), the store backend and the
+observability mode.  It backs the fleet-collection, fleet-scaling,
+store-overhead and obs-overhead benchmarks.
+
+A comparison (:func:`compare`) runs its variants interleaved, the
+order reversed on alternate attempts, and returns every attempt's row.
+A round lasts ~100 ms and identical rounds vary by tens of percent on
+a shared host, so a gate takes :func:`paired_ratios` (each variant
+against the first variant of the *same* attempt) and checks their
+median.  Provisioning is deterministic (profile plus master secret),
+so every variant collects an identical fleet: each row carries the
+SHA-256 of the merged :class:`repro.fleet.FleetHealth` row, and a
+comparison raises when a row's fingerprint differs from the
+baseline's — a throughput for a *different answer* is not comparable.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
+import hashlib
+import json
 import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from statistics import median
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.fleet import DeviceProfile, Fleet
 from repro.store import JsonlStore, MemoryStore, SqliteStore, StateStore
 
+#: Transports timed by :func:`run`.
 DEFAULT_TRANSPORTS: Sequence[str] = ("in-process", "simulated-network",
                                      "swarm-relay")
-
-#: Collection-path variants compared by :func:`run_concurrency_comparison`:
-#: ``async`` is the pipelined single-verifier ``collect_all``,
-#: ``sharded`` a :class:`repro.fleet.FleetVerifier` with ``shards=4``.
-COLLECTION_MODES: Sequence[str] = ("async", "sharded")
 
 #: Store backends compared by :func:`run_store_comparison`; ``baseline``
 #: is a plain provision call (the :class:`MemoryStore` default path).
@@ -41,6 +53,8 @@ STORE_BACKENDS: Sequence[str] = ("baseline", "memory", "jsonl", "sqlite")
 #: fully enabled :class:`repro.obs.Observability` with device tracing.
 OBS_MODES: Sequence[str] = ("baseline", "null", "observed")
 
+Row = Dict[str, Any]
+
 
 def default_profile() -> DeviceProfile:
     """The small SMART+ profile the throughput rows are measured with."""
@@ -51,29 +65,23 @@ def default_profile() -> DeviceProfile:
                                    buffer_slots=16)
 
 
-def run_round(transport: str, device_count: int,
-              profile: Optional[DeviceProfile] = None,
-              horizon: Optional[float] = None,
+def run_round(transport: str, device_count: int, *,
+              shards: Optional[int] = None,
+              worker_mode: str = "loop",
               store_factory: Optional[Callable[[], StateStore]] = None,
-              mode: str = "async",
-              shards: int = 4,
-              obs: Optional[object] = None) -> Dict[str, object]:
+              obs: Optional[object] = None) -> Row:
     """One full fleet round over one transport; returns a result row.
 
-    ``store_factory`` builds a fresh :class:`repro.store.StateStore`
-    for this round, so the row includes the full write-through and
-    checkpoint cost of that persistence backend.  ``mode`` picks the
-    collection path (see :data:`COLLECTION_MODES`); ``shards`` only
-    applies to the ``sharded`` mode.  ``obs`` is threaded through
-    ``Fleet.provision(obs=...)`` so the row carries that observability
-    mode's full instrumentation cost.
+    ``shards`` and ``worker_mode`` pick the collection path (see
+    :meth:`repro.fleet.Fleet.provision`); ``store_factory`` builds a
+    fresh :class:`repro.store.StateStore` for this round, so the row
+    includes that backend's write-through and checkpoint cost; ``obs``
+    is threaded through ``Fleet.provision(obs=...)`` so the row carries
+    that observability mode's instrumentation cost.  The row's
+    ``health_sha256`` fingerprints the merged fleet-health row.
     """
-    if mode not in COLLECTION_MODES:
-        known = ", ".join(COLLECTION_MODES)
-        raise ValueError(f"unknown collection mode {mode!r}; known: {known}")
-    profile = profile if profile is not None else default_profile()
-    if horizon is None:
-        horizon = profile.config.collection_interval
+    profile = default_profile()
+    horizon = profile.config.collection_interval
     store = store_factory() if store_factory is not None else None
     fleet: Optional[Fleet] = None
     started = time.perf_counter()
@@ -81,22 +89,28 @@ def run_round(transport: str, device_count: int,
         fleet = Fleet.provision(profile, device_count,
                                 master_secret=b"fleet-bench-master-secret",
                                 transport=transport, store=store,
-                                shards=shards if mode == "sharded" else None,
+                                shards=shards, worker_mode=worker_mode,
                                 obs=obs)
         provisioned = time.perf_counter()
         fleet.run_until(horizon)
+        # Spawn process workers and ship enrollments outside the collect
+        # window: the row characterizes a steady-state round, not the
+        # one-time process cold start.
+        fleet.verifier.warm_up()
         # Provisioning and measuring allocate millions of objects; sweep
         # the resulting garbage *before* the collect window so a stray
         # gen-2 GC pause (~tens of ms, comparable to the whole round)
-        # does not land inside whichever mode happens to trigger it.
+        # does not land inside whichever variant happens to trigger it.
         gc.collect()
         measured = time.perf_counter()
         reports = fleet.collect_all()
         finished = time.perf_counter()
         sim_round_trip = fleet.now - horizon
+        health_row = json.dumps(fleet.verifier.health.to_row(),
+                                sort_keys=True).encode("utf-8")
     finally:
-        # Release store handles (journal stream / DB connection) even
-        # when provisioning or the round itself fails mid-way.
+        # Release store handles (journal stream / DB connection) and
+        # worker processes even when the round fails mid-way.
         if fleet is not None:
             fleet.close()
         elif store is not None:
@@ -107,8 +121,8 @@ def run_round(transport: str, device_count: int,
     wall_time = finished - started
     return {
         "transport": fleet.transport.name,
-        "mode": mode,
-        "shards": stats.shards,
+        "worker_mode": worker_mode,
+        "shards": 1 if shards is None else shards,
         "devices": device_count,
         "reports": len(reports),
         "healthy": healthy,
@@ -122,62 +136,81 @@ def run_round(transport: str, device_count: int,
         "devices_per_second": device_count / wall_time if wall_time else 0.0,
         "collect_devices_per_second": stats.devices_per_second,
         "sim_round_trip_s": sim_round_trip,
+        "health_sha256": hashlib.sha256(health_row).hexdigest(),
     }
 
 
-def run_concurrency_comparison(device_count: int = 1000,
-                               transport: str = "in-process",
-                               shards: int = 4,
-                               modes: Sequence[str] = COLLECTION_MODES,
-                               repeats: int = 1
-                               ) -> List[Dict[str, object]]:
-    """Devices/second for one round per collection path, same fleet shape.
+def compare(variants: Sequence[str], attempts: int,
+            attempt: Callable[[str, int], Row]) -> List[Row]:
+    """Every attempt's row, variants interleaved: A B C, C B A, A B C ...
 
-    Provisioning is deterministic (profile plus master secret), so each
-    mode collects an identical fleet with identical measurement
-    histories — the rows differ only in how the round is driven:
-    the pipelined single-verifier ``collect_all`` or the sharded
-    verifier.  Each row is the best of ``repeats`` attempts
-    (fresh fleet per attempt), the same best-of policy as
-    :func:`run_store_comparison`: a collection round lasts ~100 ms, so
-    a single stray gen-2 GC pause otherwise dominates the row.
+    ``attempt(variant, index)`` runs one round and returns its row,
+    which is labelled with ``variant`` and ``attempt``.  Interleaving,
+    and reversing the order on alternate attempts, spreads slow
+    stretches of a shared host over every variant and every position
+    instead of charging them to whichever ran during one; the
+    ``gc.collect()`` before each attempt keeps an earlier attempt's
+    garbage out of the next one's round.  The first variant is the
+    baseline of :func:`paired_ratios`.  Raises ``AssertionError`` as
+    soon as a row's health fingerprint differs from the baseline's.
     """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
+    if attempts <= 0:
+        raise ValueError("attempts must be positive")
     # Pay the one-time process-wide asyncio bootstrap (selector import,
-    # first loop construction) outside the measured rows, so whichever
-    # async mode happens to run first is not charged ~tens of ms of
-    # interpreter warm-up the other rows skip.
+    # first loop construction) outside the measured rows.
     asyncio.run(asyncio.sleep(0))
-    rows: List[Dict[str, object]] = []
-    for mode in modes:
-        best: Optional[Dict[str, object]] = None
-        for _ in range(repeats):
-            row = run_round(transport, device_count, mode=mode,
-                            shards=shards)
-            if best is None or row["collect_s"] < best["collect_s"]:
-                best = row
-        assert best is not None
-        rows.append(best)
+    rows: List[Row] = []
+    for index in range(attempts):
+        order = variants if index % 2 == 0 else variants[::-1]
+        for variant in order:
+            gc.collect()
+            row = attempt(variant, index)
+            row["variant"] = variant
+            row["attempt"] = index
+            if rows and row["health_sha256"] != rows[0]["health_sha256"]:
+                raise AssertionError(
+                    f"{variant} (attempt {index}) produced a different "
+                    f"merged FleetHealth than {rows[0]['variant']}")
+            rows.append(row)
     return rows
 
 
-def format_concurrency_table(rows: List[Dict[str, object]]) -> str:
-    """Render the collection-path comparison as a fixed-width table."""
-    baseline = next((row for row in rows if row["mode"] == "async"),
-                    rows[0])
-    baseline_rate = float(baseline["collect_devices_per_second"])
-    header = (f"{'mode':<14} {'devices':>8} {'shards':>7} {'collect (s)':>12} "
-              f"{'collect dev/s':>14} {'vs async':>12}")
-    lines = [header, "-" * len(header)]
+def paired_ratios(rows: Sequence[Row], key: str) -> List[Dict[str, float]]:
+    """Per attempt, each variant's ``key`` over the baseline's ``key``.
+
+    The baseline is the first row's variant; every ratio divides by the
+    baseline row of the *same* attempt, so host drift between attempts
+    cancels out of the pair.
+    """
+    baseline = rows[0]["variant"]
+    attempts: Dict[int, Dict[str, float]] = {}
     for row in rows:
-        relative = float(row["collect_devices_per_second"]) / baseline_rate \
-            if baseline_rate else 0.0
-        lines.append(
-            f"{row['mode']:<14} {row['devices']:>8} {row['shards']:>7} "
-            f"{row['collect_s']:>12.3f} "
-            f"{row['collect_devices_per_second']:>14.0f} {relative:>11.1%}")
-    return "\n".join(lines)
+        attempts.setdefault(row["attempt"], {})[row["variant"]] = \
+            float(row[key])
+    return [{variant: value / values[baseline]
+             for variant, value in values.items()}
+            for values in attempts.values()]
+
+
+def run_scaling_comparison(device_count: int = 1000,
+                           worker_counts: Sequence[int] = (1, 2, 4),
+                           attempts: int = 3) -> List[Row]:
+    """The scaling ladder: single verifier, then sharded loop and process.
+
+    ``async-baseline`` is the pipelined single-verifier ``collect_all``;
+    ``sharded-loop-wN`` runs N partitions on one event loop and
+    ``sharded-process-wN`` verifies them in N spawned worker processes.
+    """
+    ladder: Dict[str, Dict[str, Any]] = {"async-baseline": {}}
+    # Process rows next to the baseline: the pairs a scaling gate
+    # divides then run closest together in time.
+    for workers in worker_counts:
+        ladder[f"sharded-process-w{workers}"] = dict(
+            shards=workers, worker_mode="process")
+    for workers in worker_counts:
+        ladder[f"sharded-loop-w{workers}"] = dict(shards=workers)
+    return compare(list(ladder), attempts, lambda variant, _index:
+                   run_round("in-process", device_count, **ladder[variant]))
 
 
 def _store_factory(backend: str, directory: Path, attempt: int
@@ -197,85 +230,25 @@ def _store_factory(backend: str, directory: Path, attempt: int
 
 def run_store_comparison(device_count: int = 300,
                          directory: Optional[str] = None,
-                         repeats: int = 1,
-                         backends: Sequence[str] = STORE_BACKENDS
-                         ) -> List[Dict[str, object]]:
-    """Devices/second for one in-process round per store backend.
+                         attempts: int = 3) -> List[Row]:
+    """One in-process round per store backend and attempt.
 
-    Each backend row is the best of ``repeats`` attempts (fresh store
-    per attempt, so no backend ever replays a previous attempt's
-    state), the backends interleaved; ``baseline`` is the plain
-    provision path the PR 2 throughput benchmark measured, i.e. the
-    :class:`MemoryStore` default.
+    Every attempt gets a fresh store, so no backend ever replays a
+    previous attempt's state; the state files live in a fresh
+    subdirectory of ``directory`` (default: the system temp
+    directory), removed afterwards — the result is the rows.
     """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    if directory is None:
-        with tempfile.TemporaryDirectory(prefix="erasmus-store-bench-") \
-                as tempdir:
-            return _compare_backends(Path(tempdir), device_count,
-                                     repeats, backends)
-    Path(directory).mkdir(parents=True, exist_ok=True)
-    # A unique per-call subdirectory: reusing an attempt path would
-    # replay the previous call's enrollments and trip the
-    # duplicate-enrollment guard.  Removed afterwards — the result is
-    # the rows, not the state files.
-    base = Path(tempfile.mkdtemp(prefix="run-", dir=directory))
+    if directory is not None:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    base = Path(tempfile.mkdtemp(prefix="erasmus-store-bench-",
+                                 dir=directory))
     try:
-        return _compare_backends(base, device_count, repeats, backends)
+        return compare(STORE_BACKENDS, attempts, lambda backend, index:
+                       run_round("in-process", device_count,
+                                 store_factory=_store_factory(
+                                     backend, base / backend, index)))
     finally:
         shutil.rmtree(base, ignore_errors=True)
-
-
-def _best_interleaved(variants: Sequence[str], repeats: int,
-                      attempt: Callable[[str, int], Dict[str, object]]
-                      ) -> List[Dict[str, object]]:
-    """Fastest-wall-time row per variant, attempts run A B C A B C ...
-
-    Interleaving spreads slow stretches of a shared host over every
-    variant instead of charging them to whichever ran during one, and
-    the ``gc.collect()`` before each attempt keeps an earlier attempt's
-    garbage out of the next one's round.
-    """
-    best: Dict[str, Dict[str, object]] = {}
-    for index in range(repeats):
-        for variant in variants:
-            gc.collect()
-            row = attempt(variant, index)
-            if variant not in best or \
-                    row["wall_time_s"] < best[variant]["wall_time_s"]:
-                best[variant] = row
-    return [best[variant] for variant in variants]
-
-
-def _compare_backends(base: Path, device_count: int, repeats: int,
-                      backends: Sequence[str]) -> List[Dict[str, object]]:
-    """Best-of-``repeats`` in-process round per store backend."""
-    def attempt(backend: str, index: int) -> Dict[str, object]:
-        factory = _store_factory(backend, base / backend, index)
-        row = run_round("in-process", device_count, store_factory=factory)
-        row["store"] = backend
-        return row
-
-    return _best_interleaved(backends, repeats, attempt)
-
-
-def format_store_table(rows: List[Dict[str, object]]) -> str:
-    """Render the store-overhead rows as a fixed-width table."""
-    baseline = next((row for row in rows if row["store"] == "baseline"),
-                    rows[0])
-    baseline_rate = float(baseline["devices_per_second"])
-    header = (f"{'store':<10} {'devices':>8} {'wall (s)':>9} "
-              f"{'dev/s':>8} {'vs baseline':>12}")
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        relative = float(row["devices_per_second"]) / baseline_rate \
-            if baseline_rate else 0.0
-        lines.append(
-            f"{row['store']:<10} {row['devices']:>8} "
-            f"{row['wall_time_s']:>9.2f} "
-            f"{row['devices_per_second']:>8.0f} {relative:>11.1%}")
-    return "\n".join(lines)
 
 
 def _obs_for_mode(mode: str) -> Optional[object]:
@@ -293,82 +266,59 @@ def _obs_for_mode(mode: str) -> Optional[object]:
 
 
 def run_obs_comparison(device_count: int = 1000,
-                       transport: str = "in-process",
-                       repeats: int = 1,
-                       modes: Sequence[str] = OBS_MODES
-                       ) -> List[Dict[str, object]]:
-    """Devices/second for one round per observability mode.
+                       attempts: int = 3) -> List[Row]:
+    """One in-process round per observability mode and attempt.
 
-    Provisioning is deterministic, so the rows collect identical fleets
-    and differ only in instrumentation: ``baseline`` and ``null`` time
-    the identical code path (``obs=None`` resolves to the null object),
-    while ``observed`` pays the real metric/trace/store-wrap cost of a
-    fully enabled :class:`repro.obs.Observability`.  Each row is the
-    best of ``repeats`` attempts with a fresh observability object, the
-    modes interleaved, the same best-of policy as
-    :func:`run_store_comparison`.
+    ``baseline`` and ``null`` time the identical code path
+    (``obs=None`` resolves to the null object), while ``observed`` pays
+    the real metric/trace/store-wrap cost of a fully enabled
+    :class:`repro.obs.Observability`, fresh for every attempt.
     """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    asyncio.run(asyncio.sleep(0))  # one-time loop bootstrap, unmeasured
-
-    def attempt(mode: str, _index: int) -> Dict[str, object]:
-        row = run_round(transport, device_count, obs=_obs_for_mode(mode))
-        row["obs"] = mode
-        return row
-
-    return _best_interleaved(modes, repeats, attempt)
+    return compare(OBS_MODES, attempts, lambda mode, _index: run_round(
+        "in-process", device_count, obs=_obs_for_mode(mode)))
 
 
-def format_obs_table(rows: List[Dict[str, object]]) -> str:
-    """Render the observability-overhead rows as a fixed-width table."""
-    baseline = next((row for row in rows if row["obs"] == "baseline"),
-                    rows[0])
-    baseline_rate = float(baseline["devices_per_second"])
-    header = (f"{'obs':<10} {'devices':>8} {'wall (s)':>9} "
-              f"{'dev/s':>8} {'vs baseline':>12}")
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        relative = float(row["devices_per_second"]) / baseline_rate \
-            if baseline_rate else 0.0
-        lines.append(
-            f"{row['obs']:<10} {row['devices']:>8} "
-            f"{row['wall_time_s']:>9.2f} "
-            f"{row['devices_per_second']:>8.0f} {relative:>11.1%}")
-    return "\n".join(lines)
-
-
-def run(device_count: int = 1000,
-        transports: Sequence[str] = DEFAULT_TRANSPORTS,
-        profile: Optional[DeviceProfile] = None) -> List[Dict[str, object]]:
+def run(device_count: int = 1000) -> List[Row]:
     """One throughput row per transport for the given fleet size."""
-    return [run_round(transport, device_count, profile=profile)
-            for transport in transports]
+    return [dict(run_round(transport, device_count), variant=transport,
+                 attempt=0)
+            for transport in DEFAULT_TRANSPORTS]
 
 
-def format_table(rows: List[Dict[str, object]]) -> str:
-    """Render the throughput rows as a fixed-width table."""
-    header = (f"{'transport':<20} {'devices':>8} {'healthy':>8} "
-              f"{'wall (s)':>9} {'dev/s':>8} {'collect dev/s':>14}")
+def format_table(rows: Sequence[Row]) -> str:
+    """Render rows as one line per variant, medians over its attempts.
+
+    The two ``vs first`` columns are the medians of
+    :func:`paired_ratios` against the first variant, for the whole
+    round's devices/second and for the collect phase's.
+    """
+    ratios = paired_ratios(rows, "devices_per_second")
+    collect_ratios = paired_ratios(rows, "collect_devices_per_second")
+    header = (f"{'variant':<20} {'shards':>6} {'devices':>7} "
+              f"{'healthy':>7} {'attempts':>8} {'dev/s':>8} "
+              f"{'collect dev/s':>13} {'vs first':>9} "
+              f"{'collect vs first':>16}")
     lines = [header, "-" * len(header)]
-    for row in rows:
+    for variant in dict.fromkeys(row["variant"] for row in rows):
+        mine = [row for row in rows if row["variant"] == variant]
+        rate = median(row["devices_per_second"] for row in mine)
+        collect_rate = median(row["collect_devices_per_second"]
+                              for row in mine)
         lines.append(
-            f"{row['transport']:<20} {row['devices']:>8} "
-            f"{row['healthy']:>8} {row['wall_time_s']:>9.2f} "
-            f"{row['devices_per_second']:>8.0f} "
-            f"{row['collect_devices_per_second']:>14.0f}")
+            f"{variant:<20} {mine[0]['shards']:>6} {mine[0]['devices']:>7} "
+            f"{mine[0]['healthy']:>7} {len(mine):>8} {rate:>8.0f} "
+            f"{collect_rate:>13.0f} "
+            f"{median(pair[variant] for pair in ratios):>9.1%} "
+            f"{median(pair[variant] for pair in collect_ratios):>16.1%}")
     return "\n".join(lines)
 
 
 def main() -> None:
-    """Print the fleet throughput, concurrency and store-overhead tables."""
-    print(format_table(run()))
-    print()
-    print(format_concurrency_table(run_concurrency_comparison()))
-    print()
-    print(format_store_table(run_store_comparison()))
-    print()
-    print(format_obs_table(run_obs_comparison()))
+    """Print the transport, scaling, store and observability tables."""
+    for rows in (run(), run_scaling_comparison(), run_store_comparison(),
+                 run_obs_comparison()):
+        print(format_table(rows))
+        print()
 
 
 if __name__ == "__main__":

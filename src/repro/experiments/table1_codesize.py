@@ -21,7 +21,8 @@ from typing import Dict, List, Optional
 
 from repro.hw.codesize import CodeSizeModel
 
-#: The paper's Table 1, for side-by-side comparison in EXPERIMENTS.md.
+#: The paper's Table 1; :func:`run` puts each cell beside the reproduced
+#: one as ``paper:<column>``.
 PAPER_TABLE1_KB: Dict[str, Dict[str, Optional[float]]] = {
     "hmac-sha1": {"smart+/on-demand": 4.9, "smart+/erasmus": 4.7,
                   "hydra/on-demand": None, "hydra/erasmus": None},

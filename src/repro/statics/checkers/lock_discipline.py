@@ -1,37 +1,24 @@
-"""Rule ``lock-discipline``: shared stores stay behind their lock.
+"""Rule ``lock-discipline``: critical sections never block.
 
-Sharded fleet verifiers funnel every concurrent :class:`StateStore`
-access through ``_LockedStore`` — the JSONL stream and the SQLite
-connection are single-writer.  A class that builds a ``_LockedStore``
-and then calls store methods on the *raw* store anyway re-opens the
-race the wrapper exists to close.  Second hazard: blocking while
-holding a lock (a ``sleep``, a socket round-trip, a subprocess) turns
-a microsecond critical section into a convoy for every shard worker.
+Blocking while holding a lock (a ``sleep``, a socket round-trip, a
+subprocess, a thread join) turns a microsecond critical section into a
+convoy for every thread waiting on that lock.
 
-Flagged:
-
-* inside any class that constructs ``_LockedStore(raw)``: calls to
-  StateStore methods on ``raw`` or on a ``self.<attr>`` bound to it
-  (``close`` is exempt — teardown is single-threaded by contract);
-* calls made lexically inside a ``with <something named *lock*>:``
-  block that are known to block: ``time.sleep``, socket send/recv/
-  accept/connect, ``subprocess.*``, ``select.select``, and
-  ``.join()`` on thread/process-named objects.
+Flagged: calls made lexically inside a ``with <something named
+*lock*>:`` block that are known to block: ``time.sleep``, socket
+send/recv/accept/connect, ``subprocess.*``, ``select.select``, and
+``.join()`` on thread/process-named objects.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List
 
 from repro.statics.engine import (
     Checker, FileContext, Finding, dotted_chain, split_name, terminal_name,
 )
 
-STORE_METHODS = {
-    "save_enrollment", "append_report", "checkpoint", "restore_state",
-    "has_enrollment", "state_rows",
-}
 _BLOCKING_SOCKET_OPS = {
     "recv", "recv_bytes", "recv_into", "recvfrom", "send", "send_bytes",
     "sendall", "sendto", "accept", "connect",
@@ -86,71 +73,14 @@ class _WithLockVisitor(ast.NodeVisitor):
         return False
 
 
-def _raw_store_names(cls: ast.ClassDef) -> Optional[Set[str]]:
-    """Names aliasing the unwrapped store in a _LockedStore-using class.
-
-    Returns ``None`` when the class never constructs a ``_LockedStore``
-    (the rule does not apply), otherwise the set of raw names: the
-    constructor argument plus any ``self.<attr>`` it was assigned to.
-    """
-    raw: Set[str] = set()
-    wraps = False
-    assigns: Dict[str, Set[str]] = {}
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Assign) and isinstance(node.value,
-                                                       ast.Name):
-            for target in node.targets:
-                if isinstance(target, ast.Attribute) \
-                        and isinstance(target.value, ast.Name) \
-                        and target.value.id == "self":
-                    assigns.setdefault(node.value.id,
-                                       set()).add(target.attr)
-        if isinstance(node, ast.Call) \
-                and terminal_name(node.func) == "_LockedStore" \
-                and node.args and isinstance(node.args[0], ast.Name):
-            wraps = True
-            raw.add(node.args[0].id)
-    if not wraps:
-        return None
-    for source in list(raw):
-        raw.update(assigns.get(source, ()))
-    return raw
-
-
 class LockDisciplineChecker(Checker):
     rule = "lock-discipline"
-    description = ("flags raw StateStore calls that bypass _LockedStore "
-                   "and blocking calls made while holding a lock")
-    invariant = ("shard workers and their parent reach the shared "
-                 "single-writer store only through _LockedStore, and "
-                 "critical sections never block on sleeps, sockets or "
-                 "subprocesses")
+    description = "flags blocking calls made while holding a lock"
+    invariant = ("critical sections never block on sleeps, sockets, "
+                 "subprocesses or thread joins")
     applies_to_tests = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            raw = _raw_store_names(node)
-            if raw is None:
-                continue
-            for call in ast.walk(node):
-                if not isinstance(call, ast.Call) \
-                        or not isinstance(call.func, ast.Attribute) \
-                        or call.func.attr not in STORE_METHODS:
-                    continue
-                base = call.func.value
-                is_raw = (isinstance(base, ast.Name) and base.id in raw) \
-                    or (isinstance(base, ast.Attribute)
-                        and isinstance(base.value, ast.Name)
-                        and base.value.id == "self"
-                        and base.attr in raw)
-                if is_raw:
-                    yield ctx.finding(
-                        self.rule, call,
-                        f".{call.func.attr}() called on the raw store "
-                        f"in {node.name}, bypassing _LockedStore; route "
-                        f"through the locked wrapper")
         visitor = _WithLockVisitor()
         visitor.visit(ctx.tree)
         for call in visitor.hits:

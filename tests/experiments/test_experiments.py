@@ -1,11 +1,14 @@
 """Tests for the experiment harnesses (one per paper table / figure)."""
 
+from statistics import median
+
 import pytest
 
 from repro.experiments import (
     availability,
     fig6_msp430_runtime,
     fig8_imx6_runtime,
+    fleet_collection,
     hwcost,
     irregular_intervals,
     qoa_detection,
@@ -193,6 +196,57 @@ class TestSwarmMobilityFleet:
         rows = swarm_mobility_fleet.run(device_count=10, speeds=(0.0,),
                                         rounds=1, include_cost_model=False)
         assert [row["protocol"] for row in rows] == ["erasmus-fleet"]
+
+
+class TestFleetComparison:
+    """The comparison loop behind the fleet benchmarks, on fake rounds."""
+
+    @staticmethod
+    def fake_round(rates, calls, fingerprints=None):
+        def attempt(variant, index):
+            calls.append((variant, index))
+            sha = (fingerprints or {}).get((variant, index), "same")
+            return {"devices_per_second": rates[variant][index],
+                    "collect_devices_per_second": rates[variant][index],
+                    "health_sha256": sha, "shards": 1, "devices": 10,
+                    "healthy": 10}
+        return attempt
+
+    def test_attempt_order_reverses_on_alternate_attempts(self):
+        calls = []
+        rates = {variant: [1.0] * 4 for variant in "abc"}
+        rows = fleet_collection.compare(("a", "b", "c"), 4,
+                                        self.fake_round(rates, calls))
+        assert [variant for variant, _ in calls] == list("abccbaabccba")
+        assert [index for _, index in calls] == [0] * 3 + [1] * 3 \
+            + [2] * 3 + [3] * 3
+        assert [(row["variant"], row["attempt"]) for row in rows] == calls
+
+    def test_paired_ratio_median(self):
+        # b is 1.5x, 0.5x and 3x the same attempt's baseline: the paired
+        # median is 1.5, although the two variants' medians are equal.
+        rates = {"a": [10.0, 40.0, 20.0], "b": [15.0, 20.0, 60.0]}
+        rows = fleet_collection.compare(("a", "b"), 3,
+                                        self.fake_round(rates, []))
+        ratios = fleet_collection.paired_ratios(rows, "devices_per_second")
+        assert ratios == [{"a": 1.0, "b": 1.5}, {"a": 1.0, "b": 0.5},
+                          {"a": 1.0, "b": 3.0}]
+        assert median(pair["b"] for pair in ratios) == 1.5
+        table = fleet_collection.format_table(rows)
+        assert "150.0%" in table and "100.0%" in table
+
+    def test_fingerprint_mismatch_raises_at_once(self):
+        calls = []
+        rates = {variant: [1.0] * 3 for variant in "ab"}
+        attempt = self.fake_round(rates, calls,
+                                  fingerprints={("a", 1): "other"})
+        with pytest.raises(AssertionError, match="different merged"):
+            fleet_collection.compare(("a", "b"), 3, attempt)
+        assert calls[-1] == ("a", 1)
+
+    def test_attempts_must_be_positive(self):
+        with pytest.raises(ValueError):
+            fleet_collection.compare(("a",), 0, self.fake_round({}, []))
 
 
 def test_all_format_tables_render():

@@ -139,42 +139,6 @@ def test_exact_fraction_pragma():
 # ----------------------------------------------------------------------
 # lock-discipline
 # ----------------------------------------------------------------------
-def test_lock_discipline_flags_raw_store_calls_next_to_the_wrapper():
-    source = (
-        "class Sharded:\n"
-        "    def __init__(self, store):\n"
-        "        self.store = store\n"
-        "        self.shared = _LockedStore(store)\n"
-        "    def checkpoint(self):\n"
-        "        self.store.checkpoint({}, {})\n")
-    findings = lint(LockDisciplineChecker(), source)
-    assert len(findings) == 1
-    assert "bypassing _LockedStore" in findings[0].message
-
-
-def test_lock_discipline_allows_the_wrapped_store_and_close():
-    source = (
-        "class Sharded:\n"
-        "    def __init__(self, store):\n"
-        "        self.store = store\n"
-        "        self.shared = _LockedStore(store)\n"
-        "    def checkpoint(self):\n"
-        "        self.shared.checkpoint({}, {})\n"
-        "    def close(self):\n"
-        "        self.store.close()\n")
-    assert lint(LockDisciplineChecker(), source) == []
-
-
-def test_lock_discipline_without_a_wrapper_is_out_of_scope():
-    source = (
-        "class Plain:\n"
-        "    def __init__(self, store):\n"
-        "        self.store = store\n"
-        "    def checkpoint(self):\n"
-        "        self.store.checkpoint({}, {})\n")
-    assert lint(LockDisciplineChecker(), source) == []
-
-
 def test_lock_discipline_flags_blocking_calls_under_a_lock():
     source = ("import time\n"
               "def convoy(self):\n"
