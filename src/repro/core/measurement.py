@@ -5,9 +5,11 @@ Measurements are produced by the security architecture
 the prover's insecure rolling buffer and later shipped to the verifier
 unencrypted (they are authenticated by the MAC and contain no secrets;
 Section 3.2).  This module defines the record and its compact,
-canonical wire encoding for network transfer; the buffer
-(:class:`repro.core.storage.MeasurementStore`) keeps the
-:class:`Measurement` objects themselves.
+canonical wire encoding for network transfer
+(:func:`encode_record`); the buffer
+(:class:`repro.core.storage.MeasurementStore`) keeps each record in
+that encoding and builds :class:`Measurement` objects only for callers
+that read it.
 
 A received record list decodes into one :class:`RecordBatch`: four
 columns (timestamps, MAC inputs as received, digests, tags) rather
@@ -21,7 +23,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.arch.base import MeasurementOutput, encode_timestamp
 
@@ -105,10 +107,9 @@ class Measurement:
             else received
 
     def encode(self) -> bytes:
-        """Serialize to the canonical wire format."""
-        header = _HEADER.pack(round(self.timestamp * 1_000_000),
-                              len(self.digest), len(self.tag))
-        return b"".join((header, self.digest, self.tag))
+        """Serialize to the canonical wire format (no length prefix)."""
+        return encode_record(self.timestamp, self.digest,
+                             self.tag)[_LENGTH.size:]
 
     @staticmethod
     def decode(payload: Buffer) -> "Measurement":
@@ -223,22 +224,30 @@ class RecordBatch(Sequence):
         return f"RecordBatch({self._materialized()!r})"
 
 
-def encode_records(measurements: List[Measurement],
-                   parts: List[bytes]) -> List[bytes]:
-    """Append length-prefixed records to a flat writev-style list.
+def encode_record(timestamp: float, digest: bytes, tag: bytes) -> bytes:
+    """One length-prefixed record: the form a record list carries it in.
 
-    One ``struct`` pack per record writes its length prefix and header;
-    digest and tag are appended as they are.  Callers assembling larger
-    messages join ``parts`` once at the end.
+    One ``struct`` pack writes the length prefix and the header; digest
+    and tag follow as they are.  The prover's buffer stores records in
+    this form, so serving a collection joins stored bytes.
     """
-    pack = _PREFIXED_HEADER.pack
-    for measurement in measurements:
-        digest, tag = measurement.digest, measurement.tag
-        parts += (pack(_HEADER.size + len(digest) + len(tag),
-                       round(measurement.timestamp * 1_000_000),
-                       len(digest), len(tag)),
-                  digest, tag)
-    return parts
+    digest_len, tag_len = len(digest), len(tag)
+    return b"".join((_PREFIXED_HEADER.pack(
+        _HEADER.size + digest_len + tag_len, round(timestamp * 1_000_000),
+        digest_len, tag_len), digest, tag))
+
+
+def record_fields(record: bytes) -> Tuple[bytes, bytes]:
+    """The digest and tag of a record from :func:`encode_record`."""
+    digest_end = _PREFIXED_HEADER.size + _PREFIXED_HEADER.unpack_from(
+        record)[2]
+    return record[_PREFIXED_HEADER.size:digest_end], record[digest_end:]
+
+
+def encode_records(measurements: Iterable[Measurement]) -> List[bytes]:
+    """:func:`encode_record` of each record, in order."""
+    return [encode_record(measurement.timestamp, measurement.digest,
+                          measurement.tag) for measurement in measurements]
 
 
 def _record_list_error(data: bytes, offset: int) -> MeasurementDecodeError:

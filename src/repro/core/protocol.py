@@ -93,6 +93,17 @@ def _decode_measurements(payload: Buffer, offset: int,
         raise ProtocolDecodeError(str(exc)) from exc
 
 
+def encode_collect_response(records: Sequence[bytes]) -> bytes:
+    """A collect response carrying ``records``, newest first.
+
+    Each record is in the length-prefixed form of
+    :func:`~repro.core.measurement.encode_record`, the form the prover's
+    buffer stores, so serving a collection joins stored bytes.
+    """
+    return b"".join((_RESPONSE_HEADER.pack(_TYPE_COLLECT_RESPONSE,
+                                           len(records)), *records))
+
+
 @dataclass(frozen=True)
 class CollectResponse:
     """Prover -> verifier: the k latest stored measurements, newest first.
@@ -102,15 +113,9 @@ class CollectResponse:
 
     measurements: Sequence[Measurement] = field(default_factory=list)
 
-    def encode_parts(self) -> List[bytes]:
-        """The wire encoding as a writev-style list of buffers."""
-        header = _RESPONSE_HEADER.pack(_TYPE_COLLECT_RESPONSE,
-                                       len(self.measurements))
-        return encode_records(self.measurements, [header])
-
     def encode(self) -> bytes:
         """Serialize to the wire format."""
-        return b"".join(self.encode_parts())
+        return encode_collect_response(encode_records(self.measurements))
 
     @classmethod
     def decode(cls, payload: Buffer) -> "CollectResponse":
@@ -179,17 +184,13 @@ class OnDemandResponse:
     fresh: Optional[Measurement]
     measurements: List[Measurement] = field(default_factory=list)
 
-    def encode_parts(self) -> List[bytes]:
-        """The wire encoding as a writev-style list of buffers."""
+    def encode(self) -> bytes:
+        """Serialize to the wire format."""
         records = ([self.fresh] if self.fresh is not None else []) + \
             list(self.measurements)
         header = _RESPONSE_HEADER.pack(_TYPE_ONDEMAND_RESPONSE, len(records))
         flag = b"\x01" if self.fresh is not None else b"\x00"
-        return encode_records(records, [header, flag])
-
-    def encode(self) -> bytes:
-        """Serialize to the wire format."""
-        return b"".join(self.encode_parts())
+        return b"".join((header, flag, *encode_records(records)))
 
     @classmethod
     def decode(cls, payload: Buffer) -> "OnDemandResponse":

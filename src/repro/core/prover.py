@@ -21,7 +21,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.arch.base import MeasurementAborted, SecurityArchitecture
+from repro.arch.base import (
+    MeasurementAborted,
+    MeasurementOutput,
+    SecurityArchitecture,
+)
 from repro.core.config import ErasmusConfig, ScheduleKind
 from repro.core.measurement import Measurement
 from repro.core.protocol import (
@@ -29,6 +33,7 @@ from repro.core.protocol import (
     CollectResponse,
     OnDemandRequest,
     OnDemandResponse,
+    encode_collect_response,
 )
 from repro.core.scheduler import MeasurementScheduler, build_scheduler
 from repro.core.storage import MeasurementStore
@@ -88,18 +93,22 @@ class ErasmusProver:
         #: This is the Section 3.5 observation channel: measurement
         #: activity is externally visible (busy CPU), so schedule-aware
         #: malware can react to *when* measurements happen without ever
-        #: touching the scheduler's CSPRNG state.
+        #: touching the scheduler's CSPRNG state.  The measurement is
+        #: the architecture's :class:`MeasurementOutput` (``timestamp``,
+        #: ``digest``, ``tag``, ``duration``), or ``None`` if aborted.
         self.measurement_listeners: List[
-            Callable[[str, float, Optional[Measurement]], None]] = []
+            Callable[[str, float, Optional[MeasurementOutput]], None]] = []
 
     # ------------------------------------------------------------------
     # Measurement phase
     # ------------------------------------------------------------------
-    def take_measurement(self, time: float) -> Optional[Measurement]:
+    def take_measurement(self, time: float) -> Optional[MeasurementOutput]:
         """Perform one self-measurement at the given simulation time.
 
-        Returns the stored record, or ``None`` when the measurement was
-        aborted because a critical task was active.
+        The store encodes the record straight from the architecture's
+        output, which is returned (``timestamp``, ``digest``, ``tag``,
+        ``duration``); ``None`` when the measurement was aborted because
+        a critical task was active.
         """
         self.architecture.advance_clock(time)
         abort = bool(self.critical_task_active and
@@ -109,10 +118,9 @@ class ErasmusProver:
         except MeasurementAborted:
             self.measurements_aborted += 1
             return None
-        measurement = Measurement.from_output(output)
-        self.store.store(measurement)
+        self.store.store(output)
         self.measurements_taken += 1
-        return measurement
+        return output
 
     def attach(self, engine: SimulationEngine, start_time: float = 0.0) -> None:
         """Attach to a simulation engine and start the measurement schedule."""
@@ -142,11 +150,22 @@ class ErasmusProver:
     # ------------------------------------------------------------------
     # Collection phase (Figure 2)
     # ------------------------------------------------------------------
-    def handle_collect(self, request: CollectRequest) -> CollectResponse:
-        """Serve a plain ERASMUS collection: read and transmit, nothing else."""
-        k = min(request.k, self.store.slots)
+    def serve_collect(self, request: CollectRequest) -> bytes:
+        """Serve a plain ERASMUS collection: read and transmit, nothing else.
+
+        The encoded response is its header joined with the ``k`` newest
+        stored records, in the wire form the buffer keeps them in.
+        """
         self.collections_served += 1
-        return CollectResponse(measurements=self.store.latest(k))
+        return encode_collect_response(self.store.latest_records(request.k))
+
+    def handle_collect(self, request: CollectRequest) -> CollectResponse:
+        """The same collection as :class:`Measurement` records, for API callers.
+
+        Its ``encode()`` is byte-identical to :meth:`serve_collect`.
+        """
+        self.collections_served += 1
+        return CollectResponse(measurements=self.store.latest(request.k))
 
     def collection_runtime(self, on_demand: bool = False) -> float:
         """Modelled prover-side run-time of serving one collection.
@@ -180,11 +199,11 @@ class ErasmusProver:
             return OnDemandResponse(fresh=None, measurements=[])
         measurement_time = time if time is not None \
             else self.architecture.read_clock()
-        fresh = self.take_measurement(measurement_time)
-        if fresh is None:
+        output = self.take_measurement(measurement_time)
+        if output is None:
             return OnDemandResponse(fresh=None, measurements=[])
-        k = min(request.k, self.store.slots)
-        history = [entry for entry in self.store.latest(k)
+        fresh = Measurement.from_output(output)
+        history = [entry for entry in self.store.latest(request.k)
                    if entry.timestamp != fresh.timestamp]
         self.collections_served += 1
         return OnDemandResponse(fresh=fresh, measurements=history)

@@ -6,6 +6,17 @@ taken at RROC time ``t`` is ``i = floor(t / T_M) mod n`` — a stateless
 rule, so the prover needs no persistent bookkeeping beyond the buffer
 itself.
 
+Each slot holds its record in wire form, the length-prefixed bytes of
+:func:`repro.core.measurement.encode_record`, beside the record's exact
+float timestamp and modelled ``duration`` (which the wire does not
+carry).  Serving a collection therefore joins stored bytes, as the
+paper's prover "merely reads its stored measurements and transmits
+them".  The buffer is three columns of floats and bytes, so it holds
+nothing the cyclic garbage collector tracks however many measurements
+pass through it.  Reads (:meth:`MeasurementStore.latest`,
+:meth:`~MeasurementStore.raw_slot`, iteration) build
+:class:`~repro.core.measurement.Measurement` records from the slots.
+
 Because the buffer is insecure, malware may modify, reorder or delete
 entries.  The store therefore deliberately exposes mutation methods
 (used by :mod:`repro.adversary.tamper`); safety comes from the verifier
@@ -15,9 +26,14 @@ noticing the tampering, never from protecting the buffer.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence, Union
 
-from repro.core.measurement import Measurement
+from repro.arch.base import MeasurementOutput
+from repro.core.measurement import Measurement, encode_record, record_fields
+
+#: What the store accepts: a record, or the architecture's raw output
+#: (the prover's scheduled path stores that without building a record).
+Storable = Union[Measurement, MeasurementOutput]
 
 
 class MeasurementStore:
@@ -46,7 +62,11 @@ class MeasurementStore:
         self.slots = slots
         self.measurement_interval = measurement_interval
         self.stateless = stateless
-        self._buffer: List[Optional[Measurement]] = [None] * slots
+        # One entry per slot in each column; a slot is empty when its
+        # record is ``None``.
+        self._timestamps: List[float] = [0.0] * slots
+        self._durations: List[float] = [0.0] * slots
+        self._records: List[Optional[bytes]] = [None] * slots
         self._last_slot: Optional[int] = None
         self.stored_count = 0
         self.overwrites = 0
@@ -55,39 +75,63 @@ class MeasurementStore:
         """The paper's stateless slot rule: ``floor(t / T_M) mod n``."""
         return int(math.floor(timestamp / self.measurement_interval)) % self.slots
 
-    def store(self, measurement: Measurement) -> int:
+    def store(self, measurement: Storable) -> int:
         """Store a measurement in its slot; returns the slot index used."""
+        timestamp = measurement.timestamp
         if self.stateless:
-            slot = self.slot_for_time(measurement.timestamp)
+            slot = self.slot_for_time(timestamp)
         else:
             slot = self.stored_count % self.slots
-        if self._buffer[slot] is not None:
+        records = self._records
+        if records[slot] is not None:
             self.overwrites += 1
-        self._buffer[slot] = measurement
+        self._timestamps[slot] = timestamp
+        self._durations[slot] = measurement.duration
+        records[slot] = encode_record(timestamp, measurement.digest,
+                                      measurement.tag)
         self._last_slot = slot
         self.stored_count += 1
         return slot
 
+    def _read(self, slot: int) -> Optional[Measurement]:
+        record = self._records[slot]
+        if record is None:
+            return None
+        digest, tag = record_fields(record)
+        return Measurement(self._timestamps[slot], digest, tag,
+                           self._durations[slot])
+
+    def _newest(self, column: Sequence, k: int) -> Sequence:
+        """``column``'s entries for the ``k`` most recent slots, newest first.
+
+        This is the collection-phase read ``{ *L_(i-j) mod n | 0 <= j < k }``
+        from Figure 2, as slices of one column (``range(n)`` reads the
+        slot indices).  ``k`` larger than ``n`` is clamped to ``n``
+        (``if k > n: k = n`` in the protocol figure).
+        """
+        last = self._last_slot
+        if k <= 0 or last is None:
+            return ()
+        first = last + 1 - min(k, self.slots)
+        if first >= 0:
+            return column[first:last + 1][::-1]
+        # The window wraps: slots ``last`` down to 0, then ``n - 1``
+        # down to ``n + first``.
+        return [*column[last::-1], *column[:first - 1:-1]]
+
     def latest(self, k: int) -> List[Measurement]:
         """Return the ``k`` most recent measurements, newest first.
 
-        This is the collection-phase read ``{ *L_(i-j) mod n | 0 <= j < k }``
-        from Figure 2.  ``k`` larger than ``n`` is clamped to ``n``
-        (``if k > n: k = n`` in the protocol figure); empty slots are
-        skipped.
+        Empty slots are skipped (see :meth:`_newest`).
         """
-        if k <= 0:
-            return []
-        k = min(k, self.slots)
-        if self._last_slot is None:
-            return []
-        result: List[Measurement] = []
-        for j in range(k):
-            slot = (self._last_slot - j) % self.slots
-            measurement = self._buffer[slot]
-            if measurement is not None:
-                result.append(measurement)
-        return result
+        return [measurement for measurement in map(
+            self._read, self._newest(range(self.slots), k))
+            if measurement is not None]
+
+    def latest_records(self, k: int) -> List[bytes]:
+        """:meth:`latest` in wire form: the stored length-prefixed records."""
+        return [record for record in self._newest(self._records, k)
+                if record is not None]
 
     def newest(self) -> Optional[Measurement]:
         """The most recently stored measurement, if any."""
@@ -96,15 +140,15 @@ class MeasurementStore:
 
     def occupancy(self) -> int:
         """Number of non-empty slots."""
-        return sum(1 for entry in self._buffer if entry is not None)
+        return self.slots - self._records.count(None)
 
     def all_measurements(self) -> List[Measurement]:
         """All stored measurements, oldest first (by timestamp)."""
-        present = [entry for entry in self._buffer if entry is not None]
+        present = [entry for entry in self if entry is not None]
         return sorted(present, key=lambda measurement: measurement.timestamp)
 
     def __iter__(self) -> Iterator[Optional[Measurement]]:
-        return iter(self._buffer)
+        return map(self._read, range(self.slots))
 
     def __len__(self) -> int:
         return self.occupancy()
@@ -114,21 +158,28 @@ class MeasurementStore:
     # ------------------------------------------------------------------
     def raw_slot(self, index: int) -> Optional[Measurement]:
         """Direct read of a slot (no access control: the buffer is insecure)."""
-        return self._buffer[index % self.slots]
+        return self._read(index % self.slots)
 
     def overwrite_slot(self, index: int,
-                       measurement: Optional[Measurement]) -> None:
+                       measurement: Optional[Storable]) -> None:
         """Direct write of a slot — what tampering malware does."""
-        self._buffer[index % self.slots] = measurement
+        slot = index % self.slots
+        if measurement is None:
+            self._records[slot] = None
+            return
+        self._timestamps[slot] = measurement.timestamp
+        self._durations[slot] = measurement.duration
+        self._records[slot] = encode_record(
+            measurement.timestamp, measurement.digest, measurement.tag)
 
     def clear_all(self) -> None:
         """Wipe the whole buffer — the bluntest possible tampering."""
-        self._buffer = [None] * self.slots
+        self._records = [None] * self.slots
         self._last_slot = None
 
     def swap_slots(self, first: int, second: int) -> None:
         """Reorder two slots — another tampering primitive."""
         first %= self.slots
         second %= self.slots
-        self._buffer[first], self._buffer[second] = \
-            self._buffer[second], self._buffer[first]
+        for column in (self._timestamps, self._durations, self._records):
+            column[first], column[second] = column[second], column[first]

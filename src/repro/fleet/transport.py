@@ -60,12 +60,13 @@ def serve_request(prover: ErasmusProver, payload: bytes,
     """Decode one request, serve it on the prover, encode the response.
 
     This is the prover-side dispatch shared by every transport: plain
-    collections go to :meth:`ErasmusProver.handle_collect`, ERASMUS+OD
-    requests to :meth:`ErasmusProver.handle_ondemand`.
+    collections go to :meth:`ErasmusProver.serve_collect`, which joins
+    the stored wire-form records, ERASMUS+OD requests to
+    :meth:`ErasmusProver.handle_ondemand`.
     """
     request = decode_request(payload)
     if isinstance(request, CollectRequest):
-        return prover.handle_collect(request).encode()
+        return prover.serve_collect(request)
     assert isinstance(request, OnDemandRequest)
     return prover.handle_ondemand(request, time=time).encode()
 

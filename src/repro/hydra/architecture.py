@@ -9,7 +9,11 @@ the EPIT periodic timer.
 
 from __future__ import annotations
 
+import functools
+from typing import Dict
+
 from repro.arch.base import ArchitectureError, SecurityArchitecture
+from repro.crypto.backend import get_backend
 from repro.hw.clock import SoftwareClock, WrappingCounter
 from repro.hw.codesize import CodeSizeModel
 from repro.hw.devices import ApplicationCPUModel
@@ -33,6 +37,33 @@ MEASUREMENT_BUFFER_REGION = "measurement_buffer"
 
 #: i.MX6 GPT: a 32-bit counter clocked at 66 MHz (wraps every ~65 s).
 _GPT_FREQUENCY_HZ = 66_000_000.0
+
+#: The synthetic seL4 kernel image: its pattern label and size.
+_KERNEL_LABEL = b"sel4-kernel"
+_KERNEL_IMAGE_SIZE = 160 * 1024
+
+
+def _synthetic_image(label: bytes, size: int) -> bytes:
+    from repro.crypto.sha256 import sha256_digest
+    pattern = sha256_digest(label)
+    return (pattern * (size // len(pattern) + 1))[:size]
+
+
+@functools.lru_cache(maxsize=None)
+def _provisioned_digests(pratt_label: bytes, pratt_size: int,
+                         provider: str) -> Dict[str, bytes]:
+    """The factory-provisioned digests of the kernel and PrAtt images.
+
+    Every device built with one PrAtt image on one crypto provider (the
+    process default, named by ``provider``) is provisioned with the same
+    known-good digests, so factory provisioning hashes the images once;
+    each device's :meth:`SecureBoot.boot` still hashes its own copies.
+    """
+    return SecureBoot.provision({
+        KERNEL_IMAGE_REGION: _synthetic_image(_KERNEL_LABEL,
+                                              _KERNEL_IMAGE_SIZE),
+        PRATT_IMAGE_REGION: _synthetic_image(pratt_label, pratt_size),
+    }).expected_digests
 
 
 class HydraArchitecture(SecurityArchitecture):
@@ -66,10 +97,10 @@ class HydraArchitecture(SecurityArchitecture):
             raise ValueError("application size must be positive")
         size_model = code_size_model if code_size_model is not None \
             else CodeSizeModel()
-        kernel_image = self._synthetic_image(b"sel4-kernel", 160 * 1024)
+        kernel_image = _synthetic_image(_KERNEL_LABEL, _KERNEL_IMAGE_SIZE)
         pratt_size = size_model.report("hydra", "erasmus", mac_name).total_bytes
-        pratt_image = self._synthetic_image(
-            f"pratt/{mac_name}".encode(), pratt_size)
+        pratt_label = f"pratt/{mac_name}".encode()
+        pratt_image = _synthetic_image(pratt_label, pratt_size)
 
         memory = self._build_memory_map(
             kernel_image, pratt_image, key, application_size,
@@ -85,10 +116,9 @@ class HydraArchitecture(SecurityArchitecture):
         # Secure boot: verify the kernel and PrAtt images, then bring up
         # the microkernel with PrAtt as the initial, highest-priority
         # process holding exclusive key capabilities.
-        self.secure_boot = SecureBoot.provision({
-            KERNEL_IMAGE_REGION: kernel_image,
-            PRATT_IMAGE_REGION: pratt_image,
-        })
+        self.secure_boot = SecureBoot(expected_digests=dict(
+            _provisioned_digests(pratt_label, pratt_size,
+                                 get_backend().name)))
         self.secure_boot.boot({
             KERNEL_IMAGE_REGION: kernel_image,
             PRATT_IMAGE_REGION: pratt_image,
@@ -97,12 +127,6 @@ class HydraArchitecture(SecurityArchitecture):
         self.pratt = PrAttProcess.boot(self.kernel)
         self.clock = SoftwareClock(
             WrappingCounter(frequency_hz=_GPT_FREQUENCY_HZ, width_bits=32))
-
-    @staticmethod
-    def _synthetic_image(seed: bytes, size: int) -> bytes:
-        from repro.crypto.sha256 import sha256_digest
-        pattern = sha256_digest(seed)
-        return (pattern * (size // len(pattern) + 1))[:size]
 
     @staticmethod
     def _build_memory_map(kernel_image: bytes, pratt_image: bytes, key: bytes,

@@ -427,6 +427,11 @@ class MetricsRegistry:
                   buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS
                   ) -> Metric:
         """Register (or fetch) a histogram family with fixed buckets."""
+        if "le" in labels:
+            # The exposition format labels each bucket series with its
+            # upper bound as ``le``; a second ``le`` would corrupt it.
+            raise MetricError("'le' is reserved for histogram bucket "
+                              "bounds")
         boundaries = tuple(sorted(set(float(b) for b in buckets)))
         if not boundaries:
             raise MetricError("a histogram needs at least one bucket "

@@ -64,3 +64,30 @@ def test_rounds_leave_no_per_measurement_or_per_round_records():
     assert len(fleet.engine.trace) == 0
     assert objects_after - objects_before <= MAX_OBJECT_GROWTH
     assert traced_after - traced_before <= MAX_TRACED_GROWTH_BYTES
+
+
+def test_measurement_buffers_hold_nothing_the_collector_tracks():
+    """Provers keep records in wire form: no tracked object per slot.
+
+    Each slot is a float timestamp, a float duration and the record's
+    bytes, none of which the cyclic collector tracks, so measurement
+    intervals add no work to its older generations.
+    """
+    profile = DeviceProfile.smartplus(
+        firmware=b"wire-form-firmware!!", application_size=256,
+        measurement_interval=MEASUREMENT_INTERVAL,
+        collection_interval=COLLECTION_INTERVAL, buffer_slots=16)
+    fleet = Fleet.provision(profile, 50, master_secret=b"master")
+    stores = [fleet.device(device_id).prover.store
+              for device_id in fleet.device_ids()]
+    # Fill every buffer, then wrap it once more.
+    fleet.run_until(2 * 16 * MEASUREMENT_INTERVAL)
+    gc.collect()
+    for store in stores:
+        assert store.occupancy() == store.slots
+        for column in (store._timestamps, store._durations, store._records):
+            assert not any(gc.is_tracked(value) for value in column)
+    objects_before = len(gc.get_objects())
+    fleet.run_until(4 * 16 * MEASUREMENT_INTERVAL)
+    gc.collect()
+    assert len(gc.get_objects()) - objects_before <= MAX_OBJECT_GROWTH

@@ -14,6 +14,29 @@ def test_secure_boot_ran_at_construction(hydra_arch):
     assert hydra_arch.secure_boot.booted
 
 
+def test_images_are_provisioned_once_and_booted_on_every_device(
+        monkeypatch, key):
+    import repro.hydra.secure_boot as secure_boot_module
+    from repro.hydra import architecture
+    real = secure_boot_module._sha256
+    hashed = []
+    monkeypatch.setattr(secure_boot_module, "_sha256",
+                        lambda image: hashed.append(image) or real(image))
+    architecture._provisioned_digests.cache_clear()
+    build_hydra_architecture(key, application_size=1024)
+    # Factory provisioning and the first boot hash the kernel and PrAtt.
+    assert len(hashed) == 4
+    hashed.clear()
+    devices = [build_hydra_architecture(key, application_size=1024)
+               for _ in range(3)]
+    # Later devices share the provisioned digests; each boot still
+    # hashes that device's own two images.
+    assert len(hashed) == 6
+    assert all(device.secure_boot.booted for device in devices)
+    assert devices[0].secure_boot.expected_digests is not \
+        devices[1].secure_boot.expected_digests
+
+
 def test_pratt_is_initial_highest_priority_process(hydra_arch):
     assert hydra_arch.pratt.is_highest_priority()
     assert hydra_arch.kernel.process("pratt").parent is None

@@ -62,6 +62,11 @@ def test_labels_by_keyword_and_arity_errors():
         counter.labels(op="read", wrong="ok")
 
 
+def test_histogram_rejects_the_reserved_le_label():
+    with pytest.raises(MetricError):
+        MetricsRegistry().histogram("latency", labels=("shard", "le"))
+
+
 def test_histogram_buckets_are_cumulative_with_inf():
     registry = MetricsRegistry()
     hist = registry.histogram("latency", buckets=(0.1, 1.0))
