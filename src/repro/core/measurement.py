@@ -23,6 +23,9 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import concat
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.arch.base import MeasurementOutput, encode_timestamp
@@ -169,12 +172,13 @@ class RecordBatch(Sequence):
     ``timestamps`` are in seconds, ``mac_inputs`` are the bytes each
     tag is checked against (for a decoded batch, the eight timestamp
     bytes and the digest exactly as received), ``digests`` and ``tags``
-    are ``bytes``.  The columns are what the verifier judges.  Indexing,
-    slicing, iteration and ``==`` see :class:`Measurement` records: a
-    decoded batch builds them on first use (frozen, equal and hashing
-    like ``Measurement(...)``, each remembering its received MAC
-    input); a batch :meth:`from_measurements` hands out the caller's
-    own records.
+    are ``bytes``.  The columns are what the verifier judges, and
+    :func:`decode_records` builds a batch's columns whole, not record
+    by record.  Indexing, slicing, iteration and ``==`` see
+    :class:`Measurement` records: a decoded batch builds them on first
+    use (frozen, equal and hashing like ``Measurement(...)``, each
+    remembering its received MAC input); a batch
+    :meth:`from_measurements` hands out the caller's own records.
     """
 
     __slots__ = ("timestamps", "mac_inputs", "digests", "tags", "_records")
@@ -253,7 +257,7 @@ def encode_records(measurements: Iterable[Measurement]) -> List[bytes]:
 def _record_list_error(data: bytes, offset: int) -> MeasurementDecodeError:
     """Why the record at ``offset`` is malformed, checked field by field.
 
-    :func:`decode_records` only comes here once its combined check
+    :func:`_decode_each` only comes here once its combined check
     failed, so one of these checks (or :meth:`Measurement.decode`'s
     own) fails.
     """
@@ -270,17 +274,15 @@ def _record_list_error(data: bytes, offset: int) -> MeasurementDecodeError:
     return MeasurementDecodeError("malformed measurement record")
 
 
-def decode_records(payload: Buffer, offset: int,
-                   count: int) -> RecordBatch:
-    """Decode ``count`` length-prefixed records filling ``payload[offset:]``.
+def _decode_each(data: bytes, offset: int, count: int) -> RecordBatch:
+    """The record-by-record decode: any record list, every error message.
 
-    ``payload`` is copied to ``bytes`` once if it is not already; each
-    record then costs one ``struct`` unpack (length prefix and header
-    together) and ``bytes`` slices for its digest, tag and MAC input
-    (the received timestamp bytes followed by the digest), appended to
-    the :class:`RecordBatch` columns.  No :class:`Measurement` is built.
+    Each record costs one ``struct`` unpack (length prefix and header
+    together) and ``bytes`` slices for its digest, tag and MAC input,
+    appended to the :class:`RecordBatch` columns.  :func:`decode_records`
+    comes here for a list its columnar pass does not take: records of
+    mixed lengths, or malformed data, whose error this walk names.
     """
-    data = _as_bytes(payload)
     end = len(data)
     unpack = _PREFIXED_HEADER.unpack_from
     prefixed_size, header_size = _PREFIXED_HEADER.size, _HEADER.size
@@ -309,3 +311,57 @@ def decode_records(payload: Buffer, offset: int,
     if offset != end:
         raise MeasurementDecodeError("trailing bytes after measurement list")
     return RecordBatch(timestamps, mac_inputs, digests, tags)
+
+
+@lru_cache(maxsize=64)
+def _record_layout(digest_len: int,
+                   tag_len: int) -> Tuple[struct.Struct, struct.Struct]:
+    """The structs that read records with these digest and tag lengths.
+
+    The first reads a whole length-prefixed record (length, timestamp,
+    digest length, tag length, digest, tag); the second only the
+    timestamp's eight bytes as received.  Cached per length pair, never
+    per record count: a format spanning a whole list would be compiled
+    once per count, and a 65,535-record one is megabytes.
+    """
+    rest = _HEADER.size - _TIMESTAMP_SIZE + digest_len + tag_len
+    return (struct.Struct(f">HQHH{digest_len}s{tag_len}s"),
+            struct.Struct(f">{_LENGTH.size}x{_TIMESTAMP_SIZE}s{rest}x"))
+
+
+def decode_records(payload: Buffer, offset: int,
+                   count: int) -> RecordBatch:
+    """Decode ``count`` length-prefixed records filling ``payload[offset:]``.
+
+    ``payload`` is copied to ``bytes`` once if it is not already.  A
+    list whose records all share the first record's digest and tag
+    lengths, the common case, is read in columnar passes: one
+    ``iter_unpack`` of a cached record struct over the list, a second
+    for the received timestamp bytes, a ``tuple.count`` per length
+    field to check that every record carries the expected lengths, one
+    comprehension for the timestamps in seconds and one ``map`` for
+    the MAC inputs (the received timestamp bytes followed by the
+    digest).  Any other list goes through :func:`_decode_each`, which
+    decodes a list of mixed lengths and names what is wrong with a
+    malformed one.  No :class:`Measurement` is built.
+    """
+    data = _as_bytes(payload)
+    remaining = len(data) - offset
+    if count and remaining >= _PREFIXED_HEADER.size:
+        length, _, digest_len, tag_len = _PREFIXED_HEADER.unpack_from(
+            data, offset)
+        if length == _HEADER.size + digest_len + tag_len and \
+                count * (_LENGTH.size + length) == remaining:
+            record, stamp = _record_layout(digest_len, tag_len)
+            view = memoryview(data)[offset:]
+            (lengths, timestamps_us, digest_lens, tag_lens, digests,
+             tags) = zip(*record.iter_unpack(view))
+            if lengths.count(length) == digest_lens.count(digest_len) \
+                    == tag_lens.count(tag_len) == count:
+                return RecordBatch(
+                    [timestamp_us / 1_000_000
+                     for timestamp_us in timestamps_us],
+                    list(map(concat, chain.from_iterable(
+                        stamp.iter_unpack(view)), digests)),
+                    list(digests), list(tags))
+    return _decode_each(data, offset, count)

@@ -201,7 +201,11 @@ class OnDemandResponse:
         message_type, count = _RESPONSE_HEADER.unpack_from(payload)
         if message_type != _TYPE_ONDEMAND_RESPONSE:
             raise ProtocolDecodeError("not an on-demand response")
-        has_fresh = payload[_RESPONSE_HEADER.size] == 1
+        flag = payload[_RESPONSE_HEADER.size]
+        if flag > 1:
+            raise ProtocolDecodeError(
+                f"invalid fresh-measurement flag {flag}")
+        has_fresh = flag == 1
         records = list(_decode_measurements(payload, minimum, count))
         if has_fresh:
             if not records:

@@ -8,10 +8,11 @@ its reference:
 * :class:`DeviceJudge` judges every collection the verifier accepts,
   in a round or through ``FleetVerifier.verify_collection``.  It takes
   the records as one :class:`repro.core.measurement.RecordBatch` and
-  makes one pass over its columns into three flag lists (MAC
-  authentic, known-good digest, dated in the future); no per-record
-  object is built, and a report's :attr:`VerificationReport.verdicts`
-  are made from the batch and the flags only when someone reads them;
+  turns its columns into three flag lists (MAC authentic, known-good
+  digest, dated in the future), one pass over a column each; no
+  per-record object is built, and a report's
+  :attr:`VerificationReport.verdicts` are made from the batch and the
+  flags only when someone reads them;
 * :class:`DeviceJudges` keeps each device's judge and decodes a raw
   response before judging it; the in-process verifier and every
   process worker judge through one;
@@ -35,7 +36,9 @@ any number of threads concurrently.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.arch.base import encode_timestamp
@@ -143,12 +146,13 @@ class VerificationReport:
         future-dated record cannot move the device's last-seen mark.
         """
         self.measurement_count = len(timestamps)
-        self.infected_timestamps = [
+        self.infected_timestamps = [] if False not in healthy else [
             timestamp for timestamp, good_mac, known
             in zip(timestamps, authentic, healthy) if good_mac and not known]
-        self.newest_timestamp = max(
-            (timestamp for timestamp, future in zip(timestamps, from_future)
-             if not future), default=None)
+        dated = timestamps if True not in from_future else [
+            timestamp for timestamp, future in zip(timestamps, from_future)
+            if not future]
+        self.newest_timestamp = max(dated, default=None)
 
     @property
     def verdicts(self) -> List[MeasurementVerdict]:
@@ -371,25 +375,29 @@ class VerificationCore:
         allowed_gap = expected * (1 + self.schedule_tolerance)
         ordered = sorted(timestamps)
 
-        duplicates = sum(1 for first, second in zip(ordered, ordered[1:])
-                         if second - first <= 1e-9)
-        if duplicates:
+        # The successive differences, and C-level min/max over them:
+        # only a collection holding a duplicate or an oversized gap
+        # walks them one by one.  (Timestamps are never NaN: the wire
+        # carries integer microseconds.)
+        steps = list(map(sub, ordered[1:], ordered))
+        if steps and min(steps) <= 1e-9:
+            duplicates = sum(1 for step in steps if step <= 1e-9)
             anomalies.append(
                 f"{duplicates} duplicate timestamp(s) within one collection")
 
-        new_only = ordered
+        gaps = steps
         if last_seen is not None:
-            new_only = [timestamp for timestamp in ordered
-                        if timestamp > last_seen + 1e-9]
+            # Records at or before last_seen + 1e-9 were seen before;
+            # the first new record's gap is measured from last_seen.
+            new = bisect_right(ordered, last_seen + 1e-9)
+            gaps = [ordered[new] - last_seen, *steps[new:]] \
+                if new < len(ordered) else []
         missing = 0
-        previous = last_seen
-        for timestamp in new_only:
-            if previous is not None:
-                gap = timestamp - previous
+        if gaps and max(gaps) > allowed_gap:
+            for gap in gaps:
                 if gap > allowed_gap:
                     skipped = int(gap / expected) - 1
                     missing += max(1, skipped)
-            previous = timestamp
         return missing, anomalies
 
     # ------------------------------------------------------------------
@@ -433,10 +441,11 @@ class VerificationCore:
         tests pin to "not at all".
         """
         report._summarize(timestamps, authentic, healthy, from_future)
+        ordered = sorted(timestamps)
         report.missing_intervals, schedule_anomalies = self.check_schedule(
-            sorted(timestamps), enrollment.last_seen)
+            ordered, enrollment.last_seen)
         report.anomalies.extend(schedule_anomalies)
-        report.freshness = collection_time - max(timestamps)
+        report.freshness = collection_time - ordered[-1]
 
         # Stale tail: the newest record should not be older than one
         # (tolerated) measurement interval — otherwise the most recent
@@ -518,10 +527,10 @@ class DeviceJudge:
     """Fast verification of one device's collections under a fixed key.
 
     The policy checks are the shared :meth:`VerificationCore._assess`;
-    only the per-record flag loop over a :class:`RecordBatch` is
-    specialized — MAC closure with the key pre-bound, provider-native
-    tag comparison, and the digest whitelist consulted without
-    attribute chasing.  Judges are
+    only the per-record flags over a :class:`RecordBatch` are
+    specialized: one pass over a column per flag, a MAC closure over
+    a state keyed once per device, the provider-native tag comparison
+    and the whitelist's own ``__contains__``.  Judges are
     cheap to build and safe to reuse across rounds as long as the
     device keeps the same key (re-enrollment must discard the judge).
     """
@@ -541,30 +550,24 @@ class DeviceJudge:
         """Drop-in fast equivalent of ``core.verify_measurements``.
 
         Judges the records as one :class:`RecordBatch` (a decoded
-        response already is one): a single pass over its columns MACs
-        every received MAC input, checks every digest against the
-        whitelist and every timestamp against the horizon, into three
-        flag lists.  The report's verdicts are built only if read.
+        response already is one) in one pass over a column per flag
+        list: ``map`` MACs every received MAC input and compares its
+        tag, ``map`` checks every digest against the whitelist, and a
+        comprehension (CPython's specialized float compare beats a
+        ``map`` there) checks every timestamp against the horizon.
+        The report's verdicts are built only if read.
         """
         if not measurements:
             return _empty_report(enrollment, collection_time)
         batch = measurements if type(measurements) is RecordBatch \
             else RecordBatch.from_measurements(measurements)
-        mac, compare = self._mac, self._compare
-        digests = enrollment.healthy_digests
+        authentic = list(map(self._compare,
+                             map(self._mac, batch.mac_inputs), batch.tags))
+        # statics: ok(constant-time) — public whitelist membership
+        healthy = list(map(enrollment.healthy_digests.__contains__,
+                           batch.digests))
         horizon = collection_time + 1e-6
-        authentic: List[bool] = []
-        healthy: List[bool] = []
-        from_future: List[bool] = []
-        good_mac, known, future = \
-            authentic.append, healthy.append, from_future.append
-        for mac_input, tag, digest, timestamp in zip(
-                batch.mac_inputs, batch.tags, batch.digests,
-                batch.timestamps):
-            good_mac(compare(mac(mac_input), tag))
-            # statics: ok(constant-time) — public whitelist membership
-            known(digest in digests)
-            future(timestamp > horizon)
+        from_future = [timestamp > horizon for timestamp in batch.timestamps]
         report = VerificationReport(device_id=enrollment.device_id,
                                     collection_time=collection_time,
                                     status=DeviceStatus.HEALTHY)

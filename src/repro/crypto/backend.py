@@ -230,21 +230,32 @@ class AcceleratedBackend(CryptoBackend):
 
     def mac_function(self, mac_name: str, key: bytes
                      ) -> Callable[[bytes], bytes]:
+        """A ``data -> tag`` closure over a state keyed once.
+
+        The keyed state (keyed BLAKE2s, or HMAC with its padded key
+        already absorbed) is built here, once per device; each call
+        copies it, absorbs ``data`` and finalizes the copy, so the base
+        state never changes.  The prover-side :meth:`keyed_mac` still
+        keys every call, because it models a protected key read.
+        """
         lowered = mac_name.lower()
         if lowered == "keyed-blake2s":
-            blake2s = hashlib.blake2s
-            return lambda data: blake2s(data, key=key).digest()
-        if lowered == "hmac-sha1":
-            digest = _stdlib_hmac.digest
-            return lambda data: digest(key, data, "sha1")
-        if lowered == "hmac-sha256":
-            digest = _stdlib_hmac.digest
-            return lambda data: digest(key, data, "sha256")
-        raise ValueError(f"backend {self.name!r} cannot compute MAC "
-                         f"{mac_name!r}")
+            base = hashlib.blake2s(key=key)
+        elif lowered in _HMAC_HASHES:
+            base = _stdlib_hmac.new(key, digestmod=_HMAC_HASHES[lowered])
+        else:
+            raise ValueError(f"backend {self.name!r} cannot compute MAC "
+                             f"{mac_name!r}")
+        copy = base.copy
 
-    def compare_digests(self, left: bytes, right: bytes) -> bool:
-        return _stdlib_hmac.compare_digest(left, right)
+        def tag(data: bytes) -> bytes:
+            state = copy()
+            state.update(data)
+            return state.digest()
+        return tag
+
+    #: The stdlib's C comparison itself, so a judge calls it directly.
+    compare_digests = staticmethod(_stdlib_hmac.compare_digest)
 
 
 # ----------------------------------------------------------------------

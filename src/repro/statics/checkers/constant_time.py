@@ -6,7 +6,12 @@ compares; an early-exit comparison leaks how many prefix bytes matched
 comparison through :func:`repro.crypto.constant_time.constant_time_compare`
 (or the backend's ``compare_digests``); this rule flags ``==`` / ``!=``
 / ``in`` / ``not in`` on values whose names say they hold MACs,
-digests, tags, keys or other secret material anywhere else.
+digests, tags, keys or other secret material anywhere else.  The same
+comparisons spelled as functions are flagged too: the bound
+``__eq__`` / ``__ne__`` / ``__contains__`` of a secret-named value
+(``map(tags.__eq__, macs)``), and a call of ``operator.eq`` / ``ne`` /
+``contains`` or of one of those dunders, directly or as the function
+``map`` applies, with a secret-named operand.
 
 Heuristics keeping the noise down:
 
@@ -22,7 +27,7 @@ Heuristics keeping the noise down:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.statics.engine import (
     Checker, FileContext, Finding, split_name, terminal_name,
@@ -42,6 +47,9 @@ BENIGN_LAST_PARTS = {
     "hashes", "kb", "parts", "table", "tables", "registry",
 }
 _FLAGGED_OPS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+#: The comparisons above as methods and as ``operator`` functions.
+_DUNDER_OPS = {"__eq__": "==", "__ne__": "!=", "__contains__": "in"}
+_OPERATOR_OPS = {"eq": "==", "ne": "!=", "contains": "in"}
 #: The one module allowed to implement the comparison itself.
 _EXEMPT_SUFFIXES = ("repro/crypto/constant_time.py",)
 
@@ -78,10 +86,45 @@ def _secret_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _operator_imports(tree: ast.AST) -> Tuple[Set[str], Dict[str, str]]:
+    """Names the ``operator`` module and its comparisons go by here.
+
+    Returns the module's aliases (``import operator as op``) and a map
+    from each imported comparison's local name to its operator text
+    (``from operator import eq as same`` gives ``{"same": "=="}``).
+    """
+    modules: Set[str] = set()
+    functions: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "operator")
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+            functions.update((alias.asname or alias.name,
+                              _OPERATOR_OPS[alias.name])
+                             for alias in node.names
+                             if alias.name in _OPERATOR_OPS)
+    return modules, functions
+
+
+def _comparison_function(node: ast.AST, modules: Set[str],
+                         functions: Dict[str, str]) -> Optional[str]:
+    """The operator text of a comparison used as a function, if any."""
+    if isinstance(node, ast.Name):
+        return functions.get(node.id)
+    if isinstance(node, ast.Attribute):
+        if node.attr in _DUNDER_OPS:
+            return _DUNDER_OPS[node.attr]
+        if isinstance(node.value, ast.Name) and node.value.id in modules:
+            return _OPERATOR_OPS.get(node.attr)
+    return None
+
+
 class ConstantTimeChecker(Checker):
     rule = "constant-time"
-    description = ("flags ==/!=/in on MAC/digest/key-named values outside "
-                   "repro.crypto.constant_time")
+    description = ("flags ==/!=/in (or __eq__/__ne__/__contains__, "
+                   "operator.eq/ne/contains) on MAC/digest/key-named "
+                   "values outside repro.crypto.constant_time")
     invariant = ("secret material (MACs, digests, keys) is compared "
                  "constant-time so the verifier leaks no prefix-match "
                  "timing — the paper's core threat model")
@@ -90,21 +133,56 @@ class ConstantTimeChecker(Checker):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.matches(*_EXEMPT_SUFFIXES):
             return
+        modules, functions = _operator_imports(ctx.tree)
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
+            if isinstance(node, ast.Compare):
+                yield from self._check_compare(ctx, node)
+            elif isinstance(node, ast.Attribute) and node.attr in _DUNDER_OPS:
+                name = _secret_name(node.value)
+                if name is not None:
+                    yield self._finding(ctx, node, name, node.attr)
+            elif isinstance(node, ast.Call):
+                yield from self._check_call(ctx, node, modules, functions)
+
+    def _finding(self, ctx: FileContext, node: ast.AST, name: str,
+                 how: str) -> Finding:
+        return ctx.finding(
+            self.rule, node,
+            f"{name!r} compared with {how!r}; secret material must go "
+            f"through the crypto backend's compare_digests / "
+            f"constant_time_compare")
+
+    def _check_call(self, ctx: FileContext, node: ast.Call,
+                    modules: Set[str],
+                    functions: Dict[str, str]) -> Iterator[Finding]:
+        """A comparison called as a function, directly or through map."""
+        function, operands = node.func, node.args
+        if isinstance(function, ast.Name) and function.id == "map" \
+                and operands:
+            function, operands = operands[0], operands[1:]
+        op = _comparison_function(function, modules, functions)
+        if op is None or any(map(_is_benign_constant, operands)):
+            return
+        if isinstance(function, ast.Attribute) and \
+                function.attr in _DUNDER_OPS and \
+                _secret_name(function.value) is not None:
+            return  # already flagged at the attribute itself
+        for operand in operands:
+            name = _secret_name(operand)
+            if name is not None:
+                yield self._finding(ctx, node, name, op)
+                return
+
+    def _check_compare(self, ctx: FileContext,
+                       node: ast.Compare) -> Iterator[Finding]:
+        operands = [node.left] + list(node.comparators)
+        if any(_is_benign_constant(operand) for operand in operands):
+            return
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if not isinstance(op, _FLAGGED_OPS):
                 continue
-            operands = [node.left] + list(node.comparators)
-            if any(_is_benign_constant(operand) for operand in operands):
+            name = _secret_name(left) or _secret_name(right)
+            if name is None:
                 continue
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, _FLAGGED_OPS):
-                    continue
-                name = _secret_name(left) or _secret_name(right)
-                if name is None:
-                    continue
-                yield ctx.finding(
-                    self.rule, node,
-                    f"{name!r} compared with {_op_text(op)!r}; secret "
-                    f"material must go through the crypto backend's "
-                    f"compare_digests / constant_time_compare")
-                break  # one finding per Compare node is enough
+            yield self._finding(ctx, node, name, _op_text(op))
+            return  # one finding per Compare node is enough

@@ -166,6 +166,20 @@ def test_ondemand_response_rejects_fresh_flag_without_records():
         OnDemandResponse.decode(bogus)
 
 
+@pytest.mark.parametrize("flag", [2, 0x7F, 0xFF])
+@pytest.mark.parametrize("fresh", [None, 50.0])
+def test_ondemand_response_rejects_an_unknown_fresh_flag(flag, fresh):
+    # encode only ever writes 0 or 1; any other byte is not read as
+    # "no fresh measurement".
+    encoded = bytearray(OnDemandResponse(
+        fresh=None if fresh is None else record(fresh),
+        measurements=[record(40.0)]).encode())
+    encoded[3] = flag
+    with pytest.raises(ProtocolDecodeError,
+                       match=f"^invalid fresh-measurement flag {flag}$"):
+        OnDemandResponse.decode(bytes(encoded))
+
+
 def test_decode_request_dispatches_by_type():
     from repro.core.protocol import decode_request
     collect = decode_request(CollectRequest(k=3).encode())

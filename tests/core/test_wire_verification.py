@@ -1,7 +1,9 @@
-"""Verification on the received bytes: tamper-after-decode, u64 timestamps
-and decode-error parity of the one-pass response decoder."""
+"""Verification on the received bytes: tamper-after-decode, u64 timestamps,
+decode-error parity of the response decoder, and its columnar pass
+against the record-by-record walk."""
 
 import dataclasses
+import random
 import struct
 
 import pytest
@@ -16,6 +18,8 @@ from repro.core import (
     Measurement,
     MeasurementDecodeError,
 )
+from repro.core import measurement as measurement_module
+from repro.core.measurement import _decode_each, decode_records
 from repro.core.protocol import ProtocolDecodeError
 from repro.core.verification import Enrollment, VerificationCore
 
@@ -248,3 +252,119 @@ def test_single_record_decode_keeps_its_messages():
                        match=f"^measurement record has {len(encoded) - 1} "
                              f"bytes, expected {len(encoded)}$"):
         Measurement.decode(encoded[:-1])
+
+
+# ----------------------------------------------------------------------
+# Decode twins: the columnar pass against the record-by-record walk
+# ----------------------------------------------------------------------
+
+#: Digest and tag lengths the corpora draw from.
+FIELD_LENGTHS = (0, 20, 32, 64)
+
+
+def prefixed_record(rng, digest_len: int, tag_len: int) -> bytes:
+    body = struct.pack(">QHH", rng.getrandbits(64), digest_len, tag_len) \
+        + rng.randbytes(digest_len) + rng.randbytes(tag_len)
+    return struct.pack(">H", len(body)) + body
+
+
+def record_list(rng, count: int, mixed: bool = False):
+    """``(payload, count)``: a response header and ``count`` records."""
+    digest_len, tag_len = (rng.choice(FIELD_LENGTHS) for _ in range(2))
+    records = []
+    for _ in range(count):
+        if mixed:
+            digest_len, tag_len = (rng.choice(FIELD_LENGTHS)
+                                   for _ in range(2))
+        records.append(prefixed_record(rng, digest_len, tag_len))
+    return struct.pack(">BH", 2, count) + b"".join(records), count
+
+
+def decode_outcome(decoder, payload: bytes, count: int):
+    """The batch's columns, or the error text, of one decode."""
+    try:
+        batch = decoder(payload, 3, count)
+    except MeasurementDecodeError as exc:
+        return ("error", str(exc))
+    columns = (batch.timestamps, batch.mac_inputs, batch.digests, batch.tags)
+    assert all(type(value) is bytes
+               for column in columns[1:] for value in column)
+    return ("ok", columns)
+
+
+def assert_twins(payload: bytes, count: int):
+    columnar = decode_outcome(decode_records, payload, count)
+    assert columnar == decode_outcome(_decode_each, payload, count)
+    return columnar
+
+
+def corpus(seed: int):
+    """Seeded ``(payload, count)`` lists: uniform ones of 0-40 records
+    at every digest/tag length pair, mixed-length ones, and both with
+    corrupted length fields, wrong counts and trailing bytes."""
+    rng = random.Random(seed)
+    for count in range(41):
+        payload, count = record_list(rng, count)
+        yield payload, count
+        yield record_list(rng, count, mixed=True)
+        if count:
+            yield payload, count - 1
+            yield payload, count + 1
+            yield payload + rng.randbytes(rng.randint(1, 80)), count
+            corrupted = bytearray(payload)
+            for _ in range(rng.randint(1, 3)):
+                record_size = (len(payload) - 3) // count
+                start = 3 + rng.randrange(count) * record_size
+                field = rng.choice((0, 10, 12))
+                (value,) = struct.unpack_from(">H", corrupted, start + field)
+                value = rng.choice((value - 1, value + 1,
+                                    rng.getrandbits(16))) & 0xFFFF
+                struct.pack_into(">H", corrupted, start + field, value)
+            yield bytes(corrupted), count
+            # One record splits the same length differently: every
+            # length field still adds up, so the walk decodes it.
+            shifted = bytearray(payload)
+            start = 3 + rng.randrange(count) * ((len(payload) - 3) // count)
+            digest_len, tag_len = struct.unpack_from(">HH", shifted,
+                                                     start + 10)
+            if tag_len:
+                struct.pack_into(">HH", shifted, start + 10,
+                                 digest_len + 1, tag_len - 1)
+                yield bytes(shifted), count
+
+
+@pytest.mark.parametrize("seed", [3001, 3002, 3003])
+def test_columnar_decode_matches_the_record_walk(seed):
+    outcomes = [assert_twins(payload, count)[0]
+                for payload, count in corpus(seed)]
+    assert "ok" in outcomes and "error" in outcomes
+
+
+@pytest.mark.parametrize("digest_len", FIELD_LENGTHS)
+@pytest.mark.parametrize("tag_len", FIELD_LENGTHS)
+def test_every_truncation_decodes_alike_on_both_paths(digest_len, tag_len):
+    rng = random.Random(f"truncate/{digest_len}/{tag_len}")
+    payload = struct.pack(">BH", 2, 3) + b"".join(
+        prefixed_record(rng, digest_len, tag_len) for _ in range(3))
+    for cut in range(3, len(payload) + 1):
+        assert_twins(payload[:cut], 3)
+
+
+def test_uniform_lists_take_the_columnar_pass(monkeypatch):
+    walked = []
+
+    def recorded_walk(data, offset, count):
+        walked.append(count)
+        return _decode_each(data, offset, count)
+
+    monkeypatch.setattr(measurement_module, "_decode_each", recorded_walk)
+    rng = random.Random(3004)
+    for count in range(1, 41):
+        payload, count = record_list(rng, count)
+        decode_records(payload, 3, count)
+    assert walked == []
+    # A mixed-length list is decoded by the walk, not refused.
+    payload = struct.pack(">BH", 2, 2) + prefixed_record(rng, 32, 32) \
+        + prefixed_record(rng, 20, 32)
+    assert len(decode_records(payload, 3, 2)) == 2
+    assert walked == [2]

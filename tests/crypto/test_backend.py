@@ -100,6 +100,35 @@ def test_mac_fuzz_equivalence(name):
             ACCELERATED.keyed_mac(name)(key, message) == reference_tag
 
 
+@pytest.mark.parametrize("name", ["hmac-sha1", "hmac-sha256",
+                                  "keyed-blake2s", "KEYED-BLAKE2S"])
+def test_prekeyed_mac_function_never_mutates_its_keyed_state(name):
+    # The accelerated mac_function keys one state per device and copies
+    # it per call.  Calls of every length around the 64-byte block
+    # boundary, repeated and interleaved across two keys, must each
+    # equal a freshly keyed MAC, so no call leaves data in the state.
+    rng = random.Random(f"prekeyed/{name}")
+    keys = [rng.randbytes(32), rng.randbytes(17)]
+    closures = [ACCELERATED.mac_function(name, key) for key in keys]
+    lengths = [0, 1, 31, 32, 55, 56, 63, 64, 65, 119, 127, 128, 129, 200]
+    messages = [rng.randbytes(length) for length in lengths]
+    for _ in range(2):
+        for message in messages + messages[::-1]:
+            for key, closure, reference in zip(
+                    keys, closures,
+                    [REFERENCE.mac_function(name, key) for key in keys]):
+                tag = closure(message)
+                assert tag == closure(message)
+                assert tag == ACCELERATED.keyed_mac(name)(key, message)
+                assert tag == reference(message)
+    assert closures[0](b"") != closures[1](b"")
+
+
+def test_prekeyed_mac_function_rejects_unknown_names_when_built():
+    with pytest.raises(ValueError, match="cannot compute MAC"):
+        ACCELERATED.mac_function("hmac-md5", b"k")
+
+
 @pytest.mark.parametrize("hash_name", ["sha1", "sha256", "blake2s"])
 def test_hash_fuzz_equivalence(hash_name):
     for _, message in _fuzz_cases(seed=hash_name, count=40):

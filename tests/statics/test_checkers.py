@@ -56,6 +56,63 @@ def test_constant_time_pragma():
     assert lint(ConstantTimeChecker(), source) == []
 
 
+def test_constant_time_flags_comparison_dunders_on_secret_values():
+    source = ("a = list(map(tags.__eq__, computed))\n"
+              "b = expected_mac.__ne__(got)\n"
+              "c = list(map(enrollment.healthy_digests.__contains__, x))\n"
+              "d = enrollment.key.__eq__\n")
+    findings = lint(ConstantTimeChecker(), source)
+    findings.sort(key=lambda finding: finding.line)
+    assert [finding.line for finding in findings] == [1, 2, 3, 4]
+    assert "'tags' compared with '__eq__'" in findings[0].message
+    assert "'healthy_digests'" in findings[2].message
+
+
+def test_constant_time_flags_dunder_calls_with_secret_operands():
+    # The method's owner is a type; the secret is an operand.
+    source = ("a = list(map(bytes.__eq__, tags, computed))\n"
+              "b = bytes.__ne__(expected_mac, got)\n"
+              "c = frozenset.__contains__(known, response.digest)\n")
+    findings = lint(ConstantTimeChecker(), source)
+    findings.sort(key=lambda finding: finding.line)
+    assert [finding.line for finding in findings] == [1, 2, 3]
+    assert "'tags' compared with '=='" in findings[0].message
+    assert "'digest' compared with 'in'" in findings[2].message
+
+
+def test_constant_time_flags_operator_comparisons_on_secret_values():
+    source = ("import operator\n"
+              "import operator as op\n"
+              "from operator import contains, eq as same\n"
+              "a = operator.eq(expected_mac, got)\n"
+              "b = list(map(op.ne, tags, computed))\n"
+              "c = contains(known_digests, candidate)\n"
+              "d = all(map(same, computed, device_keys))\n")
+    findings = lint(ConstantTimeChecker(), source)
+    findings.sort(key=lambda finding: finding.line)
+    assert [finding.line for finding in findings] == [4, 5, 6, 7]
+    assert "'known_digests' compared with 'in'" in findings[2].message
+
+
+def test_constant_time_function_comparisons_ignore_labels_and_others():
+    source = ("import operator\n"
+              "from operator import eq, lt\n"
+              "a = list(map(names.__eq__, labels))\n"
+              "b = operator.eq(mac_name, 'hmac-sha1')\n"
+              "c = list(map(eq, counts, totals))\n"
+              "d = list(map(lt, tags, computed))\n"
+              "e = digest_size.__eq__(32)\n"
+              "f = other.eq(expected_mac, got)\n"
+              "g = list(map(str.__eq__, first, second))\n")
+    assert lint(ConstantTimeChecker(), source) == []
+
+
+def test_constant_time_pragma_covers_function_comparisons():
+    source = ("# statics: ok(constant-time)\n"
+              "known = list(map(healthy_digests.__contains__, digests))\n")
+    assert lint(ConstantTimeChecker(), source) == []
+
+
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
