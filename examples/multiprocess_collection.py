@@ -69,8 +69,8 @@ def main() -> None:
     baseline_fleet = provision(count)
     process_fleet = provision(count, shards=WORKERS, worker_mode="process",
                               transport="socket")
-    # Spawn the 4 workers and ship enrollments before timing: the
-    # numbers below are steady-state rounds, not process cold start.
+    # Spawn the 4 workers before timing: the numbers below are
+    # steady-state rounds, not process cold start.
     process_fleet.verifier.warm_up()
 
     gc.collect()

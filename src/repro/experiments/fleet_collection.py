@@ -93,9 +93,9 @@ def run_round(transport: str, device_count: int, *,
                                 obs=obs)
         provisioned = time.perf_counter()
         fleet.run_until(horizon)
-        # Spawn process workers and ship enrollments outside the collect
-        # window: the row characterizes a steady-state round, not the
-        # one-time process cold start.
+        # Spawn the process workers outside the collect window: the
+        # row characterizes a steady-state round, not the one-time
+        # process cold start.
         fleet.verifier.warm_up()
         # Provisioning and measuring allocate millions of objects; sweep
         # the resulting garbage *before* the collect window so a stray

@@ -164,9 +164,9 @@ class FleetVerifier:
       side.  The parent keeps the store, sinks and enrollments; workers
       ship report rows and exact :class:`FleetHealth` parts home, so
       health stays byte-identical to ``"loop"`` mode.  Workers spawn
-      lazily on the first round (or :meth:`warm_up`); every slot
-      mirrors every enrollment, re-shipped only when keys or whitelists
-      change, and a crashed worker's outstanding batches finish as
+      lazily on the first round (or :meth:`warm_up`) and hold no
+      enrollments: each task carries the enrollments of the devices
+      it judges.  A crashed worker's outstanding batches finish as
       lost devices before it rejoins the next round.
     """
 
@@ -186,22 +186,14 @@ class FleetVerifier:
         self.config = config
         self.shards = shards
         self.worker_mode = worker_mode
-        # Process-mode machinery: the pool spawns lazily on the first
-        # round; _worker_sync caches (generation, enrollment epoch) per
-        # slot so enrollment mirrors re-ship only when material changed
-        # or the slot respawned.
+        # Process mode: the pool spawns lazily on the first round.
         self._pool: Optional[WorkerPool] = None
-        self._worker_sync: List[Optional[tuple]] = [None] * shards
         self.core = VerificationCore(config,
                                      schedule_tolerance=schedule_tolerance,
                                      allowed_missing=allowed_missing)
         self.store: StateStore = store if store is not None else MemoryStore()
         self._enrollments: Dict[str, Enrollment] = {}
         self._last_collection_time: Dict[str, float] = {}
-        # Bumped whenever a device's key or digest whitelist changes (not
-        # on last-seen advances); worker pools key their enrollment
-        # mirrors on this so re-syncs only happen when material changed.
-        self._enrollment_epoch = 0
         self.sinks: List[ReportSink] = list(sinks)
         self.health = FleetHealth()
         self.rounds_completed = 0
@@ -252,16 +244,6 @@ class FleetVerifier:
         """
         self._last_collection_time.pop(device_id, None)
         enrollment = Enrollment.create(device_id, key, healthy_digests)
-        previous = self._enrollments.get(device_id)
-        key_changed = previous is not None and not \
-            self.core.crypto_backend.compare_digests(previous.key,
-                                                     enrollment.key)
-        if (previous is None or key_changed
-                # Whitelist *change detection* over public software-state
-                # digest sets, not an authentication decision:
-                # statics: ok(constant-time)
-                or previous.healthy_digests != enrollment.healthy_digests):
-            self._enrollment_epoch += 1
         self._enrollments[device_id] = enrollment
         self.store.save_enrollment(enrollment)
 
@@ -616,23 +598,31 @@ class FleetVerifier:
                                      device_ids, batch_size)
 
     def warm_up(self) -> None:
-        """Spawn worker processes and ship enrollments ahead of a round.
+        """Spawn the worker processes ahead of a round.
 
-        Process mode pays its one-time costs — spawning the workers
-        (interpreter + import per process) and shipping the enrollment
-        mirrors — lazily inside the first ``collect_all``.  Call this
+        Process mode spawns its workers (interpreter + import per
+        process) lazily inside the first ``collect_all``.  Call this
         first to take that cold start out of the first round's latency
-        (benchmarks measure steady-state rounds this way).  No-op in
+        (benchmarks measure steady-state rounds this way): it returns
+        once every worker has answered an empty task.  A worker that
+        dies meanwhile is respawned by the next round.  No-op in
         ``"loop"`` mode.
         """
-        if self.worker_mode == "process":
-            asyncio.run(self._round_pool())
+        pool = self._round_pool()
+        if pool is None:
+            return
+        # Every slot was spawned above, so their start-ups overlap.
+        for slot in range(self.shards):
+            try:
+                pool.submit_task(slot, 0.0, []).result()
+            except WorkerCrashed:
+                pass  # the next round respawns the slot
 
-    async def _round_pool(self) -> Optional[WorkerPool]:
-        """The synced worker pool a round verifies in; ``None`` = inline.
+    def _round_pool(self) -> Optional[WorkerPool]:
+        """The worker pool a round verifies in; ``None`` = inline.
 
-        In process mode, spawns/respawns slots and re-ships changed
-        enrollment mirrors.
+        In process mode, creates the pool on first use and spawns (or
+        respawns) every slot.
         """
         if self.worker_mode != "process":
             return None
@@ -641,37 +631,9 @@ class FleetVerifier:
                 self.shards, config=self.config,
                 schedule_tolerance=self.core.schedule_tolerance,
                 allowed_missing=self.core.allowed_missing, obs=self.obs)
-        pool = self._pool
-        # Spawn every slot before shipping: a mirror larger than the
-        # pipe buffer blocks its send until that worker has started.
-        generations = [pool.ensure_worker(slot)
-                       for slot in range(self.shards)]
-        rows = None
-        waits = []
-        slots = []
-        for slot, generation in enumerate(generations):
-            key = (generation, self._enrollment_epoch)
-            if self._worker_sync[slot] != key:
-                if rows is None:
-                    rows = [enrollment.to_row()
-                            for enrollment in self._enrollments.values()]
-                try:
-                    waits.append(asyncio.wrap_future(
-                        pool.sync_enrollments(slot, rows)))
-                except WorkerCrashed:
-                    # Died between spawn and sync: as an unacked sync.
-                    self._worker_sync[slot] = None
-                    continue
-                slots.append(slot)
-                self._worker_sync[slot] = key
-        results = await asyncio.gather(*waits, return_exceptions=True)
-        for slot, result in zip(slots, results):
-            if isinstance(result, BaseException):
-                # The slot died before acking; forget the sync so the
-                # next round re-ships after the respawn.  This round's
-                # tasks to it fail fast as WorkerCrashed (lost devices).
-                self._worker_sync[slot] = None
-        return pool
+        for slot in range(self.shards):
+            self._pool.ensure_worker(slot)
+        return self._pool
 
     async def _run_round(self, transport: Transport,
                          collection_time: Optional[float],
@@ -702,7 +664,7 @@ class FleetVerifier:
             transport, collection_time, device_ids, batch_size, k)
         stale_before = transport.stale_responses_rejected
         started = _time.perf_counter()
-        pool = await self._round_pool()
+        pool = self._round_pool()
         verify = self._verify_inline if pool is None else \
             functools.partial(self._verify_in_worker, pool)
         # Every partition's shards, each as (round positions, device ids).
@@ -870,9 +832,9 @@ class FleetVerifier:
                                 shard_time: float, _shard_span):
         """Verify step: ship a settled shard to worker slot ``partition``.
 
-        The task carries the payloads plus each device's current
-        ``last_seen``; the worker answers with report rows and one
-        :class:`FleetHealth` part, committed by
+        The task carries each device's payload and its whole
+        enrollment, ``last_seen`` included; the worker answers with
+        report rows and one :class:`FleetHealth` part, committed by
         :meth:`apply_worker_batch`.  If the worker dies holding the
         batch, its responses are unverifiable: the devices are
         committed ``NO_DATA`` and counted as lost, never guessed
@@ -881,8 +843,7 @@ class FleetVerifier:
         this partition's histogram.
         """
         obs = self.obs
-        entries = [(device_id, responses.get(device_id),
-                    self._enrollments[device_id].last_seen)
+        entries = [(self._enrollments[device_id], responses.get(device_id))
                    for device_id in shard]
         try:
             body = await asyncio.wrap_future(pool.submit_task(

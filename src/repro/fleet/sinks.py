@@ -194,25 +194,15 @@ class MemorySink(ReportSink):
 # perfbench writes its reports through this sink and times its emit.
 # statics: ok(dead-public) — read by perfbench, outside the scanned roots
 class JsonlSink(ReportSink):
-    """Append one JSON line per report to a file or file-like object.
+    """Append one JSON line per report to a file or file-like object."""
 
-    ``flush_every`` bounds data loss on long rounds: the stream is
-    flushed to the OS after every ``flush_every`` reports (``None``
-    keeps the historical flush-on-close-only behaviour).
-    """
-
-    def __init__(self, target: Union[str, IO[str]],
-                 flush_every: Optional[int] = None) -> None:
-        if flush_every is not None and flush_every <= 0:
-            raise ValueError("flush_every must be positive")
+    def __init__(self, target: Union[str, IO[str]]) -> None:
         if isinstance(target, str):
             self._stream: IO[str] = open(target, "a", encoding="utf-8")
             self._owns_stream = True
         else:
             self._stream = target
             self._owns_stream = False
-        self.flush_every = flush_every
-        self.lines_written = 0
         self.closed = False
 
     def emit(self, report: VerificationReport) -> None:
@@ -224,10 +214,6 @@ class JsonlSink(ReportSink):
         # iterencode left cyclic garbage behind on every report.
         self._stream.write(json.dumps(report.to_row(),
                                       sort_keys=True) + "\n")
-        self.lines_written += 1
-        if self.flush_every is not None and \
-                self.lines_written % self.flush_every == 0:
-            self._stream.flush()
 
     def flush(self) -> None:
         if not self.closed:

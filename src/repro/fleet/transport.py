@@ -660,6 +660,11 @@ _SOCKET_RESPONSE = struct.Struct(">2sQB")
 #: answers with a length-prefixed payload.
 _SOCKET_FETCH = struct.Struct(">Q")
 _SOCKET_LENGTH = struct.Struct(">I")
+#: Receive buffer per datagram: the largest UDP payload, so nothing is
+#: truncated.  asyncio's default (256 KiB) sits above glibc's default
+#: mmap threshold, which made every received datagram an mmap, a
+#: page-faulting touch and a munmap.
+_MAX_UDP_PAYLOAD = 65535
 
 #: Response dispositions.
 _INLINE = 0        # payload follows in this datagram
@@ -779,6 +784,8 @@ class SocketTransport(Transport):
         self._client_socket, _ = await loop.create_datagram_endpoint(
             lambda: _SocketClientProtocol(self),
             sock=self._bound_udp_socket())
+        for endpoint in (self._server_socket, self._client_socket):
+            endpoint.max_size = _MAX_UDP_PAYLOAD
         self._tcp_server = await asyncio.start_server(
             self._serve_fetch, self.host, 0)
         self.tcp_address = self._tcp_server.sockets[0].getsockname()

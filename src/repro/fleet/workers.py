@@ -10,11 +10,9 @@ The parent keeps all authoritative state — enrollments, the
 :class:`~repro.store.StateStore`, sinks, observability — and ships
 each worker only what a task needs:
 
-* an **enrollment sync** (keys + digest whitelists, JSON rows) when a
-  worker (re)spawns or the parent's enrollment material changes;
-* per-task **entries**: device id, the raw response payload (or its
-  absence) and the device's current ``last_seen``, so workers stay
-  stateless across rounds;
+* per-task **entries**: each device's whole enrollment (id, key,
+  digest whitelist, current ``last_seen``) and its raw response
+  payload (or its absence), so workers hold no enrollment state;
 * back home: the per-device :class:`VerificationReport` rows plus one
   :class:`~repro.worker.health.FleetHealth` part covering the task,
   which the parent merges through the exact-Fraction accumulator — the
@@ -23,9 +21,10 @@ each worker only what a task needs:
 Crash handling is part of the contract: a worker dying mid-task fails
 the task's future with :class:`WorkerCrashed` (the parent counts the
 batch's devices as lost), and the next :meth:`WorkerPool.ensure_worker`
-respawns the slot.  :meth:`WorkerPool.inject_crash` arms a
-deterministic ``os._exit`` on the slot's next task — the same wrap-only
-fault-injection idiom as :class:`repro.campaign.faults.CrashOnceStore`.
+respawns the slot, ready for its next task with no state to restore.
+:meth:`WorkerPool.inject_crash` arms a deterministic ``os._exit`` on
+the slot's next task — the same wrap-only fault-injection idiom as
+:class:`repro.campaign.faults.CrashOnceStore`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from repro.worker.process import (
     WorkerError,
     decode_reply,
     encode_task,
-    enroll_frame,
     exit_frame,
     shutdown_frame,
     task_frame,
@@ -103,7 +101,6 @@ class WorkerPool:
         self.obs = obs if obs is not None else NULL_OBSERVABILITY
         self._context = multiprocessing.get_context("spawn")
         self._handles: List[Optional[_WorkerHandle]] = [None] * count
-        self.generations = [0] * count
         self.restarts = [0] * count
         self._crash_armed = [False] * count
         self._rids = itertools.count(1)
@@ -111,20 +108,19 @@ class WorkerPool:
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
-    def ensure_worker(self, index: int) -> int:
-        """Spawn (or respawn) the slot if needed; returns its generation.
+    def ensure_worker(self, index: int) -> None:
+        """Spawn (or respawn) the slot if needed.
 
         A slot whose process died — crash-injected or organic — counts
         one restart and one ``repro_worker_restarts_total`` tick when
-        it comes back; the fresh generation tells callers to re-sync
-        enrollments.
+        it comes back.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
             handle = self._handles[index]
             if handle is not None and not handle.dead.is_set():
-                return self.generations[index]
+                return
             respawn = handle is not None
             parent_conn, child_conn = self._context.Pipe(duplex=True)
             process = self._context.Process(
@@ -140,12 +136,10 @@ class WorkerPool:
                 name=f"repro-worker-{index}-reader", daemon=True)
             handle.reader.start()
             self._handles[index] = handle
-            self.generations[index] += 1
             if respawn:
                 self.restarts[index] += 1
                 if self.obs.enabled:
                     self.obs.worker_restarts_total.labels(str(index)).inc()
-            return self.generations[index]
 
     # statics: ok(dead-public) — test seam: fault injection
     def inject_crash(self, index: int) -> None:
@@ -208,12 +202,6 @@ class WorkerPool:
         self.close()
 
     # -- submission -----------------------------------------------------
-    def sync_enrollments(self, index: int,
-                         rows: Sequence[Dict[str, object]]) -> Future:
-        """Replace the slot's enrollment mirror; resolves on ack."""
-        rid = next(self._rids)
-        return self._submit(index, rid, enroll_frame(rid, rows))
-
     def submit_task(self, index: int, collection_time: float,
                     entries: Sequence[TaskEntry], *,
                     want_timings: bool = False) -> Future:

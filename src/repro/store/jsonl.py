@@ -89,8 +89,10 @@ class JsonlStore(StateStore):
         self._seq += 1
         record = {"seq": self._seq, "kind": kind, "row": row}
         stream = self._journal_stream()
-        json.dump(record, stream, sort_keys=True, separators=(",", ":"))
-        stream.write("\n")
+        # json.dumps takes the C encoder; json.dump's pure-Python
+        # iterencode left cyclic garbage behind on every record.
+        stream.write(json.dumps(record, sort_keys=True,
+                                separators=(",", ":")) + "\n")
         if not self._batch_depth:
             stream.flush()
 

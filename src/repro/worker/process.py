@@ -5,18 +5,18 @@ A worker is fed over a ``multiprocessing`` pipe by the parent's
 messages with this module, so the protocol is defined once.  A frame
 is ``opcode (1 byte) ‖ correlation id (8 bytes) ‖ body``:
 
-* parent to worker: an enrollment sync (:func:`enroll_frame`), a task
-  (:func:`task_frame` around an :func:`encode_task` body), a hard exit
-  (:func:`exit_frame`, crash injection) or a clean shutdown
-  (:func:`shutdown_frame`);
-* worker to parent, one per request and in order: a result (empty for
-  a sync, an :func:`encode_result` body for a task) or an error
-  carrying the worker's traceback, split by :func:`decode_reply`.
+* parent to worker: a task (:func:`task_frame` around an
+  :func:`encode_task` body), a hard exit (:func:`exit_frame`, crash
+  injection) or a clean shutdown (:func:`shutdown_frame`);
+* worker to parent, one per request and in order: a result (an
+  :func:`encode_result` body) or an error carrying the worker's
+  traceback, split by :func:`decode_reply`.
 
-A task carries each device's raw response payload (or its absence)
-and current ``last_seen``, so workers keep no state across rounds
-beyond the enrollment mirror.  :func:`worker_main` judges every entry
-through one :class:`~repro.core.verification.DeviceJudges`, the same
+A task carries each device's whole enrollment (id, key, digest
+whitelist, ``last_seen``) beside its raw response payload (or its
+absence), so a worker holds no enrollment state of its own.
+:func:`worker_main` judges every entry through one
+:class:`~repro.core.verification.DeviceJudges`, the same
 decode-and-judge path as an inline round, and answers with report
 rows plus one :class:`~repro.worker.health.FleetHealth` part.
 """
@@ -28,7 +28,7 @@ import os
 import struct
 import time as _time
 import traceback
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ErasmusConfig
 from repro.core.verification import DeviceJudges, Enrollment, \
@@ -37,14 +37,15 @@ from repro.worker.health import FleetHealth
 
 _FRAME = struct.Struct(">BQ")          # opcode, correlation id
 _TASK_HEADER = struct.Struct(">dBI")   # collection_time, flags, entry count
-_ENTRY_HEADER = struct.Struct(">HB")   # device-id length, entry flags
+# device-id length, entry flags, key length, digest count
+_ENTRY_HEADER = struct.Struct(">HBHH")
+_DIGEST_LENGTH = struct.Struct(">H")
 _LAST_SEEN = struct.Struct(">d")
 _PAYLOAD_LENGTH = struct.Struct(">I")
 _RESULT_HEADER = struct.Struct(">BI")  # flags, report count
 _BLOB_LENGTH = struct.Struct(">I")
 _TIMING = struct.Struct(">d")
 
-OP_ENROLL = 1        # parent -> worker: replace the enrollment mirror
 OP_TASK = 2          # parent -> worker: verify one batch of payloads
 OP_RESULT = 3        # worker -> parent: report rows + health part
 OP_ERROR = 4         # worker -> parent: traceback text
@@ -65,19 +66,13 @@ class WorkerError(Exception):
     """A worker reported a Python error while processing a frame."""
 
 
-#: One verification unit: ``(device_id, payload_or_None, last_seen)``.
-TaskEntry = Tuple[str, Optional[bytes], Optional[float]]
+#: One verification unit: ``(enrollment, payload_or_None)``.
+TaskEntry = Tuple[Enrollment, Optional[bytes]]
 
 
 # ----------------------------------------------------------------------
 # Frames
 # ----------------------------------------------------------------------
-
-def enroll_frame(rid: int, rows: Sequence[Mapping[str, object]]) -> bytes:
-    """Parent side: replace the worker's enrollment mirror with ``rows``."""
-    return _FRAME.pack(OP_ENROLL, rid) + \
-        json.dumps(list(rows)).encode("utf-8")
-
 
 def task_frame(rid: int, task: bytes) -> bytes:
     """Parent side: one :func:`encode_task` body to verify."""
@@ -117,17 +112,28 @@ def decode_reply(frame) -> Tuple[int, memoryview, Optional[str]]:
 
 def encode_task(collection_time: float, entries: Sequence[TaskEntry], *,
                 want_timings: bool = False, crash: bool = False) -> bytes:
-    """Serialize one verification task into its compact binary frame."""
+    """Serialize one verification task into its compact binary frame.
+
+    Digests are packed in sorted order, so a frame's bytes do not
+    depend on the hash seed that ordered the whitelist's ``frozenset``.
+    """
     flags = (_TASK_WANT_TIMINGS if want_timings else 0) | \
         (_TASK_CRASH if crash else 0)
     parts: List[bytes] = [_TASK_HEADER.pack(collection_time, flags,
                                             len(entries))]
-    for device_id, payload, last_seen in entries:
-        encoded_id = device_id.encode("utf-8")
+    for enrollment, payload in entries:
+        encoded_id = enrollment.device_id.encode("utf-8")
+        digests = sorted(enrollment.healthy_digests)
+        last_seen = enrollment.last_seen
         entry_flags = (_ENTRY_HAS_LAST_SEEN if last_seen is not None else 0) \
             | (_ENTRY_HAS_PAYLOAD if payload is not None else 0)
-        parts.append(_ENTRY_HEADER.pack(len(encoded_id), entry_flags))
+        parts.append(_ENTRY_HEADER.pack(len(encoded_id), entry_flags,
+                                        len(enrollment.key), len(digests)))
         parts.append(encoded_id)
+        parts.append(enrollment.key)
+        for digest in digests:
+            parts.append(_DIGEST_LENGTH.pack(len(digest)))
+            parts.append(digest)
         if last_seen is not None:
             parts.append(_LAST_SEEN.pack(last_seen))
         if payload is not None:
@@ -137,16 +143,29 @@ def encode_task(collection_time: float, entries: Sequence[TaskEntry], *,
 
 
 def decode_task(frame) -> Tuple[float, int, List[TaskEntry]]:
-    """Reverse :func:`encode_task`; payloads are zero-copy views."""
+    """Reverse :func:`encode_task`.
+
+    Payloads are zero-copy views.  Keys and digests are copied out as
+    ``bytes``: a worker's cached judges outlive the frame.
+    """
     collection_time, flags, count = _TASK_HEADER.unpack_from(frame)
     view = memoryview(frame).toreadonly()
     offset = _TASK_HEADER.size
     entries: List[TaskEntry] = []
     for _ in range(count):
-        id_length, entry_flags = _ENTRY_HEADER.unpack_from(view, offset)
+        id_length, entry_flags, key_length, digest_count = \
+            _ENTRY_HEADER.unpack_from(view, offset)
         offset += _ENTRY_HEADER.size
         device_id = str(view[offset:offset + id_length], "utf-8")
         offset += id_length
+        key = bytes(view[offset:offset + key_length])
+        offset += key_length
+        digests = []
+        for _ in range(digest_count):
+            (length,) = _DIGEST_LENGTH.unpack_from(view, offset)
+            offset += _DIGEST_LENGTH.size
+            digests.append(bytes(view[offset:offset + length]))
+            offset += length
         last_seen = None
         if entry_flags & _ENTRY_HAS_LAST_SEEN:
             (last_seen,) = _LAST_SEEN.unpack_from(view, offset)
@@ -157,7 +176,8 @@ def decode_task(frame) -> Tuple[float, int, List[TaskEntry]]:
             offset += _PAYLOAD_LENGTH.size
             payload = view[offset:offset + length]
             offset += length
-        entries.append((device_id, payload, last_seen))
+        entries.append((Enrollment(device_id, key, frozenset(digests),
+                                   last_seen), payload))
     return collection_time, flags, entries
 
 
@@ -203,8 +223,7 @@ def decode_result(body) -> Tuple[List[Dict[str, object]], Dict[str, object],
 # Worker process body
 # ----------------------------------------------------------------------
 
-def _verify_task(judges: DeviceJudges, enrollments: Dict[str, Enrollment],
-                 body) -> bytes:
+def _verify_task(judges: DeviceJudges, body) -> bytes:
     """Judge one task's entries; the encoded result body."""
     collection_time, flags, entries = decode_task(body)
     if flags & _TASK_CRASH:
@@ -214,11 +233,7 @@ def _verify_task(judges: DeviceJudges, enrollments: Dict[str, Enrollment],
         [] if flags & _TASK_WANT_TIMINGS else None
     health = FleetHealth()
     rows: List[Dict[str, object]] = []
-    for device_id, payload, last_seen in entries:
-        enrollment = enrollments[device_id]
-        if enrollment.last_seen != last_seen:
-            enrollment = enrollments[device_id] = \
-                enrollment.advanced(last_seen)
+    for enrollment, payload in entries:
         started = perf() if timings is not None else 0.0
         report = judges.verify_payload(enrollment, payload, collection_time)
         if timings is not None:
@@ -233,15 +248,14 @@ def worker_main(conn, config: Optional[ErasmusConfig],
     """The worker loop: one frame in, one frame out, in order.
 
     Runs in a spawned child process (``multiprocessing`` forwards the
-    parent's ``sys.path``, so the src layout imports cleanly).  The
-    enrollment mirror is scratch state: it is replaced wholesale by
-    each sync and only ever judges payloads.
+    parent's ``sys.path``, so the src layout imports cleanly).  Every
+    task brings the enrollments it is judged against; the only state
+    kept across tasks is the per-device judge cache.
     """
     core = VerificationCore(config if config is not None else ErasmusConfig(),
                             schedule_tolerance=schedule_tolerance,
                             allowed_missing=allowed_missing)
     judges = DeviceJudges(core)
-    enrollments: Optional[Dict[str, Enrollment]] = None
     while True:
         try:
             frame = conn.recv_bytes()
@@ -255,17 +269,9 @@ def worker_main(conn, config: Optional[ErasmusConfig],
                 return
             if opcode == OP_EXIT:
                 os._exit(CRASH_EXIT_CODE)
-            if opcode == OP_ENROLL:
-                enrollments = {
-                    str(row["device_id"]): Enrollment.from_row(row)
-                    for row in json.loads(bytes(body))}
-                judges = DeviceJudges(core)
-                conn.send_bytes(_FRAME.pack(OP_RESULT, rid))
-            elif opcode == OP_TASK:
-                if enrollments is None:
-                    raise WorkerError("task received before enrollment sync")
+            if opcode == OP_TASK:
                 conn.send_bytes(_FRAME.pack(OP_RESULT, rid) +
-                                _verify_task(judges, enrollments, body))
+                                _verify_task(judges, body))
             else:
                 raise WorkerError(f"unknown opcode {opcode}")
         except SystemExit:

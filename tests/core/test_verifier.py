@@ -157,26 +157,15 @@ def test_verifier_parameter_validation(config):
         verifier.enroll("dev", b"", [])
 
 
-def test_enrollment_epoch_tracks_material_changes(config):
-    verifier = FleetVerifier(config)
-    start = verifier._enrollment_epoch
-    verifier.enroll("dev", b"k" * 16, [b"d" * 32])
-    assert verifier._enrollment_epoch == start + 1
-    # Identical re-enrollment: nothing changed, caches stay valid.
-    verifier.enroll("dev", b"k" * 16, [b"d" * 32])
-    assert verifier._enrollment_epoch == start + 1
-    # New key: precompiled judges must be rebuilt.
-    verifier.enroll("dev", b"j" * 16, [b"d" * 32])
-    assert verifier._enrollment_epoch == start + 2
-    # New whitelist: ditto.
-    verifier.enroll("dev", b"j" * 16, [b"e" * 32])
-    assert verifier._enrollment_epoch == start + 3
-
-
-def test_enrollment_key_change_check_is_constant_time(config, monkeypatch):
-    """Re-enrollment key comparison routes through compare_digests."""
-    verifier = FleetVerifier(config)
-    verifier.enroll("dev", b"k" * 16, [b"d" * 32])
+def test_enrollment_key_change_check_is_constant_time(erasmus_setup, key,
+                                                     monkeypatch):
+    """After a re-enrollment, the device's cached judge is checked
+    against the new key through compare_digests."""
+    prover, verifier, engine, _arch = erasmus_setup
+    run_schedule(prover, engine, 30.0)
+    collect(prover, verifier, 30.0)
+    verifier.enroll(prover.device_id, key,
+                    verifier.healthy_digests(prover.device_id))
     calls = []
     real = verifier.core.crypto_backend.compare_digests
 
@@ -186,8 +175,8 @@ def test_enrollment_key_change_check_is_constant_time(config, monkeypatch):
 
     monkeypatch.setattr(verifier.core.crypto_backend, "compare_digests",
                         recorder)
-    verifier.enroll("dev", b"k" * 16, [b"d" * 32])
-    assert (b"k" * 16, b"k" * 16) in calls
+    collect(prover, verifier, 30.0)
+    assert (key, key) in calls
 
 
 # ----------------------------------------------------------------------

@@ -135,8 +135,8 @@ def test_sinks_receive_streamed_reports():
     fleet.run_until(60.0)
     fleet.collect_all()
     assert len(memory.reports) == 5
-    assert jsonl.lines_written == 5
     rows = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert len(rows) == 5
     assert {row["device_id"] for row in rows} == set(fleet.device_ids())
     assert all(row["status"] == "healthy" for row in rows)
     assert [report for report in memory.reports
@@ -321,24 +321,6 @@ def test_clean_round_flushes_but_keeps_sinks_open(tmp_path, fleet):
     fleet.collect_all()
     assert len(path.read_text().splitlines()) == 40
     fleet.close()
-
-
-def test_jsonl_sink_flush_every_bounds_data_loss(tmp_path):
-    from repro.core.verification import VerificationReport
-
-    path = tmp_path / "flushed.jsonl"
-    sink = JsonlSink(str(path), flush_every=5)
-    for index in range(7):
-        sink.emit(VerificationReport(device_id=f"dev-{index}",
-                                     collection_time=float(index),
-                                     status=DeviceStatus.NO_DATA))
-    # The fifth emit crossed the flush threshold: even if the process
-    # dies now without close(), at most flush_every reports are lost.
-    assert len(path.read_text().splitlines()) >= 5
-    sink.close()
-    assert len(path.read_text().splitlines()) == 7
-    with pytest.raises(ValueError):
-        JsonlSink(io.StringIO(), flush_every=0)
 
 
 def test_jsonl_sink_emit_leaves_no_cyclic_garbage(fleet):

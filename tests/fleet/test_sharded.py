@@ -494,7 +494,7 @@ def test_sharded_collect_all_async_equals_sync_twin(worker_mode):
 
 def test_process_round_over_a_device_subset_matches_the_oracle():
     """Partitions follow positions in the requested list, so any device
-    may reach any slot; every slot mirrors every enrollment."""
+    may reach any slot; each task carries its devices' enrollments."""
     store = _CallOrderStore()
     fleet = Fleet.provision(small_profile(), 9, master_secret=b"master",
                             shards=3, worker_mode="process", store=store)

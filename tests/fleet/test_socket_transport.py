@@ -75,6 +75,30 @@ def test_oversized_response_takes_tcp_fallback():
         transport.close()
 
 
+def test_near_maximal_datagram_arrives_inline_and_intact():
+    """The datagram receive buffer holds the largest UDP payload, so a
+    response just under it is not truncated."""
+    from repro.fleet import DeviceProfile, serve_request
+
+    profile = DeviceProfile.smartplus(firmware=FIRMWARE,
+                                      application_size=256,
+                                      measurement_interval=1.0,
+                                      collection_interval=800.0,
+                                      buffer_slots=800)
+    engine = SimulationEngine()
+    transport = SocketTransport(max_datagram=65000)
+    try:
+        device, = provision_into(transport, profile, engine, 1)
+        engine.run(until=800.0)
+        request = CollectRequest(k=800).encode()
+        payload = transport.exchange("s-0", request)
+        assert transport.tcp_fallbacks == 0
+        assert 50_000 < len(payload) < 65000
+        assert payload == serve_request(device.prover, request)
+    finally:
+        transport.close()
+
+
 def test_tcp_fallback_fetch_survives_a_gc_pass(monkeypatch):
     """A fetch waiting on its TCP read is referenced by the transport,
     so a cyclic GC pass mid-fetch cannot destroy it and lose the

@@ -1,18 +1,23 @@
 """Tests for the process worker pool: codec, byte-identity, crash recovery."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeviceStatus
-from repro.fleet import Fleet, FleetVerifier, WorkerCrashed, WorkerError, \
-    WorkerPool
+from repro.core.verification import Enrollment
+from repro.fleet import Fleet, WorkerCrashed, WorkerError, WorkerPool
 from repro.worker.process import (
+    _DIGEST_LENGTH,
     _FRAME,
+    _TASK_HEADER,
     decode_result,
     decode_task,
     encode_result,
     encode_task,
+    task_frame,
 )
 from tests.fleet.helpers import health_bytes, report_key
 from tests.fleet.helpers import small_profile as _small_profile
@@ -30,26 +35,59 @@ def small_profile():
 # ----------------------------------------------------------------------
 
 def test_task_codec_round_trip():
-    entries = [("dev-0000", b"\x02some-payload", 42.5),
-               ("dev-0001", None, None),
-               ("dev-0002", b"", 0.0),
-               ("dev-é", b"\x00\xff" * 100, None)]
+    entries = [
+        # A 300-byte key and an empty whitelist.
+        (Enrollment.create("dev-0000", bytes(range(256)) + b"k" * 44, [],
+                           42.5), b"\x02some-payload"),
+        (Enrollment.create("dev-0001", b"k1", [b"\x01" * 20], None), None),
+        # Three digests of mixed lengths, last_seen 0.0 (not absent).
+        (Enrollment.create("dev-0002", b"k2",
+                           [b"\x02" * 32, b"\x03", b"\x04" * 64], 0.0), b""),
+        (Enrollment.create("dev-é✓", b"k3", [b"d" * 32], None),
+         b"\x00\xff" * 100),
+    ]
     frame = encode_task(123.25, entries, want_timings=True)
     collection_time, flags, decoded = decode_task(frame)
     assert collection_time == 123.25
     assert flags & 0x01
-    assert [(device_id, None if payload is None else bytes(payload),
-             last_seen) for device_id, payload, last_seen in decoded] \
-        == entries
+    assert [(enrollment, None if payload is None else bytes(payload))
+            for enrollment, payload in decoded] == entries
+    assert decoded[2][0].last_seen == 0.0
+    assert decoded[1][0].last_seen is None
+    assert len(decoded[0][0].key) == 300
+    assert [len(e.healthy_digests) for e, _ in decoded] == [0, 1, 3, 1]
+    for enrollment, payload in decoded:
+        # Cached judges outlive the frame: key material is copied out.
+        assert type(enrollment.key) is bytes
+        assert all(type(digest) is bytes
+                   for digest in enrollment.healthy_digests)
+        if payload is not None:
+            assert isinstance(payload, memoryview)
+            assert payload.readonly
 
 
 def test_task_codec_payloads_are_views():
-    frame = encode_task(0.0, [("d", b"payload-bytes", None)])
+    enrollment = Enrollment.create("d", b"key", [b"digest"])
+    frame = encode_task(0.0, [(enrollment, b"payload-bytes")])
     _, _, entries = decode_task(frame)
     payload = entries[0][1]
     assert isinstance(payload, memoryview)
     assert payload.readonly
     assert bytes(payload) == b"payload-bytes"
+
+
+def test_task_frame_packs_digests_in_sorted_order():
+    """A frame's bytes do not depend on the whitelist set's iteration
+    order, which the hash seed decides."""
+    digests = [bytes([index]) * (1 + index % 3) for index in range(12)]
+    forward = Enrollment.create("d", b"key", digests)
+    backward = Enrollment.create("d", b"key", reversed(digests))
+    frame = encode_task(1.0, [(forward, None)])
+    assert frame == encode_task(1.0, [(backward, None)])
+    packed = b"".join(_DIGEST_LENGTH.pack(len(digest)) + digest
+                      for digest in sorted(digests))
+    assert frame.endswith(packed)
+    assert frame.startswith(_TASK_HEADER.pack(1.0, 0, 1))
 
 
 def test_result_codec_round_trip():
@@ -120,6 +158,43 @@ def test_process_mode_matches_loop_mode():
         process.close()
 
 
+def test_process_mode_re_enrollment_matches_loop_mode():
+    """Re-enrolling with a new key or whitelist between rounds reaches
+    the workers with the next task: process mode still matches loop."""
+    outcomes = []
+    for worker_mode in ("loop", "process"):
+        fleet = Fleet.provision(small_profile(), 6, master_secret=b"master",
+                                shards=2, worker_mode=worker_mode)
+        verifier = fleet.verifier
+        fleet.run_until(60.0)
+        first = fleet.collect_all()
+        rekeyed = fleet.device("dev-0001")
+        verifier.enroll_device(dataclasses.replace(
+            rekeyed, key=bytes(reversed(rekeyed.key))), re_enroll=True)
+        verifier.enroll_device(dataclasses.replace(
+            fleet.device("dev-0004"), healthy_digest=b"\x00" * 32),
+            re_enroll=True)
+        fleet.run_until(120.0)
+        second = fleet.collect_all()
+        outcomes.append((fleet, [first, second]))
+    (loop, loop_rounds), (process, process_rounds) = outcomes
+    try:
+        for loop_reports, process_reports in zip(loop_rounds,
+                                                 process_rounds):
+            assert [report_key(r) for r in loop_reports] == \
+                [report_key(r) for r in process_reports]
+        assert health_bytes(loop.verifier) == health_bytes(process.verifier)
+        second = {r.device_id: r.status for r in process_rounds[1]}
+        assert second["dev-0001"] is DeviceStatus.TAMPERED
+        assert second["dev-0004"] is DeviceStatus.INFECTED
+        assert [status for device_id, status in second.items()
+                if device_id not in ("dev-0001", "dev-0004")] == \
+            [DeviceStatus.HEALTHY] * 4
+    finally:
+        loop.close()
+        process.close()
+
+
 @settings(max_examples=4, deadline=None)
 @given(count=st.integers(min_value=1, max_value=10),
        shards=st.integers(min_value=1, max_value=3),
@@ -172,8 +247,8 @@ def test_worker_crash_loses_round_then_rejoins():
         assert second[shard0[0]].collection_time == \
             pytest.approx(120.0, abs=1.0)
 
-        # The next round respawns the slot, re-ships its enrollment
-        # mirror, and the shard rejoins with data-bearing reports.
+        # The next round respawns the slot, and the shard rejoins with
+        # data-bearing reports.
         fleet.run_until(180.0)
         third = {r.device_id: r for r in fleet.collect_all()}
         assert all(r.status is DeviceStatus.HEALTHY for r in third.values())
@@ -203,21 +278,21 @@ def test_crash_round_health_counts_shard_devices_unseen():
         fleet.close()
 
 
-def test_slot_dead_before_enrollment_sync_loses_only_its_partition(
+def test_slot_dead_before_its_first_task_loses_only_its_partition(
         monkeypatch):
-    """A slot that dies between spawn and sync makes ``sync_enrollments``
-    raise synchronously; the round still commits, its partition NO_DATA
-    and counted lost, and the slot rejoins the next round."""
+    """A slot that dies between spawn and its first task makes
+    ``submit_task`` raise synchronously; the round still commits, its
+    partition NO_DATA and counted lost, and the slot rejoins the next
+    round."""
     spawn = WorkerPool.ensure_worker
     doomed = {0}
 
     def spawn_then_kill(pool, index):
-        generation = spawn(pool, index)
+        spawn(pool, index)
         if index in doomed:
             doomed.discard(index)
             pool.kill(index)
             assert pool._handles[index].dead.wait(timeout=10)
-        return generation
 
     monkeypatch.setattr(WorkerPool, "ensure_worker", spawn_then_kill)
     fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
@@ -231,7 +306,6 @@ def test_slot_dead_before_enrollment_sync_loses_only_its_partition(
         assert {r.device_id for r in reports
                 if r.status is DeviceStatus.NO_DATA} == shard0
         assert reports.stats.responses_lost == len(shard0)
-        assert verifier._worker_sync[0] is None
 
         fleet.run_until(120.0)
         again = fleet.collect_all()
@@ -258,11 +332,15 @@ def test_worker_reports_python_errors_as_worker_error():
     pool = WorkerPool(1, config=small_profile().config)
     try:
         pool.ensure_worker(0)
-        future = pool.sync_enrollments(0, [{"bogus": "row"}])
+        rid = next(pool._rids)
+        # Cut inside the first entry's header: the worker's decode raises.
+        truncated = encode_task(0.0, [(Enrollment.create("d", b"key", []),
+                                       b"payload")])[:_TASK_HEADER.size + 3]
+        future = pool._submit(0, rid, task_frame(rid, truncated))
         with pytest.raises(WorkerError, match="worker 0 failed"):
             future.result(timeout=30)
         # The worker survives a failed frame: the next one still works.
-        assert pool.sync_enrollments(0, []).result(timeout=30) is not None
+        assert pool.submit_task(0, 0.0, []).result(timeout=30) is not None
     finally:
         pool.close()
 
@@ -271,7 +349,6 @@ def test_worker_rejects_unknown_opcode_and_keeps_serving():
     """The worker answers a frame it has no arm for with an error, not a
     dead pipe, and the same slot still verifies the next task."""
     from repro.core.protocol import CollectRequest
-    from repro.core.verification import Enrollment
     from repro.fleet import serve_request
     from repro.sim.engine import SimulationEngine
 
@@ -288,12 +365,11 @@ def test_worker_rejects_unknown_opcode_and_keeps_serving():
     pool = WorkerPool(1, config=profile.config)
     try:
         pool.ensure_worker(0)
-        pool.sync_enrollments(0, [enrollment.to_row()]).result(timeout=30)
         rid = next(pool._rids)
         future = pool._submit(0, rid, _FRAME.pack(7, rid) + b"{}")
         with pytest.raises(WorkerError, match="unknown opcode 7"):
             future.result(timeout=30)
-        body = pool.submit_task(0, 60.0, [(device.device_id, payload, None)]
+        body = pool.submit_task(0, 60.0, [(enrollment, payload)]
                                 ).result(timeout=30)
         rows, _, _ = decode_result(body)
         assert [row["device_id"] for row in rows] == [device.device_id]
@@ -310,24 +386,6 @@ def test_pool_close_is_idempotent_and_final():
     pool.close()
     with pytest.raises(RuntimeError):
         pool.ensure_worker(0)
-
-
-def test_enrollment_epoch_tracks_material_changes_only():
-    profile = small_profile()
-    verifier = FleetVerifier(profile.config)
-    device = profile.provision("e-0000", master_secret=b"master")
-    epoch0 = verifier._enrollment_epoch
-    verifier.enroll_device(device)
-    epoch1 = verifier._enrollment_epoch
-    assert epoch1 > epoch0
-    # Re-enrolling identical material does not bump the epoch, so
-    # worker mirrors are not re-shipped for nothing.
-    verifier.enroll_device(device, re_enroll=True)
-    assert verifier._enrollment_epoch == epoch1
-    # New firmware (a new digest whitelist) is material: epoch bumps.
-    changed = profile.provision("e-0000", master_secret=b"other")
-    verifier.enroll_device(changed, re_enroll=True)
-    assert verifier._enrollment_epoch > epoch1
 
 
 def test_worker_pool_metrics_record_restarts_and_latency():
@@ -358,15 +416,16 @@ def test_kill_crashes_an_idle_worker_immediately():
     """OP_EXIT over the pipe: no task needed, futures fail, slot respawns."""
     pool = WorkerPool(1, config=small_profile().config)
     try:
-        generation = pool.ensure_worker(0)
-        assert pool.sync_enrollments(0, []).result(timeout=30) is not None
+        pool.ensure_worker(0)
+        assert pool.submit_task(0, 0.0, []).result(timeout=30) is not None
         pool.kill(0)
         assert pool._handles[0].dead.wait(timeout=10)
         with pytest.raises(WorkerCrashed):
             pool.submit_task(0, 0.0, [])
-        assert pool.ensure_worker(0) == generation + 1
+        assert pool.restarts[0] == 0
+        pool.ensure_worker(0)
         assert pool.restarts[0] == 1
-        assert pool.sync_enrollments(0, []).result(timeout=30) is not None
+        assert pool.submit_task(0, 0.0, []).result(timeout=30) is not None
     finally:
         pool.close()
 
@@ -449,7 +508,6 @@ def test_spawned_worker_loads_no_fleet_stack():
     import multiprocessing
 
     from repro.core.protocol import CollectRequest
-    from repro.core.verification import Enrollment
     from repro.fleet import serve_request, workers
     from repro.sim.engine import SimulationEngine
     from repro.worker import process as worker_process
@@ -478,12 +536,8 @@ def test_spawned_worker_loads_no_fleet_stack():
     child_conn.close()
     child_report.close()
     try:
-        conn.send_bytes(worker_process.enroll_frame(
-            1, [enrollment.to_row()]))
-        assert worker_process.decode_reply(conn.recv_bytes())[2] is None
         conn.send_bytes(worker_process.task_frame(
-            2, worker_process.encode_task(
-                60.0, [(device.device_id, payload, None)])))
+            2, worker_process.encode_task(60.0, [(enrollment, payload)])))
         _, body, error = worker_process.decode_reply(conn.recv_bytes())
         assert error is None
         rows, _, _ = decode_result(body)

@@ -214,6 +214,29 @@ def test_jsonl_checkpoint_truncates_journal(tmp_path, opened):
     assert record["seq"] == 6
 
 
+def test_jsonl_append_leaves_no_cyclic_garbage(tmp_path, opened):
+    """Each journal line is json.dumps of the record, and appending it
+    leaves nothing behind that only the cyclic collector could free."""
+    import gc
+
+    store = opened(JsonlStore(tmp_path / "state"))
+    store.save_enrollment(enrollment("dev-1"))
+    gc.collect()
+    gc.disable()
+    try:
+        with store.batch():
+            for index in range(100):
+                store.save_enrollment(enrollment(f"dev-{index}", 1.0))
+                store.append_report(report(f"dev-{index}", float(index)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    lines = (tmp_path / "state" / "journal.jsonl").read_text().splitlines()
+    assert len(lines) == 201
+    assert lines == [json.dumps(json.loads(line), sort_keys=True,
+                                separators=(",", ":")) for line in lines]
+
+
 def test_memory_store_bounds_report_retention():
     store = MemoryStore(max_reports=4)
     health = FleetHealth()
