@@ -88,16 +88,18 @@ class VerificationReport:
     """Outcome of verifying one collection from one prover.
 
     :attr:`measurement_count`, :attr:`infected_timestamps` and
-    :attr:`newest_timestamp` are computed once, when the report is
-    judged (or built from ``verdicts``); a report restored from a
-    persisted row (:meth:`from_row`) takes them from its ``restored``
-    row, which is what lets a :class:`repro.store.StateStore` replay
-    reports into a :class:`repro.fleet.FleetHealth` aggregate after a
-    restart.  The per-record :attr:`verdicts` of a report the
-    :class:`DeviceJudge` made are built on first read, from the judged
-    record batch and its flag columns; a restored report has none.
-    ``restored`` takes no part in ``==``, like a ``compare=False``
-    dataclass field.
+    :attr:`newest_timestamp` are the persisted counters.  A judged
+    report computes them once, when it is judged (or built from
+    ``verdicts``); any other report takes them as constructor
+    arguments.  That one path rebuilds a report from its persisted row
+    (:meth:`from_row`), which is what lets a
+    :class:`repro.store.StateStore` replay reports into a
+    :class:`repro.fleet.FleetHealth` aggregate after a restart, and
+    from a process worker's binary result record
+    (:func:`repro.worker.process.decode_result`).  The per-record
+    :attr:`verdicts` of a report the :class:`DeviceJudge` made are built
+    on first read, from the judged record batch and its flag columns; a
+    rebuilt report has none.
     """
 
     def __init__(self, device_id: str, collection_time: float,
@@ -105,15 +107,16 @@ class VerificationReport:
                  verdicts: Optional[List[MeasurementVerdict]] = None,
                  anomalies: Optional[List[str]] = None,
                  freshness: Optional[float] = None,
-                 missing_intervals: int = 0,
-                 restored: Optional[Dict[str, object]] = None) -> None:
+                 missing_intervals: int = 0, *,
+                 measurement_count: int = 0,
+                 infected_timestamps: Optional[List[float]] = None,
+                 newest_timestamp: Optional[float] = None) -> None:
         self.device_id = device_id
         self.collection_time = collection_time
         self.status = status
         self.anomalies = [] if anomalies is None else anomalies
         self.freshness = freshness
         self.missing_intervals = missing_intervals
-        self.restored = restored
         self._verdicts = [] if verdicts is None else verdicts
         # (records, authentic, healthy, from_future) of a judged batch
         # whose verdicts nobody has read yet.
@@ -124,16 +127,11 @@ class VerificationReport:
                 [verdict.authentic for verdict in verdicts],
                 [verdict.healthy for verdict in verdicts],
                 [verdict.from_future for verdict in verdicts])
-        elif restored is not None:
-            self.measurement_count = int(restored.get("measurements", 0))
-            self.infected_timestamps = [
-                float(t) for t in restored.get("infected_timestamps", ())]
-            newest = restored.get("newest_timestamp")
-            self.newest_timestamp = None if newest is None else float(newest)
         else:
-            self.measurement_count = 0
-            self.infected_timestamps = []
-            self.newest_timestamp = None
+            self.measurement_count = measurement_count
+            self.infected_timestamps = [] if infected_timestamps is None \
+                else infected_timestamps
+            self.newest_timestamp = newest_timestamp
 
     def _summarize(self, timestamps: List[float], authentic: List[bool],
                    healthy: List[bool], from_future: List[bool]) -> None:
@@ -197,6 +195,7 @@ class VerificationReport:
     def from_row(cls, row: Mapping[str, object]) -> "VerificationReport":
         """Rebuild a (verdict-free) report from its persisted row."""
         freshness = row.get("freshness")
+        newest = row.get("newest_timestamp")
         return cls(
             device_id=str(row["device_id"]),
             collection_time=float(row["collection_time"]),
@@ -204,7 +203,10 @@ class VerificationReport:
             anomalies=[str(item) for item in row.get("anomalies", ())],
             freshness=None if freshness is None else float(freshness),
             missing_intervals=int(row.get("missing_intervals", 0)),
-            restored=dict(row))
+            measurement_count=int(row.get("measurements", 0)),
+            infected_timestamps=[
+                float(t) for t in row.get("infected_timestamps", ())],
+            newest_timestamp=None if newest is None else float(newest))
 
     def detected_infection(self) -> bool:
         """True when this collection exposed malware presence or tampering."""

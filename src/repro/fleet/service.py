@@ -162,11 +162,12 @@ class FleetVerifier:
       HMAC-heavy verify loop runs outside this process's GIL entirely,
       fed over binary pipes with zero-copy payload views on the worker
       side.  The parent keeps the store, sinks and enrollments; workers
-      ship report rows and exact :class:`FleetHealth` parts home, so
-      health stays byte-identical to ``"loop"`` mode.  Workers spawn
-      lazily on the first round (or :meth:`warm_up`) and hold no
-      enrollments: each task carries the enrollments of the devices
-      it judges.  A crashed worker's outstanding batches finish as
+      ship binary report records and exact :class:`FleetHealth` parts
+      home, and the parent commits the reports it decodes from them,
+      so reports and health stay byte-identical to ``"loop"`` mode.
+      Workers spawn lazily on the first round (or :meth:`warm_up`) and
+      hold no enrollments: each task carries the enrollments of the
+      devices it judges.  A crashed worker's outstanding batches finish as
       lost devices before it rejoins the next round.
     """
 
@@ -429,21 +430,19 @@ class FleetVerifier:
             self._enrollments[report.device_id] = enrollment.advanced(advanced)
         self._last_collection_time[report.device_id] = report.collection_time
 
-    def apply_worker_batch(self, report_rows: Iterable[Mapping[str, object]],
+    def apply_worker_batch(self, reports: List[VerificationReport],
                            health_row: Mapping[str, object],
                            done: Optional[List[VerificationReport]] = None
                            ) -> List[VerificationReport]:
-        """Commit one process-worker task's results, in row order.
+        """Commit one process-worker task's decoded reports, in order.
 
-        Each shipped report row is journaled and advances the device's
-        bookkeeping exactly as a locally verified report would; the
-        task's :class:`FleetHealth` part
-        folds in through :meth:`FleetHealth.merge` — the exact-Fraction
-        accumulator, so the merged aggregate is byte-identical to
-        recording every report here.  ``done`` is as for
-        :meth:`_commit_batch`.
+        Each report is journaled and advances the device's bookkeeping
+        exactly as a locally verified report would; the task's
+        :class:`FleetHealth` part folds in through
+        :meth:`FleetHealth.merge` — the exact-Fraction accumulator, so
+        the merged aggregate is byte-identical to recording every report
+        here.  ``done`` is as for :meth:`_commit_batch`.
         """
-        reports = [VerificationReport.from_row(row) for row in report_rows]
         self._commit_batch(reports, FleetHealth.from_row(health_row), done)
         return reports
 
@@ -833,12 +832,16 @@ class FleetVerifier:
         """Verify step: ship a settled shard to worker slot ``partition``.
 
         The task carries each device's payload and its whole
-        enrollment, ``last_seen`` included; the worker answers with
-        report rows and one :class:`FleetHealth` part, committed by
-        :meth:`apply_worker_batch`.  If the worker dies holding the
-        batch, its responses are unverifiable: the devices are
-        committed ``NO_DATA`` and counted as lost, never guessed
-        healthy.  The slot is not respawned mid-round.  Per-device
+        enrollment, ``last_seen`` included; the worker answers with one
+        binary record per report, in shard order, and one
+        :class:`FleetHealth` part.  :func:`decode_result` rebuilds the
+        reports from the records and the shard's device ids, and
+        :meth:`apply_worker_batch` commits them.  A malformed result
+        raises :class:`~repro.worker.process.WorkerError`, as a worker's
+        error reply does.  If the worker dies holding the batch, its
+        responses are unverifiable: the devices are committed
+        ``NO_DATA`` and counted as lost, never guessed healthy.  The
+        slot is not respawned mid-round.  Per-device
         spans stay in the worker; its measured verify timings feed
         this partition's histogram.
         """
@@ -855,11 +858,11 @@ class FleetVerifier:
                 anomalies=["shard worker crashed; response discarded"])
                 for device_id in shard]
             return {}, functools.partial(self._commit_batch, lost, None)
-        rows, health_row, timings = decode_result(body)
+        shipped, health_row, timings = decode_result(body, shard)
 
         def _commit(done: List[VerificationReport]
                     ) -> List[VerificationReport]:
-            committed = self.apply_worker_batch(rows, health_row, done)
+            committed = self.apply_worker_batch(shipped, health_row, done)
             if timings is not None:
                 observe = obs.verify_observer(str(partition)).observe
                 for timing in timings:

@@ -13,10 +13,15 @@ each worker only what a task needs:
 * per-task **entries**: each device's whole enrollment (id, key,
   digest whitelist, current ``last_seen``) and its raw response
   payload (or its absence), so workers hold no enrollment state;
-* back home: the per-device :class:`VerificationReport` rows plus one
-  :class:`~repro.worker.health.FleetHealth` part covering the task,
-  which the parent merges through the exact-Fraction accumulator — the
-  merged aggregate is byte-identical to the single-process one.
+* back home: one binary record per device's
+  :class:`~repro.core.verification.VerificationReport`, in task order,
+  plus one :class:`~repro.worker.health.FleetHealth` part covering the
+  task.  The parent rebuilds the reports from the records and the
+  task's device ids and merges the part through the exact-Fraction
+  accumulator — the merged aggregate is byte-identical to the
+  single-process one.
+
+Each message crosses the pipe as one frame, built by one join.
 
 Crash handling is part of the contract: a worker dying mid-task fails
 the task's future with :class:`WorkerCrashed` (the parent counts the
@@ -45,7 +50,6 @@ from repro.worker.process import (
     encode_task,
     exit_frame,
     shutdown_frame,
-    task_frame,
     worker_main,
 )
 
@@ -208,16 +212,17 @@ class WorkerPool:
         """Dispatch one verification batch; resolves to its result body.
 
         The future's value is the raw result frame body — decode with
-        :func:`repro.worker.process.decode_result` — so JSON parsing
-        happens on the caller's schedule, not the reader thread's.
+        :func:`repro.worker.process.decode_result` and the batch's
+        device ids — so the reports are rebuilt on the caller's
+        schedule, not the reader thread's.
         """
         crash = self._crash_armed[index]
         if crash:
             self._crash_armed[index] = False
         rid = next(self._rids)
-        future = self._submit(index, rid, task_frame(
-            rid, encode_task(collection_time, entries,
-                             want_timings=want_timings, crash=crash)))
+        future = self._submit(index, rid, encode_task(
+            rid, collection_time, entries, want_timings=want_timings,
+            crash=crash))
         if self.obs.enabled:
             observe = self.obs.worker_task_seconds.labels(str(index)).observe
             started = _time.perf_counter()

@@ -94,17 +94,16 @@ from repro.analysis import first_exposing_report, match_fleet_reports
 from repro.core.verification import DeviceStatus, VerificationReport
 
 
-def _report(device_id, time, status=DeviceStatus.HEALTHY, restored=None):
+def _report(device_id, time, status=DeviceStatus.HEALTHY):
     return VerificationReport(device_id=device_id, collection_time=time,
-                              status=status, restored=restored)
+                              status=status)
 
 
 def _infected(device_id, time, timestamps):
     return VerificationReport(
         device_id=device_id, collection_time=time,
-        status=DeviceStatus.INFECTED,
-        restored={"measurements": len(timestamps),
-                  "infected_timestamps": list(timestamps)})
+        status=DeviceStatus.INFECTED, measurement_count=len(timestamps),
+        infected_timestamps=list(timestamps))
 
 
 def test_first_exposing_report_picks_earliest_match():

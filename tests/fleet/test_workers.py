@@ -1,23 +1,27 @@
 """Tests for the process worker pool: codec, byte-identity, crash recovery."""
 
 import dataclasses
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeviceStatus
-from repro.core.verification import Enrollment
+from repro.core.verification import Enrollment, VerificationReport
 from repro.fleet import Fleet, WorkerCrashed, WorkerError, WorkerPool
 from repro.worker.process import (
     _DIGEST_LENGTH,
     _FRAME,
+    _RESULT_HEADER,
     _TASK_HEADER,
+    OP_TASK,
+    decode_reply,
     decode_result,
     decode_task,
     encode_result,
     encode_task,
-    task_frame,
 )
 from tests.fleet.helpers import health_bytes, report_key
 from tests.fleet.helpers import small_profile as _small_profile
@@ -46,8 +50,8 @@ def test_task_codec_round_trip():
         (Enrollment.create("dev-é✓", b"k3", [b"d" * 32], None),
          b"\x00\xff" * 100),
     ]
-    frame = encode_task(123.25, entries, want_timings=True)
-    collection_time, flags, decoded = decode_task(frame)
+    frame = encode_task(1, 123.25, entries, want_timings=True)
+    collection_time, flags, decoded = decode_task(frame[_FRAME.size:])
     assert collection_time == 123.25
     assert flags & 0x01
     assert [(enrollment, None if payload is None else bytes(payload))
@@ -68,8 +72,8 @@ def test_task_codec_round_trip():
 
 def test_task_codec_payloads_are_views():
     enrollment = Enrollment.create("d", b"key", [b"digest"])
-    frame = encode_task(0.0, [(enrollment, b"payload-bytes")])
-    _, _, entries = decode_task(frame)
+    frame = encode_task(1, 0.0, [(enrollment, b"payload-bytes")])
+    _, _, entries = decode_task(frame[_FRAME.size:])
     payload = entries[0][1]
     assert isinstance(payload, memoryview)
     assert payload.readonly
@@ -82,28 +86,153 @@ def test_task_frame_packs_digests_in_sorted_order():
     digests = [bytes([index]) * (1 + index % 3) for index in range(12)]
     forward = Enrollment.create("d", b"key", digests)
     backward = Enrollment.create("d", b"key", reversed(digests))
-    frame = encode_task(1.0, [(forward, None)])
-    assert frame == encode_task(1.0, [(backward, None)])
+    frame = encode_task(5, 1.0, [(forward, None)])
+    assert frame == encode_task(5, 1.0, [(backward, None)])
     packed = b"".join(_DIGEST_LENGTH.pack(len(digest)) + digest
                       for digest in sorted(digests))
     assert frame.endswith(packed)
-    assert frame.startswith(_TASK_HEADER.pack(1.0, 0, 1))
+    assert frame.startswith(_FRAME.pack(OP_TASK, 5) +
+                            _TASK_HEADER.pack(1.0, 0, 1))
+
+
+def _task_entries():
+    """Three entries: a payload, an absent payload, an empty payload."""
+    return [
+        (Enrollment.create("dev-0000", b"key-0", [b"\x01" * 32], 42.5),
+         b"\x02payload-bytes"),
+        (Enrollment.create("dev-é✓", b"key-1", [b"\x02", b"\x03" * 20],
+                           None), None),
+        (Enrollment.create("dev-0002", b"key-2", [], 0.0), b""),
+    ]
+
+
+def test_decode_task_rejects_every_truncation_and_trailing_bytes():
+    """A frame cut anywhere, even inside a payload, never decodes to a
+    shorter view, and a frame with bytes left over is refused."""
+    body = encode_task(1, 30.0, _task_entries())[_FRAME.size:]
+    assert len(decode_task(body)[2]) == 3
+    for cut in range(len(body)):
+        with pytest.raises(WorkerError):
+            decode_task(body[:cut])
+    for extra in (b"\x00", b"trailing"):
+        with pytest.raises(WorkerError, match="trailing"):
+            decode_task(body + extra)
+
+
+def _random_report(rng, device_id, status):
+    """A report with seeded fields; every float a float, as in a row."""
+    anomalies = rng.choice([
+        [], [""], ["clé périmée ✓", ""],
+        [f"gap of {rng.randint(1, 9)} interval(s)"] * rng.randint(1, 3)])
+    infected = [rng.uniform(0.0, 1e6)
+                for _ in range(rng.choice([0, 1, 2, 40]))]
+    return VerificationReport(
+        device_id, rng.uniform(0.0, 1e6), status,
+        anomalies=anomalies,
+        freshness=rng.choice([None, 0.0, rng.uniform(0.0, 600.0)]),
+        missing_intervals=rng.randint(0, 50),
+        measurement_count=rng.randint(0, 2 ** 20),
+        infected_timestamps=infected,
+        newest_timestamp=rng.choice([None, -0.0, rng.uniform(0.0, 1e6)]))
+
+
+def _row_bytes(report):
+    return json.dumps(report.to_row(), sort_keys=True)
+
+
+def _result_body(reports, health=None, timings=None):
+    frame = encode_result(9, reports, {"rounds": 1} if health is None
+                          else health, timings)
+    rid, body, error = decode_reply(frame)
+    assert (rid, error) == (9, None)
+    return bytes(body)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_result_codec_rebuilds_every_report_row_exactly(seed):
+    rng = random.Random(seed)
+    reports = [_random_report(rng, f"dev-{index:04d}", status)
+               for index, status in enumerate(list(DeviceStatus) * 8)]
+    # Both optional floats absent, and both present, at least once.
+    reports[0].freshness = reports[0].newest_timestamp = None
+    reports[1].freshness, reports[1].newest_timestamp = 12.5, 7.25
+    ids = [report.device_id for report in reports]
+    decoded, _, _ = decode_result(_result_body(reports), ids)
+    assert [_row_bytes(report) for report in decoded] == \
+        [_row_bytes(report) for report in reports]
+    assert decoded == reports
 
 
 def test_result_codec_round_trip():
-    rows = [{"device_id": "dev-0000", "status": "ok", "anomalies": []},
-            {"device_id": "dev-0001", "status": "no_data"}]
+    rng = random.Random(7)
+    reports = [_random_report(rng, "dev-0000", DeviceStatus.HEALTHY),
+               _random_report(rng, "dev-0001", DeviceStatus.NO_DATA)]
+    rows = [report.to_row() for report in reports]
     health = {"devices_seen": ["dev-0000"], "rounds": 1}
-    decoded_rows, decoded_health, timings = decode_result(
-        encode_result(rows, health, [0.5, 0.25]))
-    assert decoded_rows == rows
+    decoded, decoded_health, timings = decode_result(
+        _result_body(reports, health, [0.5, 0.25]), ["dev-0000", "dev-0001"])
+    assert [report.to_row() for report in decoded] == rows
     assert decoded_health == health
     assert timings == [0.5, 0.25]
-    decoded_rows, decoded_health, timings = decode_result(
-        encode_result([], health))
-    assert decoded_rows == []
+    decoded, decoded_health, timings = decode_result(
+        _result_body([], health), [])
+    assert decoded == []
     assert decoded_health == health
     assert timings is None
+
+
+def test_decode_result_rejects_malformed_bodies():
+    rng = random.Random(3)
+    reports = [_random_report(rng, f"dev-{index}", status)
+               for index, status in enumerate(DeviceStatus)]
+    reports[0].anomalies = ["a text cut short must not decode"]
+    ids = [report.device_id for report in reports]
+    body = _result_body(reports, timings=[0.125] * len(reports))
+    assert len(decode_result(body, ids)[0]) == len(ids)
+    for cut in range(len(body)):
+        with pytest.raises(WorkerError):
+            decode_result(body[:cut], ids)
+    with pytest.raises(WorkerError, match="trailing"):
+        decode_result(body + b"\x00", ids)
+    with pytest.raises(WorkerError, match="for 3 devices"):
+        decode_result(body, ids[:3])
+    with pytest.raises(WorkerError, match="for 5 devices"):
+        decode_result(body, ids + ["dev-extra"])
+    status_at = _RESULT_HEADER.size + 8
+    for offset, value, message in ((status_at, 4, "status code"),
+                                   (status_at + 1, 0x04, "report flags"),
+                                   (0, 0x02, "unknown flags")):
+        broken = bytearray(body)
+        broken[offset] = value
+        with pytest.raises(WorkerError, match=message):
+            decode_result(bytes(broken), ids)
+
+
+def test_worker_judged_reports_round_trip_their_rows():
+    """Reports the judge made, lazily built verdicts included, decode to
+    the rows the worker would have written."""
+    from repro.core.verification import DeviceJudges, VerificationCore
+
+    fleet = Fleet.provision(small_profile(), 4, master_secret=b"master")
+    try:
+        fleet.run_until(60.0)
+        reports = list(fleet.collect_all())
+        fleet.device("dev-0002").load_application(MALWARE)
+        fleet.run_until(120.0)
+        reports.extend(fleet.collect_all())
+        assert {report.status for report in reports} >= \
+            {DeviceStatus.HEALTHY, DeviceStatus.INFECTED}
+        judges = DeviceJudges(VerificationCore(small_profile().config))
+        reports.append(judges.verify_payload(
+            fleet.verifier._enrollments["dev-0001"], b"\xffjunk", 130.0))
+        reports.append(judges.verify_payload(
+            fleet.verifier._enrollments["dev-0003"], None, 130.0))
+        ids = [report.device_id for report in reports]
+        decoded, _, _ = decode_result(_result_body(reports), ids)
+        assert [_row_bytes(report) for report in decoded] == \
+            [_row_bytes(report) for report in reports]
+    finally:
+        fleet.close()
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +275,8 @@ def test_process_mode_matches_loop_mode():
                                                  process_rounds):
             assert [report_key(r) for r in loop_reports] == \
                 [report_key(r) for r in process_reports]
+            assert [_row_bytes(r) for r in loop_reports] == \
+                [_row_bytes(r) for r in process_reports]
         assert health_bytes(loop.verifier) == health_bytes(process.verifier)
         # The infect/clean cycle flags its victims in both placements
         # (the 80 s cadence additionally flags round-2 gap policy hits,
@@ -193,6 +324,31 @@ def test_process_mode_re_enrollment_matches_loop_mode():
     finally:
         loop.close()
         process.close()
+
+
+def test_process_round_commits_worker_reports_without_from_row(
+        monkeypatch):
+    """The parent commits the reports it decodes from the result frame:
+    no report row is parsed back through ``from_row`` in a round."""
+    calls = []
+    from_row = VerificationReport.__dict__["from_row"].__func__
+
+    def counting(cls, row):
+        calls.append(row)
+        return from_row(cls, row)
+
+    monkeypatch.setattr(VerificationReport, "from_row",
+                        classmethod(counting))
+    fleet = Fleet.provision(small_profile(), 8, master_secret=b"master",
+                            shards=2, worker_mode="process")
+    try:
+        fleet.run_until(60.0)
+        reports = fleet.collect_all()
+        assert len(reports) == 8
+        assert all(r.status is DeviceStatus.HEALTHY for r in reports)
+        assert calls == []
+    finally:
+        fleet.close()
 
 
 @settings(max_examples=4, deadline=None)
@@ -334,13 +490,34 @@ def test_worker_reports_python_errors_as_worker_error():
         pool.ensure_worker(0)
         rid = next(pool._rids)
         # Cut inside the first entry's header: the worker's decode raises.
-        truncated = encode_task(0.0, [(Enrollment.create("d", b"key", []),
-                                       b"payload")])[:_TASK_HEADER.size + 3]
-        future = pool._submit(0, rid, task_frame(rid, truncated))
+        truncated = encode_task(rid, 0.0, [(
+            Enrollment.create("d", b"key", []), b"payload")])[
+                :_FRAME.size + _TASK_HEADER.size + 3]
+        future = pool._submit(0, rid, truncated)
         with pytest.raises(WorkerError, match="worker 0 failed"):
             future.result(timeout=30)
         # The worker survives a failed frame: the next one still works.
         assert pool.submit_task(0, 0.0, []).result(timeout=30) is not None
+    finally:
+        pool.close()
+
+
+def test_worker_answers_short_or_long_task_frames_with_an_error():
+    """A frame cut inside a payload, or one with trailing bytes, comes
+    back as an error reply rather than a TAMPERED verdict on a shorter
+    payload."""
+    pool = WorkerPool(1, config=small_profile().config)
+    try:
+        pool.ensure_worker(0)
+        for damage in (lambda frame: frame[:-1],
+                       lambda frame: frame + b"\x00"):
+            rid = next(pool._rids)
+            frame = encode_task(rid, 0.0, [(Enrollment.create(
+                "d", b"key", []), b"payload")])
+            future = pool._submit(0, rid, damage(frame))
+            with pytest.raises(WorkerError, match="worker 0 failed"):
+                future.result(timeout=30)
+        assert pool.restarts == [0]
     finally:
         pool.close()
 
@@ -371,9 +548,10 @@ def test_worker_rejects_unknown_opcode_and_keeps_serving():
             future.result(timeout=30)
         body = pool.submit_task(0, 60.0, [(enrollment, payload)]
                                 ).result(timeout=30)
-        rows, _, _ = decode_result(body)
-        assert [row["device_id"] for row in rows] == [device.device_id]
-        assert rows[0]["status"] == DeviceStatus.HEALTHY.value
+        reports, _, _ = decode_result(body, [device.device_id])
+        assert [report.device_id for report in reports] == \
+            [device.device_id]
+        assert reports[0].status is DeviceStatus.HEALTHY
         assert pool.restarts == [0]
     finally:
         pool.close()
@@ -536,12 +714,12 @@ def test_spawned_worker_loads_no_fleet_stack():
     child_conn.close()
     child_report.close()
     try:
-        conn.send_bytes(worker_process.task_frame(
-            2, worker_process.encode_task(60.0, [(enrollment, payload)])))
+        conn.send_bytes(worker_process.encode_task(
+            2, 60.0, [(enrollment, payload)]))
         _, body, error = worker_process.decode_reply(conn.recv_bytes())
         assert error is None
-        rows, _, _ = decode_result(body)
-        assert rows[0]["status"] == DeviceStatus.HEALTHY.value
+        reports, _, _ = decode_result(body, [device.device_id])
+        assert reports[0].status is DeviceStatus.HEALTHY
         conn.send_bytes(worker_process.shutdown_frame(3))
         assert report.poll(30)
         modules = report.recv()
