@@ -124,7 +124,7 @@ def decode_reply(frame) -> Tuple[int, memoryview, Optional[str]]:
 
 
 def _cut(view: memoryview, offset: int, length: int) -> memoryview:
-    """``length`` bytes of ``view`` from ``offset``, or :class:`WorkerError`."""
+    """``length`` bytes of ``view`` from ``offset``; raises if short."""
     stop = offset + length
     if stop > len(view):
         raise WorkerError(f"frame truncated: {length} bytes wanted at "
