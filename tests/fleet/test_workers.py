@@ -95,21 +95,18 @@ def test_task_frame_packs_digests_in_sorted_order():
                             _TASK_HEADER.pack(1.0, 0, 1))
 
 
-def _task_entries():
-    """Three entries: a payload, an absent payload, an empty payload."""
-    return [
+def test_decode_task_rejects_every_truncation_and_trailing_bytes():
+    """A frame cut anywhere, even inside a payload, never decodes to a
+    shorter view, and a frame with bytes left over is refused."""
+    # A payload, an absent payload, an empty payload.
+    entries = [
         (Enrollment.create("dev-0000", b"key-0", [b"\x01" * 32], 42.5),
          b"\x02payload-bytes"),
         (Enrollment.create("dev-é✓", b"key-1", [b"\x02", b"\x03" * 20],
                            None), None),
         (Enrollment.create("dev-0002", b"key-2", [], 0.0), b""),
     ]
-
-
-def test_decode_task_rejects_every_truncation_and_trailing_bytes():
-    """A frame cut anywhere, even inside a payload, never decodes to a
-    shorter view, and a frame with bytes left over is refused."""
-    body = encode_task(1, 30.0, _task_entries())[_FRAME.size:]
+    body = encode_task(1, 30.0, entries)[_FRAME.size:]
     assert len(decode_task(body)[2]) == 3
     for cut in range(len(body)):
         with pytest.raises(WorkerError):
