@@ -57,8 +57,8 @@ _RESULT_HEADER = struct.Struct(">BI")  # flags, report count
 # collection_time, status code, presence flags, measurement count,
 # missing intervals, freshness, newest timestamp, anomaly count,
 # infected-timestamp count
-_REPORT = struct.Struct(">dBBIIddII")
-_TEXT_LENGTH = struct.Struct(">I")
+_REPORT = struct.Struct(">dBBQQddII")
+_U64_MAX = 2 ** 64 - 1
 _BLOB_LENGTH = struct.Struct(">I")
 _TIMING = struct.Struct(">d")
 
@@ -75,6 +75,7 @@ _ENTRY_HAS_PAYLOAD = 0x02
 _RESULT_HAS_TIMINGS = 0x01
 _REPORT_HAS_FRESHNESS = 0x01
 _REPORT_HAS_NEWEST = 0x02
+_REPORT_WIDE_MISSING = 0x04
 
 #: A report's status byte is its index here.
 _STATUSES = tuple(DeviceStatus)
@@ -230,6 +231,11 @@ def encode_result(rid: int, reports: Sequence[VerificationReport],
     Per report: one fixed :data:`_REPORT` header, then its anomaly
     texts (length-prefixed UTF-8), then its infected timestamps (packed
     doubles).  Then the JSON health part, then the per-report timings.
+
+    The gap count comes from prover-chosen timestamps, so it is not
+    bounded by the frame: one past 64 bits (a forged record late on the
+    wire's microsecond clock, judged against a sub-microsecond interval)
+    follows the header as length-prefixed big-endian bytes instead.
     """
     flags = _RESULT_HAS_TIMINGS if timings is not None else 0
     parts: List[bytes] = [_FRAME.pack(OP_RESULT, rid),
@@ -240,17 +246,24 @@ def encode_result(rid: int, reports: Sequence[VerificationReport],
         newest = report.newest_timestamp
         anomalies = report.anomalies
         infected = report.infected_timestamps
+        missing = report.missing_intervals
+        wide = missing > _U64_MAX
         present = (0 if freshness is None else _REPORT_HAS_FRESHNESS) | \
-            (0 if newest is None else _REPORT_HAS_NEWEST)
+            (0 if newest is None else _REPORT_HAS_NEWEST) | \
+            (_REPORT_WIDE_MISSING if wide else 0)
         parts.append(pack(report.collection_time, _STATUS_CODES[report.status],
                           present, report.measurement_count,
-                          report.missing_intervals,
+                          0 if wide else missing,
                           0.0 if freshness is None else freshness,
                           0.0 if newest is None else newest,
                           len(anomalies), len(infected)))
+        if wide:
+            encoded = missing.to_bytes((missing.bit_length() + 7) // 8, "big")
+            parts.append(_BLOB_LENGTH.pack(len(encoded)))
+            parts.append(encoded)
         for text in anomalies:
             encoded = text.encode("utf-8")
-            parts.append(_TEXT_LENGTH.pack(len(encoded)))
+            parts.append(_BLOB_LENGTH.pack(len(encoded)))
             parts.append(encoded)
         if infected:
             parts.append(struct.pack(f">{len(infected)}d", *infected))
@@ -274,59 +287,63 @@ def decode_result(body, device_ids: Sequence[str]
     """
     view = memoryview(body).toreadonly()
     try:
-        return _decode_result(view, device_ids)
+        flags, count = _RESULT_HEADER.unpack_from(view)
+        if flags & ~_RESULT_HAS_TIMINGS:
+            raise WorkerError(f"result frame has unknown flags {flags:#x}")
+        if count != len(device_ids):
+            raise WorkerError(f"result frame holds {count} reports for "
+                              f"{len(device_ids)} devices")
+        offset = _RESULT_HEADER.size
+        unpack = _REPORT.unpack_from
+        reports: List[VerificationReport] = []
+        for device_id in device_ids:
+            (collection_time, code, present, measurements, missing,
+             freshness, newest, anomaly_count, infected_count) = \
+                unpack(view, offset)
+            offset += _REPORT.size
+            if code >= len(_STATUSES):
+                raise WorkerError(f"unknown status code {code}")
+            if present & ~(_REPORT_HAS_FRESHNESS | _REPORT_HAS_NEWEST |
+                           _REPORT_WIDE_MISSING):
+                raise WorkerError(f"unknown report flags {present:#x}")
+            if present & _REPORT_WIDE_MISSING:
+                (length,) = _BLOB_LENGTH.unpack_from(view, offset)
+                offset += _BLOB_LENGTH.size
+                missing = int.from_bytes(_cut(view, offset, length), "big")
+                offset += length
+            anomalies = []
+            for _ in range(anomaly_count):
+                (length,) = _BLOB_LENGTH.unpack_from(view, offset)
+                offset += _BLOB_LENGTH.size
+                anomalies.append(str(_cut(view, offset, length), "utf-8"))
+                offset += length
+            infected = []
+            if infected_count:
+                packed = struct.Struct(f">{infected_count}d")
+                infected = list(packed.unpack_from(view, offset))
+                offset += packed.size
+            reports.append(VerificationReport(
+                device_id, collection_time, _STATUSES[code],
+                anomalies=anomalies,
+                freshness=freshness if present & _REPORT_HAS_FRESHNESS
+                else None,
+                missing_intervals=missing,
+                measurement_count=measurements,
+                infected_timestamps=infected,
+                newest_timestamp=newest if present & _REPORT_HAS_NEWEST
+                else None))
+        (length,) = _BLOB_LENGTH.unpack_from(view, offset)
+        offset += _BLOB_LENGTH.size
+        health_row = json.loads(str(_cut(view, offset, length), "utf-8"))
+        if not isinstance(health_row, dict):
+            raise WorkerError("result frame's health part is not an object")
+        offset += length
+        timings = None
+        if flags & _RESULT_HAS_TIMINGS:
+            timings = list(struct.unpack_from(f">{count}d", view, offset))
+            offset += _TIMING.size * count
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise WorkerError(f"malformed result frame: {exc}") from None
-
-
-def _decode_result(view: memoryview, device_ids: Sequence[str]
-                   ) -> Tuple[List[VerificationReport], Dict[str, object],
-                              Optional[List[float]]]:
-    flags, count = _RESULT_HEADER.unpack_from(view)
-    if flags & ~_RESULT_HAS_TIMINGS:
-        raise WorkerError(f"result frame has unknown flags {flags:#x}")
-    if count != len(device_ids):
-        raise WorkerError(f"result frame holds {count} reports for "
-                          f"{len(device_ids)} devices")
-    offset = _RESULT_HEADER.size
-    unpack = _REPORT.unpack_from
-    reports: List[VerificationReport] = []
-    for device_id in device_ids:
-        (collection_time, code, present, measurements, missing, freshness,
-         newest, anomaly_count, infected_count) = unpack(view, offset)
-        offset += _REPORT.size
-        if code >= len(_STATUSES):
-            raise WorkerError(f"unknown status code {code}")
-        if present & ~(_REPORT_HAS_FRESHNESS | _REPORT_HAS_NEWEST):
-            raise WorkerError(f"unknown report flags {present:#x}")
-        anomalies = []
-        for _ in range(anomaly_count):
-            (length,) = _TEXT_LENGTH.unpack_from(view, offset)
-            offset += _TEXT_LENGTH.size
-            anomalies.append(str(_cut(view, offset, length), "utf-8"))
-            offset += length
-        infected = list(struct.unpack_from(f">{infected_count}d", view,
-                                           offset)) if infected_count else []
-        offset += _TIMING.size * infected_count
-        reports.append(VerificationReport(
-            device_id, collection_time, _STATUSES[code],
-            anomalies=anomalies,
-            freshness=freshness if present & _REPORT_HAS_FRESHNESS else None,
-            missing_intervals=missing,
-            measurement_count=measurements,
-            infected_timestamps=infected,
-            newest_timestamp=newest if present & _REPORT_HAS_NEWEST
-            else None))
-    (length,) = _BLOB_LENGTH.unpack_from(view, offset)
-    offset += _BLOB_LENGTH.size
-    health_row = json.loads(str(_cut(view, offset, length), "utf-8"))
-    if not isinstance(health_row, dict):
-        raise WorkerError("result frame's health part is not an object")
-    offset += length
-    timings = None
-    if flags & _RESULT_HAS_TIMINGS:
-        timings = list(struct.unpack_from(f">{count}d", view, offset))
-        offset += _TIMING.size * count
     _check_consumed(view, offset)
     return reports, health_row, timings
 

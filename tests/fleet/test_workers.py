@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DeviceStatus
+from repro.core import DeviceStatus, Measurement
 from repro.core.verification import Enrollment, VerificationReport
 from repro.fleet import Fleet, WorkerCrashed, WorkerError, WorkerPool
 from repro.worker.process import (
@@ -153,6 +154,10 @@ def test_result_codec_rebuilds_every_report_row_exactly(seed):
     # Both optional floats absent, and both present, at least once.
     reports[0].freshness = reports[0].newest_timestamp = None
     reports[1].freshness, reports[1].newest_timestamp = 12.5, 7.25
+    # Gap counts at the top of the header's 64-bit field and past it.
+    reports[2].missing_intervals = 2 ** 64 - 1
+    reports[3].missing_intervals = 2 ** 64
+    reports[4].missing_intervals = 3 ** 100
     ids = [report.device_id for report in reports]
     decoded, _, _ = decode_result(_result_body(reports), ids)
     assert [_row_bytes(report) for report in decoded] == \
@@ -183,6 +188,7 @@ def test_decode_result_rejects_malformed_bodies():
     reports = [_random_report(rng, f"dev-{index}", status)
                for index, status in enumerate(DeviceStatus)]
     reports[0].anomalies = ["a text cut short must not decode"]
+    reports[1].missing_intervals = 2 ** 70
     ids = [report.device_id for report in reports]
     body = _result_body(reports, timings=[0.125] * len(reports))
     assert len(decode_result(body, ids)[0]) == len(ids)
@@ -197,7 +203,7 @@ def test_decode_result_rejects_malformed_bodies():
         decode_result(body, ids + ["dev-extra"])
     status_at = _RESULT_HEADER.size + 8
     for offset, value, message in ((status_at, 4, "status code"),
-                                   (status_at + 1, 0x04, "report flags"),
+                                   (status_at + 1, 0x08, "report flags"),
                                    (0, 0x02, "unknown flags")):
         broken = bytearray(body)
         broken[offset] = value
@@ -318,6 +324,38 @@ def test_process_mode_re_enrollment_matches_loop_mode():
         assert [status for device_id, status in second.items()
                 if device_id not in ("dev-0001", "dev-0004")] == \
             [DeviceStatus.HEALTHY] * 4
+    finally:
+        loop.close()
+        process.close()
+
+
+def test_forged_far_future_record_commits_the_same_report_in_both_modes():
+    """A record dated at the end of the wire's u64 microsecond clock
+    makes the gap count exceed any 32-bit field: process mode still
+    commits the TAMPERED report loop mode does, and the round survives."""
+    latest = math.nextafter((2 ** 64 - 1) / 1e6, 0.0)
+    outcomes = []
+    for worker_mode in ("loop", "process"):
+        fleet = Fleet.provision(small_profile(), 6, master_secret=b"master",
+                                shards=2, worker_mode=worker_mode)
+        fleet.run_until(60.0)
+        fleet.collect_all()
+        fleet.run_until(120.0)
+        store = fleet.device("dev-0001").prover.store
+        genuine = store.raw_slot(0)
+        store.overwrite_slot(0, Measurement(
+            timestamp=latest, digest=genuine.digest,
+            tag=bytes(len(genuine.tag))))
+        outcomes.append((fleet, fleet.collect_all()))
+    (loop, loop_reports), (process, process_reports) = outcomes
+    try:
+        assert [_row_bytes(r) for r in loop_reports] == \
+            [_row_bytes(r) for r in process_reports]
+        assert health_bytes(loop.verifier) == health_bytes(process.verifier)
+        forged = {r.device_id: r for r in process_reports}["dev-0001"]
+        assert forged.status is DeviceStatus.TAMPERED
+        assert forged.missing_intervals > 2 ** 32
+        assert process.verifier._pool.restarts == [0, 0]
     finally:
         loop.close()
         process.close()
