@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeviceStatus, Measurement
-from repro.core.verification import Enrollment, VerificationReport
+from repro.core.config import ErasmusConfig
+from repro.core.verification import (
+    DeviceJudges,
+    Enrollment,
+    VerificationCore,
+    VerificationReport,
+)
 from repro.fleet import Fleet, WorkerCrashed, WorkerError, WorkerPool
 from repro.worker.process import (
     _DIGEST_LENGTH,
@@ -154,10 +160,16 @@ def test_result_codec_rebuilds_every_report_row_exactly(seed):
     # Both optional floats absent, and both present, at least once.
     reports[0].freshness = reports[0].newest_timestamp = None
     reports[1].freshness, reports[1].newest_timestamp = 12.5, 7.25
-    # Gap counts at the top of the header's 64-bit field and past it.
+    # Gap counts at the top of the header's 64-bit field and past it:
+    # the schedule check makes one that large from a forged record dated
+    # late on the wire's microsecond clock and a sub-microsecond interval.
     reports[2].missing_intervals = 2 ** 64 - 1
     reports[3].missing_intervals = 2 ** 64
-    reports[4].missing_intervals = 3 ** 100
+    core = VerificationCore(ErasmusConfig(measurement_interval=1e-7,
+                                          collection_interval=1e-6))
+    reports[4].missing_intervals, _ = core.check_schedule(
+        [0.0, math.nextafter((2 ** 64 - 1) / 1e6, 0.0)], None)
+    assert reports[4].missing_intervals > 2 ** 64
     ids = [report.device_id for report in reports]
     decoded, _, _ = decode_result(_result_body(reports), ids)
     assert [_row_bytes(report) for report in decoded] == \
@@ -214,8 +226,6 @@ def test_decode_result_rejects_malformed_bodies():
 def test_worker_judged_reports_round_trip_their_rows():
     """Reports the judge made, lazily built verdicts included, decode to
     the rows the worker would have written."""
-    from repro.core.verification import DeviceJudges, VerificationCore
-
     fleet = Fleet.provision(small_profile(), 4, master_secret=b"master")
     try:
         fleet.run_until(60.0)
