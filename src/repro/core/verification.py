@@ -36,6 +36,7 @@ any number of threads concurrently.
 from __future__ import annotations
 
 import enum
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import sub
@@ -53,6 +54,10 @@ from repro.core.protocol import (
 from repro.crypto.backend import get_backend
 from repro.crypto.constant_time import constant_time_compare
 from repro.crypto.mac import get_mac
+
+#: The one encoder of persisted rows: ``json.dumps(row, sort_keys=True)``
+#: without building an encoder per call.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class DeviceStatus(enum.Enum):
@@ -121,6 +126,7 @@ class VerificationReport:
         # (records, authentic, healthy, from_future) of a judged batch
         # whose verdicts nobody has read yet.
         self._pending: Optional[tuple] = None
+        self._json: Optional[str] = None  # to_json's text, once built
         if verdicts:
             self._summarize(
                 [verdict.measurement.timestamp for verdict in verdicts],
@@ -174,10 +180,11 @@ class VerificationReport:
     def to_row(self) -> Dict[str, object]:
         """Flatten into a stable, JSON-friendly row.
 
-        The row is the canonical persisted form: it is what
-        :class:`repro.fleet.JsonlSink` writes, what every
-        :class:`repro.store.StateStore` journals, and what
-        :meth:`from_row` reverses.  All keys are plain JSON types.
+        The row is the canonical persisted form: every
+        :class:`repro.store.StateStore` journals it, :meth:`from_row`
+        reverses it, and its text (:meth:`to_json`) is what
+        :class:`repro.fleet.JsonlSink` and the SQLite journal write.
+        All keys are plain JSON types.
         """
         return {
             "device_id": self.device_id,
@@ -190,6 +197,18 @@ class VerificationReport:
             "infected_timestamps": list(self.infected_timestamps),
             "newest_timestamp": self.newest_timestamp,
         }
+
+    def to_json(self) -> str:
+        """The row's canonical text, ``json.dumps(row, sort_keys=True)``.
+
+        Built on first call and kept: a committed report is final, so
+        the SQLite journal and the JSONL sink write the same text from
+        one encoding.
+        """
+        text = self._json
+        if text is None:
+            text = self._json = _ROW_ENCODER.encode(self.to_row())
+        return text
 
     @classmethod
     def from_row(cls, row: Mapping[str, object]) -> "VerificationReport":

@@ -61,7 +61,7 @@ from repro.fleet.workers import WorkerCrashed, WorkerPool
 from repro.sim.engine import SimulationEngine
 from repro.store import MemoryStore, StateStore
 from repro.worker.health import FleetHealth
-from repro.worker.process import decode_result
+from repro.worker.process import WorkerError, decode_result
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle broken at runtime
     from repro.obs.service import Observability
@@ -342,8 +342,12 @@ class FleetVerifier:
         """Journal and advance the batch as one store unit, then count it.
 
         Every report is journaled *before* its in-memory advance, inside
-        one :meth:`StateStore.batch`.  The report row is the durable
-        record of the advance: it carries the collection time and the
+        one :meth:`StateStore.batch`; a store may queue the write until
+        the batch exits (SQLite inserts the whole batch with one
+        ``executemany`` there).  A committed report is final: the sinks
+        write the same :meth:`~VerificationReport.to_json` text that
+        SQLite journaled.  The report row is the durable record of the
+        advance: it carries the collection time and the
         newest timestamp that replay advances ``last_seen`` to, so the
         batch writes report rows and nothing else, and the store never
         holds an advance without its report.
@@ -354,9 +358,10 @@ class FleetVerifier:
         a round's verify step instead brings the batch's exact
         :class:`FleetHealth` ``part``, merged once.  If a write fails
         mid-batch, the batch exit still commits the reports written
-        before it, and exactly those count; if that commit fails too,
-        none of the batch counts, and the in-memory advances it made are
-        undone so the live state matches the rolled-back store.
+        before it, and exactly those count; if that commit fails too
+        (for SQLite, also its ``executemany``), none of the batch counts,
+        and the in-memory advances it made are undone so the live state
+        matches the rolled-back store.
         """
         store = self.store
         written = 0
@@ -836,11 +841,12 @@ class FleetVerifier:
         binary record per report, in shard order, and one
         :class:`FleetHealth` part.  :func:`decode_result` rebuilds the
         reports from the records and the shard's device ids, and
-        :meth:`apply_worker_batch` commits them.  A malformed result
-        raises :class:`~repro.worker.process.WorkerError`, as a worker's
-        error reply does.  If the worker dies holding the batch, its
-        responses are unverifiable: the devices are committed
-        ``NO_DATA`` and counted as lost, never guessed healthy.  The
+        :meth:`apply_worker_batch` commits them.  If the worker dies
+        holding the batch, answers with an error reply, or sends a
+        result :func:`decode_result` rejects, the shard's responses are
+        unverifiable: its devices are committed ``NO_DATA`` with an
+        anomaly naming the failure and counted as lost, never guessed
+        healthy, and the round's other shards commit as usual.  The
         slot is not respawned mid-round.  Per-device
         spans stay in the worker; its measured verify timings feed
         this partition's histogram.
@@ -851,14 +857,15 @@ class FleetVerifier:
         try:
             body = await asyncio.wrap_future(pool.submit_task(
                 partition, shard_time, entries, want_timings=obs.enabled))
+            shipped, health_row, timings = decode_result(body, shard)
         except WorkerCrashed:
-            lost = [VerificationReport(
-                device_id=device_id, collection_time=shard_time,
-                status=DeviceStatus.NO_DATA,
-                anomalies=["shard worker crashed; response discarded"])
-                for device_id in shard]
-            return {}, functools.partial(self._commit_batch, lost, None)
-        shipped, health_row, timings = decode_result(body, shard)
+            return self._lost_shard(shard, shard_time, "shard worker crashed")
+        except WorkerError as exc:
+            # The last line names it; an error reply's is the exception
+            # that ends the worker's traceback.
+            reason = str(exc).strip().rpartition("\n")[2]
+            return self._lost_shard(shard, shard_time,
+                                    f"shard worker failed ({reason})")
 
         def _commit(done: List[VerificationReport]
                     ) -> List[VerificationReport]:
@@ -870,6 +877,17 @@ class FleetVerifier:
             return committed
 
         return responses, _commit
+
+    def _lost_shard(self, shard: List[str], shard_time: float,
+                    failure: str):
+        """A shard whose responses cannot be verified: every device is
+        committed ``NO_DATA`` and the whole shard counts as lost."""
+        lost = [VerificationReport(
+            device_id=device_id, collection_time=shard_time,
+            status=DeviceStatus.NO_DATA,
+            anomalies=[f"{failure}; response discarded"])
+            for device_id in shard]
+        return {}, functools.partial(self._commit_batch, lost, None)
 
 
 async def _cancel_all(tasks: List[asyncio.Task]) -> None:

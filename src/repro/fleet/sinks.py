@@ -17,7 +17,6 @@ here and from :mod:`repro.fleet`).
 from __future__ import annotations
 
 import abc
-import json
 from dataclasses import dataclass
 from typing import IO, Iterable, List, Optional, Union
 
@@ -210,10 +209,10 @@ class JsonlSink(ReportSink):
             raise ValueError(
                 "JsonlSink is closed (a failed collection round closes "
                 "its sinks); attach a fresh sink before collecting again")
-        # json.dumps takes the C encoder; json.dump's pure-Python
-        # iterencode left cyclic garbage behind on every report.
-        self._stream.write(json.dumps(report.to_row(),
-                                      sort_keys=True) + "\n")
+        # The report's canonical text, encoded once and shared with the
+        # SQLite journal (to_json's C encoder leaves no cyclic garbage,
+        # which json.dump's pure-Python iterencode did on every report).
+        self._stream.write(report.to_json() + "\n")
 
     def flush(self) -> None:
         if not self.closed:

@@ -57,15 +57,21 @@ class ObservedStore(StateStore):
         self.inner = inner
         self._ops = obs.store_ops
         self._seconds = obs.store_op_seconds
+        # op -> (counter child, histogram child), resolved on first use
+        # so an op never called adds no zero-valued series.
+        self._children: dict = {}
 
     def _timed(self, op: str, call, *args, **kwargs):
         started = _time.perf_counter()
         try:
             return call(*args, **kwargs)
         finally:
-            self._ops.labels(op).inc()
-            self._seconds.labels(op).observe(
-                _time.perf_counter() - started)
+            children = self._children.get(op)
+            if children is None:
+                children = self._children[op] = (
+                    self._ops.labels(op), self._seconds.labels(op))
+            children[0].inc()
+            children[1].observe(_time.perf_counter() - started)
 
     def save_enrollment(self, enrollment) -> None:
         self._timed("save_enrollment", self.inner.save_enrollment,

@@ -9,10 +9,18 @@ journal position through the shared
 :func:`~repro.store.base.replay_record`.  Unlike the JSONL journal,
 the table keeps its rows after a checkpoint.
 
+A journal row is the record's canonical text: a report's
+:meth:`~repro.core.verification.VerificationReport.to_json`, the very
+line :class:`~repro.fleet.JsonlSink` writes, so a report committed to
+both is encoded once.
+
 Outside a :meth:`SqliteStore.batch` every write is its own transaction,
-committed before the call returns.  Inside one, the writes join a
-single transaction that the outermost exit commits, so a verifier's
-shard batch of report rows costs one ``COMMIT`` and lands atomically.
+one ``INSERT`` committed before the call returns.  Inside one, the
+writes are queued, and the outermost exit inserts them with one
+``executemany`` and commits, so a verifier's shard batch of report rows
+costs one statement and one ``COMMIT`` and lands atomically.  If that
+insert or commit fails, the whole batch rolls back, which the
+:meth:`~repro.store.base.StateStore.batch` contract allows.
 
 Files written with the earlier ``enrollments``/``reports`` tables are
 refused with :class:`~repro.store.base.StoreError` rather than misread.
@@ -24,9 +32,10 @@ import contextlib
 import json
 import os
 import sqlite3
-from typing import Any, Iterator, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.core.verification import Enrollment, VerificationReport
+from repro.core.verification import _ROW_ENCODER, Enrollment, \
+    VerificationReport
 from repro.store.base import (
     ENROLLMENT,
     REPORT,
@@ -62,17 +71,23 @@ class SqliteStore(StateStore):
     """Single-file SQLite persistence for verifier state.
 
     A write outside a :meth:`batch` is durable when it returns; inside
-    one, when the outermost batch exits.  The store assumes it is the
+    one, it is queued, and the outermost exit writes the queue with one
+    ``executemany`` and commits it (a :meth:`checkpoint` or
+    :meth:`close` inside the batch writes the queue first).  A failing
+    insert rolls the whole batch back.  The store assumes it is the
     file's only writer: it replays the file once at open and keeps the
     newest ``seq`` and the set of enrolled ids in memory, so neither a
     write nor a checkpoint reads back what this connection wrote
-    itself.  The open-time replay is handed to the first
-    :meth:`restore_state`.
+    itself; a batch's rows advance that ``seq`` by their count, since
+    ``executemany`` reports no row id and nothing else takes a key.
+    The open-time replay is handed to the first :meth:`restore_state`.
     """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = str(path)
         self._conn: Optional[sqlite3.Connection] = None
+        # The (kind, text) rows an open batch has yet to insert.
+        self._queued: List[Tuple[str, str]] = []
         try:
             # check_same_thread=False: the store itself is single-writer
             # (callers must serialize their calls), but the serialized
@@ -126,18 +141,34 @@ class SqliteStore(StateStore):
             if not self._batch_depth and self._conn is not None:
                 self._commit()
 
-    def _commit(self) -> None:
-        """Commit the open transaction; roll it back if that fails."""
-        conn = self._connection()
+    def _insert_queued(self) -> None:
+        """Insert the batch's queued rows with one statement."""
+        rows, self._queued = self._queued, []
+        if not rows:
+            return
         try:
-            conn.commit()
+            self._connection().executemany(
+                "INSERT INTO journal (kind, row) VALUES (?, ?)", rows)
         except BaseException:
-            conn.rollback()
-            # The in-memory seq and enrolled ids may hold rolled-back
-            # writes: read both back from the file.
-            state, self._seq = self._replay()
-            self._enrolled = set(state.enrollments)
+            self._rollback()
             raise
+        self._seq += len(rows)
+
+    def _commit(self) -> None:
+        """Insert the queue and commit; roll both back if that fails."""
+        self._insert_queued()
+        try:
+            self._connection().commit()
+        except BaseException:
+            self._rollback()
+            raise
+
+    def _rollback(self) -> None:
+        self._connection().rollback()
+        # The in-memory seq and enrolled ids may hold rolled-back
+        # writes: read both back from the file.
+        state, self._seq = self._replay()
+        self._enrolled = set(state.enrollments)
 
     def _write_done(self) -> None:
         if not self._batch_depth:
@@ -146,26 +177,30 @@ class SqliteStore(StateStore):
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def _append(self, kind: str, row: Row) -> None:
+    def _append(self, kind: str, text: str) -> None:
+        conn = self._connection()
         self._opened_state = None
-        cursor = self._connection().execute(
+        if self._batch_depth:
+            self._queued.append((kind, text))
+            return
+        self._seq = conn.execute(
             "INSERT INTO journal (kind, row) VALUES (?, ?)",
-            (kind, json.dumps(row, sort_keys=True)))
-        self._seq = cursor.lastrowid
-        self._write_done()
+            (kind, text)).lastrowid
+        self._commit()
 
     def save_enrollment(self, enrollment: Enrollment) -> None:
-        self._append(ENROLLMENT, enrollment.to_row())
+        self._append(ENROLLMENT, _ROW_ENCODER.encode(enrollment.to_row()))
         self._enrolled.add(enrollment.device_id)
 
     def append_report(self, report: VerificationReport) -> None:
-        self._append(REPORT, report.to_row())
+        self._append(REPORT, report.to_json())
 
     def checkpoint(self, enrollments: Mapping[str, Enrollment],
                    health: Any,
                    last_collection_times: Mapping[str, float],
                    rounds_completed: int = 0) -> None:
         self._opened_state = None
+        self._insert_queued()  # the snapshot's journal_seq covers them
         document = snapshot_document(
             enrollments, health, last_collection_times,
             rounds_completed, journal_seq=self._seq)
@@ -223,6 +258,7 @@ class SqliteStore(StateStore):
     def close(self) -> None:
         if self._conn is None:
             return
+        self._insert_queued()
         self._conn.commit()
         self._conn.close()
         self._conn = None

@@ -18,6 +18,7 @@ from repro.core.verification import (
     VerificationReport,
 )
 from repro.fleet import Fleet, WorkerCrashed, WorkerError, WorkerPool
+from repro.fleet import service
 from repro.worker.process import (
     _DIGEST_LENGTH,
     _FRAME,
@@ -514,6 +515,43 @@ def test_slot_dead_before_its_first_task_loses_only_its_partition(
         assert verifier._pool.restarts == [1, 0]
     finally:
         fleet.close()
+
+
+def test_failing_worker_task_loses_only_its_shard(monkeypatch):
+    """A result frame ``decode_result`` rejects costs its own shard, not
+    the round: that shard's devices commit NO_DATA, naming the failure,
+    and count as lost; the other partition commits exactly what loop
+    mode commits."""
+    decode = service.decode_result
+    failed = []
+
+    def fail_once(body, device_ids):
+        if not failed:
+            failed.extend(device_ids)
+            raise WorkerError(f"result frame holds 0 reports for "
+                              f"{len(device_ids)} devices")
+        return decode(body, device_ids)
+
+    monkeypatch.setattr(service, "decode_result", fail_once)
+    (loop, (loop_reports,)), (process, (process_reports,)) = \
+        provision_twin(8, shards=2)
+    try:
+        assert len(failed) == 4
+        assert len(process_reports) == 8
+        assert process.health.reports_total == 8
+        assert process_reports.stats.responses_lost == 4
+        loop_rows = {r.device_id: _row_bytes(r) for r in loop_reports}
+        for report in process_reports:
+            if report.device_id in failed:
+                assert report.status is DeviceStatus.NO_DATA
+                assert report.anomalies == [
+                    "shard worker failed (result frame holds 0 reports "
+                    "for 4 devices); response discarded"]
+            else:
+                assert _row_bytes(report) == loop_rows[report.device_id]
+    finally:
+        loop.close()
+        process.close()
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,36 @@ def test_observed_store_times_writes_without_changing_them():
     assert obs.store_op_seconds.labels("append_report").count == 2
 
 
+def test_observed_store_resolves_each_ops_series_once(monkeypatch):
+    """Each op's child series is looked up on its first write only, and
+    an op never called adds no series to the exposition."""
+    obs = Observability()
+    store = ObservedStore(MemoryStore(), obs)
+    resolved = []
+    labels = type(obs.store_ops).labels
+
+    def counted_labels(metric, *values):
+        resolved.append((metric.name, values))
+        return labels(metric, *values)
+
+    monkeypatch.setattr(type(obs.store_ops), "labels", counted_labels)
+    for _ in range(3):
+        store.append_report(report())
+    store.checkpoint({}, None, {})
+    store.checkpoint({}, None, {})
+    assert sorted(resolved) == [
+        ("repro_store_op_seconds", ("append_report",)),
+        ("repro_store_op_seconds", ("checkpoint",)),
+        ("repro_store_ops_total", ("append_report",)),
+        ("repro_store_ops_total", ("checkpoint",))]
+    monkeypatch.undo()
+    text = obs.registry.render()
+    assert 'repro_store_ops_total{op="append_report"} 3' in text
+    assert 'repro_store_ops_total{op="checkpoint"} 2' in text
+    assert 'op="save_enrollment"' not in text
+    assert 'op="restore_state"' not in text
+
+
 def test_slo_violations_are_counted_per_rule():
     fired = []
     obs = Observability(slo_rules=[LostBudgetRule(0)],

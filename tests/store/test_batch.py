@@ -4,17 +4,21 @@ Outside :meth:`StateStore.batch` a write is durable when it returns;
 inside, the writes become durable together when the outermost batch
 exits.  The verifier commits each shard batch of a round — report
 rows only — as one store batch, before any of its reports reaches a
-sink.
+sink.  SQLite inserts a batch's rows with one ``executemany``, and
+journals each report's canonical text, the very line the JSONL sink
+writes.
 """
 
 import contextlib
+import io
+import json
 import sqlite3
 
 import pytest
 
 from repro.core.verification import DeviceStatus, Enrollment, \
     VerificationReport
-from repro.fleet import Fleet, FleetVerifier, MemorySink
+from repro.fleet import Fleet, FleetVerifier, JsonlSink, MemorySink
 from repro.fleet.sinks import FleetHealth
 from repro.obs import Observability
 from repro.store import JsonlStore, MemoryStore, SqliteStore, StoreError
@@ -58,6 +62,32 @@ class _FailingCommits:
             self.armed = False
             raise sqlite3.OperationalError("disk I/O error")
         self._conn.commit()
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class _CountedStatements:
+    """A connection that logs its ``execute``/``executemany`` calls and
+    whose next ``executemany`` fails after one row once it is armed."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.calls = []
+        self.armed = False
+
+    def execute(self, sql, *args):
+        self.calls.append(("execute", sql.split()[0]))
+        return self._conn.execute(sql, *args)
+
+    def executemany(self, sql, rows):
+        rows = list(rows)
+        self.calls.append(("executemany", len(rows)))
+        if self.armed:
+            self.armed = False
+            self._conn.execute(sql, rows[0])
+            raise sqlite3.OperationalError("disk I/O error")
+        return self._conn.executemany(sql, rows)
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
@@ -107,6 +137,54 @@ def test_sqlite_failed_batch_commit_rolls_the_batch_back(tmp_path, opened):
     assert not store.has_enrollment("dev-2")
     store.checkpoint({"dev-1": enrollment("dev-1")}, FleetHealth(), {})
     assert store.state_rows()["journal_seq"] == 2
+
+
+def test_sqlite_batch_is_one_executemany(tmp_path, opened):
+    """A batch's rows reach SQLite in one statement at the outermost
+    exit; outside a batch each write is its own ``INSERT``."""
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
+    store._conn = counted = _CountedStatements(store._conn)
+    with store.batch():
+        store.save_enrollment(enrollment("dev-1"))
+        with store.batch():
+            for index in range(5):
+                store.append_report(report("dev-1", 10.0 * (index + 1)))
+        assert counted.calls == []
+    assert counted.calls == [("executemany", 6)]
+    assert len(journaled_reports(store)) == 5
+    store.append_report(report("dev-1", 60.0))
+    assert counted.calls[1:] == [("execute", "INSERT")]
+    assert len(journaled_reports(store)) == 6
+
+
+def test_sqlite_failed_batch_insert_rolls_the_batch_back(tmp_path, opened):
+    """An ``executemany`` that fails at the outermost exit, after one of
+    its rows went in, leaves none of the batch durable; the in-memory seq
+    and enrolled ids are read back from the file, so the next batch and
+    checkpoint agree with a reopened store."""
+    path = tmp_path / "state.sqlite"
+    store = opened(SqliteStore(path))
+    store.save_enrollment(enrollment("dev-1"))
+    store.append_report(report("dev-1", 10.0))
+    store._conn = counted = _CountedStatements(store._conn)
+    counted.armed = True
+    with pytest.raises(sqlite3.OperationalError):
+        with store.batch():
+            store.append_report(report("dev-1", 20.0))
+            store.save_enrollment(enrollment("dev-2"))
+    assert counted.calls[0] == ("executemany", 2)
+    assert len(journaled_reports(store)) == 1
+    assert not store.has_enrollment("dev-2")
+    with store.batch():
+        store.append_report(report("dev-1", 30.0))
+    enrollments = {"dev-1": enrollment("dev-1", last_seen=28.5)}
+    store.checkpoint(enrollments, FleetHealth(), {"dev-1": 30.0})
+    assert [row["collection_time"] for row in journaled_reports(store)] == \
+        [10.0, 30.0]
+    reopened = opened(SqliteStore(path))
+    reopened.checkpoint(enrollments, FleetHealth(), {"dev-1": 30.0})
+    assert reopened.state_bytes() == store.state_bytes()
+    assert store.state_rows()["journal_seq"] == 3
 
 
 def test_sqlite_checkpoint_equals_a_reopened_stores(tmp_path, opened):
@@ -300,3 +378,53 @@ def test_round_writes_no_enrollment(tmp_path, opened, backend):
         assert fleet.verifier.last_seen(device_id) is not None
         assert restored.enrollments[device_id].last_seen == \
             fleet.verifier.last_seen(device_id)
+
+
+def test_sqlite_journal_and_jsonl_sink_write_the_same_line(tmp_path,
+                                                           opened):
+    """After a round, each report's journal row is its sink line without
+    the newline, and both are ``json.dumps(row, sort_keys=True)``: the
+    on-disk bytes of both media are pinned."""
+    store = opened(SqliteStore(tmp_path / "state.sqlite"))
+    stream = io.StringIO()
+    fleet = opened(provision(store, shards=3, sinks=(JsonlSink(stream),)))
+    fleet.run_until(60.0)
+    reports = fleet.collect_all(batch_size=2)
+    lines = stream.getvalue().splitlines(keepends=True)
+    assert all(line.endswith("}\n") for line in lines)
+    with contextlib.closing(sqlite3.connect(store.path)) as reader:
+        journal = [row for (row,) in reader.execute(
+            "SELECT row FROM journal WHERE kind = 'report' ORDER BY seq")]
+    expected = [json.dumps(report.to_row(), sort_keys=True)
+                for report in reports]
+    assert [line[:-1] for line in lines] == expected
+    assert sorted(journal) == sorted(expected)
+    # The shared encoding keeps json.dumps's escapes and spacing.
+    odd = VerificationReport(
+        device_id="dév-\u2603", collection_time=1e-7,
+        status=DeviceStatus.TAMPERED, anomalies=["", "naïve \"quote\""],
+        missing_intervals=2 ** 70, infected_timestamps=[-0.0, 3.5])
+    assert odd.to_json() == json.dumps(odd.to_row(), sort_keys=True)
+
+
+def test_sqlite_seq_survives_batched_rounds(tmp_path, opened):
+    """After several batched rounds, each batch advancing the seq by its
+    row count, the checkpoint equals a reopened store's and its journal
+    position is the journal's newest row."""
+    path = tmp_path / "state.sqlite"
+    store = opened(SqliteStore(path))
+    fleet = opened(provision(store, shards=3))
+    for horizon in (60.0, 120.0, 180.0):
+        fleet.run_until(horizon)
+        fleet.collect_all(batch_size=5)
+    verifier = fleet.verifier
+    live = store.state_bytes()
+    with contextlib.closing(sqlite3.connect(path)) as reader:
+        (newest,), = reader.execute("SELECT max(seq) FROM journal")
+    assert newest == 12 + 3 * 12  # the enrollments, then three rounds
+    assert store.state_rows()["journal_seq"] == newest
+    reopened = opened(SqliteStore(path))
+    reopened.checkpoint(verifier._enrollments, verifier.health,
+                        verifier._last_collection_time,
+                        rounds_completed=verifier.rounds_completed)
+    assert reopened.state_bytes() == live
