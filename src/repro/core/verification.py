@@ -203,7 +203,9 @@ class VerificationReport:
 
         Built on first call and kept: a committed report is final, so
         the SQLite journal and the JSONL sink write the same text from
-        one encoding.
+        one encoding.  A collection round drops the kept text once its
+        sinks have the report, so the reports a caller holds do not
+        carry it.
         """
         text = self._json
         if text is None:

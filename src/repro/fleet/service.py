@@ -699,6 +699,9 @@ class FleetVerifier:
                     reports.append(report)
                     for sink in self.sinks:
                         sink.emit(report)
+                    # The journal and every sink have the text now; the
+                    # reports a caller holds need not keep it.
+                    report._json = None
 
         async def _collect_shard(partition: int, shard: List[str],
                                  shard_index: int, round_span):

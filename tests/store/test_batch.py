@@ -399,6 +399,8 @@ def test_sqlite_journal_and_jsonl_sink_write_the_same_line(tmp_path,
                 for report in reports]
     assert [line[:-1] for line in lines] == expected
     assert sorted(journal) == sorted(expected)
+    # Once the sinks have them, the round's reports drop their text.
+    assert all(report._json is None for report in reports)
     # The shared encoding keeps json.dumps's escapes and spacing.
     odd = VerificationReport(
         device_id="dév-\u2603", collection_time=1e-7,
