@@ -55,9 +55,10 @@ from repro.crypto.backend import get_backend
 from repro.crypto.constant_time import constant_time_compare
 from repro.crypto.mac import get_mac
 
-#: The one encoder of persisted rows: ``json.dumps(row, sort_keys=True)``
-#: without building an encoder per call.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+#: The one encoding of persisted rows: ``encode_row(row)`` is
+#: ``json.dumps(row, sort_keys=True)`` without building an encoder per
+#: call.
+encode_row = json.JSONEncoder(sort_keys=True).encode
 
 
 class DeviceStatus(enum.Enum):
@@ -201,16 +202,22 @@ class VerificationReport:
     def to_json(self) -> str:
         """The row's canonical text, ``json.dumps(row, sort_keys=True)``.
 
-        Built on first call and kept: a committed report is final, so
-        the SQLite journal and the JSONL sink write the same text from
-        one encoding.  A collection round drops the kept text once its
-        sinks have the report, so the reports a caller holds do not
-        carry it.
+        Built on first call and kept until :meth:`release_json`: a
+        committed report is final, so the SQLite journal and the JSONL
+        sink write the same text from one encoding.
         """
         text = self._json
         if text is None:
-            text = self._json = _ROW_ENCODER.encode(self.to_row())
+            text = self._json = encode_row(self.to_row())
         return text
+
+    def release_json(self) -> None:
+        """Drop the kept :meth:`to_json` text.
+
+        The verifier calls it once the journal and every sink have the
+        report, so the reports a caller holds do not carry their text.
+        """
+        self._json = None
 
     @classmethod
     def from_row(cls, row: Mapping[str, object]) -> "VerificationReport":

@@ -326,6 +326,7 @@ class FleetVerifier:
         self._commit_batch([report])
         for sink in self.sinks:
             sink.emit(report)
+        report.release_json()
         return report
 
     def _verify_payload(self, device_id: str, payload: Optional[bytes],
@@ -699,9 +700,7 @@ class FleetVerifier:
                     reports.append(report)
                     for sink in self.sinks:
                         sink.emit(report)
-                    # The journal and every sink have the text now; the
-                    # reports a caller holds need not keep it.
-                    report._json = None
+                    report.release_json()
 
         async def _collect_shard(partition: int, shard: List[str],
                                  shard_index: int, round_span):

@@ -50,7 +50,10 @@ class ObservedStore(StateStore):
     backend — and with the sharded verifier's internal locking, which
     wraps *around* this so the recorded latency is the backend's own,
     not lock-wait time.  :meth:`batch` forwards untimed, so a batch's
-    commit is in no operation's latency.
+    commit is in no operation's latency, and neither is its write for a
+    backend that defers the batch's rows to its exit: inside a batch,
+    SQLite's ``append_report`` only queues the row, and the one
+    ``executemany`` runs at the exit.
     """
 
     def __init__(self, inner: StateStore, obs: "Observability") -> None:

@@ -14,12 +14,13 @@ A journal row is the record's canonical text: a report's
 line :class:`~repro.fleet.JsonlSink` writes, so a report committed to
 both is encoded once.
 
-Outside a :meth:`SqliteStore.batch` every write is its own transaction,
-one ``INSERT`` committed before the call returns.  Inside one, the
-writes are queued, and the outermost exit inserts them with one
-``executemany`` and commits, so a verifier's shard batch of report rows
-costs one statement and one ``COMMIT`` and lands atomically.  If that
-insert or commit fails, the whole batch rolls back, which the
+Every write is queued, and the queue is inserted with one
+``executemany`` and committed.  Outside a :meth:`SqliteStore.batch`
+that happens before the write returns, so each write is its own
+one-row transaction.  Inside one, it happens at the outermost exit, so
+a verifier's shard batch of report rows costs one statement and one
+``COMMIT`` and lands atomically.  If that insert or commit fails, the
+whole batch rolls back, which the
 :meth:`~repro.store.base.StateStore.batch` contract allows.
 
 Files written with the earlier ``enrollments``/``reports`` tables are
@@ -34,8 +35,8 @@ import os
 import sqlite3
 from typing import Any, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.core.verification import _ROW_ENCODER, Enrollment, \
-    VerificationReport
+from repro.core.verification import Enrollment, VerificationReport, \
+    encode_row
 from repro.store.base import (
     ENROLLMENT,
     REPORT,
@@ -70,15 +71,15 @@ _SNAPSHOT_KEY = "snapshot"
 class SqliteStore(StateStore):
     """Single-file SQLite persistence for verifier state.
 
-    A write outside a :meth:`batch` is durable when it returns; inside
-    one, it is queued, and the outermost exit writes the queue with one
-    ``executemany`` and commits it (a :meth:`checkpoint` or
-    :meth:`close` inside the batch writes the queue first).  A failing
-    insert rolls the whole batch back.  The store assumes it is the
+    Every write is queued and then inserted with one ``executemany``
+    and committed: outside a :meth:`batch` before it returns, inside
+    one at the outermost exit (a :meth:`checkpoint` or :meth:`close`
+    inside the batch inserts the queue first).  A failing insert rolls
+    the whole batch back.  The store assumes it is the
     file's only writer: it replays the file once at open and keeps the
     newest ``seq`` and the set of enrolled ids in memory, so neither a
     write nor a checkpoint reads back what this connection wrote
-    itself; a batch's rows advance that ``seq`` by their count, since
+    itself; inserted rows advance that ``seq`` by their count, since
     ``executemany`` reports no row id and nothing else takes a key.
     The open-time replay is handed to the first :meth:`restore_state`.
     """
@@ -86,7 +87,8 @@ class SqliteStore(StateStore):
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = str(path)
         self._conn: Optional[sqlite3.Connection] = None
-        # The (kind, text) rows an open batch has yet to insert.
+        # The (kind, text) rows not yet inserted: an open batch's, or
+        # the one row of a write outside a batch.
         self._queued: List[Tuple[str, str]] = []
         try:
             # check_same_thread=False: the store itself is single-writer
@@ -142,7 +144,7 @@ class SqliteStore(StateStore):
                 self._commit()
 
     def _insert_queued(self) -> None:
-        """Insert the batch's queued rows with one statement."""
+        """Insert the queued rows with one statement."""
         rows, self._queued = self._queued, []
         if not rows:
             return
@@ -178,18 +180,13 @@ class SqliteStore(StateStore):
     # Writes
     # ------------------------------------------------------------------
     def _append(self, kind: str, text: str) -> None:
-        conn = self._connection()
+        self._connection()
         self._opened_state = None
-        if self._batch_depth:
-            self._queued.append((kind, text))
-            return
-        self._seq = conn.execute(
-            "INSERT INTO journal (kind, row) VALUES (?, ?)",
-            (kind, text)).lastrowid
-        self._commit()
+        self._queued.append((kind, text))
+        self._write_done()
 
     def save_enrollment(self, enrollment: Enrollment) -> None:
-        self._append(ENROLLMENT, _ROW_ENCODER.encode(enrollment.to_row()))
+        self._append(ENROLLMENT, encode_row(enrollment.to_row()))
         self._enrolled.add(enrollment.device_id)
 
     def append_report(self, report: VerificationReport) -> None:

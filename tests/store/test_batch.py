@@ -141,7 +141,7 @@ def test_sqlite_failed_batch_commit_rolls_the_batch_back(tmp_path, opened):
 
 def test_sqlite_batch_is_one_executemany(tmp_path, opened):
     """A batch's rows reach SQLite in one statement at the outermost
-    exit; outside a batch each write is its own ``INSERT``."""
+    exit; outside a batch each write is a one-row statement."""
     store = opened(SqliteStore(tmp_path / "state.sqlite"))
     store._conn = counted = _CountedStatements(store._conn)
     with store.batch():
@@ -153,7 +153,7 @@ def test_sqlite_batch_is_one_executemany(tmp_path, opened):
     assert counted.calls == [("executemany", 6)]
     assert len(journaled_reports(store)) == 5
     store.append_report(report("dev-1", 60.0))
-    assert counted.calls[1:] == [("execute", "INSERT")]
+    assert counted.calls[1:] == [("executemany", 1)]
     assert len(journaled_reports(store)) == 6
 
 
@@ -401,6 +401,15 @@ def test_sqlite_journal_and_jsonl_sink_write_the_same_line(tmp_path,
     assert sorted(journal) == sorted(expected)
     # Once the sinks have them, the round's reports drop their text.
     assert all(report._json is None for report in reports)
+    # So does a single verified collection, whose line matches too.
+    verifier = fleet.verifier
+    prover = fleet.device("dev-0003").prover
+    single = verifier.verify_collection(
+        "dev-0003", prover.handle_collect(verifier.create_collect_request()),
+        60.0)
+    assert single._json is None
+    assert stream.getvalue().splitlines()[-1] == \
+        json.dumps(single.to_row(), sort_keys=True)
     # The shared encoding keeps json.dumps's escapes and spacing.
     odd = VerificationReport(
         device_id="dév-\u2603", collection_time=1e-7,
